@@ -124,6 +124,6 @@ def rule_store_ntriples(sensors: list[dict[str, float]]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def lookup_sensors(n_rows: int, count: int, seed: int) -> list[int]:
-    """Distinct sensor ordinals for the dashboard's point lookups."""
-    return sorted(random.Random(seed).sample(range(1, n_rows + 1), count))
+def lookup_sensor(n_rows: int, seed: int) -> int:
+    """The sensor ordinal of the dashboard's point lookup."""
+    return random.Random(seed).randint(1, n_rows)

@@ -151,7 +151,7 @@ QUANTITIES = {"FFMC": "ffmc", "DMC": "dmc", "DC": "dc", "ISI": "isi", "temp": "t
               "RH": "rh", "wind": "wind", "rain": "rain", "area": "area"}
 
 _NT_LINE = re.compile(r'<([^>]*)> <([^>]*)> (?:<([^>]*)>|"((?:[^"\\]|\\.)*)"\^\^<([^>]*)>) \.')
-_LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"\^\^<([^>]*)>')
+LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"\^\^<([^>]*)>')
 
 
 def numeric_literals(rows: list[dict]) -> list[tuple[str, float]]:
@@ -273,7 +273,7 @@ def check_facts(sensors: list[dict[str, float]], rule_lines: list[RuleLine], jso
         fact = got[key]
         if fact["rule"] != text:
             return [f"infer: {key} credited to {fact['rule']!r}, want {text!r}"]
-        bound = _LITERAL.fullmatch(fact["bindings"].get(variable, ""))
+        bound = LITERAL.fullmatch(fact["bindings"].get(variable, ""))
         if bound is None or float(bound.group(1)) != value or fact["bindings"].get("?s") != f"<{key[0]}>":
             return [f"infer: {key} bindings {fact['bindings']} do not hold {variable}={value!r}"]
     return []

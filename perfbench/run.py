@@ -12,6 +12,11 @@ untimed warm-up op, then runs ops one after another for ``--seconds``, with
 timed region; an op that raises, exits nonzero or fails its check counts as
 failed.  The last line of standard output is one JSON object: end-to-end
 metrics with ``--trace 0``, per-layer metrics with ``--trace 1``.
+
+A shared machine's speed drifts by up to a half over minutes.  So a fixed
+pure-Python loop is timed just before and after each set-up and op, outside
+the timed region, and the end-to-end times are reported at the speed where
+that loop takes ``NOMINAL_LOOP_S``.  The wall times are printed beside them.
 """
 
 from __future__ import annotations
@@ -42,17 +47,50 @@ from workloads import WORKLOADS  # noqa: E402
 SETUP_MIN, SETUP_MAX, SETUP_BUDGET_S = 3, 25, 1.0
 #: ops attempted even when one op outlasts --seconds, so the median has samples
 MIN_OPS = 3
+#: the speed loop's usual time on the shared 2-core VM of the README's figures; end-to-end
+#: times are reported at the machine speed where the loop takes this long
+NOMINAL_LOOP_S = 0.0125
+#: tries of the speed loop each side of a timed region; the median of them counts
+LOOP_TRIES = 3
 END_TO_END_UNITS = {"setup_s": "s", "items_per_s": "1/s", "op_p50_ms": "ms", "peak_rss_mb": "MB"}
 
 
-def _attempt(workload, tracer, phase) -> float | None:
-    """Run and check one op; its duration in seconds, or None if it failed."""
+def speed_loop() -> int:
+    """Fixed pure-Python work of the program's kind: string keys, dict inserts, sorting, arithmetic."""
+    table = {}
+    for i in range(4000):
+        table[f"urn:ssn:obs:{i}", i % 97] = f"{i * 1.5:.2f}"
+    total = 0
+    for i in range(40000):
+        total += i * i
+    return len(set(table.values())) + len(sorted(table, key=lambda k: (k[1], k[0]))) + total % 7
+
+
+def _loop_tries() -> list[float]:
+    tries = []
+    for _ in range(LOOP_TRIES):
+        start = perf_counter()
+        speed_loop()
+        tries.append(perf_counter() - start)
+    return tries
+
+
+def timed(fn) -> tuple[float, float]:
+    """Wall seconds of ``fn()`` and the same at the nominal machine speed."""
+    before = _loop_tries()
+    start = perf_counter()
+    fn()
+    elapsed = perf_counter() - start
+    loop = statistics.median(before + _loop_tries())
+    return elapsed, elapsed * NOMINAL_LOOP_S / loop
+
+
+def _attempt(workload, tracer, phase) -> tuple[float, float] | None:
+    """Run and check one op; ``timed``'s pair of durations, or None if it failed."""
     if tracer:
         tracer.phase = phase
-    start = perf_counter()
     try:
-        workload.op()
-        elapsed = perf_counter() - start
+        elapsed = timed(workload.op)
     except Exception:
         traceback.print_exc()
         return None
@@ -78,14 +116,13 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool) -> dict:
     work.mkdir(parents=True)
     try:
         workload = WORKLOADS[name](ROOT, work, seed)
+        speed_loop()  # its first run in a process is slower than the rest
         setups = []
-        while len(setups) < SETUP_MIN or (len(setups) < SETUP_MAX and sum(setups) < SETUP_BUDGET_S):
+        while len(setups) < SETUP_MIN or (len(setups) < SETUP_MAX and sum(w for w, _ in setups) < SETUP_BUDGET_S):
             gc.collect()
             if tracer:
                 tracer.phase = "setup"
-            start = perf_counter()
-            workload.setup()
-            setups.append(perf_counter() - start)
+            setups.append(timed(workload.setup))
             if tracer:
                 tracer.phase = None
         warm_ok = _attempt(workload, None, None) is not None
@@ -101,14 +138,19 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool) -> dict:
     finally:
         shutil.rmtree(work)
     failed = attempted - len(durations)
+    wall = [w for w, _ in durations]
+    nominal = [n for _, n in durations]
+    if durations:
+        print(f"wall time: setup_s {statistics.median(w for w, _ in setups):.4f}, "
+              f"op_p50_ms {statistics.median(wall) * 1000.0:.4f}, "
+              f"machine at {sum(nominal) / sum(wall):.3f} of nominal speed")
     if traced:
         metrics = tracing.per_layer(tracer, passed) if passed else {}
-        print(f"traced op_p50_ms {statistics.median(durations) * 1000.0 if durations else 0.0:.4f}")
     elif durations:
         metrics = {
-            "setup_s": statistics.median(setups),
-            "items_per_s": workload.items * len(durations) / sum(durations),
-            "op_p50_ms": statistics.median(durations) * 1000.0,
+            "setup_s": statistics.median(n for _, n in setups),
+            "items_per_s": workload.items * len(nominal) / sum(nominal),
+            "op_p50_ms": statistics.median(nominal) * 1000.0,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
     else:

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run-to-run spread of the end-to-end metrics.
 
-Runs ``run.py`` once per seed and workload, seeds in the outer loop so that
-a slow spell of the machine touches every workload alike, and prints each
-metric's median, quartiles and interquartile range as a share of the median
+Runs ``run.py`` once per seed and workload for the run length that
+``BENCHMARK.json`` declares, seeds in the outer loop so that a slow spell of
+the machine touches every workload alike.  Prints each metric's median,
+quartiles and interquartile range as a share of the median
 (``statistics.quantiles(values, n=4)``)::
 
-    python3 perfbench/spread.py --seeds 10 --seconds 30
+    python3 perfbench/spread.py --seeds 10
     python3 perfbench/spread.py --seeds 5 --workload rule_chaining
+    python3 perfbench/spread.py --seeds 5 --same-seed   # seed 1 every time: machine noise only
 """
 
 from __future__ import annotations
@@ -20,22 +22,23 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-WORKLOADS = ["daily_batch", "rule_chaining", "query_dashboard"]
+DECLARED = json.loads((HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = [w["name"] for w in DECLARED["workloads"]]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--same-seed", action="store_true", help="run seed 1 --seeds times")
     args = parser.parse_args()
     workloads = args.workload or WORKLOADS
     runs = {w: [] for w in workloads}
-    for seed in range(args.first_seed, args.first_seed + args.seeds):
+    for i in range(1, args.seeds + 1):
+        seed = 1 if args.same_seed else i
         for w in workloads:
             proc = subprocess.run([sys.executable, str(HERE / "run.py"), "--workload", w, "--seed", str(seed),
-                                   "--seconds", str(args.seconds), "--trace", "0"],
+                                   "--seconds", str(DECLARED["run_seconds"]), "--trace", "0"],
                                   stdout=subprocess.PIPE, text=True, cwd=HERE.parent, check=True)
             result = json.loads(proc.stdout.splitlines()[-1])
             runs[w].append(result)

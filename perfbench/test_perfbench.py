@@ -16,6 +16,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import gen  # noqa: E402
 import oracle  # noqa: E402
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from fireweather.ingest import parse_csv  # noqa: E402
@@ -32,7 +33,7 @@ def test_rows_repeat_for_a_seed_and_differ_across_seeds():
     assert gen.perturbed_rows(BASE, 600, 7) != gen.perturbed_rows(BASE, 600, 8)
     assert gen.rule_store(RULE_LINES, 30, 7) == gen.rule_store(RULE_LINES, 30, 7)
     assert gen.rule_store(RULE_LINES, 30, 7) != gen.rule_store(RULE_LINES, 30, 8)
-    assert gen.lookup_sensors(1034, 20, 7) == gen.lookup_sensors(1034, 20, 7)
+    assert gen.lookup_sensor(1034, 7) == gen.lookup_sensor(1034, 7)
 
 
 def test_rows_stay_in_each_columns_domain():
@@ -162,6 +163,16 @@ def test_dashboard_check_rejects_corruption(tmp_path):
         assert w.check() != [], i
     w.outputs = good[:-1]
     assert w.check() != []
+
+
+# --- machine speed ----------------------------------------------------------
+
+
+def test_timed_scales_wall_time_by_the_speed_loop(monkeypatch):
+    tries = iter([[0.02, 0.025, 0.03], [0.02, 0.05, 0.025]])  # median of the six: 0.025
+    monkeypatch.setattr(run, "_loop_tries", lambda: next(tries))
+    wall, nominal = run.timed(lambda: sum(range(10000)))
+    assert nominal == pytest.approx(wall * run.NOMINAL_LOOP_S / 0.025)
 
 
 # --- spans ------------------------------------------------------------------

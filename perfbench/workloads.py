@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from pathlib import Path
 
 import gen
@@ -20,7 +19,6 @@ from fireweather import cli, rdf, rules, sparql
 BATCH_ROWS = 517
 RULE_SENSORS = 50
 DASHBOARD_ROWS = 1034
-DASHBOARD_LOOKUPS = 20
 
 PREFIXES = """\
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -36,11 +34,6 @@ FILTER (?WindSpeed >40.00) }
 RAIN_SURVEY = PREFIXES + """SELECT ?Sensor_id ?startRAIN
 WHERE { ?Sensor_id ?observedBy ?startRAIN
 FILTER (?startRAIN >1.00) }
-"""
-HOT_SUNDAYS = """PREFIX p: <urn:ssn:prop:>
-SELECT ?sensor ?temp
-WHERE { ?o p:hasUnit "celsius" . ?o p:hasvalue ?temp . ?o p:observedBy ?sensor .
-        ?sensor p:hasDay "sun" . FILTER (?temp > 20.0) }
 """
 DRY_AUGUST_FUEL = """PREFIX p: <urn:ssn:prop:>
 SELECT ?sensor ?code
@@ -133,13 +126,10 @@ class RuleChaining:
         return []
 
 
-_BOUND_LITERAL = re.compile(r'"(.*)"\^\^<(.*)>')
-
-
 def _term(text: str) -> rdf.Term:
     if text.startswith("<") and text.endswith(">"):
         return rdf.iri(text[1:-1])
-    m = _BOUND_LITERAL.fullmatch(text)
+    m = oracle.LITERAL.fullmatch(text)
     return rdf.Term(m.group(1), rdf.Datatype(m.group(2)))
 
 
@@ -161,9 +151,8 @@ class QueryDashboard:
     def __init__(self, root: Path, work: Path, seed: int):
         self.root, self.seed = root, seed
         self.csv, self.store = work / "stations.csv", work / "stations.nt"
-        self.lookups = gen.lookup_sensors(DASHBOARD_ROWS, DASHBOARD_LOOKUPS, seed)
-        self.queries = ([WIND_SURVEY, RAIN_SURVEY, HOT_SUNDAYS, DRY_AUGUST_FUEL]
-                        + [LOOKUP.format(ordinal=n) for n in self.lookups])
+        self.lookup = gen.lookup_sensor(DASHBOARD_ROWS, seed)
+        self.queries = [WIND_SURVEY, RAIN_SURVEY, DRY_AUGUST_FUEL, LOOKUP.format(ordinal=self.lookup)]
         self.items = len(self.queries)
         self.outputs: list[str] = []
 
@@ -183,16 +172,13 @@ class QueryDashboard:
         want = [
             ("wind survey", ["Sensor_id", "WindSpeed"], oracle.survey_rows(rows, 40.0)),
             ("rain survey", ["Sensor_id", "startRAIN"], oracle.survey_rows(rows, 1.0)),
-            ("hot sundays", ["sensor", "temp"],
-             [(sensor[i], float(r["temp"])) for i, r in enumerate(rows)
-              if r["day"] == "sun" and float(r["temp"]) > 20.0]),
             ("dry august fuel", ["sensor", "code"],
              [(sensor[i], float(r[c])) for i, r in enumerate(rows) if r["month"] == "aug"
               for c in UNITLESS if float(r[c]) > 90.0]),
+            (f"lookup {self.lookup}", ["obs", "value"],
+             [(f"{oracle.OBS_NS}{self.lookup}:{q}", float(rows[self.lookup - 1][c]))
+              for c, q in oracle.QUANTITIES.items()]),
         ]
-        for n in self.lookups:
-            want.append((f"lookup {n}", ["obs", "value"],
-                         [(f"{oracle.OBS_NS}{n}:{q}", float(rows[n - 1][c])) for c, q in oracle.QUANTITIES.items()]))
         errors = []
         for output, (name, header, rows_wanted) in zip(self.outputs, want):
             errors += oracle.check_rows(name, output, header, rows_wanted)
