@@ -13,11 +13,12 @@ produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Union
 
 from . import vocab
-from .rdf import Binding, Graph, Term, Triple, TriplePattern, iri, string
+from .rdf import Binding, Graph, Term, Triple, TriplePattern, iri, match_one, string
 
 
 class RuleParseError(Exception):
@@ -199,9 +200,15 @@ def _parse_atom(lx: _Lexer, head: bool) -> BodyAtom:
     if name == "greaterThan":
         if kind != "NUMBER":
             raise RuleParseError("greaterThan threshold must be numeric", lx.line, scol)
+        try:
+            threshold = float(second)
+        except ValueError:
+            raise RuleParseError(f"greaterThan threshold {second!r} is not a number", lx.line, scol) from None
+        if not math.isfinite(threshold):
+            raise RuleParseError(f"greaterThan threshold {second!r} is not finite", lx.line, scol)
         lx.take("NUMBER")
         lx.take("RPAREN")
-        return BuiltinGreaterThan(first, float(second))
+        return BuiltinGreaterThan(first, threshold)
     if name in ("lessThan", "equal", "notEqual", "greaterThanOrEqual", "lessThanOrEqual"):
         raise RuleParseError(f"unsupported builtin {name!r}: only greaterThan is available", lx.line, col)
     if kind == "VAR":
@@ -271,35 +278,48 @@ def load_rules(path: str) -> RuleSet:
 
 # --- forward chaining ------------------------------------------------------
 
+#: One step of a join plan: a pattern matched against the union of some
+#: graphs, or a builtin checked once the steps before it bind its variable.
+Step = Union[tuple[TriplePattern, tuple[Graph, ...]], BuiltinGreaterThan]
 
-def _match_body(g: Graph, atoms: list[BodyAtom], binding: Binding,
-                delta: Optional[set[Triple]], delta_slot: Optional[int],
-                position: int = 0) -> Iterable[Binding]:
-    """All bindings satisfying the remaining atoms.
 
-    When ``delta_slot`` names an atom index, that atom is matched against the
-    delta set only (semi-naive restriction).
+def _plan(rule: Rule, atoms: list[tuple[int, TriplePattern]], lead: Optional[int],
+          delta: Optional[Graph], full: tuple[Graph, ...]) -> list[Step]:
+    """Join order for one pass of ``rule`` over its body ``atoms``.
+
+    With ``lead`` set, that atom is matched against ``delta`` alone and goes
+    first; the other atoms follow in body order against ``full``.
     """
-    if position == len(atoms):
+    if lead is not None:
+        atoms = [a for a in atoms if a[0] == lead] + [a for a in atoms if a[0] != lead]
+    pending = [a for a in rule.body if isinstance(a, BuiltinGreaterThan)]
+    bound: set[str] = set()
+    steps: list[Step] = []
+    for index, pattern in atoms:
+        steps.append((pattern, (delta,) if index == lead else full))
+        bound.update(pattern.variables())
+        steps += [b for b in pending if b.variable in bound]
+        pending = [b for b in pending if b.variable not in bound]
+    return steps
+
+
+def _match_body(steps: list[Step], binding: Binding, position: int = 0) -> Iterator[Binding]:
+    """All extensions of ``binding`` that satisfy ``steps[position:]``."""
+    if position == len(steps):
         yield binding
         return
-    atom = atoms[position]
-    if isinstance(atom, BuiltinGreaterThan):
-        if atom.holds(binding):
-            yield from _match_body(g, atoms, binding, delta, delta_slot, position + 1)
+    step = steps[position]
+    if isinstance(step, BuiltinGreaterThan):
+        if step.holds(binding):
+            yield from _match_body(steps, binding, position + 1)
         return
-    pattern = _bind_pattern(atom.pattern(), binding)
-    source: Iterable[Triple]
-    if delta_slot == position and delta is not None:
-        source = delta
-    else:
-        source = g.candidates(pattern)
-    from .rdf import match_one
-
-    for t in source:
-        extended = match_one(pattern, t, binding)
-        if extended is not None:
-            yield from _match_body(g, atoms, extended, delta, delta_slot, position + 1)
+    pattern, graphs = step
+    pattern = _bind_pattern(pattern, binding)
+    for graph in graphs:
+        for t in graph.candidates(pattern):
+            extended = match_one(pattern, t, binding)
+            if extended is not None:
+                yield from _match_body(steps, extended, position + 1)
 
 
 def _bind_pattern(pattern: TriplePattern, binding: Binding) -> TriplePattern:
@@ -324,39 +344,49 @@ def _fire(rule: Rule, binding: Binding) -> InferredFact:
 
 
 def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
-    """Least fixpoint of the rule set over a snapshot of the graph.
+    """Least fixpoint of the rule set over ``g``, by semi-naive rounds.
 
-    Semi-naive: after the first round, a rule only re-fires when at least one
-    body atom matches a newly derived triple.  The input graph is not
-    modified; derived triples live in an internal working copy.
+    ``g`` is not modified: derived triples go into a separate graph, and
+    every join reads ``g`` and that graph together.  Round 1 joins each
+    rule's body over ``g``, skipping a rule if some body atom has no
+    candidate there.  Each later round finds only the derivations that use a
+    triple derived in the round before (the delta): a rule runs once per
+    body atom that has a candidate in the delta, matching that atom against
+    the delta's indexes first and the other atoms against everything known.
+    Chaining stops after a round that derives nothing new.
+
+    A triple derived more than once in the round that first derives it keeps
+    the derivation of the lowest-indexed rule, then the least bindings by
+    ``Term.sort_key``, so facts do not depend on set iteration order.
+    Facts come back sorted by subject, property and label.
     """
-    work = Graph(g)
-    facts: dict[Triple, InferredFact] = {}
-    delta: set[Triple] = set(work)
-    first_round = True
-    while delta:
-        new_delta: set[Triple] = set()
-        for rule in ruleset.rules:
-            atoms = list(rule.body)
-            slots = [i for i, _ in rule.pattern_atoms()] if not first_round else [None]
-            seen: set[tuple] = set()
-            for slot in slots:
-                for binding in _match_body(work, atoms, {}, None if first_round else delta, slot):
-                    key = tuple(sorted((k, v) for k, v in binding.items()))
-                    if key in seen:
-                        continue
-                    seen.add(key)
+    derived = Graph()
+    full = (g, derived)
+    bodies = [[(i, atom.pattern()) for i, atom in rule.pattern_atoms()] for rule in ruleset.rules]
+    facts: list[InferredFact] = []
+    delta: Optional[Graph] = None
+    while True:
+        found: dict[Triple, tuple[tuple, InferredFact]] = {}
+        for index, (rule, atoms) in enumerate(zip(ruleset.rules, bodies)):
+            if delta is None:
+                leads = [None] if all(g.candidates(p) for _, p in atoms) else []
+            else:
+                leads = [i for i, p in atoms if delta.candidates(p)]
+            for lead in leads:
+                for binding in _match_body(_plan(rule, atoms, lead, delta, full), {}):
                     fact = _fire(rule, binding)
                     t = fact.triple()
-                    if t not in work and t not in new_delta:
-                        new_delta.add(t)
-                        facts[t] = fact
-        for t in new_delta:
-            work.insert(t)
-        delta = new_delta
-        first_round = False
-    ordered = sorted(facts.values(), key=lambda f: (f.subject.sort_key(), f.property_iri, f.label))
-    return ordered
+                    if t in g or t in derived:
+                        continue
+                    key = (index, [(name, term.sort_key()) for name, term in fact.bindings])
+                    if t not in found or key < found[t][0]:
+                        found[t] = (key, fact)
+        if not found:
+            break
+        delta = Graph(found)
+        derived.update(found)
+        facts += [fact for _, fact in found.values()]
+    return sorted(facts, key=lambda f: (f.subject.sort_key(), f.property_iri, f.label))
 
 
 def verify_provenance(g: Graph, ruleset: RuleSet, facts: Iterable[InferredFact]) -> bool:

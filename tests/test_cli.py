@@ -1,12 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
 from fireweather.cli import main
 from fireweather.ingest import TRIPLES_PER_ROW, parse_csv
-from conftest import DATA_CSV, RULES_FILE
+from conftest import DATA_CSV, REPO, RULES_FILE
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area\n"
 
@@ -170,6 +172,35 @@ class TestInfer:
         bad.write_text("foo(?s) -> bar(?t, x)\n")
         code, _, err = run(capsys, "infer", str(sensor_store), "--rules", str(bad))
         assert code == 1 and "error:" in err
+
+    def test_bad_threshold_exit_1_with_position(self, capsys, sensor_store, tmp_path):
+        bad = tmp_path / "bad.rules"
+        bad.write_text("# thresholds\nsensor_id(?s) ^ Rain(?s, ?r) ^ greaterThan(?r, 1-2) -> startRaining(?s, FireStop)\n")
+        code, out, err = run(capsys, "infer", str(sensor_store), "--rules", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2, column 48: ") and "'1-2'" in err
+
+    def test_jsonl_does_not_depend_on_hash_seed(self, tmp_path):
+        # three readings satisfy the same rule, so one fact has three derivations
+        store = tmp_path / "store.nt"
+        store.write_text(
+            "<urn:ssn:sensor:Sensor_2> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:ssn:class:sensor_id> .\n"
+            + "".join(
+                f'<urn:ssn:sensor:Sensor_2> <urn:ssn:prop:notdifficult> "{v}"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n'
+                for v in ("17.0", "20.0", "30.0")
+            )
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(REPO / "src"))
+            done = subprocess.run(
+                [sys.executable, "-m", "fireweather.cli", "infer", str(store),
+                 "--rules", str(RULES_FILE), "--format", "jsonl"],
+                env=env, capture_output=True, check=True, timeout=60,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["bindings"]["?rh"].startswith('"17.0"')
 
 
 class TestQuery:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fireweather import vocab
+from fireweather import rules, vocab
 from fireweather.rdf import Graph, Triple, decimal, integer, iri, string
 from fireweather.rules import (
     BuiltinGreaterThan,
@@ -71,6 +71,13 @@ class TestParsing:
         assert len(ruleset) == 27
         assert parse_rules(ruleset.render()) == ruleset
 
+    @pytest.mark.parametrize("threshold", ["1-2", "1.2.3", "1e", "1e999"])
+    def test_bad_threshold_carries_position(self, threshold):
+        text = f"foo(?s) ^ p(?s, ?v) ^ greaterThan(?v, {threshold}) -> bar(?s, x)"
+        column = text.index(threshold) + 1
+        with pytest.raises(RuleParseError, match=rf"^line 3, column {column}: .*{threshold}"):
+            parse_rules("# comment\n\n" + text + "\n")
+
     def test_decimal_threshold(self):
         rule = parse_rule("foo(?s) ^ p(?s, ?v) ^ greaterThan(?v, 1.5) -> bar(?s, x)")
         assert rule.body[2].threshold == 1.5
@@ -119,6 +126,30 @@ class TestForwardChain:
             (vocab.prop_iri("b"), "hot"),
             (vocab.prop_iri("c"), "alarm"),
         }
+
+    def test_input_graph_unchanged(self):
+        ruleset = parse_rules(
+            "a(?s, ?v) ^ greaterThan(?v, 0) -> b(?s, hot)\n"
+            "b(?s, ?w) -> c(?s, alarm)\n"
+        )
+        g = Graph([prop("s1", "a", integer(5)), prop("s2", "a", integer(-1))])
+        before = set(g)
+        assert len(forward_chain(g, ruleset)) == 2
+        assert set(g) == before and g.check_index_coherence()
+
+    def test_builtin_before_its_binding_atom(self):
+        ruleset = parse_rules("greaterThan(?v, 0) ^ a(?s, ?v) -> b(?s, hot)\n")
+        g = Graph([prop("s1", "a", integer(5)), prop("s2", "a", integer(-1))])
+        assert [f.subject for f in forward_chain(g, ruleset)] == [sensor("s1")]
+
+    def test_several_rules_keep_the_lowest_index(self):
+        ruleset = parse_rules(
+            "a(?s, ?v) ^ greaterThan(?v, 10) -> b(?s, hot)\n"
+            "a(?s, ?v) -> b(?s, hot)\n"
+        )
+        g = Graph([prop("s1", "a", integer(5)), prop("s1", "a", integer(50))])
+        (fact,) = forward_chain(g, ruleset)
+        assert fact.rule == ruleset.rules[0] and dict(fact.bindings)["?v"] == integer(50)
 
     def test_monotone_under_insertion(self, rules_text):
         ruleset = parse_rules(rules_text)
@@ -196,3 +227,102 @@ def test_provenance_resatisfies_on_random_stores(rules_text):
         g = random_store(rng)
         facts = forward_chain(g, ruleset)
         assert verify_provenance(g, ruleset, facts)
+
+
+# --- recursive rule sets ---------------------------------------------------
+#
+# fwi.rules never reads a head predicate, so chaining it stops after round 1.
+# These rule sets do: rule k reads h<k-1> at a random body position and
+# writes h<k>, and other atoms may read any head, so chaining runs over
+# several rounds and may recurse.  Stores hold some h3 and h4 facts, so a
+# rule may derive a triple already known; atoms on p2, which no store holds,
+# make rules that must be skipped.
+
+RECURSIVE_VALUES = ["?v", "?w", "5", "hot"]
+
+
+def random_recursive_atom(rng: random.Random) -> str:
+    subject = rng.choice(["?s", "?s", "?t"])
+    if rng.random() < 0.2:
+        return f"sensor_id({subject})"
+    name = rng.choice(["p0", "p1", "p1", "p2", "h0", "h1", "h2", "h3", "h4"])
+    return f"{name}({subject}, {rng.choice(RECURSIVE_VALUES)})"
+
+
+def random_recursive_rules(rng: random.Random) -> str:
+    lines = []
+    for k in range(rng.randint(2, 5)):
+        body = [random_recursive_atom(rng) for _ in range(rng.choice([0, 0, 1, 2]))]
+        lead = f"h{k - 1}(?s, ?u)" if k else f"{rng.choice(['p0', 'p1'])}(?s, ?u)"
+        body.insert(rng.randrange(len(body) + 1), lead)
+        if rng.random() < 0.3:
+            bound = sorted({v for v in ("?u", "?v", "?w") if any(v in atom for atom in body)})
+            builtin = f"greaterThan({rng.choice(bound)}, {rng.choice([0, 4, 10])})"
+            body.insert(rng.randrange(len(body) + 1), builtin)
+        label = rng.choice(["hot", "5", "12"])
+        lines.append(" ^ ".join(body) + f" -> h{k}(?s, {label})")
+    return "\n".join(lines) + "\n"
+
+
+def random_recursive_store(rng: random.Random) -> Graph:
+    g = Graph()
+    names = ["S1", "S2", "S3"]
+    for _ in range(rng.randrange(4, 20)):
+        name = rng.choice(names)
+        roll = rng.random()
+        if roll < 0.2:
+            g.insert(typed(name))
+        elif roll < 0.3:
+            g.insert(prop(name, rng.choice(["h3", "h4"]), string(rng.choice(["hot", "5"]))))
+        else:
+            g.insert(prop(name, rng.choice(["p0", "p1"]), decimal(float(rng.choice([1, 5, 12])))))
+    return g
+
+
+def test_recursive_rules_match_naive_oracle():
+    rng = random.Random(1986)
+    deep = 0
+    for _ in range(300):
+        ruleset = parse_rules(random_recursive_rules(rng))
+        g = random_recursive_store(rng)
+        facts = forward_chain(g, ruleset)
+        want = naive_fixpoint(g, ruleset)
+        assert {f.triple() for f in facts} == want
+        assert verify_provenance(g, ruleset, facts)
+        deep += any(t.predicate == iri(vocab.prop_iri("h2")) for t in want)
+    # h2 needs an h1 fact, which needs an h0 fact: three rounds at least
+    assert deep >= 20
+
+
+# --- growth guard ----------------------------------------------------------
+
+
+def rule_input_store(n_sensors: int) -> Graph:
+    """Every sensor typed and carrying every property fwi.rules reads."""
+    rng = random.Random(n_sensors)
+    g = Graph()
+    for i in range(n_sensors):
+        g.insert(typed(f"S{i}"))
+        for p in BODY_PROPERTIES:
+            g.insert(prop(f"S{i}", p, decimal(round(rng.uniform(0.0, 70.0), 1))))
+    return g
+
+
+def test_chaining_work_grows_linearly(rules_text, monkeypatch):
+    ruleset = parse_rules(rules_text)
+    calls = 0
+    match_one = rules.match_one
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return match_one(*args)
+
+    monkeypatch.setattr(rules, "match_one", counting)
+    work = []
+    for n in (25, 100):
+        calls = 0
+        assert forward_chain(rule_input_store(n), ruleset)
+        work.append(calls)
+    # linear work gives a ratio near 4; the quadratic chainer gave about 15
+    assert work[1] < 6 * work[0]
