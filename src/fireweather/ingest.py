@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,6 +62,9 @@ class WeatherObservation:
             raise IngestError(f"invalid month {self.month!r}")
         if self.day not in DAYS:
             raise IngestError(f"invalid day {self.day!r}")
+        for name in QUANTITY_UNITS:
+            if not math.isfinite(getattr(self, name)):
+                raise IngestError(f"{name} must be a finite number: {getattr(self, name)}")
         if not 0.0 <= self.ffmc <= 101.0:
             raise IngestError(f"ffmc out of range [0, 101]: {self.ffmc}")
         if not 0.0 <= self.rh <= 100.0:
@@ -123,21 +127,34 @@ def parse_csv(text: str) -> list[WeatherObservation]:
     return observations
 
 
+# Terms every row shares, built once.
+_RDF_TYPE = iri(vocab.RDF_TYPE)
+_SENSOR_CLASS = iri(vocab.SENSOR_CLASS)
+_HAS_DEPLOYMENT_X = iri(vocab.HAS_DEPLOYMENT_X)
+_HAS_DEPLOYMENT_Y = iri(vocab.HAS_DEPLOYMENT_Y)
+_HAS_MONTH = iri(vocab.HAS_MONTH)
+_HAS_DAY = iri(vocab.HAS_DAY)
+_HAS_VALUE = iri(vocab.HAS_VALUE)
+_HAS_UNIT = iri(vocab.HAS_UNIT)
+_OBSERVED_BY = iri(vocab.OBSERVED_BY)
+_UNIT_TERMS = {quantity: string(unit) for quantity, unit in QUANTITY_UNITS.items()}
+
+
 def to_triples(obs: WeatherObservation, sensor: SensorId) -> list[Triple]:
     """Map one observation to its fixed per-row triple schema."""
     s = iri(sensor.iri)
     triples = [
-        Triple(s, iri(vocab.RDF_TYPE), iri(vocab.SENSOR_CLASS)),
-        Triple(s, iri(vocab.HAS_DEPLOYMENT_X), integer(obs.x_coord)),
-        Triple(s, iri(vocab.HAS_DEPLOYMENT_Y), integer(obs.y_coord)),
-        Triple(s, iri(vocab.HAS_MONTH), string(obs.month)),
-        Triple(s, iri(vocab.HAS_DAY), string(obs.day)),
+        Triple(s, _RDF_TYPE, _SENSOR_CLASS),
+        Triple(s, _HAS_DEPLOYMENT_X, integer(obs.x_coord)),
+        Triple(s, _HAS_DEPLOYMENT_Y, integer(obs.y_coord)),
+        Triple(s, _HAS_MONTH, string(obs.month)),
+        Triple(s, _HAS_DAY, string(obs.day)),
     ]
     for quantity, value in obs.quantities().items():
         node = iri(vocab.obs_iri(sensor.ordinal, quantity))
-        triples.append(Triple(node, iri(vocab.HAS_VALUE), decimal(value)))
-        triples.append(Triple(node, iri(vocab.HAS_UNIT), string(QUANTITY_UNITS[quantity])))
-        triples.append(Triple(node, iri(vocab.OBSERVED_BY), s))
+        triples.append(Triple(node, _HAS_VALUE, decimal(value)))
+        triples.append(Triple(node, _HAS_UNIT, _UNIT_TERMS[quantity]))
+        triples.append(Triple(node, _OBSERVED_BY, s))
     return triples
 
 

@@ -6,12 +6,25 @@ are deliberately unsupported; ingestion mints deterministic IRIs instead.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+
+_WHITESPACE = re.compile(r"\s")
+
+#: Literal characters written as escapes: the N-Triples ECHAR set, then the
+#: other line breaks of ``str.splitlines`` as UCHAR, so every literal stays
+#: on one line.
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+_ESCAPES.update((c, f"\\u{ord(c):04X}") for c in "\x0b\x1c\x1d\x1e\x85\u2028\u2029")
+_NEEDS_ESCAPE = re.compile("[" + re.escape("".join(_ESCAPES)) + "]")
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_ESCAPE_SEQUENCE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.S)
 
 
 class Datatype(Enum):
@@ -24,28 +37,45 @@ class RdfError(Exception):
     """Malformed term, triple, or serialization input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Term:
     """An IRI or a typed literal.
 
     ``value`` is the IRI string or the literal's lexical form.  ``datatype``
-    is None for IRIs.
+    is None for IRIs.  A term is validated and hashed once, when built; a
+    numeric literal keeps the float it parsed to.
     """
 
     value: str
     datatype: Optional[Datatype] = None
+    _num: Optional[float] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.datatype is None:
-            if not self.value or any(c.isspace() for c in self.value):
-                raise RdfError(f"invalid IRI: {self.value!r}")
-        elif self.datatype in (Datatype.INTEGER, Datatype.DECIMAL):
+        value, datatype = self.value, self.datatype
+        num = None
+        if datatype is None:
+            if not value or _WHITESPACE.search(value):
+                raise RdfError(f"invalid IRI: {value!r}")
+        elif datatype is Datatype.INTEGER or datatype is Datatype.DECIMAL:
             try:
-                float(self.value)
+                num = float(value)
             except ValueError:
-                raise RdfError(
-                    f"literal {self.value!r} is not a valid {self.datatype.name.lower()}"
-                ) from None
+                raise RdfError(f"literal {value!r} is not a valid {datatype.name.lower()}") from None
+            if not math.isfinite(num):
+                raise RdfError(f"literal {value!r} is not a finite {datatype.name.lower()}")
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_hash", hash((value, datatype)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Term:
+            return NotImplemented
+        return self._hash == other._hash and self.datatype is other.datatype and self.value == other.value
 
     @property
     def is_iri(self) -> bool:
@@ -57,25 +87,44 @@ class Term:
 
     def numeric_value(self) -> Optional[float]:
         """The literal's numeric value, or None for IRIs and strings."""
-        if self.datatype in (Datatype.INTEGER, Datatype.DECIMAL):
-            return float(self.value)
-        return None
+        return self._num
 
     def sort_key(self):
         # Numeric literals order by value so binding order is stable across
         # integer/decimal spellings of the same number.
-        num = self.numeric_value()
-        if num is not None:
-            return (1, num, self.value)
-        if self.is_literal:
+        if self._num is not None:
+            return (1, self._num, self.value)
+        if self.datatype is not None:
             return (2, 0.0, self.value)
         return (0, 0.0, self.value)
 
     def __str__(self) -> str:
-        if self.is_iri:
+        if self.datatype is None:
             return f"<{self.value}>"
-        escaped = self.value.replace("\\", "\\\\").replace('"', '\\"')
+        escaped = _NEEDS_ESCAPE.sub(_escape_char, self.value)
         return f'"{escaped}"^^<{self.datatype.value}>'
+
+
+def _escape_char(m: re.Match) -> str:
+    return _ESCAPES[m.group()]
+
+
+def _unescape_sequence(m: re.Match) -> str:
+    code = m.group(1) or m.group(2)
+    if code is not None:
+        try:
+            return chr(int(code, 16))
+        except ValueError:
+            raise RdfError(f"invalid escape {m.group()!r}") from None
+    # an escape outside ECHAR is kept as written
+    return _ECHARS.get(m.group(3), m.group())
+
+
+def unescape_literal(text: str) -> str:
+    """The lexical form that a quoted literal's body ``text`` spells."""
+    if "\\" not in text:
+        return text
+    return _ESCAPE_SEQUENCE.sub(_unescape_sequence, text)
 
 
 def iri(value: str) -> Term:
@@ -101,17 +150,34 @@ def format_decimal(value: float) -> str:
     return repr(float(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Triple:
     subject: Term
     predicate: Term
     object: Term
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.subject.is_iri:
+        if self.subject.datatype is not None:
             raise RdfError(f"triple subject must be an IRI, got {self.subject}")
-        if not self.predicate.is_iri:
+        if self.predicate.datatype is not None:
             raise RdfError(f"triple predicate must be an IRI, got {self.predicate}")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Triple:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.subject == other.subject
+            and self.predicate == other.predicate
+            and self.object == other.object
+        )
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
@@ -267,80 +333,65 @@ class Graph:
 
 
 def export_ntriples(g: Graph) -> str:
-    """One triple per line, sorted for byte-stable output."""
+    """One triple per line, sorted for byte-stable output.
+
+    Literals escape the N-Triples ECHAR set and write the other line breaks
+    as ``\\uXXXX``, so every literal round-trips through ``import_ntriples``.
+    """
     lines = sorted(str(t) for t in g)
     return "".join(line + "\n" for line in lines)
 
 
-def _parse_term(token: str, lineno: int) -> Term:
+#: One term token of a statement: a quoted literal with whatever follows it
+#: up to the next whitespace, any other run of non-whitespace, or a lone
+#: quote that no closing quote ends.
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"\S*|[^\s"]\S*|"', re.S)
+_LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
+
+
+def _parse_term(token: str) -> Term:
     if token.startswith("<") and token.endswith(">"):
         return Term(token[1:-1])
     if token.startswith('"'):
-        end = _closing_quote(token, lineno)
-        lexical = token[1:end].replace('\\"', '"').replace("\\\\", "\\")
-        rest = token[end + 1 :]
+        m = _LITERAL.match(token)
+        rest = token[m.end() :]
         if not (rest.startswith("^^<") and rest.endswith(">")):
-            raise RdfError(f"line {lineno}: literal missing ^^<datatype>: {token!r}")
+            raise RdfError(f"literal missing ^^<datatype>: {token!r}")
         dt_iri = rest[3:-1]
         try:
             dt = Datatype(dt_iri)
         except ValueError:
-            raise RdfError(f"line {lineno}: unsupported datatype <{dt_iri}>") from None
-        return Term(lexical, dt)
-    raise RdfError(f"line {lineno}: unrecognized term {token!r}")
+            raise RdfError(f"unsupported datatype <{dt_iri}>") from None
+        return Term(unescape_literal(m.group(1)), dt)
+    raise RdfError(f"unrecognized term {token!r}")
 
 
-def _closing_quote(token: str, lineno: int) -> int:
-    i = 1
-    while i < len(token):
-        if token[i] == "\\":
-            i += 2
-            continue
-        if token[i] == '"':
-            return i
-        i += 1
-    raise RdfError(f"line {lineno}: unterminated literal {token!r}")
-
-
-def _split_terms(line: str, lineno: int) -> list[str]:
-    """Split a statement body into term tokens, honoring quoted literals."""
-    tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        if line[i] == '"':
-            i = start + _closing_quote(line[start:], lineno) + 1
-            while i < n and not line[i].isspace():
-                i += 1
-        else:
-            while i < n and not line[i].isspace():
-                i += 1
-        tokens.append(line[start:i])
-    return tokens
+def _token_error(body: str, tokens: list[str]) -> str:
+    for m in _TOKEN.finditer(body):
+        if m.group() == '"':
+            return f"unterminated literal {body[m.start():]!r}"
+    return f"expected 3 terms, got {len(tokens)}"
 
 
 def import_ntriples(text: str) -> Graph:
     """Parse the flat-file format back into a Graph.
 
-    Errors carry the 1-based line number and a reason.
+    Each distinct token becomes one ``Term``, shared by every triple that
+    uses it.  Errors carry the 1-based line number and a reason.
     """
     g = Graph()
+    terms: dict[str, Term] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if not line.endswith("."):
             raise RdfError(f"line {lineno}: missing terminating '.'")
-        body = line[:-1].rstrip()
-        tokens = _split_terms(body, lineno)
-        if len(tokens) != 3:
-            raise RdfError(f"line {lineno}: expected 3 terms, got {len(tokens)}")
-        s, p, o = (_parse_term(tok, lineno) for tok in tokens)
+        tokens = _TOKEN.findall(line, 0, len(line) - 1)
         try:
+            if len(tokens) != 3 or '"' in tokens:
+                raise RdfError(_token_error(line[:-1].rstrip(), tokens))
+            s, p, o = [terms.get(tok) or terms.setdefault(tok, _parse_term(tok)) for tok in tokens]
             g.insert(Triple(s, p, o))
         except RdfError as exc:
             raise RdfError(f"line {lineno}: {exc}") from None

@@ -390,7 +390,12 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
 
 
 def verify_provenance(g: Graph, ruleset: RuleSet, facts: Iterable[InferredFact]) -> bool:
-    """Re-check every fact's bindings against the graph plus all derived triples."""
+    """Re-check every fact against its rule.
+
+    The body must hold under the fact's bindings, over the graph plus all
+    derived triples, and the head under those bindings must give the fact's
+    subject, property and label.
+    """
     work = Graph(g)
     fact_list = list(facts)
     for f in fact_list:
@@ -405,7 +410,12 @@ def verify_provenance(g: Graph, ruleset: RuleSet, facts: Iterable[InferredFact])
                 pattern = _bind_pattern(atom.pattern(), binding)
                 if not work.match(pattern):
                     return False
-        head_subject = binding.get(f.rule.head.subject)
-        if head_subject != f.subject:
+        head = f.rule.head
+        label = head.value.value if isinstance(head.value, Term) else getattr(binding.get(head.value), "value", None)
+        if (
+            binding.get(head.subject) != f.subject
+            or f.property_iri != vocab.prop_iri(head.property_name)
+            or f.label != label
+        ):
             return False
     return True

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .rdf import Binding, Datatype, Graph, Term, TriplePattern, match_one
+from .rdf import Binding, Datatype, Graph, RdfError, Term, TriplePattern, match_one, unescape_literal
 
 
 class QueryParseError(Exception):
@@ -75,14 +75,8 @@ def _render_cell(t: Term) -> str:
     return t.value
 
 
-def _numeric(term: Term) -> Optional[float]:
-    if term.datatype in (Datatype.INTEGER, Datatype.DECIMAL):
-        return float(term.value)
-    return None
-
-
 def _compare(left: Term, op: str, right: Term) -> bool:
-    ln, rn = _numeric(left), _numeric(right)
+    ln, rn = left.numeric_value(), right.numeric_value()
     if ln is not None and rn is not None:
         a: Union[float, str] = ln
         b: Union[float, str] = rn
@@ -261,7 +255,7 @@ class _Parser:
         self.fail(f"expected term or variable, got {tok.text!r}", tok)
 
     def parse_literal(self, tok: _Token) -> Term:
-        lexical = tok.text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+        dt = Datatype.STRING
         nxt = self.peek()
         if nxt.kind == "PUNCT" and nxt.text == "^":
             self.next()
@@ -277,8 +271,10 @@ class _Parser:
                 dt = Datatype(dt_iri)
             except ValueError:
                 self.fail(f"unsupported datatype <{dt_iri}>", dt_tok)
-            return Term(lexical, dt)
-        return Term(lexical, Datatype.STRING)
+        try:
+            return Term(unescape_literal(tok.text[1:-1]), dt)
+        except RdfError as exc:
+            self.fail(str(exc), tok)
 
     def expand_pname(self, tok: _Token) -> str:
         prefix, _, local = tok.text.partition(":")
@@ -336,7 +332,7 @@ def _join(g: Graph, patterns: list[TriplePattern], binding: Binding) -> Iterable
     for i, p in enumerate(patterns):
         bound = _substitute(p, binding)
         candidates = g.candidates(bound)
-        sized.append((len(candidates) if not isinstance(candidates, set) else len(candidates), i, bound, candidates))
+        sized.append((len(candidates), i, bound, candidates))
     sized.sort(key=lambda x: (x[0], x[1]))
     _, chosen, bound, candidates = sized[0]
     rest = patterns[:chosen] + patterns[chosen + 1 :]

@@ -1,6 +1,6 @@
 """IRI vocabulary shared by ingestion, rules, and queries."""
 
-from .rdf import RDF_TYPE
+from .rdf import RDF_TYPE  # re-exported with the rest of the vocabulary
 
 CLASS_NS = "urn:ssn:class:"
 PROP_NS = "urn:ssn:prop:"
@@ -17,8 +17,6 @@ HAS_DEPLOYMENT_X = PROP_NS + "hasDeploymentX"
 HAS_DEPLOYMENT_Y = PROP_NS + "hasDeploymentY"
 HAS_MONTH = PROP_NS + "hasMonth"
 HAS_DAY = PROP_NS + "hasDay"
-
-RDF_TYPE = RDF_TYPE
 
 
 def class_iri(name: str) -> str:

@@ -64,6 +64,14 @@ class TestIngest:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["ingest", "assess"])
+    def test_non_finite_field_exit_1_with_row(self, capsys, tmp_path, command):
+        bad = tmp_path / "nan.csv"
+        bad.write_text(HEADER + "7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\n" + "7,5,mar,fri,86.2,nan,94.3,5.1,8.2,51,6.7,0,0\n")
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 1 and out == ""
+        assert err == "error: row 3: dmc must be a finite number: nan\n"
+
     def test_empty_csv_header_only(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text(HEADER)
@@ -166,6 +174,13 @@ class TestInfer:
         assert code == 0
         payloads = [json.loads(line) for line in out.splitlines()]
         assert all({"subject", "property", "label", "rule", "bindings"} <= set(p) for p in payloads)
+
+    def test_non_finite_literal_exit_1_with_line(self, capsys, tmp_path):
+        store = tmp_path / "nan.nt"
+        store.write_text('<urn:s> <urn:p> "inf"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n')
+        code, _, err = run(capsys, "infer", str(store), "--rules", str(RULES_FILE))
+        assert code == 1
+        assert err == "error: line 1: literal 'inf' is not a finite decimal\n"
 
     def test_bad_rule_file_exit_1(self, capsys, sensor_store, tmp_path):
         bad = tmp_path / "bad.rules"

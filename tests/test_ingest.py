@@ -2,6 +2,7 @@ import pytest
 
 from fireweather import vocab
 from fireweather.ingest import (
+    EXPECTED_HEADER,
     QUANTITY_UNITS,
     TRIPLES_PER_ROW,
     IngestError,
@@ -69,6 +70,21 @@ class TestValidation:
     def test_nonnegative(self, field):
         with pytest.raises(IngestError, match=field):
             obs(**{field: -1.0})
+
+    @pytest.mark.parametrize("field", list(QUANTITY_UNITS))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite(self, field, value):
+        with pytest.raises(IngestError, match=f"{field} must be a finite number"):
+            obs(**{field: value})
+
+    @pytest.mark.parametrize("column", range(4, 13))
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_reports_the_row(self, column, text):
+        fields = ROW.strip().split(",")
+        fields[column] = text
+        name = EXPECTED_HEADER[column].lower()
+        with pytest.raises(IngestError, match=f"^row 3: {name} must be a finite number"):
+            parse_csv(HEADER + ROW + ",".join(fields) + "\n")
 
 
 class TestToTriples:

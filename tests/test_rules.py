@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -158,6 +159,30 @@ class TestForwardChain:
         g.insert(prop("Sensor_2", "extreme", decimal(31.0)))
         after = {f.triple() for f in forward_chain(g, ruleset)}
         assert before <= after
+
+
+class TestVerifyProvenance:
+    @pytest.fixture()
+    def derived(self, rules_text):
+        ruleset = parse_rules(rules_text)
+        g = Graph([typed("Sensor_2"), prop("Sensor_2", "notdifficult", decimal(17.0))])
+        (fact,) = forward_chain(g, ruleset)
+        assert fact.rule.head.property_name == "DifficultyofControle"
+        return g, ruleset, fact
+
+    def test_accepts_the_derived_fact(self, derived):
+        g, ruleset, fact = derived
+        assert verify_provenance(g, ruleset, [fact])
+
+    @pytest.mark.parametrize("changes", [
+        {"property_iri": vocab.prop_iri("WindSpeed"), "label": "extreme"},
+        {"property_iri": vocab.prop_iri("WindSpeed")},
+        {"label": "extreme"},
+        {"subject": sensor("Sensor_3")},
+    ])
+    def test_rejects_a_fact_that_contradicts_its_head(self, derived, changes):
+        g, ruleset, fact = derived
+        assert not verify_provenance(g, ruleset, [dataclasses.replace(fact, **changes)])
 
 
 # --- naive fixpoint oracle -------------------------------------------------

@@ -185,3 +185,15 @@ def test_filter_soundness_recheck():
             for f in q.filters:
                 if f.variable in binding:
                     assert f.accepts(binding)
+
+
+def test_string_literal_escapes_read_as_in_ntriples():
+    q = parse_query('SELECT ?s WHERE { ?s <urn:p> "tab\\there \\"quoted\\" back\\\\slash\\nnewline" }')
+    assert q.patterns[0].object == string('tab\there "quoted" back\\slash\nnewline')
+
+
+@pytest.mark.parametrize("literal", ['"abc"^^xsd:integer', '"nan"^^xsd:decimal', '"\\U00110000"'])
+def test_bad_literal_carries_position(literal):
+    text = f"PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\nSELECT ?s WHERE {{ ?s <urn:p> ?v\nFILTER (?v > {literal}) }}\n"
+    with pytest.raises(QueryParseError, match=r"^line 3, column 14: "):
+        parse_query(text)

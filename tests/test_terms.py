@@ -1,0 +1,157 @@
+"""The term representation: equality, hashing, immutability, escaping,
+non-finite numbers and one ``Term`` per distinct token on import."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fireweather.ingest import ingest_observations, parse_csv
+from fireweather.rdf import (
+    Datatype,
+    Graph,
+    RdfError,
+    Term,
+    Triple,
+    decimal,
+    export_ntriples,
+    import_ntriples,
+    integer,
+    iri,
+    string,
+)
+
+DECIMAL_IRI = Datatype.DECIMAL.value
+
+
+class TestContract:
+    def test_equal_terms_hash_equal(self):
+        for a, b in [
+            (iri("urn:a"), Term("urn:a")),
+            (string("x"), Term("x", Datatype.STRING)),
+            (integer(7), Term("7", Datatype.INTEGER)),
+            (decimal(1.5), Term("1.5", Datatype.DECIMAL)),
+        ]:
+            assert a == b and a is not b
+            assert hash(a) == hash(b) == hash((a.value, a.datatype))
+
+    def test_lexical_form_and_datatype_both_count(self):
+        assert decimal("1.0") != decimal("1.00")
+        assert string("1") != integer(1)
+        assert integer(1) != decimal("1")
+        assert iri("urn:a") != string("urn:a")
+        assert iri("urn:a") != "urn:a"
+
+    def test_equal_triples_hash_equal(self):
+        a = Triple(iri("urn:s"), iri("urn:p"), decimal("2.5"))
+        b = Triple(Term("urn:s"), Term("urn:p"), Term("2.5", Datatype.DECIMAL))
+        assert a == b and hash(a) == hash(b) == hash((a.subject, a.predicate, a.object))
+        assert a != Triple(iri("urn:s"), iri("urn:p"), decimal("2.50"))
+
+    def test_assignment_raises(self):
+        term = iri("urn:a")
+        triple = Triple(term, term, term)
+        for obj, name in [(term, "value"), (term, "datatype"), (triple, "subject"), (triple, "object")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+
+    def test_slotted(self):
+        assert not hasattr(iri("urn:a"), "__dict__")
+        assert not hasattr(Triple(iri("urn:a"), iri("urn:a"), iri("urn:a")), "__dict__")
+
+    def test_repr_names_only_the_public_fields(self):
+        assert repr(integer(3)) == "Term(value='3', datatype=<Datatype.INTEGER: '%s'>)" % Datatype.INTEGER.value
+
+    def test_numeric_value(self):
+        assert integer(7).numeric_value() == 7.0
+        assert decimal("2.50").numeric_value() == 2.5
+        assert string("7").numeric_value() is None
+        assert iri("urn:a").numeric_value() is None
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("lexical", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    @pytest.mark.parametrize("datatype", [Datatype.INTEGER, Datatype.DECIMAL])
+    def test_term_rejects(self, lexical, datatype):
+        with pytest.raises(RdfError, match="not a finite"):
+            Term(lexical, datatype)
+
+    def test_string_nan_is_just_text(self):
+        assert string("nan").value == "nan"
+
+    def test_import_reports_the_line(self):
+        text = (
+            f'<urn:s> <urn:p> "1.0"^^<{DECIMAL_IRI}> .\n'
+            f'<urn:s> <urn:p> "nan"^^<{DECIMAL_IRI}> .\n'
+        )
+        with pytest.raises(RdfError, match=r"^line 2: literal 'nan' is not a finite decimal"):
+            import_ntriples(text)
+
+    def test_import_reports_the_line_of_a_bad_iri(self):
+        with pytest.raises(RdfError, match=r"^line 1: invalid IRI"):
+            import_ntriples("<> <urn:p> <urn:o> .\n")
+
+
+class TestEscaping:
+    def test_newline_literal_round_trips(self):
+        g = Graph([Triple(iri("urn:s"), iri("urn:p"), string("two\nlines"))])
+        text = export_ntriples(g)
+        assert text == '<urn:s> <urn:p> "two\\nlines"^^<http://www.w3.org/2001/XMLSchema#string> .\n'
+        assert set(import_ntriples(text)) == set(g)
+
+    def test_echar_set_is_escaped(self):
+        assert str(string('\\"\n\r\t\b\f')) == '"\\\\\\"\\n\\r\\t\\b\\f"^^<%s>' % Datatype.STRING.value
+
+    def test_other_line_breaks_are_written_as_uchar(self):
+        assert str(string("a\x0bb\u2028c")) == '"a\\u000Bb\\u2028c"^^<%s>' % Datatype.STRING.value
+
+    def test_import_reads_every_echar_and_uchar(self):
+        body = "\\t\\b\\n\\r\\f\\\"\\'\\\\\\u00e9\\U0001F525"
+        (t,) = import_ntriples(f'<urn:s> <urn:p> "{body}"^^<{Datatype.STRING.value}> .\n')
+        assert t.object.value == "\t\b\n\r\f\"'\\\u00e9\U0001F525"
+
+    def test_escape_beyond_unicode_reports_the_line(self):
+        with pytest.raises(RdfError, match=r"^line 1: invalid escape"):
+            import_ntriples(f'<urn:s> <urn:p> "\\U00110000"^^<{Datatype.STRING.value}> .\n')
+
+    def test_unknown_escape_is_kept(self):
+        (t,) = import_ntriples(f'<urn:s> <urn:p> "a\\qb"^^<{Datatype.STRING.value}> .\n')
+        assert t.object.value == "a\\qb"
+
+
+# IRIs: any text without whitespace.  Every code point that str.isspace()
+# accepts is in one of the excluded categories.
+iris = st.text(st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), min_size=1).map(iri)
+awkward = st.sampled_from('"\\\'\n\r\t\b\f\x0b\x1c\x85\u2028\u2029 .<>^')
+strings = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)), awkward)).map(string)
+integers = st.integers(min_value=-(10**300), max_value=10**300).map(integer)
+decimals = st.floats(allow_nan=False, allow_infinity=False).map(decimal)
+triples = st.builds(Triple, iris, iris, st.one_of(iris, strings, integers, decimals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(triples, max_size=8))
+def test_ntriples_round_trip(items):
+    g = Graph(items)
+    text = export_ntriples(g)
+    again = import_ntriples(text)
+    assert set(again) == set(g)
+    assert export_ntriples(again) == text
+
+
+def test_import_builds_one_term_per_distinct_token(dataset_text, monkeypatch):
+    text = export_ntriples(ingest_observations(parse_csv(dataset_text)))
+    # no literal in the ingested store contains a space
+    tokens = {token for line in text.splitlines() for token in line[: -len(" .")].split(" ")}
+    built = []
+    post_init = Term.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Term, "__post_init__", counting)
+    g = import_ntriples(text)
+    assert len(built) == len(tokens)
+    assert len({id(term) for t in g for term in (t.subject, t.predicate, t.object)}) == len(tokens)
