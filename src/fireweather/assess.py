@@ -83,7 +83,11 @@ _ESCALATE_FROM = "easy"  # ignition band at or above which spread/intensity are 
 
 
 def assess(rec: FwiRecord, w: WeatherInputs, sensor: str, timestamp: str = "") -> Assessment:
-    """Run the decision flow for one sensor-day."""
+    """Run the decision flow for one sensor-day.
+
+    ``timestamp`` is kept as given, empty by default: the result never
+    depends on the day it is computed.
+    """
     ignition = bands.classify_ignition_potential(rec.ffmc)
     mopup = bands.classify_mopup_needs(rec.dmc)
     difficulty = bands.classify_difficulty_of_control(rec.bui)
@@ -131,7 +135,7 @@ def assess(rec: FwiRecord, w: WeatherInputs, sensor: str, timestamp: str = "") -
         wind_risk=windy,
         verdict=verdict,
         trace=tuple(trace),
-        timestamp=timestamp or datetime.date.today().isoformat(),
+        timestamp=timestamp,
     )
 
 

@@ -27,7 +27,6 @@ CLASSIFIERS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fireweather", description="Fire-weather decision support over an RDF sensor store")
-    parser.add_argument("-v", "--verbose", action="count", default=0, help="increase diagnostic verbosity")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="convert the weather CSV to N-Triples")
@@ -158,7 +157,6 @@ def cmd_query(args) -> int:
         return 0
     # REPL: one query per blank-line-terminated block
     block: list[str] = []
-    exit_code = 0
     for line in sys.stdin:
         if line.strip():
             block.append(line)
@@ -168,7 +166,7 @@ def cmd_query(args) -> int:
             block = []
     if block:
         _repl_eval(graph, "".join(block), args.format)
-    return exit_code
+    return 0
 
 
 def _repl_eval(graph, text: str, fmt: str):

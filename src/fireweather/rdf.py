@@ -2,6 +2,9 @@
 
 Terms are IRIs or typed literals (string / integer / decimal).  Blank nodes
 are deliberately unsupported; ingestion mints deterministic IRIs instead.
+
+``join`` is the one basic-graph-pattern matcher: ``Graph.match``, rule
+bodies and SPARQL queries all evaluate through it.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -19,7 +22,7 @@ _WHITESPACE = re.compile(r"\s")
 
 #: Literal characters written as escapes: the N-Triples ECHAR set, then the
 #: other line breaks of ``str.splitlines`` as UCHAR, so every literal stays
-#: on one line.
+#: on one line for readers that break lines as ``splitlines`` does.
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
 _ESCAPES.update((c, f"\\u{ord(c):04X}") for c in "\x0b\x1c\x1d\x1e\x85\u2028\u2029")
 _NEEDS_ESCAPE = re.compile("[" + re.escape("".join(_ESCAPES)) + "]")
@@ -205,24 +208,19 @@ class TriplePattern:
 Binding = dict[str, Term]
 
 
-def _matches(slot: Slot, term: Term, binding: Binding) -> Optional[Binding]:
-    """Extend binding so that slot matches term, or None on mismatch."""
-    if isinstance(slot, str):
-        bound = binding.get(slot)
-        if bound is None:
-            out = dict(binding)
-            out[slot] = term
-            return out
-        return binding if bound == term else None
-    return binding if slot == term else None
-
-
 def match_one(pattern: TriplePattern, t: Triple, binding: Optional[Binding] = None) -> Optional[Binding]:
     """Binding extending ``binding`` under which pattern equals t, else None."""
-    b: Optional[Binding] = dict(binding) if binding else {}
+    b = dict(binding) if binding else {}
     for slot, term in ((pattern.subject, t.subject), (pattern.predicate, t.predicate), (pattern.object, t.object)):
-        b = _matches(slot, term, b)
-        if b is None:
+        if isinstance(slot, str):
+            bound = b.get(slot)
+            if bound is None:
+                b[slot] = term
+                continue
+            slot = bound
+        # ``==``, not ``!=``: Term defines only __eq__, and ``!=`` reaches it
+        # through a slower double dispatch
+        if not slot == term:
             return None
     return b
 
@@ -299,15 +297,8 @@ class Graph:
         Order is deterministic: lexicographic by the bound terms in the
         pattern's variable order.
         """
-        variables = []
-        for slot in (pattern.subject, pattern.predicate, pattern.object):
-            if isinstance(slot, str) and slot not in variables:
-                variables.append(slot)
-        results = []
-        for t in self.candidates(pattern):
-            b = match_one(pattern, t)
-            if b is not None:
-                results.append(b)
+        variables = list(dict.fromkeys(pattern.variables()))
+        results = list(join([(pattern, (self,))]))
         results.sort(key=lambda b: tuple(b[v].sort_key() for v in variables))
         return results
 
@@ -327,6 +318,76 @@ class Graph:
             ):
                 return False
         return indexed == self._triples or (not indexed and not self._triples)
+
+
+#: A pattern matched against the union of the graphs beside it.
+Atom = tuple[TriplePattern, tuple[Graph, ...]]
+#: A test on the term bound to one variable, given the whole binding.
+Check = tuple[str, Callable[[Binding], bool]]
+
+
+def substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
+    """The pattern with every variable that ``binding`` binds replaced by its term."""
+    s, p, o = pattern.subject, pattern.predicate, pattern.object
+    return TriplePattern(
+        binding.get(s, s) if isinstance(s, str) else s,
+        binding.get(p, p) if isinstance(p, str) else p,
+        binding.get(o, o) if isinstance(o, str) else o,
+    )
+
+
+def join(atoms: Sequence[Atom], checks: Sequence[Check] = (), binding: Optional[Binding] = None) -> Iterator[Binding]:
+    """Every extension of ``binding`` that matches all atoms and passes all checks.
+
+    An index nested loop: at each level the atom with the fewest candidates
+    under the current binding goes next, ties to the lowest index.  A check
+    runs as soon as its variable is bound; a check whose variable nothing
+    binds fails every row.  Graphs an atom reads must not share a triple, or
+    a match through the shared triple comes out once per graph.
+    """
+    binding = {} if binding is None else binding
+    if not all(check(binding) for variable, check in checks if variable in binding):
+        return iter(())
+    later = [c for c in checks if c[0] not in binding]
+    if not atoms:
+        return iter(() if later else (binding,))
+    return _join(list(atoms), later, binding)
+
+
+def _join(atoms: list[Atom], checks: list[Check], binding: Binding) -> Iterator[Binding]:
+    best = None
+    for i, (pattern, graphs) in enumerate(atoms):
+        bound = substitute(pattern, binding)
+        buckets = [graph.candidates(bound) for graph in graphs]
+        size = sum(map(len, buckets))
+        if best is None or size < best[0]:
+            best = (size, i, bound, buckets)
+    _, chosen, bound, buckets = best
+    rest = atoms[:chosen] + atoms[chosen + 1 :]
+    # the checks that this atom's variables make runnable, split once per level
+    now, later = [], []
+    if checks:
+        fresh = bound.variables()
+        for variable, check in checks:
+            if variable in fresh:
+                now.append(check)
+            else:
+                later.append((variable, check))
+        if later and not rest:
+            return
+    for bucket in buckets:
+        for t in bucket:
+            extended = match_one(bound, t, binding)
+            if extended is None:
+                continue
+            for check in now:
+                if not check(extended):
+                    break
+            else:
+                if rest:
+                    yield from _join(rest, later, extended)
+                else:
+                    yield extended
 
 
 # --- N-Triples-style flat-file serialization -------------------------------
@@ -381,7 +442,11 @@ def import_ntriples(text: str) -> Graph:
     """
     g = Graph()
     terms: dict[str, Term] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # N-Triples ends a line only at \n, \r\n or \r; str.splitlines also
+    # breaks at characters a string literal may hold, such as U+2028.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -9,16 +9,22 @@ Class atoms ``name(?v)`` match rdf:type triples, data-property atoms
 single supported numeric builtin.  Chaining runs to the least fixpoint with
 set semantics; every inferred fact carries the rule and bindings that
 produced it.
+
+``greaterThan`` reads any literal whose lexical form parses as a number,
+``"17"^^xsd:string`` included, because the paper's inference walkthrough
+stores band values as strings.  A SPARQL ``FILTER`` follows SPARQL 1.1
+instead and drops a string under a numeric comparison, so the same test on
+the same store can keep a row in a rule and drop it in a query.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import vocab
-from .rdf import Binding, Graph, Term, Triple, TriplePattern, iri, match_one, string
+from .rdf import Binding, Check, Graph, Term, Triple, TriplePattern, iri, join, string
 
 
 class RuleParseError(Exception):
@@ -50,8 +56,7 @@ class DataPropertyAtom:
     value: Union[str, Term]
 
     def pattern(self) -> TriplePattern:
-        obj = self.value if isinstance(self.value, Term) else self.value
-        return TriplePattern(self.subject, iri(vocab.prop_iri(self.property_name)), obj)
+        return TriplePattern(self.subject, iri(vocab.prop_iri(self.property_name)), self.value)
 
     def render(self) -> str:
         value = self.value if isinstance(self.value, str) else self.value.value
@@ -90,8 +95,11 @@ class Rule:
     def render(self) -> str:
         return " ^ ".join(a.render() for a in self.body) + " -> " + self.head.render()
 
-    def pattern_atoms(self) -> list[tuple[int, BodyAtom]]:
-        return [(i, a) for i, a in enumerate(self.body) if not isinstance(a, BuiltinGreaterThan)]
+    def patterns(self) -> list[TriplePattern]:
+        return [a.pattern() for a in self.body if not isinstance(a, BuiltinGreaterThan)]
+
+    def checks(self) -> list[Check]:
+        return [(a.variable, a.holds) for a in self.body if isinstance(a, BuiltinGreaterThan)]
 
 
 @dataclass(frozen=True)
@@ -226,9 +234,7 @@ def _parse_atom(lx: _Lexer, head: bool) -> BodyAtom:
 
 
 def _atom_variables(atom: BodyAtom) -> set[str]:
-    if isinstance(atom, ClassAtom):
-        return {atom.variable}
-    if isinstance(atom, BuiltinGreaterThan):
+    if isinstance(atom, (ClassAtom, BuiltinGreaterThan)):
         return {atom.variable}
     out = {atom.subject}
     if isinstance(atom.value, str):
@@ -278,59 +284,6 @@ def load_rules(path: str) -> RuleSet:
 
 # --- forward chaining ------------------------------------------------------
 
-#: One step of a join plan: a pattern matched against the union of some
-#: graphs, or a builtin checked once the steps before it bind its variable.
-Step = Union[tuple[TriplePattern, tuple[Graph, ...]], BuiltinGreaterThan]
-
-
-def _plan(rule: Rule, atoms: list[tuple[int, TriplePattern]], lead: Optional[int],
-          delta: Optional[Graph], full: tuple[Graph, ...]) -> list[Step]:
-    """Join order for one pass of ``rule`` over its body ``atoms``.
-
-    With ``lead`` set, that atom is matched against ``delta`` alone and goes
-    first; the other atoms follow in body order against ``full``.
-    """
-    if lead is not None:
-        atoms = [a for a in atoms if a[0] == lead] + [a for a in atoms if a[0] != lead]
-    pending = [a for a in rule.body if isinstance(a, BuiltinGreaterThan)]
-    bound: set[str] = set()
-    steps: list[Step] = []
-    for index, pattern in atoms:
-        steps.append((pattern, (delta,) if index == lead else full))
-        bound.update(pattern.variables())
-        steps += [b for b in pending if b.variable in bound]
-        pending = [b for b in pending if b.variable not in bound]
-    return steps
-
-
-def _match_body(steps: list[Step], binding: Binding, position: int = 0) -> Iterator[Binding]:
-    """All extensions of ``binding`` that satisfy ``steps[position:]``."""
-    if position == len(steps):
-        yield binding
-        return
-    step = steps[position]
-    if isinstance(step, BuiltinGreaterThan):
-        if step.holds(binding):
-            yield from _match_body(steps, binding, position + 1)
-        return
-    pattern, graphs = step
-    pattern = _bind_pattern(pattern, binding)
-    for graph in graphs:
-        for t in graph.candidates(pattern):
-            extended = match_one(pattern, t, binding)
-            if extended is not None:
-                yield from _match_body(steps, extended, position + 1)
-
-
-def _bind_pattern(pattern: TriplePattern, binding: Binding) -> TriplePattern:
-    def resolve(slot):
-        if isinstance(slot, str) and slot in binding:
-            return binding[slot]
-        return slot
-
-    return TriplePattern(resolve(pattern.subject), resolve(pattern.predicate), resolve(pattern.object))
-
-
 def _fire(rule: Rule, binding: Binding) -> InferredFact:
     subject = binding[rule.head.subject]
     label = rule.head.value.value if isinstance(rule.head.value, Term) else binding[rule.head.value].value
@@ -352,7 +305,8 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     candidate there.  Each later round finds only the derivations that use a
     triple derived in the round before (the delta): a rule runs once per
     body atom that has a candidate in the delta, matching that atom against
-    the delta's indexes first and the other atoms against everything known.
+    the delta alone and the other atoms against everything known.  Every
+    body is evaluated by ``rdf.join``, with each builtin as a check.
     Chaining stops after a round that derives nothing new.
 
     A triple derived more than once in the round that first derives it keeps
@@ -362,18 +316,19 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     """
     derived = Graph()
     full = (g, derived)
-    bodies = [[(i, atom.pattern()) for i, atom in rule.pattern_atoms()] for rule in ruleset.rules]
+    bodies = [(rule.patterns(), rule.checks()) for rule in ruleset.rules]
     facts: list[InferredFact] = []
     delta: Optional[Graph] = None
     while True:
         found: dict[Triple, tuple[tuple, InferredFact]] = {}
-        for index, (rule, atoms) in enumerate(zip(ruleset.rules, bodies)):
+        for index, (rule, (patterns, checks)) in enumerate(zip(ruleset.rules, bodies)):
             if delta is None:
-                leads = [None] if all(g.candidates(p) for _, p in atoms) else []
+                leads = [None] if all(g.candidates(p) for p in patterns) else []
             else:
-                leads = [i for i, p in atoms if delta.candidates(p)]
+                leads = [i for i, p in enumerate(patterns) if delta.candidates(p)]
             for lead in leads:
-                for binding in _match_body(_plan(rule, atoms, lead, delta, full), {}):
+                atoms = [(p, (delta,) if i == lead else full) for i, p in enumerate(patterns)]
+                for binding in join(atoms, checks):
                     fact = _fire(rule, binding)
                     t = fact.triple()
                     if t in g or t in derived:
@@ -396,20 +351,13 @@ def verify_provenance(g: Graph, ruleset: RuleSet, facts: Iterable[InferredFact])
     derived triples, and the head under those bindings must give the fact's
     subject, property and label.
     """
-    work = Graph(g)
     fact_list = list(facts)
-    for f in fact_list:
-        work.insert(f.triple())
+    known = (g, Graph(f.triple() for f in fact_list))
     for f in fact_list:
         binding = dict(f.bindings)
-        for atom in f.rule.body:
-            if isinstance(atom, BuiltinGreaterThan):
-                if not atom.holds(binding):
-                    return False
-            else:
-                pattern = _bind_pattern(atom.pattern(), binding)
-                if not work.match(pattern):
-                    return False
+        atoms = [(p, known) for p in f.rule.patterns()]
+        if next(join(atoms, f.rule.checks(), binding), None) is None:
+            return False
         head = f.rule.head
         label = head.value.value if isinstance(head.value, Term) else getattr(binding.get(head.value), "value", None)
         if (

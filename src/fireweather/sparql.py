@@ -12,9 +12,9 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
-from .rdf import Binding, Datatype, Graph, RdfError, Term, TriplePattern, match_one, unescape_literal
+from .rdf import Binding, Datatype, Graph, RdfError, Term, TriplePattern, join, unescape_literal
 
 
 class QueryParseError(Exception):
@@ -313,39 +313,9 @@ def parse_query(text: str) -> Query:
 # --- evaluation ------------------------------------------------------------
 
 
-def _substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
-    def resolve(slot):
-        if isinstance(slot, str) and slot in binding:
-            return binding[slot]
-        return slot
-
-    return TriplePattern(resolve(pattern.subject), resolve(pattern.predicate), resolve(pattern.object))
-
-
-def _join(g: Graph, patterns: list[TriplePattern], binding: Binding) -> Iterable[Binding]:
-    if not patterns:
-        yield binding
-        return
-    # index-nested-loop, picking the remaining pattern with the fewest
-    # candidates under the current binding
-    sized = []
-    for i, p in enumerate(patterns):
-        bound = _substitute(p, binding)
-        candidates = g.candidates(bound)
-        sized.append((len(candidates), i, bound, candidates))
-    sized.sort(key=lambda x: (x[0], x[1]))
-    _, chosen, bound, candidates = sized[0]
-    rest = patterns[:chosen] + patterns[chosen + 1 :]
-    for t in candidates:
-        extended = match_one(bound, t, binding)
-        if extended is not None:
-            yield from _join(g, rest, extended)
-
-
 def evaluate(query: Query, g: Graph) -> ResultTable:
-    rows = []
-    for binding in _join(g, list(query.patterns), {}):
-        if all(f.accepts(binding) for f in query.filters):
-            rows.append(tuple(binding[v] for v in query.select_vars))
+    atoms = [(p, (g,)) for p in query.patterns]
+    checks = [(f.variable, f.accepts) for f in query.filters]
+    rows = [tuple(binding[v] for v in query.select_vars) for binding in join(atoms, checks)]
     rows.sort(key=lambda row: tuple(t.sort_key() for t in row))
     return ResultTable(tuple(query.select_vars), tuple(rows))

@@ -145,3 +145,10 @@ def rec_wind(rng):
 def test_synthetic_timestamp():
     assert synthetic_timestamp("mar") == "2000-03-15"
     assert synthetic_timestamp("dec") == "2000-12-15"
+
+
+def test_timestamp_is_kept_and_defaults_to_empty():
+    a = assess(record(), CALM, "s")
+    assert a.timestamp == ""
+    assert a == assess(record(), CALM, "s")
+    assert assess(record(), CALM, "s", "2000-08-15").timestamp == "2000-08-15"

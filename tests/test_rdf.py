@@ -14,9 +14,17 @@ from fireweather.rdf import (
     import_ntriples,
     integer,
     iri,
+    join,
     string,
 )
-from util import brute_force_match, random_graph, random_triple
+from util import (
+    brute_force_join,
+    brute_force_match,
+    random_graph,
+    random_pattern,
+    random_term,
+    random_triple,
+)
 
 
 def t(s, p, o):
@@ -122,6 +130,45 @@ class TestMatch:
             got = g.match(pattern)
             want = brute_force_match(g, pattern)
             assert sorted(map(repr, got)) == sorted(map(repr, want))
+
+
+def random_check(rng: random.Random, variable: str):
+    """A one-variable test that fails when ``variable`` is unbound."""
+    pivot = random_term(rng).sort_key()
+
+    def check(binding):
+        term = binding.get(variable)
+        return term is not None and term.sort_key() <= pivot
+
+    return variable, check
+
+
+def canonical(bindings):
+    return sorted(sorted((name, repr(term)) for name, term in b.items()) for b in bindings)
+
+
+class TestJoin:
+    def test_split_graph_matches_brute_force_join(self):
+        rng = random.Random(2024)
+        variables = ["?a", "?b", "?c"]
+        answered = 0
+        while answered < 200:
+            g = random_graph(rng, 40)
+            g1, g2 = Graph(), Graph()
+            for triple in sorted(g, key=str):
+                (g1 if rng.random() < 0.5 else g2).insert(triple)
+            patterns = [random_pattern(rng, variables) for _ in range(rng.randrange(1, 4))]
+            checks = [random_check(rng, v) for v in rng.sample(variables, rng.randrange(3))]
+            got = join([(p, (g1, g2)) for p in patterns], checks)
+            want = [b for b in brute_force_join(g, patterns) if all(check(b) for _, check in checks)]
+            assert canonical(got) == canonical(want)
+            answered += bool(want)
+
+    def test_no_atoms_yields_the_binding_if_every_check_passes(self):
+        binding = {"?a": integer(1)}
+        assert list(join([], [("?a", lambda b: True)], binding)) == [binding]
+        assert list(join([], [("?a", lambda b: False)], binding)) == []
+        assert list(join([], [("?b", lambda b: True)], binding)) == []
 
 
 class TestIndexCoherence:

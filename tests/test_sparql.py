@@ -121,6 +121,13 @@ class TestEvaluate:
         q = parse_query("SELECT ?s WHERE { ?s <urn:p> ?v FILTER (?v > 40.5) }")
         assert len(evaluate(q, g).rows) == 1
 
+    def test_filter_on_unbound_variable_drops_every_row(self):
+        from fireweather.rdf import Triple
+
+        g = Graph([Triple(iri("urn:a"), iri("urn:p"), integer(50))])
+        q = parse_query("SELECT ?s WHERE { ?s <urn:p> ?v FILTER (?w > 40) }")
+        assert evaluate(q, g).rows == ()
+
     def test_projection_order(self):
         from fireweather.rdf import Triple
 

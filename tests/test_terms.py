@@ -119,6 +119,18 @@ class TestEscaping:
         (t,) = import_ntriples(f'<urn:s> <urn:p> "a\\qb"^^<{Datatype.STRING.value}> .\n')
         assert t.object.value == "a\\qb"
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_raw_line_break_character_in_literal_imports(self, char):
+        (t,) = import_ntriples(f'<urn:s> <urn:p> "a{char}b"^^<{Datatype.STRING.value}> .\n')
+        assert t.object.value == f"a{char}b"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_error_line_number_counts_each_newline(self, newline):
+        good = f'<urn:s> <urn:p> "1"^^<{Datatype.INTEGER.value}> .'
+        text = newline.join([good, "", good, "<urn:s> <urn:p>", ""])
+        with pytest.raises(RdfError, match=r"^line 4: "):
+            import_ntriples(text)
+
 
 # IRIs: any text without whitespace.  Every code point that str.isspace()
 # accepts is in one of the excluded categories.
