@@ -14,7 +14,7 @@ from fireweather.rdf import (
     string,
 )
 
-# A graph is a set of triples with three positional indexes behind it.
+# A graph is a set of triples with subject, predicate and object indexes behind it.
 g = Graph()
 station = iri("urn:demo:station:1")
 g.insert(Triple(station, iri("urn:demo:label"), string("hilltop")))

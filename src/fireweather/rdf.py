@@ -1,4 +1,4 @@
-"""In-memory RDF triple store with set semantics and positional indexes.
+"""In-memory RDF triple store with set semantics and exact-bucket indexes.
 
 Terms are IRIs or typed literals (string / integer / decimal).  Blank nodes
 are deliberately unsupported; ingestion mints deterministic IRIs instead.
@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -190,19 +192,23 @@ class Triple:
 Slot = Union[Term, str]
 
 
-@dataclass(frozen=True)
-class TriplePattern:
-    subject: Slot
-    predicate: Slot
-    object: Slot
+class TriplePattern(namedtuple("TriplePattern", "subject predicate object")):
+    """Three slots, each a concrete term or a "?name" variable.
 
-    def __post_init__(self):
-        for slot in (self.subject, self.predicate, self.object):
+    A tuple, so that ``substitute`` can build one without checking its
+    variable names again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subject: Slot, predicate: Slot, object: Slot):
+        for slot in (subject, predicate, object):
             if isinstance(slot, str) and (len(slot) < 2 or not slot.startswith("?")):
                 raise RdfError(f"invalid variable name: {slot!r}")
+        return tuple.__new__(cls, (subject, predicate, object))
 
     def variables(self) -> list[str]:
-        return [s for s in (self.subject, self.predicate, self.object) if isinstance(s, str)]
+        return [s for s in self if isinstance(s, str)]
 
 
 Binding = dict[str, Term]
@@ -225,71 +231,135 @@ def match_one(pattern: TriplePattern, t: Triple, binding: Optional[Binding] = No
     return b
 
 
+class _Index(dict):
+    """The inner dict of a nested index, with the count of triples under it."""
+
+    __slots__ = ("size",)
+
+    def __init__(self):
+        self.size = 0
+
+
+class _View:
+    """The triples under one key of a nested index, read in place."""
+
+    __slots__ = ("_inner",)
+
+    def __init__(self, inner: _Index):
+        self._inner = inner
+
+    def __len__(self) -> int:
+        return self._inner.size
+
+    def __iter__(self) -> Iterator[Triple]:
+        return chain.from_iterable(self._inner.values())
+
+
+#: what a lookup that misses reads from; never written
+_NO_BUCKETS: dict = {}
+
+
 class Graph:
-    """Set of triples with by-subject / by-predicate / by-object indexes.
+    """Set of triples behind nested indexes whose buckets are exact.
+
+    ``_spo`` maps subject to predicate to the triples with both, ``_pos``
+    maps predicate to object to the triples with both, and ``_by_object``
+    maps object to its triples.  Each triple is in one list of each index,
+    in insertion order, and no list is ever empty.  ``candidates`` returns
+    exactly the triples that agree with a pattern's concrete slots, so a
+    match only has to bind its variables.  Membership scans the shorter of
+    the triple's ``(s, p)`` and ``(p, o)`` lists.
 
     Single writer or multiple readers at any moment; callers must not
     interleave a writer with readers.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set()
-        self._by_subject: dict[Term, set[Triple]] = {}
-        self._by_predicate: dict[Term, set[Triple]] = {}
-        self._by_object: dict[Term, set[Triple]] = {}
-        for t in triples:
-            self.insert(t)
+        self._spo: dict[Term, _Index] = {}
+        self._pos: dict[Term, _Index] = {}
+        self._by_object: dict[Term, list[Triple]] = {}
+        self._size = 0
+        self.update(triples)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        """Subject by subject in the order each was first inserted."""
+        return chain.from_iterable(chain.from_iterable(by_p.values() for by_p in self._spo.values()))
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        sp = self._spo.get(t.subject, _NO_BUCKETS).get(t.predicate)
+        if sp is None:
+            return False
+        po = self._pos[t.predicate].get(t.object, ())
+        return t in (sp if len(sp) <= len(po) else po)
 
     def insert(self, t: Triple) -> int:
         """Add a triple; returns the graph size afterwards."""
-        if t not in self._triples:
-            self._triples.add(t)
-            self._by_subject.setdefault(t.subject, set()).add(t)
-            self._by_predicate.setdefault(t.predicate, set()).add(t)
-            self._by_object.setdefault(t.object, set()).add(t)
-        return len(self._triples)
-
-    def remove(self, t: Triple) -> int:
-        """Discard a triple if present; returns the graph size afterwards."""
-        if t in self._triples:
-            self._triples.discard(t)
-            for index, key in (
-                (self._by_subject, t.subject),
-                (self._by_predicate, t.predicate),
-                (self._by_object, t.object),
-            ):
-                bucket = index[key]
-                bucket.discard(t)
-                if not bucket:
-                    del index[key]
-        return len(self._triples)
+        s, p, o = t.subject, t.predicate, t.object
+        by_p = self._spo.get(s)
+        if by_p is None:
+            by_p = self._spo[s] = _Index()
+        by_o = self._pos.get(p)
+        if by_o is None:
+            by_o = self._pos[p] = _Index()
+        # a new bucket is built holding its triple: a list appended to from
+        # empty would reserve room for four
+        sp, po = by_p.get(p), by_o.get(o)
+        if sp is None:
+            by_p[p] = [t]
+        elif po is None or t not in (sp if len(sp) <= len(po) else po):
+            sp.append(t)
+        else:
+            return self._size
+        if po is None:
+            by_o[o] = [t]
+        else:
+            po.append(t)
+        objects = self._by_object.get(o)
+        if objects is None:
+            self._by_object[o] = [t]
+        else:
+            objects.append(t)
+        by_p.size += 1
+        by_o.size += 1
+        self._size += 1
+        return self._size
 
     def update(self, triples: Iterable[Triple]) -> int:
         for t in triples:
             self.insert(t)
-        return len(self._triples)
+        return self._size
 
     def candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
-        """Smallest index bucket consistent with the pattern's concrete slots."""
-        buckets = []
-        if isinstance(pattern.subject, Term):
-            buckets.append(self._by_subject.get(pattern.subject, set()))
-        if isinstance(pattern.predicate, Term):
-            buckets.append(self._by_predicate.get(pattern.predicate, set()))
-        if isinstance(pattern.object, Term):
-            buckets.append(self._by_object.get(pattern.object, set()))
-        if not buckets:
-            return self._triples
-        return min(buckets, key=len)
+        """The triples that agree with every concrete slot of the pattern.
+
+        ``(s, p)`` and ``(p, o)`` read one bucket; ``(s, o)`` and
+        ``(s, p, o)`` filter the shorter of the subject's bucket and the
+        object's; one concrete slot reads the inner dict of its index in
+        place.  Valid until the next insert.
+        """
+        s, p, o = pattern
+        if isinstance(s, Term):
+            by_p = self._spo.get(s)
+            if by_p is None:
+                return ()
+            by_s = by_p.get(p, ()) if isinstance(p, Term) else _View(by_p)
+            if not isinstance(o, Term):
+                return by_s
+            by_o = self._pos.get(p, _NO_BUCKETS).get(o, ()) if isinstance(p, Term) else self._by_object.get(o, ())
+            if len(by_s) <= len(by_o):
+                return [t for t in by_s if t.object == o]
+            return [t for t in by_o if t.subject == s]
+        if isinstance(p, Term):
+            by_o = self._pos.get(p)
+            if by_o is None:
+                return ()
+            return by_o.get(o, ()) if isinstance(o, Term) else _View(by_o)
+        if isinstance(o, Term):
+            return self._by_object.get(o, ())
+        return self
 
     def match(self, pattern: TriplePattern) -> list[Binding]:
         """All bindings under which the pattern occurs in the graph.
@@ -302,23 +372,6 @@ class Graph:
         results.sort(key=lambda b: tuple(b[v].sort_key() for v in variables))
         return results
 
-    def check_index_coherence(self) -> bool:
-        """True iff every index entry is in the master set and vice versa."""
-        indexed = set()
-        for index in (self._by_subject, self._by_predicate, self._by_object):
-            for bucket in index.values():
-                if not bucket:
-                    return False
-                indexed |= bucket
-        for t in self._triples:
-            if (
-                t not in self._by_subject.get(t.subject, set())
-                or t not in self._by_predicate.get(t.predicate, set())
-                or t not in self._by_object.get(t.object, set())
-            ):
-                return False
-        return indexed == self._triples or (not indexed and not self._triples)
-
 
 #: A pattern matched against the union of the graphs beside it.
 Atom = tuple[TriplePattern, tuple[Graph, ...]]
@@ -328,11 +381,15 @@ Check = tuple[str, Callable[[Binding], bool]]
 
 def substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
     """The pattern with every variable that ``binding`` binds replaced by its term."""
-    s, p, o = pattern.subject, pattern.predicate, pattern.object
-    return TriplePattern(
-        binding.get(s, s) if isinstance(s, str) else s,
-        binding.get(p, p) if isinstance(p, str) else p,
-        binding.get(o, o) if isinstance(o, str) else o,
+    s, p, o = pattern
+    # built as a bare tuple: the pattern's variable names were checked once
+    return tuple.__new__(
+        TriplePattern,
+        (
+            binding.get(s, s) if isinstance(s, str) else s,
+            binding.get(p, p) if isinstance(p, str) else p,
+            binding.get(o, o) if isinstance(o, str) else o,
+        ),
     )
 
 
@@ -340,10 +397,12 @@ def join(atoms: Sequence[Atom], checks: Sequence[Check] = (), binding: Optional[
     """Every extension of ``binding`` that matches all atoms and passes all checks.
 
     An index nested loop: at each level the atom with the fewest candidates
-    under the current binding goes next, ties to the lowest index.  A check
-    runs as soon as its variable is bound; a check whose variable nothing
-    binds fails every row.  Graphs an atom reads must not share a triple, or
-    a match through the shared triple comes out once per graph.
+    under the current binding goes next, ties to the lowest index.  Since
+    ``Graph.candidates`` is exact, each candidate only binds the atom's
+    variables.  A check runs as soon as its variable is bound; a check whose
+    variable nothing binds fails every row.  Graphs an atom reads must not
+    share a triple, or a match through the shared triple comes out once per
+    graph.
     """
     binding = {} if binding is None else binding
     if not all(check(binding) for variable, check in checks if variable in binding):
@@ -364,10 +423,10 @@ def _join(atoms: list[Atom], checks: list[Check], binding: Binding) -> Iterator[
             best = (size, i, bound, buckets)
     _, chosen, bound, buckets = best
     rest = atoms[:chosen] + atoms[chosen + 1 :]
+    fresh = bound.variables()
     # the checks that this atom's variables make runnable, split once per level
     now, later = [], []
     if checks:
-        fresh = bound.variables()
         for variable, check in checks:
             if variable in fresh:
                 now.append(check)
@@ -375,11 +434,23 @@ def _join(atoms: list[Atom], checks: list[Check], binding: Binding) -> Iterator[
                 later.append((variable, check))
         if later and not rest:
             return
+    # a variable that fills two slots still needs the slots compared
+    repeated = len(set(fresh)) < len(fresh)
+    s, p, o = (slot if isinstance(slot, str) else None for slot in bound)
     for bucket in buckets:
         for t in bucket:
-            extended = match_one(bound, t, binding)
-            if extended is None:
-                continue
+            if repeated:
+                extended = match_one(bound, t, binding)
+                if extended is None:
+                    continue
+            else:
+                extended = binding.copy()
+                if s is not None:
+                    extended[s] = t.subject
+                if p is not None:
+                    extended[p] = t.predicate
+                if o is not None:
+                    extended[o] = t.object
             for check in now:
                 if not check(extended):
                     break
@@ -399,8 +470,11 @@ def export_ntriples(g: Graph) -> str:
     Literals escape the N-Triples ECHAR set and write the other line breaks
     as ``\\uXXXX``, so every literal round-trips through ``import_ntriples``.
     """
-    lines = sorted(str(t) for t in g)
-    return "".join(line + "\n" for line in lines)
+    lines = sorted(map(str, g))
+    # the empty last line ends the text with a newline, without a second
+    # copy of every line
+    lines.append("")
+    return "\n".join(lines)
 
 
 #: One term token of a statement: a quoted literal with whatever follows it
@@ -434,6 +508,17 @@ def _token_error(body: str, tokens: list[str]) -> str:
     return f"expected 3 terms, got {len(tokens)}"
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, ended only by ``\\n``, ``\\r\\n`` or ``\\r``.
+
+    ``str.splitlines`` also breaks at characters that a string literal or a
+    comment may hold, such as U+2028 or a form feed.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def import_ntriples(text: str) -> Graph:
     """Parse the flat-file format back into a Graph.
 
@@ -442,11 +527,7 @@ def import_ntriples(text: str) -> Graph:
     """
     g = Graph()
     terms: dict[str, Term] = {}
-    # N-Triples ends a line only at \n, \r\n or \r; str.splitlines also
-    # breaks at characters a string literal may hold, such as U+2028.
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import vocab
-from .rdf import Binding, Check, Graph, Term, Triple, TriplePattern, iri, join, string
+from .rdf import Binding, Check, Graph, Term, Triple, TriplePattern, iri, join, split_lines, string
 
 
 class RuleParseError(Exception):
@@ -269,7 +269,7 @@ def parse_rule(text: str, line: int = 1) -> Rule:
 
 def parse_rules(text: str) -> RuleSet:
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -317,11 +317,16 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     derived = Graph()
     full = (g, derived)
     bodies = [(rule.patterns(), rule.checks()) for rule in ruleset.rules]
+    # each head's predicate, and its object when constant, built once per rule
+    heads = [
+        (iri(vocab.prop_iri(r.head.property_name)), string(r.head.value.value) if isinstance(r.head.value, Term) else None)
+        for r in ruleset.rules
+    ]
     facts: list[InferredFact] = []
     delta: Optional[Graph] = None
     while True:
         found: dict[Triple, tuple[tuple, InferredFact]] = {}
-        for index, (rule, (patterns, checks)) in enumerate(zip(ruleset.rules, bodies)):
+        for index, (rule, (patterns, checks), (predicate, obj)) in enumerate(zip(ruleset.rules, bodies, heads)):
             if delta is None:
                 leads = [None] if all(g.candidates(p) for p in patterns) else []
             else:
@@ -330,7 +335,7 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
                 atoms = [(p, (delta,) if i == lead else full) for i, p in enumerate(patterns)]
                 for binding in join(atoms, checks):
                     fact = _fire(rule, binding)
-                    t = fact.triple()
+                    t = Triple(fact.subject, predicate, string(fact.label) if obj is None else obj)
                     if t in g or t in derived:
                         continue
                     key = (index, [(name, term.sort_key()) for name, term in fact.bindings])

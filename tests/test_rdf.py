@@ -20,6 +20,7 @@ from fireweather.rdf import (
 from util import (
     brute_force_join,
     brute_force_match,
+    check_index_coherence,
     random_graph,
     random_pattern,
     random_term,
@@ -81,16 +82,6 @@ class TestInsert:
         for i in range(3):
             g.insert(t("urn:s", "urn:p", integer(i)))
         assert len(g) == 3
-
-    def test_insert_remove_restores_size(self):
-        g = Graph()
-        a = t("urn:s", "urn:p", integer(1))
-        b = t("urn:s", "urn:p", integer(2))
-        g.insert(a)
-        before = len(g)
-        g.insert(b)
-        assert g.remove(b) == before
-        assert g.remove(b) == before  # removing twice is a no-op
 
 
 class TestMatch:
@@ -172,18 +163,50 @@ class TestJoin:
 
 
 class TestIndexCoherence:
-    def test_random_insert_remove_interleaving(self):
+    def test_random_inserts_match_a_rebuild(self):
         rng = random.Random(99)
-        g = Graph()
         pool = [random_triple(rng) for _ in range(60)]
+        g, inserted = Graph(), []
         for _ in range(1000):
             triple = rng.choice(pool)
-            if rng.random() < 0.6:
-                g.insert(triple)
-            else:
-                g.remove(triple)
-        assert g.check_index_coherence()
-        assert len(g) >= 0
+            if rng.random() < 0.5:
+                # an equal triple that is not the stored object
+                triple = Triple(triple.subject, triple.predicate, triple.object)
+            assert g.insert(triple) == len(set(inserted + [triple]))
+            inserted.append(triple)
+        assert check_index_coherence(g)
+        assert set(g) == set(inserted) and len(g) == len(set(inserted))
+        assert all((triple in g) == (triple in inserted) for triple in pool + [random_triple(rng) for _ in range(60)])
+        for triple in pool:
+            for mask in range(8):
+                slots = [
+                    term if mask & bit else f"?v{bit}"
+                    for term, bit in zip((triple.subject, triple.predicate, triple.object), (1, 2, 4))
+                ]
+                pattern = TriplePattern(*slots)
+                want = {u for u in set(inserted) if all(
+                    isinstance(slot, str) or slot == term
+                    for slot, term in zip(slots, (u.subject, u.predicate, u.object))
+                )}
+                got = list(g.candidates(pattern))
+                assert len(got) == len(g.candidates(pattern)) == len(want)
+                assert set(got) == want
+
+    def test_iteration_follows_insertion_by_subject(self):
+        a1, b1, a2 = t("urn:a", "urn:p", integer(1)), t("urn:b", "urn:p", integer(1)), t("urn:a", "urn:q", integer(2))
+        assert list(Graph([a1, b1, a2, a1])) == [a1, a2, b1]
+
+    def test_unknown_keys_have_no_candidates(self):
+        g = Graph([t("urn:s", "urn:p", integer(1))])
+        for pattern in [
+            TriplePattern(iri("urn:x"), "?p", "?o"),
+            TriplePattern("?s", iri("urn:x"), "?o"),
+            TriplePattern("?s", "?p", integer(2)),
+            TriplePattern(iri("urn:s"), iri("urn:x"), "?o"),
+            TriplePattern(iri("urn:x"), iri("urn:p"), integer(1)),
+            TriplePattern(iri("urn:s"), "?p", integer(2)),
+        ]:
+            assert not g.candidates(pattern) and list(g.candidates(pattern)) == []
 
 
 class TestNTriples:

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from fireweather import rdf, vocab
-from fireweather.rdf import Graph, Triple, decimal, integer, iri, string
+from fireweather import vocab
+from fireweather.rdf import Graph, Term, Triple, decimal, integer, iri, string
 from fireweather.rules import (
     BuiltinGreaterThan,
     ClassAtom,
@@ -15,7 +15,7 @@ from fireweather.rules import (
     parse_rules,
     verify_provenance,
 )
-from util import brute_force_join
+from util import brute_force_join, check_index_coherence
 
 RULE_TEXT = "sensor_id(?s) ^ notdifficult(?s, ?rh) ^ greaterThan(?rh, 16) -> DifficultyofControle(?s, notDifficult)"
 
@@ -79,6 +79,14 @@ class TestParsing:
         with pytest.raises(RuleParseError, match=rf"^line 3, column {column}: .*{threshold}"):
             parse_rules("# comment\n\n" + text + "\n")
 
+    @pytest.mark.parametrize("char", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    def test_comment_holds_a_non_newline_line_break(self, char):
+        text = f"# note {char} see below\na(?s, ?v) -> b(?s, x)\r\nc(?s, ?v) -> d(?s, y)\rbad\n"
+        with pytest.raises(RuleParseError, match=r"^line 4, column 4: expected LPAREN"):
+            parse_rules(text)
+        ruleset = parse_rules(text[: text.index("bad")])
+        assert [r.head.property_name for r in ruleset.rules] == ["b", "d"]
+
     def test_decimal_threshold(self):
         rule = parse_rule("foo(?s) ^ p(?s, ?v) ^ greaterThan(?v, 1.5) -> bar(?s, x)")
         assert rule.body[2].threshold == 1.5
@@ -136,7 +144,7 @@ class TestForwardChain:
         g = Graph([prop("s1", "a", integer(5)), prop("s2", "a", integer(-1))])
         before = set(g)
         assert len(forward_chain(g, ruleset)) == 2
-        assert set(g) == before and g.check_index_coherence()
+        assert set(g) == before and check_index_coherence(g)
 
     def test_builtin_before_its_binding_atom(self):
         ruleset = parse_rules("greaterThan(?v, 0) ^ a(?s, ?v) -> b(?s, hot)\n")
@@ -333,22 +341,67 @@ def rule_input_store(n_sensors: int) -> Graph:
     return g
 
 
+def count_candidates(monkeypatch) -> list[int]:
+    """Make ``Graph.candidates`` count, in the returned one-item list, the triples its callers iterate."""
+    iterated = [0]
+    candidates = Graph.candidates
+
+    class Counted:
+        def __init__(self, bucket):
+            self.bucket = bucket
+
+        def __len__(self):
+            return len(self.bucket)
+
+        def __iter__(self):
+            for t in self.bucket:
+                iterated[0] += 1
+                yield t
+
+    monkeypatch.setattr(Graph, "candidates", lambda self, pattern: Counted(candidates(self, pattern)))
+    return iterated
+
+
 def test_chaining_work_grows_linearly(rules_text, monkeypatch):
     ruleset = parse_rules(rules_text)
-    calls = 0
-    match_one = rdf.match_one
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return match_one(*args)
-
-    monkeypatch.setattr(rdf, "match_one", counting)
+    iterated = count_candidates(monkeypatch)
     work = []
     for n in (25, 100):
-        calls = 0
+        iterated[0] = 0
         assert forward_chain(rule_input_store(n), ruleset)
-        work.append(calls)
-    # linear work gives a ratio near 4 (16,875 and 67,500 calls); the
-    # quadratic chainer gave about 15
+        work.append(iterated[0])
+    # linear work gives a ratio near 4 (1,350 and 5,400 candidates; with
+    # one-slot buckets the join iterated 16,875 and 67,500); the quadratic
+    # chainer gave about 15
+    assert work[0] > 0
     assert work[1] < 6 * work[0]
+
+
+def test_join_iterates_at_most_two_candidates_per_rule_per_sensor(rules_text, monkeypatch):
+    ruleset = parse_rules(rules_text)
+    g = rule_input_store(100)
+    iterated = count_candidates(monkeypatch)
+    assert forward_chain(g, ruleset)
+    # the sensor's rdf:type triple, then its exact (sensor, property) bucket;
+    # with one-slot buckets it was the type triple and all 24 of the sensor's
+    assert iterated[0] <= 2 * len(ruleset) * 100
+
+
+def test_chaining_builds_terms_once_per_rule_not_per_fact(rules_text, monkeypatch):
+    ruleset = parse_rules(rules_text)
+    stores = [rule_input_store(n) for n in (25, 100)]
+    built = 0
+    post_init = Term.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Term, "__post_init__", counting)
+    work = []
+    for g in stores:
+        built = 0
+        assert forward_chain(g, ruleset)
+        work.append(built)
+    assert work[0] == work[1]

@@ -78,3 +78,32 @@ def brute_force_join(g: Graph, patterns: list[TriplePattern]) -> list[Binding]:
                     extended.append(nb)
         bindings = extended
     return bindings
+
+
+def check_index_coherence(g: Graph) -> bool:
+    """True iff ``_spo``, ``_pos`` and ``_by_object`` hold the same triples.
+
+    Each triple must sit once in each index, under its own keys, no bucket
+    may be empty, each nested index's inner dict must count its triples, and
+    ``len(g)`` must count them all.
+    """
+    indexed = []
+    for index, keys in (
+        (g._spo, lambda t: (t.subject, t.predicate)),
+        (g._pos, lambda t: (t.predicate, t.object)),
+        ({None: g._by_object}, lambda t: (None, t.object)),
+    ):
+        triples = []
+        for outer, inner in index.items():
+            for key, bucket in inner.items():
+                if not bucket or any(keys(t) != (outer, key) for t in bucket):
+                    return False
+                triples += bucket
+        indexed.append(triples)
+    spo = set(indexed[0])
+    return (
+        all(inner.size == sum(map(len, inner.values())) for index in (g._spo, g._pos) for inner in index.values())
+        and all(len(triples) == len(g) for triples in indexed)
+        and len(spo) == len(g)
+        and all(set(triples) == spo for triples in indexed)
+    )
