@@ -132,11 +132,12 @@ def cmd_infer(args) -> int:
     ruleset = rules.load_rules(_rules_path(args.rules))
     facts = rules.forward_chain(graph, ruleset)
     if args.format == "jsonl":
+        rendered = {rule: rule.render() for rule in ruleset.rules}
         lines = [json.dumps({
             "subject": f.subject.value,
             "property": f.property_iri,
             "label": f.label,
-            "rule": f.rule.render(),
+            "rule": rendered[f.rule],
             "bindings": {k: str(v) for k, v in f.bindings},
         }, sort_keys=True) for f in facts]
         _write("".join(line + "\n" for line in lines), args.output)

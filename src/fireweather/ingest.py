@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import vocab
-from .rdf import Graph, Triple, decimal, format_decimal, integer, iri, string
+from .rdf import Graph, Triple, decimal, integer, iri, string
 
 EXPECTED_HEADER = ["X", "Y", "month", "day", "FFMC", "DMC", "DC", "ISI",
                    "temp", "RH", "wind", "rain", "area"]
@@ -164,12 +164,3 @@ def ingest_observations(observations: Iterable[WeatherObservation], graph: Graph
     for ordinal, obs in enumerate(observations, start=1):
         g.update(to_triples(obs, SensorId(ordinal)))
     return g
-
-
-def ingest_csv(text: str) -> Graph:
-    return ingest_observations(parse_csv(text))
-
-
-def canonical_value(value: float) -> str:
-    """The lexical form ingestion stores for a numeric measurement."""
-    return format_decimal(value)

@@ -262,13 +262,13 @@ _NO_BUCKETS: dict = {}
 class Graph:
     """Set of triples behind nested indexes whose buckets are exact.
 
-    ``_spo`` maps subject to predicate to the triples with both, ``_pos``
-    maps predicate to object to the triples with both, and ``_by_object``
-    maps object to its triples.  Each triple is in one list of each index,
-    in insertion order, and no list is ever empty.  ``candidates`` returns
-    exactly the triples that agree with a pattern's concrete slots, so a
-    match only has to bind its variables.  Membership scans the shorter of
-    the triple's ``(s, p)`` and ``(p, o)`` lists.
+    ``_spo`` maps subject to predicate to the triples with both, and
+    ``_pos`` maps predicate to object to the triples with both.  Each triple
+    is in one list of each index, in insertion order, and no list is ever
+    empty.  ``candidates`` returns exactly the triples that agree with a
+    pattern's concrete slots, so a match only has to bind its variables.
+    Membership scans the shorter of the triple's ``(s, p)`` and ``(p, o)``
+    lists.
 
     Single writer or multiple readers at any moment; callers must not
     interleave a writer with readers.
@@ -277,7 +277,6 @@ class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
         self._spo: dict[Term, _Index] = {}
         self._pos: dict[Term, _Index] = {}
-        self._by_object: dict[Term, list[Triple]] = {}
         self._size = 0
         self.update(triples)
 
@@ -317,11 +316,6 @@ class Graph:
             by_o[o] = [t]
         else:
             po.append(t)
-        objects = self._by_object.get(o)
-        if objects is None:
-            self._by_object[o] = [t]
-        else:
-            objects.append(t)
         by_p.size += 1
         by_o.size += 1
         self._size += 1
@@ -335,10 +329,11 @@ class Graph:
     def candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
         """The triples that agree with every concrete slot of the pattern.
 
-        ``(s, p)`` and ``(p, o)`` read one bucket; ``(s, o)`` and
-        ``(s, p, o)`` filter the shorter of the subject's bucket and the
-        object's; one concrete slot reads the inner dict of its index in
-        place.  Valid until the next insert.
+        ``(s, p)`` and ``(p, o)`` read one bucket; ``(s, p, o)`` filters
+        the shorter of the two; ``(s, o)`` filters the subject's triples and
+        ``o`` alone gathers its bucket under every predicate; ``s`` or ``p``
+        alone reads the inner dict of its index in place.  Valid until the
+        next insert.
         """
         s, p, o = pattern
         if isinstance(s, Term):
@@ -348,7 +343,9 @@ class Graph:
             by_s = by_p.get(p, ()) if isinstance(p, Term) else _View(by_p)
             if not isinstance(o, Term):
                 return by_s
-            by_o = self._pos.get(p, _NO_BUCKETS).get(o, ()) if isinstance(p, Term) else self._by_object.get(o, ())
+            if not isinstance(p, Term):
+                return [t for t in by_s if t.object == o]
+            by_o = self._pos.get(p, _NO_BUCKETS).get(o, ())
             if len(by_s) <= len(by_o):
                 return [t for t in by_s if t.object == o]
             return [t for t in by_o if t.subject == s]
@@ -358,7 +355,7 @@ class Graph:
                 return ()
             return by_o.get(o, ()) if isinstance(o, Term) else _View(by_o)
         if isinstance(o, Term):
-            return self._by_object.get(o, ())
+            return [t for by_o in self._pos.values() for t in by_o.get(o, ())]
         return self
 
     def match(self, pattern: TriplePattern) -> list[Binding]:
@@ -368,13 +365,11 @@ class Graph:
         pattern's variable order.
         """
         variables = list(dict.fromkeys(pattern.variables()))
-        results = list(join([(pattern, (self,))]))
+        results = list(join([pattern], (self,)))
         results.sort(key=lambda b: tuple(b[v].sort_key() for v in variables))
         return results
 
 
-#: A pattern matched against the union of the graphs beside it.
-Atom = tuple[TriplePattern, tuple[Graph, ...]]
 #: A test on the term bound to one variable, given the whole binding.
 Check = tuple[str, Callable[[Binding], bool]]
 
@@ -393,38 +388,46 @@ def substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
     )
 
 
-def join(atoms: Sequence[Atom], checks: Sequence[Check] = (), binding: Optional[Binding] = None) -> Iterator[Binding]:
-    """Every extension of ``binding`` that matches all atoms and passes all checks.
+def join(
+    patterns: Sequence[TriplePattern],
+    graphs: Sequence[Graph],
+    checks: Sequence[Check] = (),
+    binding: Optional[Binding] = None,
+) -> Iterator[Binding]:
+    """Every extension of ``binding`` that matches all patterns and passes all checks.
 
-    An index nested loop: at each level the atom with the fewest candidates
-    under the current binding goes next, ties to the lowest index.  Since
-    ``Graph.candidates`` is exact, each candidate only binds the atom's
-    variables.  A check runs as soon as its variable is bound; a check whose
-    variable nothing binds fails every row.  Graphs an atom reads must not
-    share a triple, or a match through the shared triple comes out once per
-    graph.
+    Each pattern is matched against the union of ``graphs``.  An index
+    nested loop: at each level the pattern with the fewest candidates under
+    the current binding goes next, ties to the lowest index.  Since
+    ``Graph.candidates`` is exact, each candidate only binds the pattern's
+    variables.  A check runs as soon as its variable is bound, those on
+    ``binding`` first; a check whose variable nothing binds fails every row.
+    The graphs must not share a triple, or a match through the shared
+    triple comes out once per graph.
     """
     binding = {} if binding is None else binding
     if not all(check(binding) for variable, check in checks if variable in binding):
         return iter(())
     later = [c for c in checks if c[0] not in binding]
-    if not atoms:
+    if not patterns:
         return iter(() if later else (binding,))
-    return _join(list(atoms), later, binding)
+    return _join(list(patterns), graphs, later, binding)
 
 
-def _join(atoms: list[Atom], checks: list[Check], binding: Binding) -> Iterator[Binding]:
+def _join(
+    patterns: list[TriplePattern], graphs: Sequence[Graph], checks: list[Check], binding: Binding
+) -> Iterator[Binding]:
     best = None
-    for i, (pattern, graphs) in enumerate(atoms):
+    for i, pattern in enumerate(patterns):
         bound = substitute(pattern, binding)
         buckets = [graph.candidates(bound) for graph in graphs]
         size = sum(map(len, buckets))
         if best is None or size < best[0]:
             best = (size, i, bound, buckets)
     _, chosen, bound, buckets = best
-    rest = atoms[:chosen] + atoms[chosen + 1 :]
+    rest = patterns[:chosen] + patterns[chosen + 1 :]
     fresh = bound.variables()
-    # the checks that this atom's variables make runnable, split once per level
+    # the checks that this pattern's variables make runnable, split once per level
     now, later = [], []
     if checks:
         for variable, check in checks:
@@ -456,7 +459,7 @@ def _join(atoms: list[Atom], checks: list[Check], binding: Binding) -> Iterator[
                     break
             else:
                 if rest:
-                    yield from _join(rest, later, extended)
+                    yield from _join(rest, graphs, later, extended)
                 else:
                     yield extended
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import vocab
-from .rdf import Binding, Check, Graph, Term, Triple, TriplePattern, iri, join, split_lines, string
+from .rdf import Binding, Check, Graph, Term, Triple, TriplePattern, iri, join, match_one, split_lines, string
 
 
 class RuleParseError(Exception):
@@ -90,6 +90,7 @@ BodyAtom = Union[ClassAtom, DataPropertyAtom, BuiltinGreaterThan]
 @dataclass(frozen=True)
 class Rule:
     body: tuple[BodyAtom, ...]
+    #: its value is a constant: ``parse_rule`` rejects a variable there
     head: DataPropertyAtom
 
     def render(self) -> str:
@@ -285,12 +286,10 @@ def load_rules(path: str) -> RuleSet:
 # --- forward chaining ------------------------------------------------------
 
 def _fire(rule: Rule, binding: Binding) -> InferredFact:
-    subject = binding[rule.head.subject]
-    label = rule.head.value.value if isinstance(rule.head.value, Term) else binding[rule.head.value].value
     return InferredFact(
-        subject=subject,
+        subject=binding[rule.head.subject],
         property_iri=vocab.prop_iri(rule.head.property_name),
-        label=label,
+        label=rule.head.value.value,
         rule=rule,
         bindings=tuple(sorted(binding.items(), key=lambda kv: kv[0])),
     )
@@ -301,13 +300,12 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
 
     ``g`` is not modified: derived triples go into a separate graph, and
     every join reads ``g`` and that graph together.  Round 1 joins each
-    rule's body over ``g``, skipping a rule if some body atom has no
-    candidate there.  Each later round finds only the derivations that use a
-    triple derived in the round before (the delta): a rule runs once per
-    body atom that has a candidate in the delta, matching that atom against
-    the delta alone and the other atoms against everything known.  Every
-    body is evaluated by ``rdf.join``, with each builtin as a check.
-    Chaining stops after a round that derives nothing new.
+    rule's body.  Each later round finds only the derivations that use a
+    triple derived in the round before: for each body pattern and each such
+    triple with the pattern's predicate, the triple's match seeds a join of
+    the rest of the body against everything known.  Every body is evaluated
+    by ``rdf.join``, with each builtin as a check.  Chaining stops after a
+    round that derives nothing new.
 
     A triple derived more than once in the round that first derives it keeps
     the derivation of the lowest-indexed rule, then the least bindings by
@@ -317,25 +315,28 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     derived = Graph()
     full = (g, derived)
     bodies = [(rule.patterns(), rule.checks()) for rule in ruleset.rules]
-    # each head's predicate, and its object when constant, built once per rule
-    heads = [
-        (iri(vocab.prop_iri(r.head.property_name)), string(r.head.value.value) if isinstance(r.head.value, Term) else None)
-        for r in ruleset.rules
-    ]
+    # each head's triple terms but the subject, built once per rule
+    heads = [(iri(vocab.prop_iri(r.head.property_name)), string(r.head.value.value)) for r in ruleset.rules]
     facts: list[InferredFact] = []
-    delta: Optional[Graph] = None
+    # the triples the last round derived, by predicate; None before round 1
+    new: Optional[dict[Term, list[Triple]]] = None
     while True:
         found: dict[Triple, tuple[tuple, InferredFact]] = {}
         for index, (rule, (patterns, checks), (predicate, obj)) in enumerate(zip(ruleset.rules, bodies, heads)):
-            if delta is None:
-                leads = [None] if all(g.candidates(p) for p in patterns) else []
+            if new is None:
+                seeds = [(patterns, {})]
             else:
-                leads = [i for i, p in enumerate(patterns) if delta.candidates(p)]
-            for lead in leads:
-                atoms = [(p, (delta,) if i == lead else full) for i, p in enumerate(patterns)]
-                for binding in join(atoms, checks):
+                seeds = (
+                    (patterns[:i] + patterns[i + 1 :], match_one(p, t))
+                    for i, p in enumerate(patterns)
+                    for t in new.get(p.predicate, ())
+                )
+            for rest, seed in seeds:
+                if seed is None:
+                    continue
+                for binding in join(rest, full, checks, seed):
                     fact = _fire(rule, binding)
-                    t = Triple(fact.subject, predicate, string(fact.label) if obj is None else obj)
+                    t = Triple(fact.subject, predicate, obj)
                     if t in g or t in derived:
                         continue
                     key = (index, [(name, term.sort_key()) for name, term in fact.bindings])
@@ -343,7 +344,9 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
                         found[t] = (key, fact)
         if not found:
             break
-        delta = Graph(found)
+        new = {}
+        for t in found:
+            new.setdefault(t.predicate, []).append(t)
         derived.update(found)
         facts += [fact for _, fact in found.values()]
     return sorted(facts, key=lambda f: (f.subject.sort_key(), f.property_iri, f.label))
@@ -360,15 +363,13 @@ def verify_provenance(g: Graph, ruleset: RuleSet, facts: Iterable[InferredFact])
     known = (g, Graph(f.triple() for f in fact_list))
     for f in fact_list:
         binding = dict(f.bindings)
-        atoms = [(p, known) for p in f.rule.patterns()]
-        if next(join(atoms, f.rule.checks(), binding), None) is None:
+        if next(join(f.rule.patterns(), known, f.rule.checks(), binding), None) is None:
             return False
         head = f.rule.head
-        label = head.value.value if isinstance(head.value, Term) else getattr(binding.get(head.value), "value", None)
         if (
             binding.get(head.subject) != f.subject
             or f.property_iri != vocab.prop_iri(head.property_name)
-            or f.label != label
+            or f.label != head.value.value
         ):
             return False
     return True

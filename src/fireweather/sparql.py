@@ -314,8 +314,7 @@ def parse_query(text: str) -> Query:
 
 
 def evaluate(query: Query, g: Graph) -> ResultTable:
-    atoms = [(p, (g,)) for p in query.patterns]
     checks = [(f.variable, f.accepts) for f in query.filters]
-    rows = [tuple(binding[v] for v in query.select_vars) for binding in join(atoms, checks)]
+    rows = [tuple(binding[v] for v in query.select_vars) for binding in join(query.patterns, (g,), checks)]
     rows.sort(key=lambda row: tuple(t.sort_key() for t in row))
     return ResultTable(tuple(query.select_vars), tuple(rows))

@@ -8,7 +8,6 @@ SENSOR_NS = "urn:ssn:sensor:"
 OBS_NS = "urn:ssn:obs:"
 
 SENSOR_CLASS = CLASS_NS + "sensor_id"
-SENSOR_OUTPUT_CLASS = CLASS_NS + "SensorOutput"
 
 HAS_VALUE = PROP_NS + "hasvalue"
 HAS_UNIT = PROP_NS + "hasUnit"

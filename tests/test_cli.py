@@ -8,6 +8,7 @@ import pytest
 
 from fireweather.cli import main
 from fireweather.ingest import TRIPLES_PER_ROW, parse_csv
+from fireweather.rules import Rule, load_rules
 from conftest import DATA_CSV, REPO, RULES_FILE
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area\n"
@@ -174,6 +175,28 @@ class TestInfer:
         assert code == 0
         payloads = [json.loads(line) for line in out.splitlines()]
         assert all({"subject", "property", "label", "rule", "bindings"} <= set(p) for p in payloads)
+
+    def test_jsonl_renders_each_rule_once(self, capsys, tmp_path, monkeypatch):
+        # 40 facts from 2 of the 27 rules
+        store = tmp_path / "store.nt"
+        store.write_text("".join(
+            f"<urn:ssn:sensor:S{i}> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:ssn:class:sensor_id> .\n"
+            f'<urn:ssn:sensor:S{i}> <urn:ssn:prop:notdifficult> "17"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n'
+            f'<urn:ssn:sensor:S{i}> <urn:ssn:prop:moderate> "8"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n'
+            for i in range(20)
+        ))
+        renders = 0
+        render = Rule.render
+
+        def counting(self):
+            nonlocal renders
+            renders += 1
+            return render(self)
+
+        monkeypatch.setattr(Rule, "render", counting)
+        code, out, _ = run(capsys, "infer", str(store), "--rules", str(RULES_FILE), "--format", "jsonl")
+        assert code == 0 and len(out.splitlines()) == 40
+        assert renders <= len(load_rules(str(RULES_FILE)))
 
     def test_non_finite_literal_exit_1_with_line(self, capsys, tmp_path):
         store = tmp_path / "nan.nt"

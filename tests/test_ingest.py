@@ -8,12 +8,11 @@ from fireweather.ingest import (
     IngestError,
     SensorId,
     WeatherObservation,
-    canonical_value,
     ingest_observations,
     parse_csv,
     to_triples,
 )
-from fireweather.rdf import TriplePattern, decimal, export_ntriples, iri
+from fireweather.rdf import TriplePattern, decimal, export_ntriples, format_decimal, iri
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area\n"
 ROW = "7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\n"
@@ -129,7 +128,7 @@ class TestRoundTrip:
             pattern = TriplePattern(iri(vocab.obs_iri(ordinal, "wind")), iri(vocab.HAS_VALUE), "?v")
             got = g.match(pattern)
             assert len(got) == 1
-            assert got[0]["?v"].value == canonical_value(row.wind)
+            assert got[0]["?v"].value == format_decimal(row.wind)
 
     def test_double_ingest_is_byte_identical(self, dataset_text):
         first = export_ntriples(ingest_observations(parse_csv(dataset_text)))

@@ -150,16 +150,16 @@ class TestJoin:
                 (g1 if rng.random() < 0.5 else g2).insert(triple)
             patterns = [random_pattern(rng, variables) for _ in range(rng.randrange(1, 4))]
             checks = [random_check(rng, v) for v in rng.sample(variables, rng.randrange(3))]
-            got = join([(p, (g1, g2)) for p in patterns], checks)
+            got = join(patterns, (g1, g2), checks)
             want = [b for b in brute_force_join(g, patterns) if all(check(b) for _, check in checks)]
             assert canonical(got) == canonical(want)
             answered += bool(want)
 
     def test_no_atoms_yields_the_binding_if_every_check_passes(self):
         binding = {"?a": integer(1)}
-        assert list(join([], [("?a", lambda b: True)], binding)) == [binding]
-        assert list(join([], [("?a", lambda b: False)], binding)) == []
-        assert list(join([], [("?b", lambda b: True)], binding)) == []
+        assert list(join([], (), [("?a", lambda b: True)], binding)) == [binding]
+        assert list(join([], (), [("?a", lambda b: False)], binding)) == []
+        assert list(join([], (), [("?b", lambda b: True)], binding)) == []
 
 
 class TestIndexCoherence:

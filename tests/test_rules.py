@@ -405,3 +405,50 @@ def test_chaining_builds_terms_once_per_rule_not_per_fact(rules_text, monkeypatc
         assert forward_chain(g, ruleset)
         work.append(built)
     assert work[0] == work[1]
+
+
+REACH = "a(?s, ?t) ^ reach(?t, yes) -> reach(?s, yes)\n"
+
+
+def reach_chain(n_nodes: int) -> Graph:
+    """``a`` edges down a chain of nodes, and ``reach`` on the last one."""
+    g = Graph(prop(f"n{i}", "a", sensor(f"n{i + 1}")) for i in range(n_nodes - 1))
+    g.insert(prop(f"n{n_nodes - 1}", "reach", string("yes")))
+    return g
+
+
+def test_recursive_chaining_work_grows_linearly(monkeypatch):
+    # one new reach fact per round: each round must join from that fact, not
+    # rerun the rule over every reach fact known
+    ruleset = parse_rules(REACH)
+    iterated = count_candidates(monkeypatch)
+    work = []
+    for n in (100, 400):
+        iterated[0] = 0
+        assert len(forward_chain(reach_chain(n), ruleset)) == n - 1
+        work.append(iterated[0])
+    # rerunning the whole rule each round iterates 10,300 and 161,200
+    assert work[0] > 0
+    assert work[1] < 6 * work[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [REACH, "a(?s, ?v) ^ greaterThan(?v, 0) -> b(?s, hot)\nb(?s, ?w) -> c(?s, alarm)\n"],
+    ids=["recursive", "two-rules"],
+)
+def test_chaining_inserts_each_fact_once(text, monkeypatch):
+    g = reach_chain(30)
+    g.update(prop(f"s{i}", "a", integer(i)) for i in range(-3, 4))
+    ruleset = parse_rules(text)
+    inserts = 0
+    insert = Graph.insert
+
+    def counting(self, t):
+        nonlocal inserts
+        inserts += 1
+        return insert(self, t)
+
+    monkeypatch.setattr(Graph, "insert", counting)
+    facts = forward_chain(g, ruleset)
+    assert facts and inserts == len(facts)

@@ -81,7 +81,7 @@ def brute_force_join(g: Graph, patterns: list[TriplePattern]) -> list[Binding]:
 
 
 def check_index_coherence(g: Graph) -> bool:
-    """True iff ``_spo``, ``_pos`` and ``_by_object`` hold the same triples.
+    """True iff ``_spo`` and ``_pos`` hold the same triples.
 
     Each triple must sit once in each index, under its own keys, no bucket
     may be empty, each nested index's inner dict must count its triples, and
@@ -91,7 +91,6 @@ def check_index_coherence(g: Graph) -> bool:
     for index, keys in (
         (g._spo, lambda t: (t.subject, t.predicate)),
         (g._pos, lambda t: (t.predicate, t.object)),
-        ({None: g._by_object}, lambda t: (None, t.object)),
     ):
         triples = []
         for outer, inner in index.items():
