@@ -15,6 +15,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -370,8 +371,12 @@ class Graph:
         return results
 
 
-#: A test on the term bound to one variable, given the whole binding.
-Check = tuple[str, Callable[[Binding], bool]]
+#: A variable and a test on the term bound to it.  The join runs the test on
+#: a candidate's term before it builds a binding for the candidate.
+Check = tuple[str, Callable[[Term], bool]]
+
+#: a candidate triple's slots, in pattern order
+_SLOTS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))
 
 
 def substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
@@ -398,15 +403,18 @@ def join(
 
     Each pattern is matched against the union of ``graphs``.  An index
     nested loop: at each level the pattern with the fewest candidates under
-    the current binding goes next, ties to the lowest index.  Since
+    the current binding goes next, ties to the lowest index, and a level
+    with a pattern that has no candidates ends at once.  Since
     ``Graph.candidates`` is exact, each candidate only binds the pattern's
-    variables.  A check runs as soon as its variable is bound, those on
-    ``binding`` first; a check whose variable nothing binds fails every row.
-    The graphs must not share a triple, or a match through the shared
-    triple comes out once per graph.
+    variables.  A check tests the term bound to its variable: the terms of
+    ``binding`` first, then, at the level that binds the variable, the term
+    in the candidate's slot, before the candidate's binding is built.  A
+    check whose variable nothing binds fails every row.  The graphs must not
+    share a triple, or a match through the shared triple comes out once per
+    graph.
     """
     binding = {} if binding is None else binding
-    if not all(check(binding) for variable, check in checks if variable in binding):
+    if not all(test(binding[variable]) for variable, test in checks if variable in binding):
         return iter(())
     later = [c for c in checks if c[0] not in binding]
     if not patterns:
@@ -422,46 +430,47 @@ def _join(
         bound = substitute(pattern, binding)
         buckets = [graph.candidates(bound) for graph in graphs]
         size = sum(map(len, buckets))
+        if not size:
+            return
         if best is None or size < best[0]:
             best = (size, i, bound, buckets)
     _, chosen, bound, buckets = best
     rest = patterns[:chosen] + patterns[chosen + 1 :]
-    fresh = bound.variables()
-    # the checks that this pattern's variables make runnable, split once per level
+    names = [slot if isinstance(slot, str) else None for slot in bound]
+    fresh = [name for name in names if name is not None]
+    # the checks that this pattern's variables make runnable, each with the
+    # slot that holds its term, split once per level
     now, later = [], []
-    if checks:
-        for variable, check in checks:
-            if variable in fresh:
-                now.append(check)
-            else:
-                later.append((variable, check))
-        if later and not rest:
-            return
+    for variable, test in checks:
+        if variable in fresh:
+            now.append((_SLOTS[names.index(variable)], test))
+        else:
+            later.append((variable, test))
+    if later and not rest:
+        return
+    candidates = chain.from_iterable(buckets)
+    for term_of, test in now:
+        candidates = [t for t in candidates if test(term_of(t))]
     # a variable that fills two slots still needs the slots compared
     repeated = len(set(fresh)) < len(fresh)
-    s, p, o = (slot if isinstance(slot, str) else None for slot in bound)
-    for bucket in buckets:
-        for t in bucket:
-            if repeated:
-                extended = match_one(bound, t, binding)
-                if extended is None:
-                    continue
-            else:
-                extended = binding.copy()
-                if s is not None:
-                    extended[s] = t.subject
-                if p is not None:
-                    extended[p] = t.predicate
-                if o is not None:
-                    extended[o] = t.object
-            for check in now:
-                if not check(extended):
-                    break
-            else:
-                if rest:
-                    yield from _join(rest, graphs, later, extended)
-                else:
-                    yield extended
+    s, p, o = names
+    for t in candidates:
+        if repeated:
+            extended = match_one(bound, t, binding)
+            if extended is None:
+                continue
+        else:
+            extended = binding.copy()
+            if s is not None:
+                extended[s] = t.subject
+            if p is not None:
+                extended[p] = t.predicate
+            if o is not None:
+                extended[o] = t.object
+        if rest:
+            yield from _join(rest, graphs, later, extended)
+        else:
+            yield extended
 
 
 # --- N-Triples-style flat-file serialization -------------------------------

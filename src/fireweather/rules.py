@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import vocab
 from .rdf import Binding, Check, Graph, Term, Triple, TriplePattern, iri, join, match_one, split_lines, string
@@ -68,15 +68,30 @@ class BuiltinGreaterThan:
     variable: str
     threshold: float
 
+    def term_test(self) -> Callable[[Term], bool]:
+        """The builtin compiled to a test on the term bound to its variable.
+
+        True for a literal whose lexical form parses as a number above the
+        threshold; a numeric literal's value was parsed when it was built.
+        """
+        threshold = self.threshold
+
+        def test(term: Term) -> bool:
+            value = term.numeric_value()
+            if value is None:
+                if term.datatype is None:
+                    return False
+                try:
+                    value = float(term.value)
+                except ValueError:
+                    return False
+            return value > threshold
+
+        return test
+
     def holds(self, binding: Binding) -> bool:
         term = binding.get(self.variable)
-        if term is None or not term.is_literal:
-            return False
-        try:
-            value = float(term.value)
-        except ValueError:
-            return False
-        return value > self.threshold
+        return term is not None and self.term_test()(term)
 
     def render(self) -> str:
         t = self.threshold
@@ -100,7 +115,7 @@ class Rule:
         return [a.pattern() for a in self.body if not isinstance(a, BuiltinGreaterThan)]
 
     def checks(self) -> list[Check]:
-        return [(a.variable, a.holds) for a in self.body if isinstance(a, BuiltinGreaterThan)]
+        return [(a.variable, a.term_test()) for a in self.body if isinstance(a, BuiltinGreaterThan)]
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional
 
 from .rdf import Binding, Datatype, Graph, RdfError, Term, TriplePattern, join, unescape_literal
 
@@ -26,17 +27,47 @@ class QueryParseError(Exception):
         self.column = column
 
 
+#: each FILTER comparator's function
+_COMPARATORS = {
+    ">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le, "=": operator.eq, "!=": operator.ne
+}
+
+
 @dataclass(frozen=True)
 class FilterExpr:
     variable: str
     comparator: str  # one of > < >= <= = !=
     operand: Term
 
+    def term_test(self) -> Callable[[Term], bool]:
+        """The filter compiled to a test on the term bound to its variable.
+
+        A numeric operand compares by value with an integer or decimal term,
+        and a string operand compares lexically with a string term.  Any
+        other term is incomparable and fails.
+        """
+        try:
+            compare = _COMPARATORS[self.comparator]
+        except KeyError:
+            raise ValueError(f"unknown comparator {self.comparator!r}") from None
+        number, text = self.operand.numeric_value(), self.operand.value
+
+        def numeric(term: Term) -> bool:
+            value = term.numeric_value()
+            return value is not None and compare(value, number)
+
+        def lexical(term: Term) -> bool:
+            return term.datatype is Datatype.STRING and compare(term.value, text)
+
+        if number is not None:
+            return numeric
+        if self.operand.datatype is Datatype.STRING:
+            return lexical
+        return lambda term: False
+
     def accepts(self, binding: Binding) -> bool:
         term = binding.get(self.variable)
-        if term is None:
-            return False
-        return _compare(term, self.comparator, self.operand)
+        return term is not None and self.term_test()(term)
 
 
 @dataclass(frozen=True)
@@ -73,30 +104,6 @@ class ResultTable:
 
 def _render_cell(t: Term) -> str:
     return t.value
-
-
-def _compare(left: Term, op: str, right: Term) -> bool:
-    ln, rn = left.numeric_value(), right.numeric_value()
-    if ln is not None and rn is not None:
-        a: Union[float, str] = ln
-        b: Union[float, str] = rn
-    elif left.datatype == Datatype.STRING and right.datatype == Datatype.STRING:
-        a, b = left.value, right.value
-    else:
-        return False  # incomparable kinds eliminate the row
-    if op == ">":
-        return a > b
-    if op == "<":
-        return a < b
-    if op == ">=":
-        return a >= b
-    if op == "<=":
-        return a <= b
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    raise ValueError(f"unknown comparator {op!r}")
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -245,11 +252,11 @@ class _Parser:
         if tok.kind == "VAR":
             return tok.text
         if tok.kind == "IRIREF":
-            return Term(tok.text[1:-1])
+            return self.term_at(tok, tok.text[1:-1])
         if tok.kind == "PNAME":
-            return Term(self.expand_pname(tok))
+            return self.term_at(tok, self.expand_pname(tok))
         if tok.kind == "NUMBER":
-            return _number_term(tok.text)
+            return self.number_at(tok)
         if tok.kind == "STRING":
             return self.parse_literal(tok)
         self.fail(f"expected term or variable, got {tok.text!r}", tok)
@@ -276,6 +283,16 @@ class _Parser:
         except RdfError as exc:
             self.fail(str(exc), tok)
 
+    def term_at(self, tok: _Token, value: str, datatype: Optional[Datatype] = None) -> Term:
+        """The term, or a parse error located at ``tok`` if it is invalid."""
+        try:
+            return Term(value, datatype)
+        except RdfError as exc:
+            self.fail(str(exc), tok)
+
+    def number_at(self, tok: _Token) -> Term:
+        return self.term_at(tok, tok.text, Datatype.DECIMAL if "." in tok.text else Datatype.INTEGER)
+
     def expand_pname(self, tok: _Token) -> str:
         prefix, _, local = tok.text.partition(":")
         if prefix not in self.prefixes:
@@ -292,18 +309,13 @@ class _Parser:
             self.fail(f"expected comparator, got {op_tok.text!r}", op_tok)
         operand_tok = self.next()
         if operand_tok.kind == "NUMBER":
-            operand = _number_term(operand_tok.text)
+            operand = self.number_at(operand_tok)
         elif operand_tok.kind == "STRING":
             operand = self.parse_literal(operand_tok)
         else:
             self.fail(f"expected literal operand, got {operand_tok.text!r}", operand_tok)
         self.expect_punct(")")
         return FilterExpr(var_tok.text, op_tok.text, operand)
-
-
-def _number_term(text: str) -> Term:
-    dt = Datatype.DECIMAL if "." in text else Datatype.INTEGER
-    return Term(text, dt)
 
 
 def parse_query(text: str) -> Query:
@@ -314,7 +326,9 @@ def parse_query(text: str) -> Query:
 
 
 def evaluate(query: Query, g: Graph) -> ResultTable:
-    checks = [(f.variable, f.accepts) for f in query.filters]
-    rows = [tuple(binding[v] for v in query.select_vars) for binding in join(query.patterns, (g,), checks)]
-    rows.sort(key=lambda row: tuple(t.sort_key() for t in row))
-    return ResultTable(tuple(query.select_vars), tuple(rows))
+    names = query.select_vars
+    checks = [(f.variable, f.term_test()) for f in query.filters]
+    project = operator.itemgetter(*names) if len(names) > 1 else lambda b: tuple(b[v] for v in names)
+    rows = list(map(project, join(query.patterns, (g,), checks)))
+    rows.sort(key=lambda row: tuple(map(Term.sort_key, row)))
+    return ResultTable(tuple(names), tuple(rows))

@@ -277,6 +277,36 @@ class TestQuery:
         code, _, err = run(capsys, "query", str(wind_store), str(qfile))
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("SELECT ?s WHERE { ?s <> ?o }", 22), ("PREFIX e: <> SELECT ?s WHERE { ?s e: ?o }", 35)],
+        ids=["empty-iri", "prefix-expands-to-empty"],
+    )
+    def test_empty_iri_exit_1_with_position(self, capsys, tmp_path, wind_store, text, column):
+        qfile = tmp_path / "q.rq"
+        qfile.write_text(text + "\n")
+        code, out, err = run(capsys, "query", str(wind_store), str(qfile))
+        assert code == 1 and out == ""
+        assert err == f"error: line 1, column {column}: invalid IRI: ''\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_output_does_not_depend_on_hash_seed(self, tmp_path, small_csv, fmt):
+        store = tmp_path / "store.nt"
+        assert main(["ingest", str(small_csv), "--output", str(store)]) == 0
+        qfile = tmp_path / "q.rq"
+        qfile.write_text(WIND_QUERY.replace(">40.00", ">1.00"))
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(REPO / "src"))
+            done = subprocess.run(
+                [sys.executable, "-m", "fireweather.cli", "query", str(store), str(qfile), "--format", fmt],
+                env=env, capture_output=True, check=True, timeout=60,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        # both rows' readings above 1.0, from every quantity and both sensors
+        assert len(outputs[0].splitlines()) > 10
+
 
 class TestPlot:
     def test_days_78(self, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fireweather import rdf
 from fireweather.rdf import (
     Datatype,
     Graph,
@@ -124,12 +125,12 @@ class TestMatch:
 
 
 def random_check(rng: random.Random, variable: str):
-    """A one-variable test that fails when ``variable`` is unbound."""
+    """A test on the term bound to ``variable``."""
     pivot = random_term(rng).sort_key()
 
-    def check(binding):
-        term = binding.get(variable)
-        return term is not None and term.sort_key() <= pivot
+    def check(term):
+        assert term.__class__ is Term
+        return term.sort_key() <= pivot
 
     return variable, check
 
@@ -151,15 +152,82 @@ class TestJoin:
             patterns = [random_pattern(rng, variables) for _ in range(rng.randrange(1, 4))]
             checks = [random_check(rng, v) for v in rng.sample(variables, rng.randrange(3))]
             got = join(patterns, (g1, g2), checks)
-            want = [b for b in brute_force_join(g, patterns) if all(check(b) for _, check in checks)]
+            want = [b for b in brute_force_join(g, patterns) if all(v in b and check(b[v]) for v, check in checks)]
             assert canonical(got) == canonical(want)
             answered += bool(want)
 
     def test_no_atoms_yields_the_binding_if_every_check_passes(self):
         binding = {"?a": integer(1)}
-        assert list(join([], (), [("?a", lambda b: True)], binding)) == [binding]
-        assert list(join([], (), [("?a", lambda b: False)], binding)) == []
-        assert list(join([], (), [("?b", lambda b: True)], binding)) == []
+        assert list(join([], (), [("?a", lambda term: True)], binding)) == [binding]
+        assert list(join([], (), [("?a", lambda term: False)], binding)) == []
+        assert list(join([], (), [("?b", lambda term: True)], binding)) == []
+
+    def test_checks_get_the_term_of_their_variable(self):
+        g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:b", "urn:p", iri("urn:b")), t("urn:b", "urn:q", integer(2))])
+        seen = []
+        checks = [(v, lambda term, v=v: seen.append((v, term)) or True) for v in ("?s", "?p", "?o", "?x")]
+        patterns = [TriplePattern("?s", iri("urn:p"), "?o"), TriplePattern("?s", "?p", "?x")]
+        got = list(join(patterns, (g,), checks, {"?x": integer(2)}))
+        assert got == [{"?x": integer(2), "?s": iri("urn:b"), "?p": iri("urn:q"), "?o": iri("urn:b")}]
+        # the seed's term first, then a term of each candidate's slot
+        assert seen[0] == ("?x", integer(2))
+        assert {v for v, _ in seen} == {"?s", "?p", "?o", "?x"}
+        assert all(term.__class__ is Term for _, term in seen)
+
+    def test_only_a_candidate_that_passes_gets_a_binding(self):
+        g = Graph(t("urn:s", "urn:p", integer(i)) for i in range(1, 6))
+        copies = 0
+
+        class Seed(dict):
+            def copy(self):
+                nonlocal copies
+                copies += 1
+                return dict(self)
+
+        above_3 = ("?o", lambda term: term.numeric_value() > 3)
+        got = list(join([TriplePattern("?s", iri("urn:p"), "?o")], (g,), [above_3], Seed()))
+        assert sorted(b["?o"].numeric_value() for b in got) == [4, 5]
+        assert copies == 2
+
+    def test_a_repeated_variable_is_tested_before_its_slots_are_compared(self, monkeypatch):
+        g = Graph(t(s, "urn:p", iri(o)) for s, o in [("urn:a", "urn:a"), ("urn:a", "urn:b"), ("urn:c", "urn:c")])
+        compared = []
+        match_one = rdf.match_one
+
+        def comparing(pattern, triple, binding):
+            compared.append(triple)
+            return match_one(pattern, triple, binding)
+
+        monkeypatch.setattr(rdf, "match_one", comparing)
+        keep = {iri("urn:a")}
+        got = list(join([TriplePattern("?x", iri("urn:p"), "?x")], (g,), [("?x", keep.__contains__)]))
+        assert got == [{"?x": iri("urn:a")}]
+        # urn:c fails the test on its subject, so its slots are never compared
+        assert [triple.subject for triple in compared] == [iri("urn:a"), iri("urn:a")]
+
+    def test_a_pattern_with_no_candidates_ends_the_level(self, monkeypatch):
+        g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:a", "urn:q", integer(2))])
+        calls = 0
+        candidates = Graph.candidates
+
+        def counting(self, pattern):
+            nonlocal calls
+            calls += 1
+            return candidates(self, pattern)
+
+        monkeypatch.setattr(Graph, "candidates", counting)
+        patterns = [TriplePattern("?s", iri("urn:none"), "?o"), TriplePattern("?s", iri("urn:p"), "?v"),
+                    TriplePattern("?s", iri("urn:q"), "?w")]
+        assert list(join(patterns, (g,))) == []
+        assert calls == 1
+        # a deeper level: three calls choose ?s's pattern, then under ?s = a
+        # the first pattern looked at has none
+        g.insert(t("urn:b", "urn:r", integer(3)))
+        calls = 0
+        patterns = [TriplePattern("?s", iri("urn:p"), "?v"), TriplePattern("?s", iri("urn:r"), "?o"),
+                    TriplePattern("?s", iri("urn:q"), "?w")]
+        assert list(join(patterns, (g,))) == []
+        assert calls == 4
 
 
 class TestIndexCoherence:

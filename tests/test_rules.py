@@ -1,7 +1,11 @@
 import dataclasses
+import operator
 import random
+import string as string_module
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fireweather import vocab
 from fireweather.rdf import Graph, Term, Triple, decimal, integer, iri, string
@@ -9,13 +13,15 @@ from fireweather.rules import (
     BuiltinGreaterThan,
     ClassAtom,
     DataPropertyAtom,
+    Rule,
     RuleParseError,
+    RuleSet,
     forward_chain,
     parse_rule,
     parse_rules,
     verify_provenance,
 )
-from util import brute_force_join, check_index_coherence
+from util import brute_force_join, check_index_coherence, reference_greater_than, terms
 
 RULE_TEXT = "sensor_id(?s) ^ notdifficult(?s, ?rh) ^ greaterThan(?rh, 16) -> DifficultyofControle(?s, notDifficult)"
 
@@ -91,6 +97,52 @@ class TestParsing:
         rule = parse_rule("foo(?s) ^ p(?s, ?v) ^ greaterThan(?v, 1.5) -> bar(?s, x)")
         assert rule.body[2].threshold == 1.5
         assert parse_rules(rule.render()).rules[0] == rule
+
+
+# --- random rule sets --------------------------------------------------------
+
+BUILTIN_NAMES = {"greaterThan", "lessThan", "equal", "notEqual", "greaterThanOrEqual", "lessThanOrEqual"}
+WORD = string_module.ascii_letters + string_module.digits + "_"
+NAMES = st.builds(
+    operator.add, st.sampled_from(string_module.ascii_letters + "_"), st.text(WORD, max_size=8)
+).filter(lambda name: name not in BUILTIN_NAMES)
+VARIABLES = st.text(WORD, min_size=1, max_size=4).map("?".__add__)
+NUMERALS = st.builds("{}{}{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 9999),
+                     st.sampled_from(["", ".5", ".25", ".0"]))
+LABELS = st.one_of(NAMES, NUMERALS).map(string)
+THRESHOLDS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_rules(draw) -> Rule:
+    """A rule that ``parse_rule`` accepts: every builtin and head variable is bound in the body."""
+    variables = draw(st.lists(VARIABLES, min_size=1, max_size=3, unique=True))
+    var = st.sampled_from(variables)
+    binders = draw(st.lists(st.one_of(
+        st.builds(ClassAtom, NAMES, var),
+        st.builds(DataPropertyAtom, NAMES, var, st.one_of(var, LABELS)),
+    ), min_size=1, max_size=4))
+    slots = [(a.variable,) if isinstance(a, ClassAtom) else (a.subject, a.value) for a in binders]
+    bound = sorted({v for atom in slots for v in atom if isinstance(v, str)})
+    builtins = draw(st.lists(st.builds(BuiltinGreaterThan, st.sampled_from(bound), THRESHOLDS), max_size=2))
+    body = draw(st.permutations(binders + builtins))
+    return Rule(tuple(body), DataPropertyAtom(draw(NAMES), draw(st.sampled_from(bound)), draw(LABELS)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(random_rules(), max_size=4).map(lambda rules: RuleSet(tuple(rules))))
+def test_random_rule_sets_round_trip_through_render(ruleset):
+    assert parse_rules(ruleset.render()) == ruleset
+
+
+@settings(max_examples=500, deadline=None)
+@given(term=terms, threshold=st.one_of(THRESHOLDS, st.sampled_from([0.0, 4.5, 16.0, 17.0])))
+def test_compiled_greater_than_matches_the_reference(term, threshold):
+    builtin = BuiltinGreaterThan("?v", threshold)
+    want = reference_greater_than(term, threshold)
+    assert builtin.term_test()(term) is want
+    assert builtin.holds({"?v": term}) is want
+    assert builtin.holds({"?w": term}) is False
 
 
 class TestForwardChain:

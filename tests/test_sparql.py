@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fireweather.rdf import Datatype, Graph, Term, TriplePattern, decimal, integer, iri, string
-from fireweather.sparql import FilterExpr, QueryParseError, evaluate, parse_query
-from util import brute_force_join, random_graph, random_pattern
+from fireweather.rdf import Datatype, Graph, Term, Triple, TriplePattern, decimal, integer, iri, string
+from fireweather.sparql import FilterExpr, Query, QueryParseError, evaluate, parse_query
+from util import brute_force_join, numeric_terms, random_graph, random_pattern, reference_filter, string_terms, terms
 
 WIND_SURVEY_QUERY = """\
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -203,4 +205,46 @@ def test_string_literal_escapes_read_as_in_ntriples():
 def test_bad_literal_carries_position(literal):
     text = f"PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\nSELECT ?s WHERE {{ ?s <urn:p> ?v\nFILTER (?v > {literal}) }}\n"
     with pytest.raises(QueryParseError, match=r"^line 3, column 14: "):
+        parse_query(text)
+
+
+COMPARATORS = [">", "<", ">=", "<=", "=", "!="]
+
+
+@settings(max_examples=500, deadline=None)
+@given(term=terms, comparator=st.sampled_from(COMPARATORS), operand=st.one_of(numeric_terms, string_terms))
+def test_compiled_filter_matches_the_reference_comparison(term, comparator, operand):
+    f = FilterExpr("?v", comparator, operand)
+    want = reference_filter(term, comparator, operand)
+    assert f.term_test()(term) is want
+    assert f.accepts({"?v": term}) is want
+    assert f.accepts({"?w": term}) is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(term=terms, comparator=st.sampled_from(COMPARATORS), operand=st.one_of(numeric_terms, string_terms))
+def test_evaluate_keeps_the_rows_the_reference_keeps(term, comparator, operand):
+    g = Graph([Triple(iri("urn:s"), iri("urn:p"), term), Triple(iri("urn:t"), iri("urn:q"), term)])
+    q = Query({}, ("?s",), (TriplePattern("?s", iri("urn:p"), "?v"),), (FilterExpr("?v", comparator, operand),))
+    want = ((iri("urn:s"),),) if reference_filter(term, comparator, operand) else ()
+    assert evaluate(q, g).rows == want
+
+
+def test_unknown_comparator_is_rejected_when_compiled():
+    with pytest.raises(ValueError, match="unknown comparator"):
+        FilterExpr("?v", "=>", integer(1)).term_test()
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("SELECT ?s WHERE { ?s <> ?o }", 22),
+        ("PREFIX e: <> SELECT ?s WHERE { ?s e: ?o }", 35),
+        ("SELECT ?s WHERE { ?s <urn:p> " + "9" * 400 + " }", 30),
+        ("SELECT ?s WHERE { ?s <urn:p> ?o FILTER (?o > " + "9" * 400 + ".5) }", 46),
+    ],
+    ids=["empty-iri", "prefix-expands-to-empty", "infinite-integer", "infinite-filter-operand"],
+)
+def test_invalid_term_carries_position(text, column):
+    with pytest.raises(QueryParseError, match=rf"^line 1, column {column}: "):
         parse_query(text)

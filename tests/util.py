@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from fireweather.rdf import (
     Binding,
+    Datatype,
     Graph,
     Term,
     Triple,
@@ -106,3 +109,59 @@ def check_index_coherence(g: Graph) -> bool:
         and len(spo) == len(g)
         and all(set(triples) == spo for triples in indexed)
     )
+
+
+# --- reference comparisons, and terms to run them on ------------------------
+
+#: string lexical forms that ``float`` reads, and some near misses
+NUMBER_LIKE = ["17", "4.5", "-0", "+5", "1e3", " 7 ", "1_0", "nan", "inf", "-inf", "0x10", "", "abc", "b"]
+
+numeric_terms = st.one_of(
+    st.integers(-(10**20), 10**20).map(integer),
+    st.floats(allow_nan=False, allow_infinity=False).map(decimal),
+    st.sampled_from([("007", Datatype.INTEGER), ("-0.0", Datatype.DECIMAL), ("1.00", Datatype.DECIMAL)]).map(
+        lambda args: Term(*args)
+    ),
+)
+string_terms = st.one_of(st.sampled_from(NUMBER_LIKE), st.text(max_size=6)).map(string)
+terms = st.one_of(st.sampled_from(SUBJECTS).map(iri), string_terms, numeric_terms)
+
+
+def reference_filter(term: Term, comparator: str, operand: Term) -> bool:
+    """``FILTER (?v <comparator> operand)`` on the term bound to ``?v``.
+
+    Two numeric literals (integer or decimal) compare by value and two
+    string literals by lexical form; any other pair is incomparable and
+    fails.  Each comparator is spelled with ``<`` alone.
+    """
+    numeric = (Datatype.INTEGER, Datatype.DECIMAL)
+    if term.datatype in numeric and operand.datatype in numeric:
+        a, b = float(term.value), float(operand.value)
+    elif term.datatype is Datatype.STRING and operand.datatype is Datatype.STRING:
+        a, b = term.value, operand.value
+    else:
+        return False
+    return {
+        ">": b < a,
+        "<": a < b,
+        ">=": not a < b,
+        "<=": not b < a,
+        "=": not a < b and not b < a,
+        "!=": a < b or b < a,
+    }[comparator]
+
+
+def reference_greater_than(term: Term, threshold: float) -> bool:
+    """``greaterThan(?v, threshold)`` on the term bound to ``?v``.
+
+    Any literal whose lexical form parses as a number compares by that
+    number, a string literal included; an IRI, or a literal whose lexical
+    form does not parse, fails.
+    """
+    if term.datatype is None:
+        return False
+    try:
+        value = float(term.value)
+    except ValueError:
+        return False
+    return threshold < value
