@@ -61,8 +61,8 @@ class Alert:
     verdict: str
     message: str
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def as_dict(self) -> dict:
+        return {
             "sensor": self.sensor,
             "timestamp": self.timestamp,
             "index": self.index,
@@ -70,7 +70,10 @@ class Alert:
             "threshold": self.threshold,
             "verdict": self.verdict,
             "message": self.message,
-        }, sort_keys=True)
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def synthetic_timestamp(month: str) -> str:

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from . import bands, rules, sparql
 from .assess import alerts_for, assess, synthetic_timestamp
@@ -25,7 +25,9 @@ CLASSIFIERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(prog="fireweather", description="Fire-weather decision support over an RDF sensor store")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -97,11 +99,12 @@ def cmd_assess(args) -> int:
         assessments.append(assess(rec, weather, SensorId(ordinal).iri, synthetic_timestamp(obs.month)))
     lines = []
     for a in assessments:
+        r = a.record
         lines.append(json.dumps({
             "type": "assessment",
             "sensor": a.sensor,
             "timestamp": a.timestamp,
-            "indices": asdict(a.record),
+            "indices": {"ffmc": r.ffmc, "dmc": r.dmc, "dc": r.dc, "isi": r.isi, "bui": r.bui, "fwi": r.fwi},
             "labels": {
                 "ignition_potential": a.ignition_potential,
                 "mopup_needs": a.mopup_needs,
@@ -115,7 +118,7 @@ def cmd_assess(args) -> int:
             "trace": list(a.trace),
         }, sort_keys=True))
     for alert in alerts_for(assessments):
-        payload = json.loads(alert.to_json())
+        payload = alert.as_dict()
         payload["type"] = "alert"
         lines.append(json.dumps(payload, sort_keys=True))
     _write("".join(line + "\n" for line in lines), args.output)

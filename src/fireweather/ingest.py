@@ -138,6 +138,8 @@ _HAS_VALUE = iri(vocab.HAS_VALUE)
 _HAS_UNIT = iri(vocab.HAS_UNIT)
 _OBSERVED_BY = iri(vocab.OBSERVED_BY)
 _UNIT_TERMS = {quantity: string(unit) for quantity, unit in QUANTITY_UNITS.items()}
+_MONTH_TERMS = {month: string(month) for month in MONTHS}
+_DAY_TERMS = {day: string(day) for day in DAYS}
 
 
 def to_triples(obs: WeatherObservation, sensor: SensorId) -> list[Triple]:
@@ -147,8 +149,8 @@ def to_triples(obs: WeatherObservation, sensor: SensorId) -> list[Triple]:
         Triple(s, _RDF_TYPE, _SENSOR_CLASS),
         Triple(s, _HAS_DEPLOYMENT_X, integer(obs.x_coord)),
         Triple(s, _HAS_DEPLOYMENT_Y, integer(obs.y_coord)),
-        Triple(s, _HAS_MONTH, string(obs.month)),
-        Triple(s, _HAS_DAY, string(obs.day)),
+        Triple(s, _HAS_MONTH, _MONTH_TERMS[obs.month]),
+        Triple(s, _HAS_DAY, _DAY_TERMS[obs.day]),
     ]
     for quantity, value in obs.quantities().items():
         node = iri(vocab.obs_iri(sensor.ordinal, quantity))

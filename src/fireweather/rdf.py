@@ -43,7 +43,7 @@ class RdfError(Exception):
     """Malformed term, triple, or serialization input."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Term:
     """An IRI or a typed literal.
 
@@ -53,12 +53,11 @@ class Term:
     """
 
     value: str
-    datatype: Optional[Datatype] = None
+    datatype: Optional[Datatype]
     _num: Optional[float] = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
-    def __post_init__(self):
-        value, datatype = self.value, self.datatype
+    def __init__(self, value: str, datatype: Optional[Datatype] = None):
         num = None
         if datatype is None:
             if not value or _WHITESPACE.search(value):
@@ -70,8 +69,10 @@ class Term:
                 raise RdfError(f"literal {value!r} is not a valid {datatype.name.lower()}") from None
             if not math.isfinite(num):
                 raise RdfError(f"literal {value!r} is not a finite {datatype.name.lower()}")
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_hash", hash((value, datatype)))
+        _set_value(self, value)
+        _set_datatype(self, datatype)
+        _set_num(self, num)
+        _set_term_hash(self, hash((value, datatype)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -109,6 +110,13 @@ class Term:
             return f"<{self.value}>"
         escaped = _NEEDS_ESCAPE.sub(_escape_char, self.value)
         return f'"{escaped}"^^<{self.datatype.value}>'
+
+
+# The slots' own setters: a frozen dataclass's ``__setattr__`` raises, and
+# ``object.__setattr__`` looks each slot up again on every call.
+_set_value, _set_datatype, _set_num, _set_term_hash = (
+    Term.value.__set__, Term.datatype.__set__, Term._num.__set__, Term._hash.__set__
+)
 
 
 def _escape_char(m: re.Match) -> str:
@@ -156,19 +164,22 @@ def format_decimal(value: float) -> str:
     return repr(float(value))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Triple:
     subject: Term
     predicate: Term
     object: Term
     _hash: int = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.subject.datatype is not None:
-            raise RdfError(f"triple subject must be an IRI, got {self.subject}")
-        if self.predicate.datatype is not None:
-            raise RdfError(f"triple predicate must be an IRI, got {self.predicate}")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+    def __init__(self, subject: Term, predicate: Term, object: Term):
+        if subject.datatype is not None:
+            raise RdfError(f"triple subject must be an IRI, got {subject}")
+        if predicate.datatype is not None:
+            raise RdfError(f"triple predicate must be an IRI, got {predicate}")
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
+        _set_triple_hash(self, hash((subject, predicate, object)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -187,6 +198,11 @@ class Triple:
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
+
+
+_set_subject, _set_predicate, _set_object, _set_triple_hash = (
+    Triple.subject.__set__, Triple.predicate.__set__, Triple.object.__set__, Triple._hash.__set__
+)
 
 
 #: A pattern slot: a concrete term or a "?name" variable.
@@ -482,7 +498,9 @@ def export_ntriples(g: Graph) -> str:
     Literals escape the N-Triples ECHAR set and write the other line breaks
     as ``\\uXXXX``, so every literal round-trips through ``import_ntriples``.
     """
-    lines = sorted(map(str, g))
+    # a triple's subject and predicate are IRIs, so each is written as
+    # ``<value>`` with no call to ``Term.__str__``
+    lines = sorted(f"<{t.subject.value}> <{t.predicate.value}> {t.object} ." for t in g)
     # the empty last line ends the text with a newline, without a second
     # copy of every line
     lines.append("")
@@ -494,6 +512,11 @@ def export_ntriples(g: Graph) -> str:
 #: quote that no closing quote ends.
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"\S*|[^\s"]\S*|"', re.S)
 _LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
+#: A whole line as ``export_ntriples`` writes it: three tokens and the ``.``,
+#: each after one space.  Its groups are the tokens that ``_TOKEN`` finds in
+#: such a line.
+_STATEMENT = re.compile(r'(<\S*>) (<\S*>) (<\S*>|"(?:[^"\\]|\\.)*"\^\^<\S*>) \.', re.S)
+_DATATYPES = {dt.value: dt for dt in Datatype}
 
 
 def _parse_term(token: str) -> Term:
@@ -505,10 +528,9 @@ def _parse_term(token: str) -> Term:
         if not (rest.startswith("^^<") and rest.endswith(">")):
             raise RdfError(f"literal missing ^^<datatype>: {token!r}")
         dt_iri = rest[3:-1]
-        try:
-            dt = Datatype(dt_iri)
-        except ValueError:
-            raise RdfError(f"unsupported datatype <{dt_iri}>") from None
+        dt = _DATATYPES.get(dt_iri)
+        if dt is None:
+            raise RdfError(f"unsupported datatype <{dt_iri}>")
         return Term(unescape_literal(m.group(1)), dt)
     raise RdfError(f"unrecognized term {token!r}")
 
@@ -531,26 +553,47 @@ def split_lines(text: str) -> list[str]:
     return text.split("\n")
 
 
+def _tokens(line: str) -> Optional[list[str]]:
+    """The three term tokens of a statement line, or None for a blank or comment line."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    if not line.endswith("."):
+        raise RdfError("missing terminating '.'")
+    tokens = _TOKEN.findall(line, 0, len(line) - 1)
+    if len(tokens) != 3 or '"' in tokens:
+        raise RdfError(_token_error(line[:-1].rstrip(), tokens))
+    return tokens
+
+
+class _Terms(dict):
+    """Token -> ``Term``, parsing each token the first time it is looked up."""
+
+    def __missing__(self, token: str) -> Term:
+        term = self[token] = _parse_term(token)
+        return term
+
+
 def import_ntriples(text: str) -> Graph:
     """Parse the flat-file format back into a Graph.
 
-    Each distinct token becomes one ``Term``, shared by every triple that
-    uses it.  Errors carry the 1-based line number and a reason.
+    A line in the form that ``export_ntriples`` writes (``<s> <p> o .``,
+    single spaces, nothing before or after) is split by one regex match.
+    Every other line, including comments, blank lines and any line with
+    other whitespace, goes through the general tokenizer, which alone
+    defines the accepted syntax and its errors.  Each distinct token becomes
+    one ``Term``, shared by every triple that uses it.  Errors carry the
+    1-based line number and a reason.
     """
     g = Graph()
-    terms: dict[str, Term] = {}
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.endswith("."):
-            raise RdfError(f"line {lineno}: missing terminating '.'")
-        tokens = _TOKEN.findall(line, 0, len(line) - 1)
-        try:
-            if len(tokens) != 3 or '"' in tokens:
-                raise RdfError(_token_error(line[:-1].rstrip(), tokens))
-            s, p, o = [terms.get(tok) or terms.setdefault(tok, _parse_term(tok)) for tok in tokens]
-            g.insert(Triple(s, p, o))
-        except RdfError as exc:
-            raise RdfError(f"line {lineno}: {exc}") from None
+    terms = _Terms()
+    try:
+        for lineno, line in enumerate(split_lines(text), start=1):
+            m = _STATEMENT.fullmatch(line)
+            tokens = _tokens(line) if m is None else m.groups()
+            if tokens is not None:
+                s, p, o = tokens
+                g.insert(Triple(terms[s], terms[p], terms[o]))
+    except RdfError as exc:
+        raise RdfError(f"line {lineno}: {exc}") from None
     return g

@@ -87,12 +87,11 @@ class ResultTable:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(v.lstrip("?") for v in self.header)
-        for row in self.rows:
-            writer.writerow(_render_cell(t) for t in row)
+        writer.writerows([t.value for t in row] for row in self.rows)
         return out.getvalue()
 
     def to_text(self) -> str:
-        cells = [[v for v in self.header]] + [[_render_cell(t) for t in row] for row in self.rows]
+        cells = [list(self.header)] + [[t.value for t in row] for row in self.rows]
         widths = [max(len(r[i]) for r in cells) for i in range(len(self.header))]
         lines = []
         for i, row in enumerate(cells):
@@ -100,10 +99,6 @@ class ResultTable:
             if i == 0:
                 lines.append("  ".join("-" * w for w in widths))
         return "".join(line + "\n" for line in lines)
-
-
-def _render_cell(t: Term) -> str:
-    return t.value
 
 
 # --- tokenizer -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -119,6 +120,23 @@ class TestAssess:
         expected = sum(1 for a in assessments if a["verdict"] in ("Act", "Extreme"))
         expected += sum(1 for a in assessments if a["wind_risk"])
         assert len(alerts) == expected
+
+
+#: SHA-256 of the stdout of ``fireweather <command> data/forestfires.csv``.
+#: The default ingest bytes are a contract (the benchmark's store check reads
+#: them), and both outputs are deterministic, so a change to either must be
+#: deliberate.
+PINNED_STDOUT = {
+    "ingest": "3c161992987444dfc1258cd580f3791709987d725589ee6436fbb83f59754011",
+    "assess": "63ade736d6d034bb0dfd5c483fd689c19c2c711aa12910d05eec971c44384ad7",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_dataset_stdout_is_pinned(capsys, command):
+    code, out, _ = run(capsys, command, str(DATA_CSV))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]
 
 
 class TestClassify:

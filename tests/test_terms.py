@@ -1,12 +1,16 @@
 """The term representation: equality, hashing, immutability, escaping,
-non-finite numbers and one ``Term`` per distinct token on import."""
+non-finite numbers, one ``Term`` per distinct token on import, and the
+import fast path agreeing with the general tokenizer."""
 
 import dataclasses
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fireweather import rdf
 from fireweather.ingest import ingest_observations, parse_csv
 from fireweather.rdf import (
     Datatype,
@@ -157,13 +161,82 @@ def test_import_builds_one_term_per_distinct_token(dataset_text, monkeypatch):
     # no literal in the ingested store contains a space
     tokens = {token for line in text.splitlines() for token in line[: -len(" .")].split(" ")}
     built = []
-    post_init = Term.__post_init__
+    init = Term.__init__
 
-    def counting(self):
+    def counting(self, *args):
         built.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(Term, "__post_init__", counting)
+    monkeypatch.setattr(Term, "__init__", counting)
     g = import_ntriples(text)
     assert len(built) == len(tokens)
     assert len({id(term) for t in g for term in (t.subject, t.predicate, t.object)}) == len(tokens)
+
+
+# --- the import fast path -------------------------------------------------
+
+STRING_IRI = Datatype.STRING.value
+#: escape sequences, valid, unknown and out of range, and raw characters that
+#: only a literal may hold
+escape_bodies = st.lists(
+    st.sampled_from(
+        ["\\t", "\\b", "\\n", "\\r", "\\f", '\\"', "\\'", "\\\\", "\\u00e9", "\\U0001F525",
+         "\\U00110000", "\\q", "\\u12", "\u2028", "\x0b", " ", "\t", "a", ".", '"', "\\"]
+    ),
+    max_size=6,
+).map("".join)
+tokens = st.one_of(
+    st.one_of(iris, strings, integers, decimals).map(str),
+    escape_bodies.map(lambda body: f'"{body}"^^<{STRING_IRI}>'),
+    st.sampled_from(
+        ["<a>b>", "<a>>", "<<a>", "<a\"b>", "<>", "<", "a", "_:b", '"', '"x"', '"x"^^<urn:other>', '"x"^^<a>b>',
+         f'"x" ^^<{STRING_IRI}>', f'"nan"^^<{DECIMAL_IRI}>', f'"1"^^<{DECIMAL_IRI}>.']
+    ),
+)
+separators = st.sampled_from([" ", " ", "\t", "  ", " \t", "\u2028"])
+ends = st.sampled_from([" .", " .", ".", "\t.", "  .", " . ", " .\t", " . # note", " ..", " ", ""])
+lines = st.one_of(
+    triples.map(str),
+    st.builds(
+        lambda lead, a, s1, b, s2, c, end: lead + a + s1 + b + s2 + c + end,
+        st.sampled_from(["", "", " ", "\t"]), tokens, separators, tokens, separators, tokens, ends,
+    ),
+    st.lists(tokens, max_size=4).map(lambda ts: " ".join(ts) + " ."),
+    # an exported statement with one token too many before its "."
+    st.builds(lambda t, extra: f"{str(t)[:-2]} {extra} .", triples, tokens),
+    st.sampled_from(["", "   ", "# comment", "  # indented", "#<a> <b> <c> ."]),
+)
+#: a statement regex that matches nothing, so every line takes the general path
+NO_FAST_PATH = re.compile(r"(?!)")
+
+
+def import_outcome(text: str):
+    try:
+        return list(import_ntriples(text))
+    except RdfError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(lines, min_size=1, max_size=6))
+def test_fast_path_never_changes_a_result(items):
+    text = "\n".join(items)
+    with mock.patch.object(rdf, "_STATEMENT", NO_FAST_PATH):
+        general = import_outcome(text)
+    assert import_outcome(text) == general
+
+
+def test_exported_dataset_never_reaches_the_general_tokenizer(dataset_text):
+    text = export_ntriples(ingest_observations(parse_csv(dataset_text)))
+    general = rdf._tokens
+    seen = []
+
+    def recording(line):
+        seen.append(line)
+        return general(line)
+
+    with mock.patch.object(rdf, "_tokens", recording):
+        g = import_ntriples(text)
+    # only the empty line after the final newline
+    assert seen == [""]
+    assert export_ntriples(g) == text
