@@ -29,7 +29,7 @@ class BandTable:
             raise ValueError(f"{self.name}: labels must be unique")
 
     def classify(self, value: float) -> str:
-        if value < 0.0:
+        if not value >= 0.0:
             raise DomainError(f"{self.name} must be >= 0: {value}")
         label = self.base_label
         for threshold, step_label in self.steps:
@@ -102,13 +102,13 @@ def classify_fire_intensity(fwi: float) -> str:
 
 def rain_override(rain_mm: float) -> str | None:
     """"FireStop" when rain strictly exceeds 1 mm, else None."""
-    if rain_mm < 0.0:
+    if not rain_mm >= 0.0:
         raise DomainError(f"rain must be >= 0: {rain_mm}")
     return "FireStop" if rain_mm > RAIN_OVERRIDE_THRESHOLD else None
 
 
 def wind_risk(wind_kmh: float) -> str | None:
     """"veryhigh" when wind strictly exceeds 50 km/h, else None."""
-    if wind_kmh < 0.0:
+    if not wind_kmh >= 0.0:
         raise DomainError(f"wind must be >= 0: {wind_kmh}")
     return "veryhigh" if wind_kmh > WIND_RISK_THRESHOLD else None

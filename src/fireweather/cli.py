@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -73,11 +74,26 @@ def _write(text: str, output: str | None):
         sys.stdout.write(text)
 
 
+class InputError(Exception):
+    """An input file that is not UTF-8 text."""
+
+
+@contextlib.contextmanager
+def _decoding(path: str):
+    """Reports a byte of ``path`` that is not UTF-8 as an error at its line."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line}: not valid UTF-8") from None
+
+
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    with _decoding(path):
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
 
 
 def _rules_path(flag: str | None) -> str:
@@ -132,7 +148,9 @@ def cmd_classify(args) -> int:
 
 def cmd_infer(args) -> int:
     graph = import_ntriples(_read(args.store_path))
-    ruleset = rules.load_rules(_rules_path(args.rules))
+    rules_path = _rules_path(args.rules)
+    with _decoding(rules_path):
+        ruleset = rules.load_rules(rules_path)
     facts = rules.forward_chain(graph, ruleset)
     if args.format == "jsonl":
         rendered = {rule: rule.render() for rule in ruleset.rules}
@@ -247,10 +265,10 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IngestError, RdfError, DomainError, rules.RuleParseError, sparql.QueryParseError) as exc:
+    except (InputError, IngestError, RdfError, DomainError, rules.RuleParseError, sparql.QueryParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,9 +29,9 @@ class FuelSample:
     dry_mass: float
 
     def __post_init__(self):
-        if self.dry_mass <= 0.0:
+        if not self.dry_mass > 0.0:
             raise DomainError(f"dry mass must be > 0, got {self.dry_mass}")
-        if self.water_mass < 0.0:
+        if not self.water_mass >= 0.0:
             raise DomainError(f"water mass must be >= 0, got {self.water_mass}")
 
 
@@ -45,11 +45,13 @@ class WeatherInputs:
     rain_24h: float
 
     def __post_init__(self):
+        if not math.isfinite(self.temp):
+            raise DomainError(f"temp must be finite: {self.temp}")
         if not 0.0 <= self.rh <= 100.0:
             raise DomainError(f"rh out of range [0, 100]: {self.rh}")
-        if self.wind < 0.0:
+        if not self.wind >= 0.0:
             raise DomainError(f"wind must be >= 0: {self.wind}")
-        if self.rain_24h < 0.0:
+        if not self.rain_24h >= 0.0:
             raise DomainError(f"rain must be >= 0: {self.rain_24h}")
 
 
@@ -68,7 +70,7 @@ class FwiRecord:
         if not 0.0 <= self.ffmc <= FFMC_MAX:
             raise DomainError(f"ffmc out of range [0, 101]: {self.ffmc}")
         for name in ("dmc", "dc", "isi", "bui", "fwi"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise DomainError(f"{name} must be >= 0: {getattr(self, name)}")
 
 
@@ -97,7 +99,7 @@ def ffmc_from_fmc(fmc: float) -> float:
 
 def isi_from(ffmc: float, wind: float) -> float:
     """Initial Spread Index from FFMC and wind speed (km/h)."""
-    if wind < 0.0:
+    if not wind >= 0.0:
         raise DomainError(f"wind must be >= 0: {wind}")
     m = fmc_from_ffmc(ffmc)
     f_wind = math.exp(0.05039 * wind)
@@ -107,7 +109,7 @@ def isi_from(ffmc: float, wind: float) -> float:
 
 def bui_from(dmc: float, dc: float) -> float:
     """Buildup Index from DMC and DC.  bui_from(0, dc) is 0 by definition."""
-    if dmc < 0.0 or dc < 0.0:
+    if not (dmc >= 0.0 and dc >= 0.0):
         raise DomainError(f"dmc and dc must be >= 0: {dmc}, {dc}")
     if dmc == 0.0:
         return 0.0
@@ -119,7 +121,7 @@ def bui_from(dmc: float, dc: float) -> float:
 
 def fwi_from(isi: float, bui: float) -> float:
     """Fire Weather Index from ISI and BUI."""
-    if isi < 0.0 or bui < 0.0:
+    if not (isi >= 0.0 and bui >= 0.0):
         raise DomainError(f"isi and bui must be >= 0: {isi}, {bui}")
     if bui <= 80.0:
         f_duff = 0.626 * bui**0.809 + 2.0
@@ -195,7 +197,7 @@ def ffmc_daily(ffmc_prev: float, w: WeatherInputs) -> float:
 
 def dmc_daily(dmc_prev: float, w: WeatherInputs, month: int | str) -> float:
     """Next-day DMC."""
-    if dmc_prev < 0.0:
+    if not dmc_prev >= 0.0:
         raise DomainError(f"dmc must be >= 0: {dmc_prev}")
     mi = _month_index(month)
     dmc = dmc_prev
@@ -217,7 +219,7 @@ def dmc_daily(dmc_prev: float, w: WeatherInputs, month: int | str) -> float:
 
 def dc_daily(dc_prev: float, w: WeatherInputs, month: int | str) -> float:
     """Next-day DC."""
-    if dc_prev < 0.0:
+    if not dc_prev >= 0.0:
         raise DomainError(f"dc must be >= 0: {dc_prev}")
     mi = _month_index(month)
     dc = dc_prev

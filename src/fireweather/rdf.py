@@ -4,12 +4,14 @@ Terms are IRIs or typed literals (string / integer / decimal).  Blank nodes
 are deliberately unsupported; ingestion mints deterministic IRIs instead.
 
 ``join`` is the one basic-graph-pattern matcher: ``Graph.match``, rule
-bodies and SPARQL queries all evaluate through it.
+bodies and SPARQL queries all evaluate through it.  ``comparison`` is the
+one comparison, which a SPARQL ``FILTER`` and a rule's ``greaterThan`` share.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -87,10 +89,6 @@ class Term:
     @property
     def is_iri(self) -> bool:
         return self.datatype is None
-
-    @property
-    def is_literal(self) -> bool:
-        return self.datatype is not None
 
     def numeric_value(self) -> Optional[float]:
         """The literal's numeric value, or None for IRIs and strings."""
@@ -390,6 +388,32 @@ class Graph:
 #: A variable and a test on the term bound to it.  The join runs the test on
 #: a candidate's term before it builds a binding for the candidate.
 Check = tuple[str, Callable[[Term], bool]]
+
+#: each comparator's function, on two numbers or two strings
+_COMPARATORS = {
+    ">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le, "=": operator.eq, "!=": operator.ne
+}
+
+
+def comparison(comparator: str, operand: Term) -> Callable[[Term], bool]:
+    """``?v <comparator> operand`` compiled to a test on the term bound to ``?v``.
+
+    As in SPARQL 1.1: a numeric operand compares by value with an integer
+    or decimal term, and a string operand compares lexically with a string
+    term.  Any other pair is incomparable and fails, so a string that
+    spells a number never compares with a number.
+    """
+    try:
+        compare = _COMPARATORS[comparator]
+    except KeyError:
+        raise ValueError(f"unknown comparator {comparator!r}") from None
+    number, text = operand._num, operand.value
+    if number is not None:
+        return lambda term: term._num is not None and compare(term._num, number)
+    if operand.datatype is Datatype.STRING:
+        return lambda term: term.datatype is Datatype.STRING and compare(term.value, text)
+    return lambda term: False
+
 
 #: a candidate triple's slots, in pattern order
 _SLOTS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))

@@ -10,11 +10,8 @@ single supported numeric builtin.  Chaining runs to the least fixpoint with
 set semantics; every inferred fact carries the rule and bindings that
 produced it.
 
-``greaterThan`` reads any literal whose lexical form parses as a number,
-``"17"^^xsd:string`` included, because the paper's inference walkthrough
-stores band values as strings.  A SPARQL ``FILTER`` follows SPARQL 1.1
-instead and drops a string under a numeric comparison, so the same test on
-the same store can keep a row in a rule and drop it in a query.
+``greaterThan(?v, N)`` means ``FILTER (?v > N)``: both compile through
+``rdf.comparison``.
 """
 
 from __future__ import annotations
@@ -24,7 +21,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from . import vocab
-from .rdf import Binding, Check, Graph, Term, Triple, TriplePattern, iri, join, match_one, split_lines, string
+from .rdf import (
+    Binding, Check, Graph, Term, Triple, TriplePattern, comparison, decimal, iri, join, match_one, split_lines, string
+)
 
 
 class RuleParseError(Exception):
@@ -69,25 +68,8 @@ class BuiltinGreaterThan:
     threshold: float
 
     def term_test(self) -> Callable[[Term], bool]:
-        """The builtin compiled to a test on the term bound to its variable.
-
-        True for a literal whose lexical form parses as a number above the
-        threshold; a numeric literal's value was parsed when it was built.
-        """
-        threshold = self.threshold
-
-        def test(term: Term) -> bool:
-            value = term.numeric_value()
-            if value is None:
-                if term.datatype is None:
-                    return False
-                try:
-                    value = float(term.value)
-                except ValueError:
-                    return False
-            return value > threshold
-
-        return test
+        """The builtin compiled to a test on the term bound to its variable: ``FILTER (?v > threshold)``."""
+        return comparison(">", decimal(self.threshold))
 
     def holds(self, binding: Binding) -> bool:
         term = binding.get(self.variable)

@@ -2,8 +2,9 @@
 
 Supported: PREFIX declarations, SELECT with explicit variables, a basic
 graph pattern with variables in any position, and numeric/string FILTER
-comparisons.  Rows that fail a filter, or whose filtered value cannot be
-compared (e.g. a string under a numeric comparison), are silently dropped.
+comparisons, compiled by ``rdf.comparison`` as a rule's ``greaterThan`` is.
+Rows that fail a filter, or whose filtered value cannot be compared (e.g. a
+string under a numeric comparison), are silently dropped.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .rdf import Binding, Datatype, Graph, RdfError, Term, TriplePattern, join, unescape_literal
+from .rdf import Binding, Datatype, Graph, RdfError, Term, TriplePattern, comparison, join, unescape_literal
 
 
 class QueryParseError(Exception):
@@ -27,12 +28,6 @@ class QueryParseError(Exception):
         self.column = column
 
 
-#: each FILTER comparator's function
-_COMPARATORS = {
-    ">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le, "=": operator.eq, "!=": operator.ne
-}
-
-
 @dataclass(frozen=True)
 class FilterExpr:
     variable: str
@@ -40,30 +35,8 @@ class FilterExpr:
     operand: Term
 
     def term_test(self) -> Callable[[Term], bool]:
-        """The filter compiled to a test on the term bound to its variable.
-
-        A numeric operand compares by value with an integer or decimal term,
-        and a string operand compares lexically with a string term.  Any
-        other term is incomparable and fails.
-        """
-        try:
-            compare = _COMPARATORS[self.comparator]
-        except KeyError:
-            raise ValueError(f"unknown comparator {self.comparator!r}") from None
-        number, text = self.operand.numeric_value(), self.operand.value
-
-        def numeric(term: Term) -> bool:
-            value = term.numeric_value()
-            return value is not None and compare(value, number)
-
-        def lexical(term: Term) -> bool:
-            return term.datatype is Datatype.STRING and compare(term.value, text)
-
-        if number is not None:
-            return numeric
-        if self.operand.datatype is Datatype.STRING:
-            return lexical
-        return lambda term: False
+        """The filter compiled by ``rdf.comparison`` to a test on the term bound to its variable."""
+        return comparison(self.comparator, self.operand)
 
     def accepts(self, binding: Binding) -> bool:
         term = binding.get(self.variable)

@@ -81,6 +81,39 @@ class TestIngest:
         assert code == 0 and out == ""
 
 
+class TestUnreadableInput:
+    def test_directory_input_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "ingest", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_directory_output_exit_2(self, capsys, tmp_path, small_csv):
+        code, out, err = run(capsys, "ingest", str(small_csv), "--output", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "{bad}"],
+            ["assess", "{bad}"],
+            ["plot", "{bad}", "--days", "1"],
+            ["infer", "{bad}"],
+            ["infer", "{good}", "--rules", "{bad}"],
+            ["query", "{bad}", "{good}"],
+            ["query", "{good}", "{bad}"],
+        ],
+        ids=["ingest", "assess", "plot", "infer-store", "infer-rules", "query-store", "query-text"],
+    )
+    def test_input_not_utf8_exit_1_with_path_and_line(self, capsys, tmp_path, argv):
+        bad, good = tmp_path / "bad.txt", tmp_path / "empty.txt"
+        bad.write_bytes(HEADER.encode() + b"7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\xff\n")
+        good.write_text("")
+        code, out, err = run(capsys, *(arg.format(bad=bad, good=good) for arg in argv))
+        assert code == 1 and out == ""
+        assert err == f"error: {bad}: line 2: not valid UTF-8\n"
+
+
 @pytest.fixture(scope="module")
 def dataset_lines(tmp_path_factory):
     dest = tmp_path_factory.mktemp("assess") / "out.jsonl"

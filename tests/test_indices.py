@@ -1,13 +1,16 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
+from fireweather.bands import FIRE_INTENSITY, rain_override, wind_risk
 from fireweather.indices import (
     FFMC_MAX,
     FMC_MAX,
     DomainError,
     FuelSample,
+    FwiRecord,
     WeatherInputs,
     bui_from,
     compute_chain,
@@ -195,3 +198,32 @@ class TestDailyUpdate:
     def test_month_names_accepted(self):
         w = WeatherInputs(temp=20.0, rh=40.0, wind=5.0, rain_24h=0.0)
         assert dmc_daily(10.0, w, "aug") == dmc_daily(10.0, w, 8)
+
+
+VALID = [
+    FuelSample(1.5, 1.0),
+    WeatherInputs(temp=20.0, rh=30.0, wind=10.0, rain_24h=0.0),
+    FwiRecord(ffmc=90.0, dmc=10.0, dc=100.0, isi=5.0, bui=15.0, fwi=10.0),
+]
+CHAIN_ARGS = (90.0, 10.0, 100.0, 10.0)
+NAN_CASES = [
+    pytest.param(lambda v=v, name=f.name: dataclasses.replace(v, **{name: math.nan}), id=f"{type(v).__name__}.{f.name}")
+    for v in VALID
+    for f in dataclasses.fields(v)
+] + [
+    pytest.param(lambda: FIRE_INTENSITY.classify(math.nan), id="BandTable.classify"),
+    pytest.param(lambda: rain_override(math.nan), id="rain_override"),
+    pytest.param(lambda: wind_risk(math.nan), id="wind_risk"),
+] + [
+    pytest.param(lambda i=i: compute_chain(*[math.nan if j == i else x for j, x in enumerate(CHAIN_ARGS)]),
+                 id=f"compute_chain.{name}")
+    for i, name in enumerate(("ffmc", "dmc", "dc", "wind"))
+]
+
+
+@pytest.mark.parametrize("build", NAN_CASES)
+def test_nan_is_out_of_domain(build):
+    # a NaN compares false with every threshold, so an unguarded NaN would
+    # read as the lowest band: a silently lowered risk rating
+    with pytest.raises(DomainError):
+        build()

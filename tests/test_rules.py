@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import operator
 import random
 import string as string_module
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fireweather import vocab
-from fireweather.rdf import Graph, Term, Triple, decimal, integer, iri, string
+from fireweather.rdf import Graph, RdfError, Term, Triple, decimal, integer, iri, string
 from fireweather.rules import (
     BuiltinGreaterThan,
     ClassAtom,
@@ -21,7 +22,8 @@ from fireweather.rules import (
     parse_rules,
     verify_provenance,
 )
-from util import brute_force_join, check_index_coherence, reference_greater_than, terms
+from fireweather.sparql import evaluate, parse_query
+from util import SUBJECTS, brute_force_join, check_index_coherence, reference_filter, terms
 
 RULE_TEXT = "sensor_id(?s) ^ notdifficult(?s, ?rh) ^ greaterThan(?rh, 16) -> DifficultyofControle(?s, notDifficult)"
 
@@ -139,10 +141,35 @@ def test_random_rule_sets_round_trip_through_render(ruleset):
 @given(term=terms, threshold=st.one_of(THRESHOLDS, st.sampled_from([0.0, 4.5, 16.0, 17.0])))
 def test_compiled_greater_than_matches_the_reference(term, threshold):
     builtin = BuiltinGreaterThan("?v", threshold)
-    want = reference_greater_than(term, threshold)
+    want = reference_filter(term, ">", decimal(threshold))
     assert builtin.term_test()(term) is want
     assert builtin.holds({"?v": term}) is want
     assert builtin.holds({"?w": term}) is False
+
+
+def test_nan_threshold_is_rejected_when_compiled():
+    with pytest.raises(RdfError, match="not a finite decimal"):
+        BuiltinGreaterThan("?v", math.nan).term_test()
+
+
+#: thresholds spelled so that both the rule and the query grammar read them
+SHARED_THRESHOLDS = st.one_of(
+    st.integers(-60, 60).map(str),
+    st.integers(-600, 600).map(lambda k: f"{k / 10:.1f}"),
+    st.sampled_from(["16", "17", "4.5", "-0", "999"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(store=st.lists(st.tuples(st.sampled_from(SUBJECTS), terms), max_size=8), threshold=SHARED_THRESHOLDS)
+def test_greater_than_rule_derives_what_the_filter_query_selects(store, threshold):
+    p = vocab.prop_iri("p")
+    g = Graph(Triple(iri(s), iri(p), term) for s, term in store)
+    ruleset = parse_rules(f"p(?s, ?v) ^ greaterThan(?v, {threshold}) -> q(?s, hit)\n")
+    derived = {f.subject for f in forward_chain(g, ruleset)}
+    query = parse_query(f"SELECT ?s WHERE {{ ?s <{p}> ?v FILTER (?v > {threshold}) }}")
+    selected = {row[0] for row in evaluate(query, g).rows}
+    assert derived == selected
 
 
 class TestForwardChain:
@@ -168,13 +195,14 @@ class TestForwardChain:
     def test_empty_store(self, rules_text):
         assert forward_chain(Graph(), parse_rules(rules_text)) == []
 
-    def test_string_valued_literal_compares_numerically(self, rules_text):
-        # the walkthrough stores band values as strings; numeric-parseable
-        # strings still satisfy greaterThan
+    def test_string_valued_literal_does_not_compare_numerically(self, rules_text):
+        # greaterThan(?v, N) means FILTER (?v > N): a string that spells a
+        # number is not a number
         ruleset = parse_rules(rules_text)
-        g = Graph([typed("Sensor_2"), prop("Sensor_2", "notdifficult", string("17"))])
-        facts = forward_chain(g, ruleset)
-        assert [f.label for f in facts] == ["notDifficult"]
+        as_string = Graph([typed("Sensor_2"), prop("Sensor_2", "notdifficult", string("17"))])
+        assert forward_chain(as_string, ruleset) == []
+        as_decimal = Graph([typed("Sensor_2"), prop("Sensor_2", "notdifficult", decimal(17.0))])
+        assert [f.label for f in forward_chain(as_decimal, ruleset)] == ["notDifficult"]
 
     def test_chained_rules_reach_fixpoint(self):
         ruleset = parse_rules(

@@ -150,18 +150,3 @@ def reference_filter(term: Term, comparator: str, operand: Term) -> bool:
         "!=": a < b or b < a,
     }[comparator]
 
-
-def reference_greater_than(term: Term, threshold: float) -> bool:
-    """``greaterThan(?v, threshold)`` on the term bound to ``?v``.
-
-    Any literal whose lexical form parses as a number compares by that
-    number, a string literal included; an IRI, or a literal whose lexical
-    form does not parse, fails.
-    """
-    if term.datatype is None:
-        return False
-    try:
-        value = float(term.value)
-    except ValueError:
-        return False
-    return threshold < value
