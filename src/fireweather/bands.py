@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .indices import FFMC_MAX, DomainError
+from .indices import FFMC_MAX, DomainError, nonnegative
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class BandTable:
             raise ValueError(f"{self.name}: labels must be unique")
 
     def classify(self, value: float) -> str:
-        if not value >= 0.0:
-            raise DomainError(f"{self.name} must be >= 0: {value}")
+        if not nonnegative(value):
+            raise DomainError(f"{self.name} must be finite and >= 0: {value}")
         label = self.base_label
         for threshold, step_label in self.steps:
             if value > threshold:
@@ -102,13 +102,13 @@ def classify_fire_intensity(fwi: float) -> str:
 
 def rain_override(rain_mm: float) -> str | None:
     """"FireStop" when rain strictly exceeds 1 mm, else None."""
-    if not rain_mm >= 0.0:
-        raise DomainError(f"rain must be >= 0: {rain_mm}")
+    if not nonnegative(rain_mm):
+        raise DomainError(f"rain must be finite and >= 0: {rain_mm}")
     return "FireStop" if rain_mm > RAIN_OVERRIDE_THRESHOLD else None
 
 
 def wind_risk(wind_kmh: float) -> str | None:
     """"veryhigh" when wind strictly exceeds 50 km/h, else None."""
-    if not wind_kmh >= 0.0:
-        raise DomainError(f"wind must be >= 0: {wind_kmh}")
+    if not nonnegative(wind_kmh):
+        raise DomainError(f"wind must be finite and >= 0: {wind_kmh}")
     return "veryhigh" if wind_kmh > WIND_RISK_THRESHOLD else None

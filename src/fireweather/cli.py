@@ -79,19 +79,24 @@ class InputError(Exception):
 
 
 @contextlib.contextmanager
-def _decoding(path: str):
-    """Reports a byte of ``path`` that is not UTF-8 as an error at its line."""
+def _decoding(path: str, first_line: int = 1):
+    """Reports a byte of ``path`` that is not UTF-8 as an error at its line.
+
+    The bytes decoded inside start at line ``first_line`` of ``path``.
+    """
     try:
         yield
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        line = first_line + exc.object.count(b"\n", 0, exc.start)
         raise InputError(f"{path}: line {line}: not valid UTF-8") from None
 
 
 def _read(path: str) -> str:
     with _decoding(path):
         if path == "-":
-            return sys.stdin.read()
+            # stdin's bytes, decoded here as a file is: under a C locale
+            # ``sys.stdin`` would let bytes that are not UTF-8 through
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, encoding="utf-8") as fh:
             return fh.read()
 
@@ -179,7 +184,9 @@ def cmd_query(args) -> int:
         return 0
     # REPL: one query per blank-line-terminated block
     block: list[str] = []
-    for line in sys.stdin:
+    for lineno, raw in enumerate(sys.stdin.buffer, start=1):
+        with _decoding("-", lineno):
+            line = raw.decode("utf-8")
         if line.strip():
             block.append(line)
             continue

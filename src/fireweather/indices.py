@@ -21,6 +21,11 @@ class DomainError(ValueError):
     """Input outside the documented domain of an index function."""
 
 
+def nonnegative(x: float) -> bool:
+    """True for a finite number >= 0: NaN and infinity are outside every domain."""
+    return math.isfinite(x) and x >= 0.0
+
+
 @dataclass(frozen=True)
 class FuelSample:
     """Wet and oven-dry fuel masses in grams."""
@@ -29,10 +34,10 @@ class FuelSample:
     dry_mass: float
 
     def __post_init__(self):
-        if not self.dry_mass > 0.0:
-            raise DomainError(f"dry mass must be > 0, got {self.dry_mass}")
-        if not self.water_mass >= 0.0:
-            raise DomainError(f"water mass must be >= 0, got {self.water_mass}")
+        if not (math.isfinite(self.dry_mass) and self.dry_mass > 0.0):
+            raise DomainError(f"dry mass must be finite and > 0, got {self.dry_mass}")
+        if not nonnegative(self.water_mass):
+            raise DomainError(f"water mass must be finite and >= 0, got {self.water_mass}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +54,10 @@ class WeatherInputs:
             raise DomainError(f"temp must be finite: {self.temp}")
         if not 0.0 <= self.rh <= 100.0:
             raise DomainError(f"rh out of range [0, 100]: {self.rh}")
-        if not self.wind >= 0.0:
-            raise DomainError(f"wind must be >= 0: {self.wind}")
-        if not self.rain_24h >= 0.0:
-            raise DomainError(f"rain must be >= 0: {self.rain_24h}")
+        if not nonnegative(self.wind):
+            raise DomainError(f"wind must be finite and >= 0: {self.wind}")
+        if not nonnegative(self.rain_24h):
+            raise DomainError(f"rain must be finite and >= 0: {self.rain_24h}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,8 @@ class FwiRecord:
         if not 0.0 <= self.ffmc <= FFMC_MAX:
             raise DomainError(f"ffmc out of range [0, 101]: {self.ffmc}")
         for name in ("dmc", "dc", "isi", "bui", "fwi"):
-            if not getattr(self, name) >= 0.0:
-                raise DomainError(f"{name} must be >= 0: {getattr(self, name)}")
+            if not nonnegative(getattr(self, name)):
+                raise DomainError(f"{name} must be finite and >= 0: {getattr(self, name)}")
 
 
 def fmc_from_masses(sample: FuelSample) -> float:
@@ -99,8 +104,8 @@ def ffmc_from_fmc(fmc: float) -> float:
 
 def isi_from(ffmc: float, wind: float) -> float:
     """Initial Spread Index from FFMC and wind speed (km/h)."""
-    if not wind >= 0.0:
-        raise DomainError(f"wind must be >= 0: {wind}")
+    if not nonnegative(wind):
+        raise DomainError(f"wind must be finite and >= 0: {wind}")
     m = fmc_from_ffmc(ffmc)
     f_wind = math.exp(0.05039 * wind)
     f_fuel = 91.9 * math.exp(-0.1386 * m) * (1.0 + m**5.31 / 4.93e7)
@@ -109,8 +114,8 @@ def isi_from(ffmc: float, wind: float) -> float:
 
 def bui_from(dmc: float, dc: float) -> float:
     """Buildup Index from DMC and DC.  bui_from(0, dc) is 0 by definition."""
-    if not (dmc >= 0.0 and dc >= 0.0):
-        raise DomainError(f"dmc and dc must be >= 0: {dmc}, {dc}")
+    if not (nonnegative(dmc) and nonnegative(dc)):
+        raise DomainError(f"dmc and dc must be finite and >= 0: {dmc}, {dc}")
     if dmc == 0.0:
         return 0.0
     if dmc <= 0.4 * dc:
@@ -121,8 +126,8 @@ def bui_from(dmc: float, dc: float) -> float:
 
 def fwi_from(isi: float, bui: float) -> float:
     """Fire Weather Index from ISI and BUI."""
-    if not (isi >= 0.0 and bui >= 0.0):
-        raise DomainError(f"isi and bui must be >= 0: {isi}, {bui}")
+    if not (nonnegative(isi) and nonnegative(bui)):
+        raise DomainError(f"isi and bui must be finite and >= 0: {isi}, {bui}")
     if bui <= 80.0:
         f_duff = 0.626 * bui**0.809 + 2.0
     else:
@@ -197,8 +202,8 @@ def ffmc_daily(ffmc_prev: float, w: WeatherInputs) -> float:
 
 def dmc_daily(dmc_prev: float, w: WeatherInputs, month: int | str) -> float:
     """Next-day DMC."""
-    if not dmc_prev >= 0.0:
-        raise DomainError(f"dmc must be >= 0: {dmc_prev}")
+    if not nonnegative(dmc_prev):
+        raise DomainError(f"dmc must be finite and >= 0: {dmc_prev}")
     mi = _month_index(month)
     dmc = dmc_prev
     if w.rain_24h > 1.5:
@@ -219,8 +224,8 @@ def dmc_daily(dmc_prev: float, w: WeatherInputs, month: int | str) -> float:
 
 def dc_daily(dc_prev: float, w: WeatherInputs, month: int | str) -> float:
     """Next-day DC."""
-    if not dc_prev >= 0.0:
-        raise DomainError(f"dc must be >= 0: {dc_prev}")
+    if not nonnegative(dc_prev):
+        raise DomainError(f"dc must be finite and >= 0: {dc_prev}")
     mi = _month_index(month)
     dc = dc_prev
     if w.rain_24h > 2.8:

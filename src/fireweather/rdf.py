@@ -1,4 +1,4 @@
-"""In-memory RDF triple store with set semantics and exact-bucket indexes.
+"""In-memory RDF triple store: a set of triples, with exact-bucket indexes built when first read.
 
 Terms are IRIs or typed literals (string / integer / decimal).  Blank nodes
 are deliberately unsupported; ingestion mints deterministic IRIs instead.
@@ -274,85 +274,106 @@ class _View:
 _NO_BUCKETS: dict = {}
 
 
-class Graph:
-    """Set of triples behind nested indexes whose buckets are exact.
+def _index_triple(spo: dict[Term, _Index], pos: dict[Term, _Index], t: Triple) -> None:
+    """File a triple that neither index holds yet under its keys in both."""
+    s, p, o = t.subject, t.predicate, t.object
+    by_p = spo.get(s)
+    if by_p is None:
+        by_p = spo[s] = _Index()
+    by_o = pos.get(p)
+    if by_o is None:
+        by_o = pos[p] = _Index()
+    # a new bucket is built holding its triple: a list appended to from
+    # empty would reserve room for four
+    sp = by_p.get(p)
+    if sp is None:
+        by_p[p] = [t]
+    else:
+        sp.append(t)
+    po = by_o.get(o)
+    if po is None:
+        by_o[o] = [t]
+    else:
+        po.append(t)
+    by_p.size += 1
+    by_o.size += 1
 
-    ``_spo`` maps subject to predicate to the triples with both, and
-    ``_pos`` maps predicate to object to the triples with both.  Each triple
-    is in one list of each index, in insertion order, and no list is ever
-    empty.  ``candidates`` returns exactly the triples that agree with a
-    pattern's concrete slots, so a match only has to bind its variables.
-    Membership scans the shorter of the triple's ``(s, p)`` and ``(p, o)``
-    lists.
+
+class Graph:
+    """Insertion-ordered set of triples, with nested indexes built when first read.
+
+    ``_triples`` holds each triple once; length, membership and iteration
+    read it, and iteration follows the order in which each triple was
+    first inserted.  ``_indexes`` is None until ``candidates`` first gets a
+    pattern with a concrete slot.  That lookup builds both indexes in one
+    pass over the set and publishes them with one assignment, so a
+    concurrent reader sees either no indexes or whole ones.  From then on
+    ``insert`` files each new triple in both.  The first index maps subject
+    to predicate to the triples with both, the second predicate to object
+    to the triples with both.  Each triple is in one list of each index, in
+    insertion order, and no list is ever empty.  ``candidates`` returns
+    exactly the triples that agree with a pattern's concrete slots, so a
+    match only has to bind its variables.
 
     Single writer or multiple readers at any moment; callers must not
-    interleave a writer with readers.
+    interleave a writer with readers.  What ``candidates`` returns is valid
+    until the next insert.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._spo: dict[Term, _Index] = {}
-        self._pos: dict[Term, _Index] = {}
-        self._size = 0
+        self._triples: dict[Triple, None] = {}
+        self._indexes: Optional[tuple[dict[Term, _Index], dict[Term, _Index]]] = None
         self.update(triples)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        """Subject by subject in the order each was first inserted."""
-        return chain.from_iterable(chain.from_iterable(by_p.values() for by_p in self._spo.values()))
+        """In the order each triple was first inserted."""
+        return iter(self._triples)
 
     def __contains__(self, t: Triple) -> bool:
-        sp = self._spo.get(t.subject, _NO_BUCKETS).get(t.predicate)
-        if sp is None:
-            return False
-        po = self._pos[t.predicate].get(t.object, ())
-        return t in (sp if len(sp) <= len(po) else po)
+        return t in self._triples
 
     def insert(self, t: Triple) -> int:
         """Add a triple; returns the graph size afterwards."""
-        s, p, o = t.subject, t.predicate, t.object
-        by_p = self._spo.get(s)
-        if by_p is None:
-            by_p = self._spo[s] = _Index()
-        by_o = self._pos.get(p)
-        if by_o is None:
-            by_o = self._pos[p] = _Index()
-        # a new bucket is built holding its triple: a list appended to from
-        # empty would reserve room for four
-        sp, po = by_p.get(p), by_o.get(o)
-        if sp is None:
-            by_p[p] = [t]
-        elif po is None or t not in (sp if len(sp) <= len(po) else po):
-            sp.append(t)
-        else:
-            return self._size
-        if po is None:
-            by_o[o] = [t]
-        else:
-            po.append(t)
-        by_p.size += 1
-        by_o.size += 1
-        self._size += 1
-        return self._size
+        triples = self._triples
+        size = len(triples)
+        # an equal triple already in the set keeps its place and its object
+        triples[t] = None
+        if len(triples) > size and self._indexes is not None:
+            _index_triple(*self._indexes, t)
+        return len(triples)
 
     def update(self, triples: Iterable[Triple]) -> int:
         for t in triples:
             self.insert(t)
-        return self._size
+        return len(self._triples)
 
     def candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
         """The triples that agree with every concrete slot of the pattern.
 
-        ``(s, p)`` and ``(p, o)`` read one bucket; ``(s, p, o)`` filters
-        the shorter of the two; ``(s, o)`` filters the subject's triples and
-        ``o`` alone gathers its bucket under every predicate; ``s`` or ``p``
-        alone reads the inner dict of its index in place.  Valid until the
-        next insert.
+        A pattern with no concrete slot returns the graph itself and builds
+        no index.  Otherwise ``(s, p)`` and ``(p, o)`` read one bucket; ``(s, p, o)``
+        filters the shorter of the two; ``(s, o)`` filters the subject's
+        triples and ``o`` alone gathers its bucket under every predicate;
+        ``s`` or ``p`` alone reads the inner dict of its index in place.
+        Valid until the next insert.
         """
         s, p, o = pattern
+        indexes = self._indexes
+        if indexes is None:
+            if not (isinstance(s, Term) or isinstance(p, Term) or isinstance(o, Term)):
+                return self
+            spo: dict[Term, _Index] = {}
+            pos: dict[Term, _Index] = {}
+            for t in self._triples:
+                _index_triple(spo, pos, t)
+            self._indexes = (spo, pos)
+        else:
+            spo, pos = indexes
         if isinstance(s, Term):
-            by_p = self._spo.get(s)
+            by_p = spo.get(s)
             if by_p is None:
                 return ()
             by_s = by_p.get(p, ()) if isinstance(p, Term) else _View(by_p)
@@ -360,17 +381,17 @@ class Graph:
                 return by_s
             if not isinstance(p, Term):
                 return [t for t in by_s if t.object == o]
-            by_o = self._pos.get(p, _NO_BUCKETS).get(o, ())
+            by_o = pos.get(p, _NO_BUCKETS).get(o, ())
             if len(by_s) <= len(by_o):
                 return [t for t in by_s if t.object == o]
             return [t for t in by_o if t.subject == s]
         if isinstance(p, Term):
-            by_o = self._pos.get(p)
+            by_o = pos.get(p)
             if by_o is None:
                 return ()
             return by_o.get(o, ()) if isinstance(o, Term) else _View(by_o)
         if isinstance(o, Term):
-            return [t for by_o in self._pos.values() for t in by_o.get(o, ())]
+            return [t for by_o in pos.values() for t in by_o.get(o, ())]
         return self
 
     def match(self, pattern: TriplePattern) -> list[Binding]:

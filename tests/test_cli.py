@@ -13,6 +13,8 @@ from fireweather.rules import Rule, load_rules
 from conftest import DATA_CSV, REPO, RULES_FILE
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area\n"
+#: a CSV whose second line ends in a byte that is not UTF-8
+NOT_UTF8 = HEADER.encode() + b"7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\xff\n"
 
 WIND_QUERY = """\
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -107,11 +109,29 @@ class TestUnreadableInput:
     )
     def test_input_not_utf8_exit_1_with_path_and_line(self, capsys, tmp_path, argv):
         bad, good = tmp_path / "bad.txt", tmp_path / "empty.txt"
-        bad.write_bytes(HEADER.encode() + b"7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\xff\n")
+        bad.write_bytes(NOT_UTF8)
         good.write_text("")
         code, out, err = run(capsys, *(arg.format(bad=bad, good=good) for arg in argv))
         assert code == 1 and out == ""
         assert err == f"error: {bad}: line 2: not valid UTF-8\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ingest", "-"], ["infer", "-"], ["query", "-", "{good}"], ["query", "{good}", "-"], ["query", "{good}"]],
+        ids=["ingest", "infer", "query-store", "query-text", "query-repl"],
+    )
+    def test_stdin_not_utf8_exit_1_with_line(self, tmp_path, argv):
+        # under the C locale, ``sys.stdin`` passes a byte that is not UTF-8
+        # on as a lone surrogate: stdin must be decoded as a file is
+        good = tmp_path / "empty.txt"
+        good.write_text("")
+        env = dict(os.environ, LC_ALL="C", PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "fireweather.cli", *(arg.format(good=good) for arg in argv)],
+            input=NOT_UTF8, env=env, capture_output=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr == b"error: -: line 2: not valid UTF-8\n"
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +336,7 @@ class TestQuery:
 
     def test_repl_continues_after_error(self, capsys, wind_store, monkeypatch):
         blocks = "SELECT ?x WHERE { broken\n\n" + WIND_QUERY + "\n"
-        monkeypatch.setattr(sys, "stdin", io.StringIO(blocks))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(blocks.encode())))
         code, out, err = run(capsys, "query", str(wind_store))
         assert code == 0
         assert "error:" in err

@@ -206,24 +206,37 @@ VALID = [
     FwiRecord(ffmc=90.0, dmc=10.0, dc=100.0, isi=5.0, bui=15.0, fwi=10.0),
 ]
 CHAIN_ARGS = (90.0, 10.0, 100.0, 10.0)
-NAN_CASES = [
-    pytest.param(lambda v=v, name=f.name: dataclasses.replace(v, **{name: math.nan}), id=f"{type(v).__name__}.{f.name}")
+#: each takes one value and builds a record or calls a function with it in
+#: one input, the other inputs valid
+DOMAIN_CASES = [
+    pytest.param(lambda value, v=v, name=f.name: dataclasses.replace(v, **{name: value}),
+                 id=f"{type(v).__name__}.{f.name}")
     for v in VALID
     for f in dataclasses.fields(v)
 ] + [
-    pytest.param(lambda: FIRE_INTENSITY.classify(math.nan), id="BandTable.classify"),
-    pytest.param(lambda: rain_override(math.nan), id="rain_override"),
-    pytest.param(lambda: wind_risk(math.nan), id="wind_risk"),
+    pytest.param(FIRE_INTENSITY.classify, id="BandTable.classify"),
+    pytest.param(rain_override, id="rain_override"),
+    pytest.param(wind_risk, id="wind_risk"),
 ] + [
-    pytest.param(lambda i=i: compute_chain(*[math.nan if j == i else x for j, x in enumerate(CHAIN_ARGS)]),
+    pytest.param(lambda value, i=i: compute_chain(*[value if j == i else x for j, x in enumerate(CHAIN_ARGS)]),
                  id=f"compute_chain.{name}")
     for i, name in enumerate(("ffmc", "dmc", "dc", "wind"))
 ]
 
 
-@pytest.mark.parametrize("build", NAN_CASES)
+@pytest.mark.parametrize("build", DOMAIN_CASES)
 def test_nan_is_out_of_domain(build):
     # a NaN compares false with every threshold, so an unguarded NaN would
     # read as the lowest band: a silently lowered risk rating
     with pytest.raises(DomainError):
-        build()
+        build(math.nan)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("build", DOMAIN_CASES)
+def test_infinity_is_out_of_domain(build, value):
+    # an infinite wind would give isi = fwi = inf, and an infinite dmc a NaN
+    # bui that the caller never passed: the error names the infinite input
+    with pytest.raises(DomainError, match="inf") as raised:
+        build(value)
+    assert "nan" not in str(raised.value)

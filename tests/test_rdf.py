@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from fireweather import rdf
+from fireweather import rdf, vocab
+from fireweather.ingest import ingest_observations, parse_csv
 from fireweather.rdf import (
     Datatype,
     Graph,
@@ -18,6 +19,8 @@ from fireweather.rdf import (
     join,
     string,
 )
+from fireweather.sparql import evaluate, parse_query
+from test_sparql import WIND_SURVEY_QUERY
 from util import (
     brute_force_join,
     brute_force_match,
@@ -235,7 +238,16 @@ class TestIndexCoherence:
         rng = random.Random(99)
         pool = [random_triple(rng) for _ in range(60)]
         g, inserted = Graph(), []
-        for _ in range(1000):
+        for step in range(1000):
+            if step == 400:
+                # the first indexed lookup builds the indexes from the set;
+                # every later insert is filed in them as it comes
+                assert g._indexes is None
+                predicate = pool[0].predicate
+                want = {u for u in inserted if u.predicate == predicate}
+                got = list(g.candidates(TriplePattern("?s", predicate, "?o")))
+                assert len(got) == len(want) and set(got) == want
+                assert g._indexes is not None and check_index_coherence(g)
             triple = rng.choice(pool)
             if rng.random() < 0.5:
                 # an equal triple that is not the stored object
@@ -243,7 +255,7 @@ class TestIndexCoherence:
             assert g.insert(triple) == len(set(inserted + [triple]))
             inserted.append(triple)
         assert check_index_coherence(g)
-        assert set(g) == set(inserted) and len(g) == len(set(inserted))
+        assert list(g) == list(dict.fromkeys(inserted)) and len(g) == len(set(inserted))
         assert all((triple in g) == (triple in inserted) for triple in pool + [random_triple(rng) for _ in range(60)])
         for triple in pool:
             for mask in range(8):
@@ -260,9 +272,13 @@ class TestIndexCoherence:
                 assert len(got) == len(g.candidates(pattern)) == len(want)
                 assert set(got) == want
 
-    def test_iteration_follows_insertion_by_subject(self):
+    def test_iteration_follows_insertion(self):
         a1, b1, a2 = t("urn:a", "urn:p", integer(1)), t("urn:b", "urn:p", integer(1)), t("urn:a", "urn:q", integer(2))
-        assert list(Graph([a1, b1, a2, a1])) == [a1, a2, b1]
+        g = Graph([a1, b1, a2, a1])
+        assert list(g) == [a1, b1, a2]
+        # an equal triple inserted again keeps the first one's object
+        again = Triple(a1.subject, a1.predicate, a1.object)
+        assert g.insert(again) == 3 and next(iter(g)) is a1
 
     def test_unknown_keys_have_no_candidates(self):
         g = Graph([t("urn:s", "urn:p", integer(1))])
@@ -275,6 +291,34 @@ class TestIndexCoherence:
             TriplePattern(iri("urn:s"), "?p", integer(2)),
         ]:
             assert not g.candidates(pattern) and list(g.candidates(pattern)) == []
+
+
+class TestIndexesOnFirstLookup:
+    def test_ingest_export_and_the_wind_survey_build_no_index(self, dataset_text):
+        # the daily batch: map the CSV, export it, import it back and run the
+        # paper's ``?s ?p ?o FILTER`` survey; none of them reads an index
+        g = ingest_observations(parse_csv(dataset_text))
+        stored = import_ntriples(export_ntriples(g))
+        surveys = [evaluate(parse_query(WIND_SURVEY_QUERY), graph) for graph in (g, stored)]
+        assert g._indexes is None and stored._indexes is None
+        assert surveys[0] == surveys[1] and surveys[0].rows
+        # one lookup with a concrete predicate builds both indexes
+        has_value = iri(vocab.HAS_VALUE)
+        got = list(g.candidates(TriplePattern("?s", has_value, "?v")))
+        assert g._indexes is not None
+        assert len(got) == len(set(got)) and set(got) == {u for u in g if u.predicate == has_value}
+        assert check_index_coherence(g)
+        rng = random.Random(3)
+        for triple in rng.sample(list(g), 3):
+            for mask in range(1, 8):
+                pattern = TriplePattern(*(
+                    term if mask & bit else f"?v{bit}"
+                    for term, bit in zip((triple.subject, triple.predicate, triple.object), (1, 2, 4))
+                ))
+                variables = pattern.variables()
+                want = brute_force_match(g, pattern)
+                want.sort(key=lambda b: tuple(b[v].sort_key() for v in variables))
+                assert g.match(pattern) == want
 
 
 class TestNTriples:

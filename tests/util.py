@@ -84,17 +84,22 @@ def brute_force_join(g: Graph, patterns: list[TriplePattern]) -> list[Binding]:
 
 
 def check_index_coherence(g: Graph) -> bool:
-    """True iff ``_spo`` and ``_pos`` hold the same triples.
+    """True iff both nested indexes hold exactly the triples of the graph's set.
 
-    Each triple must sit once in each index, under its own keys, no bucket
-    may be empty, each nested index's inner dict must count its triples, and
-    ``len(g)`` must count them all.
+    A graph whose indexes are not built yet builds them through
+    ``candidates``.  Each triple of the set must sit once in each index,
+    under its own keys, and nothing else may; no bucket may be empty, each
+    nested index's inner dict must count its triples, and ``len(g)`` must
+    count the set.
     """
+    if g._indexes is None:
+        g.candidates(TriplePattern("?s", iri(PREDICATES[0]), "?o"))
+    stored = list(g._triples)
     indexed = []
-    for index, keys in (
-        (g._spo, lambda t: (t.subject, t.predicate)),
-        (g._pos, lambda t: (t.predicate, t.object)),
-    ):
+    for index, keys in zip(g._indexes, (
+        lambda t: (t.subject, t.predicate),
+        lambda t: (t.predicate, t.object),
+    )):
         triples = []
         for outer, inner in index.items():
             for key, bucket in inner.items():
@@ -102,12 +107,10 @@ def check_index_coherence(g: Graph) -> bool:
                     return False
                 triples += bucket
         indexed.append(triples)
-    spo = set(indexed[0])
     return (
-        all(inner.size == sum(map(len, inner.values())) for index in (g._spo, g._pos) for inner in index.values())
-        and all(len(triples) == len(g) for triples in indexed)
-        and len(spo) == len(g)
-        and all(set(triples) == spo for triples in indexed)
+        all(inner.size == sum(map(len, inner.values())) for index in g._indexes for inner in index.values())
+        and len(g) == len(stored)
+        and all(len(triples) == len(stored) and set(triples) == set(stored) for triples in indexed)
     )
 
 
