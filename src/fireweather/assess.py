@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import bands
 from .indices import FwiRecord, WeatherInputs

@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assess", help="run the decision flow over every CSV row")
     p.add_argument("csv_path")
-    p.add_argument("--format", choices=["jsonl"], default="jsonl")
     p.add_argument("--output")
 
     p = sub.add_parser("classify", help="band label for a single index value")
@@ -115,9 +114,13 @@ def cmd_assess(args) -> int:
     observations = parse_csv(_read(args.csv_path))
     assessments = []
     for ordinal, obs in enumerate(observations, start=1):
-        rec = compute_chain(obs.ffmc, obs.dmc, obs.dc, obs.wind)
-        weather = WeatherInputs(temp=obs.temp, rh=obs.rh, wind=obs.wind, rain_24h=obs.rain)
-        assessments.append(assess(rec, weather, SensorId(ordinal).iri, synthetic_timestamp(obs.month)))
+        sensor = SensorId(ordinal).iri
+        try:
+            rec = compute_chain(obs.ffmc, obs.dmc, obs.dc, obs.wind)
+            weather = WeatherInputs(temp=obs.temp, rh=obs.rh, wind=obs.wind, rain_24h=obs.rain)
+            assessments.append(assess(rec, weather, sensor, synthetic_timestamp(obs.month)))
+        except DomainError as exc:
+            raise DomainError(f"{sensor}: {exc}") from None
     lines = []
     for a in assessments:
         r = a.record
@@ -234,10 +237,10 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def render_svg(series: dict[str, list[float]], width: int = 640, height: int = 320) -> str:
+def render_svg(series: dict[str, list[float]]) -> str:
     """Minimal multi-line chart; convenience output, CSV is the contract."""
     colors = {"ffmc": "#d62728", "dmc": "#1f77b4", "dc": "#2ca02c"}
-    margin = 30
+    width, height, margin = 640, 320, 30
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',

@@ -107,9 +107,15 @@ def isi_from(ffmc: float, wind: float) -> float:
     if not nonnegative(wind):
         raise DomainError(f"wind must be finite and >= 0: {wind}")
     m = fmc_from_ffmc(ffmc)
-    f_wind = math.exp(0.05039 * wind)
+    try:
+        f_wind = math.exp(0.05039 * wind)
+    except OverflowError:
+        f_wind = math.inf
     f_fuel = 91.9 * math.exp(-0.1386 * m) * (1.0 + m**5.31 / 4.93e7)
-    return 0.208 * f_wind * f_fuel
+    isi = 0.208 * f_wind * f_fuel
+    if isi == math.inf:
+        raise DomainError(f"wind {wind} is too large: the ISI overflows")
+    return isi
 
 
 def bui_from(dmc: float, dc: float) -> float:

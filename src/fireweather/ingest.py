@@ -6,7 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import vocab
 from .rdf import Graph, Triple, decimal, integer, iri, string
@@ -160,9 +160,9 @@ def to_triples(obs: WeatherObservation, sensor: SensorId) -> list[Triple]:
     return triples
 
 
-def ingest_observations(observations: Iterable[WeatherObservation], graph: Graph | None = None) -> Graph:
+def ingest_observations(observations: Iterable[WeatherObservation]) -> Graph:
     """Load observations into a graph, minting sensor ordinals from 1."""
-    g = graph if graph is not None else Graph()
+    g = Graph()
     for ordinal, obs in enumerate(observations, start=1):
         g.update(to_triples(obs, SensorId(ordinal)))
     return g

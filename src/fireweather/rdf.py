@@ -90,10 +90,6 @@ class Term:
     def is_iri(self) -> bool:
         return self.datatype is None
 
-    def numeric_value(self) -> Optional[float]:
-        """The literal's numeric value, or None for IRIs and strings."""
-        return self._num
-
     def sort_key(self):
         # Numeric literals order by value so binding order is stable across
         # integer/decimal spellings of the same number.
@@ -345,10 +341,9 @@ class Graph:
             _index_triple(*self._indexes, t)
         return len(triples)
 
-    def update(self, triples: Iterable[Triple]) -> int:
+    def update(self, triples: Iterable[Triple]) -> None:
         for t in triples:
             self.insert(t)
-        return len(self._triples)
 
     def candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
         """The triples that agree with every concrete slot of the pattern.

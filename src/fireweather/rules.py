@@ -71,10 +71,6 @@ class BuiltinGreaterThan:
         """The builtin compiled to a test on the term bound to its variable: ``FILTER (?v > threshold)``."""
         return comparison(">", decimal(self.threshold))
 
-    def holds(self, binding: Binding) -> bool:
-        term = binding.get(self.variable)
-        return term is not None and self.term_test()(term)
-
     def render(self) -> str:
         t = self.threshold
         lexical = str(int(t)) if t == int(t) else repr(t)
@@ -132,7 +128,6 @@ class _Lexer:
     def __init__(self, text: str, line: int):
         self.text = text
         self.line = line
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.index = 0
@@ -231,15 +226,6 @@ def _parse_atom(lx: _Lexer, head: bool) -> BodyAtom:
     return DataPropertyAtom(name, first, value)
 
 
-def _atom_variables(atom: BodyAtom) -> set[str]:
-    if isinstance(atom, (ClassAtom, BuiltinGreaterThan)):
-        return {atom.variable}
-    out = {atom.subject}
-    if isinstance(atom.value, str):
-        out.add(atom.value)
-    return out
-
-
 def parse_rule(text: str, line: int = 1) -> Rule:
     lx = _Lexer(text, line)
     body: list[BodyAtom] = [_parse_atom(lx, head=False)]
@@ -252,17 +238,15 @@ def parse_rule(text: str, line: int = 1) -> Rule:
         raise RuleParseError("head must be a data-property atom", line)
     lx.take("EOF")
 
-    bound = set()
-    for atom in body:
-        if not isinstance(atom, BuiltinGreaterThan):
-            bound |= _atom_variables(atom)
+    rule = Rule(tuple(body), head)
+    bound = {v for p in rule.patterns() for v in p.variables()}
     for atom in body:
         if isinstance(atom, BuiltinGreaterThan) and atom.variable not in bound:
             raise RuleParseError(f"builtin variable {atom.variable} is not bound by any body atom", line)
-    unbound = _atom_variables(head) - bound
-    if unbound:
-        raise RuleParseError(f"unsafe rule: head variable {sorted(unbound)[0]} not bound in body", line)
-    return Rule(tuple(body), head)
+    # the head's object is a constant, so its subject is its one variable
+    if head.subject not in bound:
+        raise RuleParseError(f"unsafe rule: head variable {head.subject} not bound in body", line)
+    return rule
 
 
 def parse_rules(text: str) -> RuleSet:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .rdf import Binding, Datatype, Graph, RdfError, Term, TriplePattern, comparison, join, unescape_literal
+from .rdf import Datatype, Graph, RdfError, Term, TriplePattern, comparison, join, unescape_literal
 
 
 class QueryParseError(Exception):
@@ -37,10 +37,6 @@ class FilterExpr:
     def term_test(self) -> Callable[[Term], bool]:
         """The filter compiled by ``rdf.comparison`` to a test on the term bound to its variable."""
         return comparison(self.comparator, self.operand)
-
-    def accepts(self, binding: Binding) -> bool:
-        term = binding.get(self.variable)
-        return term is not None and self.term_test()(term)
 
 
 @dataclass(frozen=True)
@@ -91,6 +87,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+#: a line break as ``rdf.split_lines`` counts one
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -112,11 +111,10 @@ def _tokenize(text: str) -> list[_Token]:
         value = m.group()
         if kind != "WS":
             tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
-        else:
-            for i, c in enumerate(value):
-                if c == "\n":
-                    line += 1
-                    line_start = m.start() + i + 1
+        # a string literal may hold a line break too
+        for brk in _LINE_BREAK.finditer(value):
+            line += 1
+            line_start = m.start() + brk.end()
         pos = m.end()
     tokens.append(_Token("EOF", "", line, pos - line_start + 1))
     return tokens
@@ -188,8 +186,7 @@ class _Parser:
             if tok.kind == "PUNCT" and tok.text == "}":
                 self.next()
                 break
-            if tok.kind == "NAME" and tok.text.upper() == "FILTER":
-                self.next()
+            if self.keyword("FILTER"):
                 filters.append(self.parse_filter())
                 continue
             if tok.kind == "EOF":
@@ -201,9 +198,6 @@ class _Parser:
         if tok.kind != "EOF":
             self.fail(f"trailing input {tok.text!r}")
 
-        if not patterns:
-            missing = select_vars[0]
-            self.fail(f"select variable {missing} is not bound by any pattern", self.tokens[0])
         bound = {v for p in patterns for v in p.variables()}
         for v in select_vars:
             if v not in bound:

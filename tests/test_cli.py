@@ -167,6 +167,15 @@ class TestAssess:
         alerts = [p for p in payloads if p["type"] == "alert"]
         assert len(alerts) == 1 and alerts[0]["index"] == "fwi"
 
+    def test_huge_wind_exit_1_naming_the_sensor(self, capsys, tmp_path):
+        csv = tmp_path / "gale.csv"
+        csv.write_text(
+            HEADER + "7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\n" + "7,5,aug,sun,95.0,47.0,321.0,14.0,30.0,20,20000,0,0\n"
+        )
+        code, out, err = run(capsys, "assess", str(csv))
+        assert code == 1 and out == ""
+        assert err == "error: urn:ssn:sensor:2: wind 20000.0 is too large: the ISI overflows\n"
+
     def test_alert_count_matches_verdicts(self, dataset_lines):
         assessments = [p for p in dataset_lines if p["type"] == "assessment"]
         alerts = [p for p in dataset_lines if p["type"] == "alert"]
@@ -183,6 +192,9 @@ PINNED_STDOUT = {
     "ingest": "3c161992987444dfc1258cd580f3791709987d725589ee6436fbb83f59754011",
     "assess": "63ade736d6d034bb0dfd5c483fd689c19c2c711aa12910d05eec971c44384ad7",
 }
+
+#: SHA-256 of the SVG that ``fireweather plot data/forestfires.csv --days 3 --svg`` writes
+PINNED_SVG = "1114a93a915319aea9c5d37395b4971a2e151be46809f40357a8a4a1fb916089"
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
@@ -413,3 +425,9 @@ class TestPlot:
         assert code == 0
         text = svg.read_text()
         assert text.startswith("<svg") and text.count("<polyline") == 3
+
+    def test_dataset_svg_is_pinned(self, capsys, tmp_path):
+        svg = tmp_path / "chart.svg"
+        code, _, _ = run(capsys, "plot", str(DATA_CSV), "--days", "3", "--svg", str(svg))
+        assert code == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == PINNED_SVG

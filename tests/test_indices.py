@@ -240,3 +240,11 @@ def test_infinity_is_out_of_domain(build, value):
     with pytest.raises(DomainError, match="inf") as raised:
         build(value)
     assert "nan" not in str(raised.value)
+
+
+@pytest.mark.parametrize("wind", [14080.0, 20000.0], ids=["product-overflows", "exp-overflows"])
+def test_huge_wind_is_out_of_domain(wind):
+    # math.exp overflows past about 14,086 km/h, and the ISI product a
+    # little below that: either way the error names the wind
+    with pytest.raises(DomainError, match=f"^wind {wind} is too large"):
+        compute_chain(90.0, 10.0, 100.0, wind)

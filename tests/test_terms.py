@@ -67,12 +67,6 @@ class TestContract:
     def test_repr_names_only_the_public_fields(self):
         assert repr(integer(3)) == "Term(value='3', datatype=<Datatype.INTEGER: '%s'>)" % Datatype.INTEGER.value
 
-    def test_numeric_value(self):
-        assert integer(7).numeric_value() == 7.0
-        assert decimal("2.50").numeric_value() == 2.5
-        assert string("7").numeric_value() is None
-        assert iri("urn:a").numeric_value() is None
-
 
 class TestNonFinite:
     @pytest.mark.parametrize("lexical", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
