@@ -457,58 +457,67 @@ def join(
 ) -> Iterator[Binding]:
     """Every extension of ``binding`` that matches all patterns and passes all checks.
 
-    Each pattern is matched against the union of ``graphs``.  An index
-    nested loop: at each level the pattern with the fewest candidates under
-    the current binding goes next, ties to the lowest index, and a level
-    with a pattern that has no candidates ends at once.  Since
-    ``Graph.candidates`` is exact, each candidate only binds the pattern's
-    variables.  A check tests the term bound to its variable: the terms of
-    ``binding`` first, then, at the level that binds the variable, the term
-    in the candidate's slot, before the candidate's binding is built.  A
-    check whose variable nothing binds fails every row.  The graphs must not
-    share a triple, or a match through the shared triple comes out once per
-    graph.
+    Each pattern is matched against the union of ``graphs`` by an index
+    nested loop, planned once per call.  Every pattern is sized by its
+    candidates under ``binding``, and a pattern with none ends the call.
+    The smallest goes first, ties to the lowest index; each next level takes
+    the smallest of the patterns that share a variable with those placed,
+    or of all left if none does.  The plan fixes, per level, the slots an
+    earlier level fills, the fresh variables and the checks run there.  The
+    first level reads the candidates it was sized from; each later level
+    makes one exact ``Graph.candidates`` lookup per graph and binding, so a
+    candidate only binds the fresh variables.  A check tests the term bound
+    to its variable: the terms of ``binding`` first, then, at the level that
+    binds the variable, the term in the candidate's slot, before the
+    candidate's binding is built.  A check whose variable nothing binds
+    fails every row.  The graphs must not share a triple, or a match through
+    the shared triple comes out once per graph.
     """
     binding = {} if binding is None else binding
     if not all(test(binding[variable]) for variable, test in checks if variable in binding):
         return iter(())
-    later = [c for c in checks if c[0] not in binding]
-    if not patterns:
-        return iter(() if later else (binding,))
-    return _join(list(patterns), graphs, later, binding)
-
-
-def _join(
-    patterns: list[TriplePattern], graphs: Sequence[Graph], checks: list[Check], binding: Binding
-) -> Iterator[Binding]:
-    best = None
-    for i, pattern in enumerate(patterns):
+    checks = [c for c in checks if c[0] not in binding]
+    sized = []
+    for pattern in patterns:
         bound = substitute(pattern, binding)
         buckets = [graph.candidates(bound) for graph in graphs]
         size = sum(map(len, buckets))
         if not size:
-            return
-        if best is None or size < best[0]:
-            best = (size, i, bound, buckets)
-    _, chosen, bound, buckets = best
-    rest = patterns[:chosen] + patterns[chosen + 1 :]
-    names = [slot if isinstance(slot, str) else None for slot in bound]
-    fresh = [name for name in names if name is not None]
-    # the checks that this pattern's variables make runnable, each with the
-    # slot that holds its term, split once per level
-    now, later = [], []
-    for variable, test in checks:
-        if variable in fresh:
-            now.append((_SLOTS[names.index(variable)], test))
-        else:
-            later.append((variable, test))
-    if later and not rest:
-        return
+            return iter(())
+        sized.append((size, bound, buckets))
+    levels, placed, left = [], set(), list(range(len(sized)))
+    while left:
+        linked = [i for i in left if placed.intersection(sized[i][1].variables())]
+        chosen = min(linked or left, key=lambda i: sized[i][0])
+        left.remove(chosen)
+        _, bound, buckets = sized[chosen]
+        filled = [slot if isinstance(slot, str) and slot in placed else None for slot in bound]
+        names = [slot if isinstance(slot, str) and slot not in placed else None for slot in bound]
+        fresh = [name for name in names if name is not None]
+        # each check that this level's variables make runnable, with the slot
+        # that holds its term
+        now = [(_SLOTS[names.index(variable)], test) for variable, test in checks if variable in fresh]
+        checks = [c for c in checks if c[0] not in fresh]
+        placed.update(fresh)
+        # a variable that fills two slots still needs the slots compared
+        repeated = len(set(fresh)) < len(fresh)
+        levels.append((bound, filled, names, now, repeated, None if levels else buckets))
+    if checks:
+        return iter(())
+    return _extend(levels, 0, graphs, binding) if levels else iter((binding,))
+
+
+def _extend(levels: list, depth: int, graphs: Sequence[Graph], binding: Binding) -> Iterator[Binding]:
+    """The matches of ``levels[depth:]`` under ``binding``, as ``join`` planned them."""
+    bound, filled, names, now, repeated, buckets = levels[depth]
+    if buckets is None:
+        (s, p, o), (fs, fp, fo) = bound, filled
+        probe = (s if fs is None else binding[fs], p if fp is None else binding[fp], o if fo is None else binding[fo])
+        buckets = [graph.candidates(probe) for graph in graphs]
     candidates = chain.from_iterable(buckets)
     for term_of, test in now:
         candidates = [t for t in candidates if test(term_of(t))]
-    # a variable that fills two slots still needs the slots compared
-    repeated = len(set(fresh)) < len(fresh)
+    deeper = depth + 1 < len(levels)
     s, p, o = names
     for t in candidates:
         if repeated:
@@ -523,8 +532,8 @@ def _join(
                 extended[p] = t.predicate
             if o is not None:
                 extended[o] = t.object
-        if rest:
-            yield from _join(rest, graphs, later, extended)
+        if deeper:
+            yield from _extend(levels, depth + 1, graphs, extended)
         else:
             yield extended
 

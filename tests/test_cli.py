@@ -11,6 +11,7 @@ from fireweather.cli import main
 from fireweather.ingest import TRIPLES_PER_ROW, parse_csv
 from fireweather.rules import Rule, load_rules
 from conftest import DATA_CSV, REPO, RULES_FILE
+from test_sparql import DRY_AUGUST_QUERY, LOOKUP_QUERY, RAIN_SURVEY_QUERY, WIND_SURVEY_QUERY
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area\n"
 #: a CSV whose second line ends in a byte that is not UTF-8
@@ -202,6 +203,35 @@ def test_dataset_stdout_is_pinned(capsys, command):
     code, out, _ = run(capsys, command, str(DATA_CSV))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]
+
+
+#: The dashboard's four queries, and the SHA-256 of the stdout of
+#: ``fireweather query <store> <query> --format csv`` for each, over the
+#: store that ``fireweather ingest data/forestfires.csv`` writes.  The join
+#: may take its patterns in any order, but the bytes must not change.
+PINNED_QUERY_CSV = {
+    "wind survey": (WIND_SURVEY_QUERY, "36af10715460f202221976c816c6dd2544308c02f9668ac9113797b0f7170530"),
+    "rain survey": (RAIN_SURVEY_QUERY, "a7d9f2fb12e9143d1bfd3857e47f0a83e6536c501a5eb73ed73e8130c3949afc"),
+    "dry August join": (DRY_AUGUST_QUERY, "ee6b3ad9eb82005ed3b52b6f9642a8d0d1356b32df1aba433949614b88c44a1f"),
+    "one-sensor lookup": (LOOKUP_QUERY, "d0563ea1ffa307eaf6f0321ebf08bb9fd23eae253f5a300a202e0f48ef2f669b"),
+}
+
+
+@pytest.fixture(scope="module")
+def dataset_store(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dataset") / "store.nt"
+    assert main(["ingest", str(DATA_CSV), "--output", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_QUERY_CSV))
+def test_dashboard_query_csv_is_pinned(capsys, tmp_path, dataset_store, name):
+    query, digest = PINNED_QUERY_CSV[name]
+    path = tmp_path / "query.rq"
+    path.write_text(query, encoding="utf-8")
+    code, out, _ = run(capsys, "query", str(dataset_store), str(path), "--format", "csv")
+    assert code == 0 and out.count("\n") > 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestClassify:

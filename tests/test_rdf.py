@@ -11,6 +11,7 @@ from fireweather.rdf import (
     Term,
     Triple,
     TriplePattern,
+    comparison,
     decimal,
     export_ntriples,
     import_ntriples,
@@ -20,8 +21,10 @@ from fireweather.rdf import (
     string,
 )
 from fireweather.sparql import evaluate, parse_query
-from test_sparql import WIND_SURVEY_QUERY
+from test_sparql import COMPARATORS, DRY_AUGUST_QUERY, WIND_SURVEY_QUERY
 from util import (
+    PREDICATES,
+    SUBJECTS,
     brute_force_join,
     brute_force_match,
     check_index_coherence,
@@ -29,6 +32,7 @@ from util import (
     random_pattern,
     random_term,
     random_triple,
+    reference_filter,
 )
 
 
@@ -231,6 +235,111 @@ class TestJoin:
                     TriplePattern("?s", iri("urn:q"), "?w")]
         assert list(join(patterns, (g,))) == []
         assert calls == 4
+
+
+def linked_graph(rng: random.Random, max_size: int) -> Graph:
+    """A random graph on two predicates whose objects are mostly subjects, so that chains join."""
+    g = Graph()
+    for _ in range(rng.randrange(max_size // 2, max_size + 1)):
+        obj = iri(rng.choice(SUBJECTS)) if rng.random() < 0.5 else random_term(rng)
+        g.insert(Triple(iri(rng.choice(SUBJECTS)), iri(rng.choice(PREDICATES[:2])), obj))
+    return g
+
+
+def linked_pattern(rng: random.Random, variables: list[str]) -> TriplePattern:
+    subject = rng.choice(variables) if rng.random() < 0.7 else iri(rng.choice(SUBJECTS))
+    obj = rng.choice(variables) if rng.random() < 0.7 else iri(rng.choice(SUBJECTS))
+    return TriplePattern(subject, iri(rng.choice(PREDICATES[:2])), obj)
+
+
+def shaped_bgp(rng: random.Random, shape: str) -> tuple[list[TriplePattern], dict]:
+    """2-4 patterns of one shape over ``linked_graph``'s predicates, and the seed binding to join them from."""
+    n = rng.randrange(2, 5)
+    predicate = lambda: iri(rng.choice(PREDICATES[:2]))
+    if shape == "chain":
+        return [TriplePattern(f"?v{i}", predicate(), f"?v{i + 1}") for i in range(n)], {}
+    if shape == "star":
+        return [TriplePattern("?v0", predicate(), f"?v{i + 1}") for i in range(n)], {}
+    if shape == "repeated":
+        # ?v0 fills two slots of one pattern, and is the centre of a star
+        rest = [TriplePattern("?v0", predicate(), f"?v{i}") for i in range(1, n)]
+        return [TriplePattern("?v0", predicate(), "?v0")] + rest, {}
+    # ?s and ?t are bound by the seed alone: ?s fills slots, ?t only a check
+    seed = {"?s": iri(rng.choice(SUBJECTS)), "?t": integer(rng.randrange(-5, 50))}
+    rest = [linked_pattern(rng, ["?s", "?v0", "?v1"]) for _ in range(n - 1)]
+    return [TriplePattern("?s", predicate(), "?v0")] + rest, seed
+
+
+class TestJoinPlan:
+    @pytest.mark.parametrize("shape", ["chain", "star", "repeated", "seeded"])
+    def test_join_matches_the_brute_force_join_and_reference_filter(self, shape):
+        rng = random.Random(f"join-{shape}")
+        answered = filtered = 0
+        for _ in range(400):
+            g = linked_graph(rng, 30)
+            graphs = (g,)
+            if rng.random() < 0.5:
+                graphs = (Graph(), Graph())
+                for triple in sorted(g, key=str):
+                    graphs[rng.random() < 0.5].insert(triple)
+            patterns, seed = shaped_bgp(rng, shape)
+            # the variables that can hold a literal: the plan binds them at
+            # different levels, or the seed binds them
+            variables = sorted(({p.object for p in patterns if isinstance(p.object, str)} | set(seed)) - {"?s"})
+            literals = [u.object for u in g if not u.object.is_iri]
+            filters = []
+            for variable in rng.sample(variables, min(len(variables), rng.randrange(3))):
+                operand = rng.choice(literals) if literals and rng.random() < 0.7 else random_term(rng)
+                filters.append((variable, rng.choice(COMPARATORS), operand))
+            checks = [(v, comparison(op, operand)) for v, op, operand in filters]
+            got = list(join(patterns, graphs, checks, dict(seed)))
+            want = [
+                b for b in brute_force_join(g, patterns, seed)
+                if all(v in b and reference_filter(b[v], op, operand) for v, op, operand in filters)
+            ]
+            assert canonical(got) == canonical(want)
+            answered += bool(want)
+            filtered += bool(want) and bool(filters)
+        # the cases are not all empty, and in some a row passes its checks
+        assert answered >= 20 and filtered >= 3
+
+    def test_dry_august_join_looks_up_once_per_binding(self, dataset_text, monkeypatch):
+        g = ingest_observations(parse_csv(dataset_text))
+        month, observed_by, unit, value = (
+            iri(p) for p in (vocab.HAS_MONTH, vocab.OBSERVED_BY, vocab.HAS_UNIT, vocab.HAS_VALUE)
+        )
+        # the bindings after each level of the plan, counted from the triples:
+        # the August sensors, then their observations, then the unitless ones
+        august = [u.subject for u in g if u.predicate == month and u.object == string("aug")]
+        sensors = set(august)
+        observations = [(u.object, u.subject) for u in g if u.predicate == observed_by and u.object in sensors]
+        unitless = {u.subject for u in g if u.predicate == unit and u.object == string("unitless")}
+        fuel = [(sensor, o) for sensor, o in observations if o in unitless]
+        codes = {}
+        for u in g:
+            if u.predicate == value:
+                codes.setdefault(u.subject, []).append(u.object)
+        rows = sorted((sensor.value, float(code.value)) for sensor, o in fuel for code in codes[o]
+                      if float(code.value) > 90.0)
+        calls = {"candidates": 0, "substitute": 0}
+        candidates, substitute = Graph.candidates, rdf.substitute
+
+        def counting_candidates(self, pattern):
+            calls["candidates"] += 1
+            return candidates(self, pattern)
+
+        def counting_substitute(pattern, binding):
+            calls["substitute"] += 1
+            return substitute(pattern, binding)
+
+        monkeypatch.setattr(Graph, "candidates", counting_candidates)
+        monkeypatch.setattr(rdf, "substitute", counting_substitute)
+        table = evaluate(parse_query(DRY_AUGUST_QUERY), g)
+        assert rows and sorted((sensor.value, float(code.value)) for sensor, code in table.rows) == rows
+        # one lookup sizes each of the 4 patterns; after that, one per binding
+        # at each later level, and no pattern is substituted again
+        assert calls["candidates"] == 4 + len(august) + len(observations) + len(fuel)
+        assert calls["substitute"] == 4
 
 
 class TestIndexCoherence:

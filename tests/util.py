@@ -16,7 +16,6 @@ from fireweather.rdf import (
     decimal,
     integer,
     iri,
-    match_one,
     string,
 )
 
@@ -59,27 +58,34 @@ def random_pattern(rng: random.Random, variables: list[str]) -> TriplePattern:
     return TriplePattern(subject, predicate, obj)
 
 
+def oracle_match(pattern: TriplePattern, t: Triple, binding: Binding) -> Binding | None:
+    """``binding`` extended so that the pattern reads ``t``, or None if it cannot be.
+
+    Two terms are the same when their lexical forms and datatypes are; this
+    uses neither ``Term.__eq__`` nor the library's own matcher.
+    """
+    extended = dict(binding)
+    for slot, term in zip(pattern, (t.subject, t.predicate, t.object)):
+        if isinstance(slot, str):
+            if slot not in extended:
+                extended[slot] = term
+                continue
+            slot = extended[slot]
+        if slot.value != term.value or slot.datatype is not term.datatype:
+            return None
+    return extended
+
+
 def brute_force_match(g: Graph, pattern: TriplePattern) -> list[Binding]:
     """Naive filter of every triple against the pattern."""
-    out = []
-    for t in g:
-        b = match_one(pattern, t)
-        if b is not None:
-            out.append(b)
-    return out
+    return brute_force_join(g, [pattern])
 
 
-def brute_force_join(g: Graph, patterns: list[TriplePattern]) -> list[Binding]:
-    """Nested loop over the full triple set per pattern, no indexes."""
-    bindings: list[Binding] = [{}]
+def brute_force_join(g: Graph, patterns: list[TriplePattern], binding: Binding | None = None) -> list[Binding]:
+    """Nested loop over the full triple set per pattern, no indexes, from ``binding`` or none."""
+    bindings: list[Binding] = [binding or {}]
     for pattern in patterns:
-        extended = []
-        for b in bindings:
-            for t in g:
-                nb = match_one(pattern, t, b)
-                if nb is not None:
-                    extended.append(nb)
-        bindings = extended
+        bindings = [nb for b in bindings for t in g if (nb := oracle_match(pattern, t, b)) is not None]
     return bindings
 
 
