@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import IntEnum
 from typing import Iterable
 
@@ -61,19 +61,8 @@ class Alert:
     verdict: str
     message: str
 
-    def as_dict(self) -> dict:
-        return {
-            "sensor": self.sensor,
-            "timestamp": self.timestamp,
-            "index": self.index,
-            "value": self.value,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "message": self.message,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def synthetic_timestamp(month: str) -> str:
@@ -112,7 +101,7 @@ def assess(rec: FwiRecord, w: WeatherInputs, sensor: str, timestamp: str = "") -
         else:
             trace.append(f"rate-of-spread(isi={rec.isi:g})={spread}")
             trace.append(f"fire-intensity(fwi={rec.fwi:g})={intensity}")
-            verdict = _verdict_from_intensity(intensity)
+            verdict = Verdict(min(bands.FIRE_INTENSITY.rank(intensity), Verdict.EXTREME))
             if verdict == Verdict.EXTREME:
                 trace.append(f"difficulty-of-control(bui={rec.bui:g})={difficulty}")
                 trace.append(f"mopup-needs(dmc={rec.dmc:g})={mopup}")
@@ -140,17 +129,6 @@ def assess(rec: FwiRecord, w: WeatherInputs, sensor: str, timestamp: str = "") -
         trace=tuple(trace),
         timestamp=timestamp,
     )
-
-
-def _verdict_from_intensity(intensity: str) -> Verdict:
-    rank = bands.FIRE_INTENSITY.rank(intensity)
-    if rank == 0:
-        return Verdict.NO_FIRE_RISK
-    if rank == 1:
-        return Verdict.MONITOR
-    if rank == 2:
-        return Verdict.ACT
-    return Verdict.EXTREME
 
 
 def alerts_for(assessments: Iterable[Assessment]) -> list[Alert]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -142,9 +143,7 @@ def cmd_assess(args) -> int:
             "trace": list(a.trace),
         }, sort_keys=True))
     for alert in alerts_for(assessments):
-        payload = alert.as_dict()
-        payload["type"] = "alert"
-        lines.append(json.dumps(payload, sort_keys=True))
+        lines.append(json.dumps(dict(dataclasses.asdict(alert), type="alert"), sort_keys=True))
     _write("".join(line + "\n" for line in lines), args.output)
     return 0
 

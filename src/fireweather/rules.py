@@ -17,12 +17,13 @@ produced it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from . import vocab
 from .rdf import (
-    Binding, Check, Graph, Term, Triple, TriplePattern, comparison, decimal, iri, join, match_one, split_lines, string
+    Check, Graph, Term, Triple, TriplePattern, comparison, decimal, iri, join, match_one, split_lines, string
 )
 
 
@@ -122,54 +123,34 @@ class InferredFact:
 # --- parsing ---------------------------------------------------------------
 
 
-class _Lexer:
-    PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "^": "AND"}
+#: one token after any whitespace, or the end of the line; no group matches
+#: where no token starts
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+      (?P<ARROW>->) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<AND>\^)
+    | (?P<VAR>\?\w*) | (?P<NUMBER>[+\-.]?\d[\d+\-.eE]*) | (?P<NAME>\w+) | (?P<EOF>\Z)
+    )?""",
+    re.VERBOSE,
+)
 
+
+class _Lexer:
     def __init__(self, text: str, line: int):
-        self.text = text
         self.line = line
         self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
         self.index = 0
-
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            col = i + 1
-            if text.startswith("->", i):
-                self.tokens.append(("ARROW", "->", col))
-                i += 2
-            elif c in self.PUNCT:
-                self.tokens.append((self.PUNCT[c], c, col))
-                i += 1
-            elif c == "?":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                if j == i + 1:
-                    raise RuleParseError("empty variable name", self.line, col)
-                self.tokens.append(("VAR", text[i:j], col))
-                i = j
-            elif c.isdigit() or (c in "+-." and i + 1 < n and text[i + 1].isdigit()):
-                j = i
-                while j < n and (text[j].isdigit() or text[j] in "+-.eE"):
-                    j += 1
-                self.tokens.append(("NUMBER", text[i:j], col))
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("NAME", text[i:j], col))
-                i = j
-            else:
-                raise RuleParseError(f"unexpected character {c!r}", self.line, col)
-        self.tokens.append(("EOF", "", n + 1))
+        end, kind = 0, None
+        while kind != "EOF":
+            m = _TOKEN_RE.match(text, end)
+            kind, end = m.lastgroup, m.end()
+            start = m.start(kind) if kind else end
+            token = text[start:end]
+            # ``\w`` also takes digits and numerals, which cannot start a name
+            if kind is None or kind == "NAME" and not (token[0].isalpha() or token[0] == "_"):
+                raise RuleParseError(f"unexpected character {text[start]!r}", line, start + 1)
+            if token == "?":
+                raise RuleParseError("empty variable name", line, start + 1)
+            self.tokens.append((kind, token, start + 1))
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -266,16 +247,6 @@ def load_rules(path: str) -> RuleSet:
 
 # --- forward chaining ------------------------------------------------------
 
-def _fire(rule: Rule, binding: Binding) -> InferredFact:
-    return InferredFact(
-        subject=binding[rule.head.subject],
-        property_iri=vocab.prop_iri(rule.head.property_name),
-        label=rule.head.value.value,
-        rule=rule,
-        bindings=tuple(sorted(binding.items(), key=lambda kv: kv[0])),
-    )
-
-
 def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     """Least fixpoint of the rule set over ``g``, by semi-naive rounds.
 
@@ -296,14 +267,14 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     derived = Graph()
     full = (g, derived)
     bodies = [(rule.patterns(), rule.checks()) for rule in ruleset.rules]
-    # each head's triple terms but the subject, built once per rule
-    heads = [(iri(vocab.prop_iri(r.head.property_name)), string(r.head.value.value)) for r in ruleset.rules]
+    # each head's subject variable and its other two triple terms, built once per rule
+    heads = [(r.head.subject, iri(vocab.prop_iri(r.head.property_name)), string(r.head.value.value)) for r in ruleset.rules]
     facts: list[InferredFact] = []
     # the triples the last round derived, by predicate; None before round 1
     new: Optional[dict[Term, list[Triple]]] = None
     while True:
         found: dict[Triple, tuple[tuple, InferredFact]] = {}
-        for index, (rule, (patterns, checks), (predicate, obj)) in enumerate(zip(ruleset.rules, bodies, heads)):
+        for index, (rule, (patterns, checks), (subject, predicate, obj)) in enumerate(zip(ruleset.rules, bodies, heads)):
             if new is None:
                 seeds = [(patterns, {})]
             else:
@@ -316,13 +287,13 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
                 if seed is None:
                     continue
                 for binding in join(rest, full, checks, seed):
-                    fact = _fire(rule, binding)
-                    t = Triple(fact.subject, predicate, obj)
+                    t = Triple(binding[subject], predicate, obj)
                     if t in g or t in derived:
                         continue
-                    key = (index, [(name, term.sort_key()) for name, term in fact.bindings])
+                    bindings = tuple(sorted(binding.items()))
+                    key = (index, [(name, term.sort_key()) for name, term in bindings])
                     if t not in found or key < found[t][0]:
-                        found[t] = (key, fact)
+                        found[t] = (key, InferredFact(t.subject, predicate.value, obj.value, rule, bindings))
         if not found:
             break
         new = {}
@@ -334,7 +305,7 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
 
 
 def verify_provenance(g: Graph, ruleset: RuleSet, facts: Iterable[InferredFact]) -> bool:
-    """Re-check every fact against its rule.
+    """Re-check every fact against its rule, which must be one of ``ruleset``'s.
 
     The body must hold under the fact's bindings, over the graph plus all
     derived triples, and the head under those bindings must give the fact's
@@ -343,6 +314,8 @@ def verify_provenance(g: Graph, ruleset: RuleSet, facts: Iterable[InferredFact])
     fact_list = list(facts)
     known = (g, Graph(f.triple() for f in fact_list))
     for f in fact_list:
+        if f.rule not in ruleset.rules:
+            return False
         binding = dict(f.bindings)
         if next(join(f.rule.patterns(), known, f.rule.checks(), binding), None) is None:
             return False

@@ -9,7 +9,7 @@ import pytest
 
 from fireweather.cli import main
 from fireweather.ingest import TRIPLES_PER_ROW, parse_csv
-from fireweather.rules import Rule, load_rules
+from fireweather.rules import DataPropertyAtom, Rule, load_rules
 from conftest import DATA_CSV, REPO, RULES_FILE
 from test_sparql import DRY_AUGUST_QUERY, LOOKUP_QUERY, RAIN_SURVEY_QUERY, WIND_SURVEY_QUERY
 
@@ -232,6 +232,60 @@ def test_dashboard_query_csv_is_pinned(capsys, tmp_path, dataset_store, name):
     code, out, _ = run(capsys, "query", str(dataset_store), str(path), "--format", "csv")
     assert code == 0 and out.count("\n") > 1
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+#: values that each sensor of the pinned rule-input store gives every body
+#: property of ``rules/fwi.rules``: two or more sensors fall in each band of
+#: each rule
+RULE_INPUT_VALUES = [0.5, 1.5, 3, 5, 7, 9, 11, 14, 15, 17, 19, 22, 25, 32, 35, 42, 47, 55, 65, 80, 88, 91, 95, 99]
+
+#: the bundled rules plus two more: for a sensor with both values over the
+#: thresholds, the first derives a triple that an earlier rule also derives,
+#: and the second reads two derived triples, so a later round fires it
+EXTRA_RULES = """\
+sensor_id(?s) ^ windspeed(?s, ?w) ^ greaterThan(?w, 40) -> FireIntensity(?s, extreme)
+FireIntensity(?s, extreme) ^ WindSpeed(?s, veryhigh) -> Alarm(?s, evacuate)
+"""
+
+#: SHA-256 of the stdout of ``fireweather infer <store> --rules <rules> --format <format>``
+#: over ``rule_input_store``
+PINNED_INFER = {
+    "jsonl": "cab08b91502b40db794d176136790e09772976ae0c70521334c8b7e7f3c6b5ac",
+    "ntriples": "47ced9eeab901206c8d178104adf85442f8c34daac5da521015c07a7abed15d5",
+}
+
+
+@pytest.fixture(scope="module")
+def rule_input_store(tmp_path_factory):
+    """A store in the rules' vocabulary, and the rule file to chain over it.
+
+    Every other sensor has a ``Rain`` value, and the last has two ``extreme``
+    values, so one rule derives its triple under two bindings.
+    """
+    properties = sorted({
+        atom.property_name for rule in load_rules(str(RULES_FILE)).rules for atom in rule.body
+        if isinstance(atom, DataPropertyAtom)
+    })
+    lines = []
+    for ordinal, value in enumerate(RULE_INPUT_VALUES, start=1):
+        s = f"<urn:ssn:sensor:Sensor_{ordinal}>"
+        values = [(p, value) for p in properties if p != "Rain" or ordinal % 2]
+        if ordinal == len(RULE_INPUT_VALUES):
+            values.append(("extreme", 31))
+        lines.append(f"{s} <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:ssn:class:sensor_id> .")
+        lines += [f'{s} <urn:ssn:prop:{p}> "{v}"^^<http://www.w3.org/2001/XMLSchema#decimal> .' for p, v in values]
+    directory = tmp_path_factory.mktemp("rule_input")
+    (directory / "store.nt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    (directory / "all.rules").write_text(RULES_FILE.read_text(encoding="utf-8") + EXTRA_RULES, encoding="utf-8")
+    return directory / "store.nt", directory / "all.rules"
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_INFER))
+def test_infer_stdout_is_pinned(capsys, rule_input_store, fmt):
+    store, rules = rule_input_store
+    code, out, _ = run(capsys, "infer", str(store), "--rules", str(rules), "--format", fmt)
+    assert code == 0 and "FireStop" in out and "evacuate" in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_INFER[fmt]
 
 
 class TestClassify:

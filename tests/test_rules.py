@@ -127,6 +127,23 @@ def test_parse_error_message_and_position(text, message):
     assert (str(info.value), info.value.line, info.value.column) == (message, int(line), int(column or 0))
 
 
+@pytest.mark.parametrize("text, column", [
+    ("foo(?s) ^ p(?s, ?v) ^ greaterThan(?v, ²) -> bar(?s, x)", 39),
+    ("foo(?s) ^ p(?s, ?v) ^ greaterThan(?v, 1²) -> bar(?s, x)", 40),
+    ("foo(?s) ^ p(?s, -①) -> bar(?s, x)", 17),
+])
+def test_a_digit_that_is_not_decimal_starts_no_token(text, column):
+    # a number reads decimal digits only (str.isdecimal, not str.isdigit)
+    with pytest.raises(RuleParseError) as info:
+        parse_rule(text)
+    assert str(info.value) == f"line 1, column {column}: unexpected character {text[column - 1]!r}"
+
+
+def test_a_digit_that_is_not_decimal_may_continue_a_name():
+    rule = parse_rule("foo²(?s) ^ p(?s, ?v²) ^ greaterThan(?v², 1) -> bar(?s, x²)")
+    assert rule.render() == "foo²(?s) ^ p(?s, ?v²) ^ greaterThan(?v², 1) -> bar(?s, x²)"
+
+
 # --- random rule sets --------------------------------------------------------
 
 BUILTIN_NAMES = {"greaterThan", "lessThan", "equal", "notEqual", "greaterThanOrEqual", "lessThanOrEqual"}
@@ -295,6 +312,20 @@ class TestVerifyProvenance:
     def test_rejects_a_fact_that_contradicts_its_head(self, derived, changes):
         g, ruleset, fact = derived
         assert not verify_provenance(g, ruleset, [dataclasses.replace(fact, **changes)])
+
+    def test_accepts_a_fact_whose_rule_equals_one_of_the_set(self, derived):
+        g, ruleset, fact = derived
+        twin = dataclasses.replace(fact, rule=parse_rule(fact.rule.render()))
+        assert twin.rule is not fact.rule
+        assert verify_provenance(g, ruleset, [twin])
+
+    def test_rejects_a_fact_from_a_rule_outside_the_set(self, rules_text):
+        # the body holds and the head agrees, but no rule of the set is the fact's
+        forged = RuleSet((parse_rule("sensor_id(?s) -> FireIntensity(?s, extreme)"),))
+        g = Graph([typed("Sensor_2")])
+        facts = forward_chain(g, forged)
+        assert verify_provenance(g, forged, facts)
+        assert not verify_provenance(g, parse_rules(rules_text), facts)
 
 
 # --- naive fixpoint oracle -------------------------------------------------

@@ -208,6 +208,16 @@ def random_query(rng: random.Random, g: Graph | None = None):
     variables = ["?a", "?b", "?c"]
     n_patterns = rng.choice([1, 1, 2, 2, 3])
     patterns = [random_pattern(rng, variables) for _ in range(n_patterns)]
+    if g is not None and len(g):
+        # about half the patterns take their constant slots from one triple of
+        # the graph, which each then matches unless a variable repeats in it
+        triples = list(g)
+        for i, p in enumerate(patterns):
+            if rng.random() < 0.5:
+                t = rng.choice(triples)
+                patterns[i] = TriplePattern(*(
+                    slot if isinstance(slot, str) else term for slot, term in zip(p, (t.subject, t.predicate, t.object))
+                ))
     bound = sorted({v for p in patterns for v in p.variables()})
     if not bound:
         return None
@@ -229,14 +239,18 @@ def random_query(rng: random.Random, g: Graph | None = None):
 
 def test_oracle_equivalence_on_random_cases():
     rng = random.Random(5050)
-    cases = 0
+    cases = with_rows = 0
     while cases < 1000:
         g = random_graph(rng, 50)
         q = random_query(rng, g)
         if q is None:
             continue
         cases += 1
-        assert evaluate(q, g).rows == naive_evaluate(q, g)
+        rows = naive_evaluate(q, g)
+        assert evaluate(q, g).rows == rows
+        with_rows += bool(rows)
+    # 159 of the 1000 cases; about 1 in 12 before patterns took constants from the graph
+    assert with_rows * 8 >= cases
 
 
 def test_filter_soundness_recheck():
