@@ -15,6 +15,10 @@ from .ingest import MONTHS
 FFMC_MAX = 101.0
 #: FMC at FFMC = 0, the upper end of the convertible moisture range
 FMC_MAX = 147.2 * 101.0 / 59.5
+#: the largest DMC that ``bui_from`` accepts.  Above about 24,530 (at DC = 0;
+#: later for a larger DC) the BUI equation falls as DMC rises, and a huge
+#: DMC would read as a low rating.
+DMC_MAX = 24_000.0
 
 
 class DomainError(ValueError):
@@ -122,6 +126,8 @@ def bui_from(dmc: float, dc: float) -> float:
     """Buildup Index from DMC and DC.  bui_from(0, dc) is 0 by definition."""
     if not (nonnegative(dmc) and nonnegative(dc)):
         raise DomainError(f"dmc and dc must be finite and >= 0: {dmc}, {dc}")
+    if dmc > DMC_MAX:
+        raise DomainError(f"dmc out of range [0, {DMC_MAX:g}]: {dmc}")
     if dmc == 0.0:
         return 0.0
     if dmc <= 0.4 * dc:

@@ -242,43 +242,18 @@ def match_one(pattern: TriplePattern, t: Triple, binding: Optional[Binding] = No
     return b
 
 
-class _Index(dict):
-    """The inner dict of a nested index, with the count of triples under it."""
-
-    __slots__ = ("size",)
-
-    def __init__(self):
-        self.size = 0
+_Nested = dict[Term, dict[Term, list[Triple]]]
 
 
-class _View:
-    """The triples under one key of a nested index, read in place."""
-
-    __slots__ = ("_inner",)
-
-    def __init__(self, inner: _Index):
-        self._inner = inner
-
-    def __len__(self) -> int:
-        return self._inner.size
-
-    def __iter__(self) -> Iterator[Triple]:
-        return chain.from_iterable(self._inner.values())
-
-
-#: what a lookup that misses reads from; never written
-_NO_BUCKETS: dict = {}
-
-
-def _index_triple(spo: dict[Term, _Index], pos: dict[Term, _Index], t: Triple) -> None:
+def _index_triple(spo: _Nested, pos: _Nested, t: Triple) -> None:
     """File a triple that neither index holds yet under its keys in both."""
     s, p, o = t.subject, t.predicate, t.object
     by_p = spo.get(s)
     if by_p is None:
-        by_p = spo[s] = _Index()
+        by_p = spo[s] = {}
     by_o = pos.get(p)
     if by_o is None:
-        by_o = pos[p] = _Index()
+        by_o = pos[p] = {}
     # a new bucket is built holding its triple: a list appended to from
     # empty would reserve room for four
     sp = by_p.get(p)
@@ -291,8 +266,6 @@ def _index_triple(spo: dict[Term, _Index], pos: dict[Term, _Index], t: Triple) -
         by_o[o] = [t]
     else:
         po.append(t)
-    by_p.size += 1
-    by_o.size += 1
 
 
 class Graph:
@@ -306,19 +279,19 @@ class Graph:
     concurrent reader sees either no indexes or whole ones.  From then on
     ``insert`` files each new triple in both.  The first index maps subject
     to predicate to the triples with both, the second predicate to object
-    to the triples with both.  Each triple is in one list of each index, in
-    insertion order, and no list is ever empty.  ``candidates`` returns
-    exactly the triples that agree with a pattern's concrete slots, so a
-    match only has to bind its variables.
+    to the triples with both, in plain dicts of dicts of lists.  Each triple
+    is in one list of each index, in insertion order, and no list is ever
+    empty.  ``candidates`` returns exactly the triples that agree with a
+    pattern's concrete slots, so a match only has to bind its variables.
 
     Single writer or multiple readers at any moment; callers must not
-    interleave a writer with readers.  What ``candidates`` returns is valid
-    until the next insert.
+    interleave a writer with readers.  An ``(s, p)`` or ``(p, o)`` bucket
+    from ``candidates`` is valid until the next insert.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: dict[Triple, None] = {}
-        self._indexes: Optional[tuple[dict[Term, _Index], dict[Term, _Index]]] = None
+        self._indexes: Optional[tuple[_Nested, _Nested]] = None
         self.update(triples)
 
     def __len__(self) -> int:
@@ -349,19 +322,18 @@ class Graph:
         """The triples that agree with every concrete slot of the pattern.
 
         A pattern with no concrete slot returns the graph itself and builds
-        no index.  Otherwise ``(s, p)`` and ``(p, o)`` read one bucket; ``(s, p, o)``
-        filters the shorter of the two; ``(s, o)`` filters the subject's
-        triples and ``o`` alone gathers its bucket under every predicate;
-        ``s`` or ``p`` alone reads the inner dict of its index in place.
-        Valid until the next insert.
+        no index.  Otherwise ``(s, p)`` and ``(p, o)`` return one bucket,
+        valid until the next insert; ``(s, p, o)`` filters the shorter of
+        the two, ``(s, o)`` the subject's triples; ``s`` or ``p`` alone
+        gathers its inner dict, ``o`` alone its bucket under every
+        predicate, each into a new list: a snapshot.
         """
         s, p, o = pattern
         indexes = self._indexes
         if indexes is None:
             if not (isinstance(s, Term) or isinstance(p, Term) or isinstance(o, Term)):
                 return self
-            spo: dict[Term, _Index] = {}
-            pos: dict[Term, _Index] = {}
+            spo, pos = {}, {}
             for t in self._triples:
                 _index_triple(spo, pos, t)
             self._indexes = (spo, pos)
@@ -371,12 +343,12 @@ class Graph:
             by_p = spo.get(s)
             if by_p is None:
                 return ()
-            by_s = by_p.get(p, ()) if isinstance(p, Term) else _View(by_p)
+            by_s = by_p.get(p, ()) if isinstance(p, Term) else list(chain.from_iterable(by_p.values()))
             if not isinstance(o, Term):
                 return by_s
             if not isinstance(p, Term):
                 return [t for t in by_s if t.object == o]
-            by_o = pos.get(p, _NO_BUCKETS).get(o, ())
+            by_o = pos[p].get(o, ()) if by_s else ()
             if len(by_s) <= len(by_o):
                 return [t for t in by_s if t.object == o]
             return [t for t in by_o if t.subject == s]
@@ -384,7 +356,7 @@ class Graph:
             by_o = pos.get(p)
             if by_o is None:
                 return ()
-            return by_o.get(o, ()) if isinstance(o, Term) else _View(by_o)
+            return by_o.get(o, ()) if isinstance(o, Term) else list(chain.from_iterable(by_o.values()))
         if isinstance(o, Term):
             return [t for by_o in pos.values() for t in by_o.get(o, ())]
         return self

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from . import vocab
 from .rdf import (
-    Check, Graph, Term, Triple, TriplePattern, comparison, decimal, iri, join, match_one, split_lines, string
+    Check, Graph, RdfError, Term, Triple, TriplePattern, comparison, decimal, iri, join, match_one, split_lines, string
 )
 
 
@@ -262,7 +262,8 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     A triple derived more than once in the round that first derives it keeps
     the derivation of the lowest-indexed rule, then the least bindings by
     ``Term.sort_key``, so facts do not depend on set iteration order.
-    Facts come back sorted by subject, property and label.
+    Facts come back sorted by subject, property and label.  A head subject
+    bound to a literal raises ``RdfError`` naming the rule.
     """
     derived = Graph()
     full = (g, derived)
@@ -287,7 +288,12 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
                 if seed is None:
                     continue
                 for binding in join(rest, full, checks, seed):
-                    t = Triple(binding[subject], predicate, obj)
+                    try:
+                        t = Triple(binding[subject], predicate, obj)
+                    except RdfError:
+                        # a rule file may bind its head subject to a literal
+                        raise RdfError(f"rule {rule.render()}: head subject {subject} is bound to"
+                                       f" {binding[subject]}, not an IRI") from None
                     if t in g or t in derived:
                         continue
                     bindings = tuple(sorted(binding.items()))

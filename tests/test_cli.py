@@ -372,6 +372,18 @@ class TestInfer:
         assert code == 1
         assert err == "error: line 1: literal 'inf' is not a finite decimal\n"
 
+    def test_literal_head_subject_exit_1_naming_rule(self, capsys, tmp_path):
+        store = tmp_path / "store.nt"
+        store.write_text('<urn:ssn:sensor:1> <urn:ssn:prop:a> "5"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n')
+        ruled = tmp_path / "literal.rules"
+        ruled.write_text("a(?s, ?v) -> b(?v, x)\n")
+        code, out, err = run(capsys, "infer", str(store), "--rules", str(ruled))
+        assert code == 1 and out == ""
+        assert err == (
+            'error: rule a(?s, ?v) -> b(?v, x): head subject ?v is bound to'
+            ' "5"^^<http://www.w3.org/2001/XMLSchema#decimal>, not an IRI\n'
+        )
+
     def test_bad_rule_file_exit_1(self, capsys, sensor_store, tmp_path):
         bad = tmp_path / "bad.rules"
         bad.write_text("foo(?s) -> bar(?t, x)\n")

@@ -6,6 +6,7 @@ import pytest
 
 from fireweather.bands import FIRE_INTENSITY, rain_override, wind_risk
 from fireweather.indices import (
+    DMC_MAX,
     FFMC_MAX,
     FMC_MAX,
     DomainError,
@@ -120,6 +121,26 @@ class TestBui:
         for dmc in range(0, 150, 5):
             for dc in range(0, 150, 5):
                 assert bui_from(float(dmc), float(dc)) <= dmc + dc
+
+    def test_monotone_in_dmc_up_to_bound(self):
+        # below about 0.5 the equation itself is not monotone: the standard
+        # clamp to 0 covers it, so the grid starts at 100
+        dmcs = [100.0 + (DMC_MAX - 100.0) * i / 500 for i in range(501)]
+        for dc in (0.0, 1.0, 100.0, 1000.0, 10000.0, 100000.0):
+            values = [bui_from(dmc, dc) for dmc in dmcs]
+            assert all(a <= b for a, b in zip(values, values[1:])), dc
+
+    def test_tiny_dmc_clamps_to_zero(self):
+        assert bui_from(0.5, 0.0) == 0.0
+
+    def test_huge_dmc_is_out_of_domain(self):
+        # past the bound the equation falls: compute_chain(90, 1e6, 1e6, 10)
+        # gave bui 0 and fwi 2.23, a silently lowered rating
+        with pytest.raises(DomainError, match="^dmc out of range"):
+            compute_chain(90.0, 1e6, 1e6, 10.0)
+        with pytest.raises(DomainError, match="^dmc out of range"):
+            bui_from(DMC_MAX * (1 + 1e-12), 0.0)
+        assert bui_from(DMC_MAX, 0.0) > bui_from(DMC_MAX - 1.0, 0.0)
 
 
 class TestFwi:
