@@ -120,16 +120,16 @@ def _escape_char(m: re.Match) -> str:
 def _unescape_sequence(m: re.Match) -> str:
     code = m.group(1) or m.group(2)
     if code is not None:
-        try:
-            return chr(int(code, 16))
-        except ValueError:
-            raise RdfError(f"invalid escape {m.group()!r}") from None
+        point = int(code, 16)
+        if point > 0x10FFFF or 0xD800 <= point <= 0xDFFF:
+            raise RdfError(f"invalid escape {m.group()!r}")
+        return chr(point)
     # an escape outside ECHAR is kept as written
     return _ECHARS.get(m.group(3), m.group())
 
 
 def unescape_literal(text: str) -> str:
-    """The lexical form that a quoted literal's body ``text`` spells."""
+    """The lexical form that a quoted literal's body ``text`` spells; a surrogate escape raises ``RdfError``."""
     if "\\" not in text:
         return text
     return _ESCAPE_SEQUENCE.sub(_unescape_sequence, text)
@@ -290,9 +290,11 @@ class Graph:
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
+        """A graph of ``triples``, filled without ``insert``, as no index exists yet; a copy builds none."""
         self._triples: dict[Triple, None] = {}
+        for t in triples:
+            self._triples[t] = None
         self._indexes: Optional[tuple[_Nested, _Nested]] = None
-        self.update(triples)
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -368,7 +370,7 @@ class Graph:
         pattern's variable order.
         """
         variables = list(dict.fromkeys(pattern.variables()))
-        results = list(join([pattern], (self,)))
+        results = list(join([pattern], self))
         results.sort(key=lambda b: tuple(b[v].sort_key() for v in variables))
         return results
 
@@ -423,27 +425,25 @@ def substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
 
 def join(
     patterns: Sequence[TriplePattern],
-    graphs: Sequence[Graph],
+    graph: Graph,
     checks: Sequence[Check] = (),
     binding: Optional[Binding] = None,
 ) -> Iterator[Binding]:
     """Every extension of ``binding`` that matches all patterns and passes all checks.
 
-    Each pattern is matched against the union of ``graphs`` by an index
-    nested loop, planned once per call.  Every pattern is sized by its
-    candidates under ``binding``, and a pattern with none ends the call.
-    The smallest goes first, ties to the lowest index; each next level takes
-    the smallest of the patterns that share a variable with those placed,
-    or of all left if none does.  The plan fixes, per level, the slots an
-    earlier level fills, the fresh variables and the checks run there.  The
-    first level reads the candidates it was sized from; each later level
-    makes one exact ``Graph.candidates`` lookup per graph and binding, so a
-    candidate only binds the fresh variables.  A check tests the term bound
-    to its variable: the terms of ``binding`` first, then, at the level that
-    binds the variable, the term in the candidate's slot, before the
-    candidate's binding is built.  A check whose variable nothing binds
-    fails every row.  The graphs must not share a triple, or a match through
-    the shared triple comes out once per graph.
+    Each pattern is matched against ``graph`` by an index nested loop,
+    planned once per call.  Every pattern is sized by its candidates under
+    ``binding``, and a pattern with none ends the call.  The smallest goes
+    first, ties to the lowest index; each next level takes the smallest of
+    the patterns that share a variable with those placed, or of all left if
+    none does.  The plan fixes, per level, the slots an earlier level fills,
+    the fresh variables and the checks run there.  The first level reads the
+    candidates it was sized from; each later level makes one exact
+    ``Graph.candidates`` lookup per binding, so a candidate only binds the
+    fresh variables.  A check tests the term bound to its variable: the
+    terms of ``binding`` first, then, at the level that binds the variable,
+    the term in the candidate's slot, before the candidate's binding is
+    built.  A check whose variable nothing binds fails every row.
     """
     binding = {} if binding is None else binding
     if not all(test(binding[variable]) for variable, test in checks if variable in binding):
@@ -452,17 +452,16 @@ def join(
     sized = []
     for pattern in patterns:
         bound = substitute(pattern, binding)
-        buckets = [graph.candidates(bound) for graph in graphs]
-        size = sum(map(len, buckets))
-        if not size:
+        bucket = graph.candidates(bound)
+        if not bucket:
             return iter(())
-        sized.append((size, bound, buckets))
+        sized.append((len(bucket), bound, bucket))
     levels, placed, left = [], set(), list(range(len(sized)))
     while left:
         linked = [i for i in left if placed.intersection(sized[i][1].variables())]
         chosen = min(linked or left, key=lambda i: sized[i][0])
         left.remove(chosen)
-        _, bound, buckets = sized[chosen]
+        _, bound, bucket = sized[chosen]
         filled = [slot if isinstance(slot, str) and slot in placed else None for slot in bound]
         names = [slot if isinstance(slot, str) and slot not in placed else None for slot in bound]
         fresh = [name for name in names if name is not None]
@@ -473,20 +472,19 @@ def join(
         placed.update(fresh)
         # a variable that fills two slots still needs the slots compared
         repeated = len(set(fresh)) < len(fresh)
-        levels.append((bound, filled, names, now, repeated, None if levels else buckets))
+        levels.append((bound, filled, names, now, repeated, None if levels else bucket))
     if checks:
         return iter(())
-    return _extend(levels, 0, graphs, binding) if levels else iter((binding,))
+    return _extend(levels, 0, graph, binding) if levels else iter((binding,))
 
 
-def _extend(levels: list, depth: int, graphs: Sequence[Graph], binding: Binding) -> Iterator[Binding]:
+def _extend(levels: list, depth: int, graph: Graph, binding: Binding) -> Iterator[Binding]:
     """The matches of ``levels[depth:]`` under ``binding``, as ``join`` planned them."""
-    bound, filled, names, now, repeated, buckets = levels[depth]
-    if buckets is None:
+    bound, filled, names, now, repeated, candidates = levels[depth]
+    if candidates is None:
         (s, p, o), (fs, fp, fo) = bound, filled
         probe = (s if fs is None else binding[fs], p if fp is None else binding[fp], o if fo is None else binding[fo])
-        buckets = [graph.candidates(probe) for graph in graphs]
-    candidates = chain.from_iterable(buckets)
+        candidates = graph.candidates(probe)
     for term_of, test in now:
         candidates = [t for t in candidates if test(term_of(t))]
     deeper = depth + 1 < len(levels)
@@ -505,7 +503,7 @@ def _extend(levels: list, depth: int, graphs: Sequence[Graph], binding: Binding)
             if o is not None:
                 extended[o] = t.object
         if deeper:
-            yield from _extend(levels, depth + 1, graphs, extended)
+            yield from _extend(levels, depth + 1, graph, extended)
         else:
             yield extended
 

@@ -250,23 +250,23 @@ def load_rules(path: str) -> RuleSet:
 def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     """Least fixpoint of the rule set over ``g``, by semi-naive rounds.
 
-    ``g`` is not modified: derived triples go into a separate graph, and
-    every join reads ``g`` and that graph together.  Round 1 joins each
-    rule's body.  Each later round finds only the derivations that use a
-    triple derived in the round before: for each body pattern and each such
-    triple with the pattern's predicate, the triple's match seeds a join of
-    the rest of the body against everything known.  Every body is evaluated
-    by ``rdf.join``, with each builtin as a check.  Chaining stops after a
+    ``g`` is not modified: every join reads one copy of it, to which each
+    round adds the triples it derived.  Round 1 joins each rule's body.
+    Each later round finds only the derivations that use a triple derived
+    in the round before: for each body pattern and each such triple with
+    the pattern's predicate, the triple's match seeds a join of the rest of
+    the body against everything known.  Every body is evaluated by
+    ``rdf.join``, with each builtin as a check.  Chaining stops after a
     round that derives nothing new.
 
     A triple derived more than once in the round that first derives it keeps
-    the derivation of the lowest-indexed rule, then the least bindings by
-    ``Term.sort_key``, so facts do not depend on set iteration order.
-    Facts come back sorted by subject, property and label.  A head subject
-    bound to a literal raises ``RdfError`` naming the rule.
+    the derivation of the lowest-indexed rule, as rules run in index order;
+    only when the same rule derives it again are the bindings compared, by
+    ``Term.sort_key``, and the least kept, so facts do not depend on set
+    iteration order.  Facts come back sorted by subject, property and label.
+    A head subject bound to a literal raises ``RdfError`` naming the rule.
     """
-    derived = Graph()
-    full = (g, derived)
+    full = Graph(g)
     bodies = [(rule.patterns(), rule.checks()) for rule in ruleset.rules]
     # each head's subject variable and its other two triple terms, built once per rule
     heads = [(r.head.subject, iri(vocab.prop_iri(r.head.property_name)), string(r.head.value.value)) for r in ruleset.rules]
@@ -274,8 +274,8 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     # the triples the last round derived, by predicate; None before round 1
     new: Optional[dict[Term, list[Triple]]] = None
     while True:
-        found: dict[Triple, tuple[tuple, InferredFact]] = {}
-        for index, (rule, (patterns, checks), (subject, predicate, obj)) in enumerate(zip(ruleset.rules, bodies, heads)):
+        found: dict[Triple, InferredFact] = {}
+        for rule, (patterns, checks), (subject, predicate, obj) in zip(ruleset.rules, bodies, heads):
             if new is None:
                 seeds = [(patterns, {})]
             else:
@@ -294,19 +294,20 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
                         # a rule file may bind its head subject to a literal
                         raise RdfError(f"rule {rule.render()}: head subject {subject} is bound to"
                                        f" {binding[subject]}, not an IRI") from None
-                    if t in g or t in derived:
+                    fact = found.get(t)
+                    if t in full or fact is not None and fact.rule is not rule:
                         continue
                     bindings = tuple(sorted(binding.items()))
-                    key = (index, [(name, term.sort_key()) for name, term in bindings])
-                    if t not in found or key < found[t][0]:
-                        found[t] = (key, InferredFact(t.subject, predicate.value, obj.value, rule, bindings))
+                    # the same rule's bindings bind the same names, in the same order
+                    if fact is None or [v.sort_key() for _, v in bindings] < [v.sort_key() for _, v in fact.bindings]:
+                        found[t] = InferredFact(t.subject, predicate.value, obj.value, rule, bindings)
         if not found:
             break
         new = {}
         for t in found:
             new.setdefault(t.predicate, []).append(t)
-        derived.update(found)
-        facts += [fact for _, fact in found.values()]
+        full.update(found)
+        facts += found.values()
     return sorted(facts, key=lambda f: (f.subject.sort_key(), f.property_iri, f.label))
 
 
@@ -318,7 +319,8 @@ def verify_provenance(g: Graph, ruleset: RuleSet, facts: Iterable[InferredFact])
     subject, property and label.
     """
     fact_list = list(facts)
-    known = (g, Graph(f.triple() for f in fact_list))
+    known = Graph(g)
+    known.update(f.triple() for f in fact_list)
     for f in fact_list:
         if f.rule not in ruleset.rules:
             return False

@@ -291,6 +291,6 @@ def evaluate(query: Query, g: Graph) -> ResultTable:
     names = query.select_vars
     checks = [(f.variable, f.term_test()) for f in query.filters]
     project = operator.itemgetter(*names) if len(names) > 1 else lambda b: tuple(b[v] for v in names)
-    rows = list(map(project, join(query.patterns, (g,), checks)))
+    rows = list(map(project, join(query.patterns, g, checks)))
     rows.sort(key=lambda row: tuple(map(Term.sort_key, row)))
     return ResultTable(tuple(names), tuple(rows))

@@ -468,6 +468,24 @@ class TestQuery:
         assert code == 1 and out == ""
         assert err == f"error: line 1, column {column}: invalid IRI: ''\n"
 
+    @pytest.mark.parametrize("where", ["store", "store-to-output", "query"])
+    def test_surrogate_escape_exit_1_with_position(self, capsys, tmp_path, where):
+        # the filter keeps the store's row, so a surrogate that got past the
+        # import would reach the UTF-8 writer and end in a traceback
+        surrogate, plain = '"x\\uD800y"', '"z"'
+        store, qfile, out_file = tmp_path / "s.nt", tmp_path / "q.rq", tmp_path / "out.csv"
+        literal = plain if where == "query" else surrogate
+        store.write_text(f"<urn:a> <urn:p> {literal}^^<http://www.w3.org/2001/XMLSchema#string> .\n")
+        operand = surrogate if where == "query" else plain
+        qfile.write_text(f"SELECT ?s ?v WHERE {{ ?s <urn:p> ?v FILTER (?v != {operand}) }}\n")
+        argv = ["query", str(store), str(qfile)]
+        if where == "store-to-output":
+            argv += ["--output", str(out_file)]
+        code, out, err = run(capsys, *argv)
+        position = "line 1, column 50" if where == "query" else "line 1"
+        assert (code, out) == (1, "") and not out_file.exists()
+        assert err == f"error: {position}: invalid escape '\\\\uD800'\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "table"])
     def test_output_does_not_depend_on_hash_seed(self, tmp_path, small_csv, fmt):
         store = tmp_path / "store.nt"

@@ -147,34 +147,31 @@ def canonical(bindings):
 
 
 class TestJoin:
-    def test_split_graph_matches_brute_force_join(self):
+    def test_matches_brute_force_join(self):
         rng = random.Random(2024)
         variables = ["?a", "?b", "?c"]
         answered = 0
         while answered < 200:
             g = random_graph(rng, 40)
-            g1, g2 = Graph(), Graph()
-            for triple in sorted(g, key=str):
-                (g1 if rng.random() < 0.5 else g2).insert(triple)
             patterns = [random_pattern(rng, variables) for _ in range(rng.randrange(1, 4))]
             checks = [random_check(rng, v) for v in rng.sample(variables, rng.randrange(3))]
-            got = join(patterns, (g1, g2), checks)
+            got = join(patterns, g, checks)
             want = [b for b in brute_force_join(g, patterns) if all(v in b and check(b[v]) for v, check in checks)]
             assert canonical(got) == canonical(want)
             answered += bool(want)
 
     def test_no_atoms_yields_the_binding_if_every_check_passes(self):
         binding = {"?a": integer(1)}
-        assert list(join([], (), [("?a", lambda term: True)], binding)) == [binding]
-        assert list(join([], (), [("?a", lambda term: False)], binding)) == []
-        assert list(join([], (), [("?b", lambda term: True)], binding)) == []
+        assert list(join([], Graph(), [("?a", lambda term: True)], binding)) == [binding]
+        assert list(join([], Graph(), [("?a", lambda term: False)], binding)) == []
+        assert list(join([], Graph(), [("?b", lambda term: True)], binding)) == []
 
     def test_checks_get_the_term_of_their_variable(self):
         g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:b", "urn:p", iri("urn:b")), t("urn:b", "urn:q", integer(2))])
         seen = []
         checks = [(v, lambda term, v=v: seen.append((v, term)) or True) for v in ("?s", "?p", "?o", "?x")]
         patterns = [TriplePattern("?s", iri("urn:p"), "?o"), TriplePattern("?s", "?p", "?x")]
-        got = list(join(patterns, (g,), checks, {"?x": integer(2)}))
+        got = list(join(patterns, g, checks, {"?x": integer(2)}))
         assert got == [{"?x": integer(2), "?s": iri("urn:b"), "?p": iri("urn:q"), "?o": iri("urn:b")}]
         # the seed's term first, then a term of each candidate's slot
         assert seen[0] == ("?x", integer(2))
@@ -192,7 +189,7 @@ class TestJoin:
                 return dict(self)
 
         above_3 = ("?o", lambda term: float(term.value) > 3)
-        got = list(join([TriplePattern("?s", iri("urn:p"), "?o")], (g,), [above_3], Seed()))
+        got = list(join([TriplePattern("?s", iri("urn:p"), "?o")], g, [above_3], Seed()))
         assert sorted(float(b["?o"].value) for b in got) == [4, 5]
         assert copies == 2
 
@@ -207,7 +204,7 @@ class TestJoin:
 
         monkeypatch.setattr(rdf, "match_one", comparing)
         keep = {iri("urn:a")}
-        got = list(join([TriplePattern("?x", iri("urn:p"), "?x")], (g,), [("?x", keep.__contains__)]))
+        got = list(join([TriplePattern("?x", iri("urn:p"), "?x")], g, [("?x", keep.__contains__)]))
         assert got == [{"?x": iri("urn:a")}]
         # urn:c fails the test on its subject, so its slots are never compared
         assert [triple.subject for triple in compared] == [iri("urn:a"), iri("urn:a")]
@@ -225,7 +222,7 @@ class TestJoin:
         monkeypatch.setattr(Graph, "candidates", counting)
         patterns = [TriplePattern("?s", iri("urn:none"), "?o"), TriplePattern("?s", iri("urn:p"), "?v"),
                     TriplePattern("?s", iri("urn:q"), "?w")]
-        assert list(join(patterns, (g,))) == []
+        assert list(join(patterns, g)) == []
         assert calls == 1
         # a deeper level: three calls choose ?s's pattern, then under ?s = a
         # the first pattern looked at has none
@@ -233,7 +230,7 @@ class TestJoin:
         calls = 0
         patterns = [TriplePattern("?s", iri("urn:p"), "?v"), TriplePattern("?s", iri("urn:r"), "?o"),
                     TriplePattern("?s", iri("urn:q"), "?w")]
-        assert list(join(patterns, (g,))) == []
+        assert list(join(patterns, g)) == []
         assert calls == 4
 
 
@@ -277,11 +274,6 @@ class TestJoinPlan:
         answered = filtered = 0
         for _ in range(400):
             g = linked_graph(rng, 30)
-            graphs = (g,)
-            if rng.random() < 0.5:
-                graphs = (Graph(), Graph())
-                for triple in sorted(g, key=str):
-                    graphs[rng.random() < 0.5].insert(triple)
             patterns, seed = shaped_bgp(rng, shape)
             # the variables that can hold a literal: the plan binds them at
             # different levels, or the seed binds them
@@ -292,7 +284,7 @@ class TestJoinPlan:
                 operand = rng.choice(literals) if literals and rng.random() < 0.7 else random_term(rng)
                 filters.append((variable, rng.choice(COMPARATORS), operand))
             checks = [(v, comparison(op, operand)) for v, op, operand in filters]
-            got = list(join(patterns, graphs, checks, dict(seed)))
+            got = list(join(patterns, g, checks, dict(seed)))
             want = [
                 b for b in brute_force_join(g, patterns, seed)
                 if all(v in b and reference_filter(b[v], op, operand) for v, op, operand in filters)

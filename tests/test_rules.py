@@ -547,6 +547,24 @@ def test_chaining_builds_terms_once_per_rule_not_per_fact(rules_text, monkeypatc
     assert work[0] == work[1]
 
 
+def test_chaining_orders_bindings_only_on_a_tie(rules_text, monkeypatch):
+    ruleset = parse_rules(rules_text)
+    g = rule_input_store(100)
+    calls = 0
+    sort_key = Term.sort_key
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return sort_key(self)
+
+    monkeypatch.setattr(Term, "sort_key", counting)
+    facts = forward_chain(g, ruleset)
+    # no rule derives one triple twice here, so the one key per fact is the
+    # final sort's; a key for every fact's bindings made 5,142 calls
+    assert len(facts) == 1714 and calls == len(facts)
+
+
 REACH = "a(?s, ?t) ^ reach(?t, yes) -> reach(?s, yes)\n"
 
 

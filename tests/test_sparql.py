@@ -287,7 +287,10 @@ def test_string_literal_escapes_read_as_in_ntriples():
     assert q.patterns[0].object == string('tab\there "quoted" back\\slash\nnewline')
 
 
-@pytest.mark.parametrize("literal", ['"abc"^^xsd:integer', '"nan"^^xsd:decimal', '"\\U00110000"'])
+@pytest.mark.parametrize(
+    "literal",
+    ['"abc"^^xsd:integer', '"nan"^^xsd:decimal', '"\\U00110000"', '"x\\uD800y"', '"\\uDFFF"', '"\\U0000D800"'],
+)
 def test_bad_literal_carries_position(literal):
     text = f"PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\nSELECT ?s WHERE {{ ?s <urn:p> ?v\nFILTER (?v > {literal}) }}\n"
     with pytest.raises(QueryParseError, match=r"^line 3, column 14: "):

@@ -113,6 +113,13 @@ class TestEscaping:
         with pytest.raises(RdfError, match=r"^line 1: invalid escape"):
             import_ntriples(f'<urn:s> <urn:p> "\\U00110000"^^<{Datatype.STRING.value}> .\n')
 
+    @pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U0000D800", "\\U0000DFFF"])
+    def test_surrogate_escape_reports_the_line(self, escape):
+        line = f'<urn:s> <urn:p> "x{escape}y"^^<{Datatype.STRING.value}> .\n'
+        text = f'<urn:s> <urn:p> "a"^^<{Datatype.STRING.value}> .\n' + line
+        with pytest.raises(RdfError, match=rf"^line 2: invalid escape '\\\\{escape[1:]}'$"):
+            import_ntriples(text)
+
     def test_unknown_escape_is_kept(self):
         (t,) = import_ntriples(f'<urn:s> <urn:p> "a\\qb"^^<{Datatype.STRING.value}> .\n')
         assert t.object.value == "a\\qb"
