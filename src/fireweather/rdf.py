@@ -3,9 +3,10 @@
 Terms are IRIs or typed literals (string / integer / decimal).  Blank nodes
 are deliberately unsupported; ingestion mints deterministic IRIs instead.
 
-``join`` is the one basic-graph-pattern matcher: ``Graph.match``, rule
-bodies and SPARQL queries all evaluate through it.  ``comparison`` is the
-one comparison, which a SPARQL ``FILTER`` and a rule's ``greaterThan`` share.
+``join`` is the one pattern matcher: ``Graph.match``, rule bodies, the
+seeds of each semi-naive chaining round and SPARQL queries all evaluate
+through it.  ``comparison`` is the one comparison, which a SPARQL
+``FILTER`` and a rule's ``greaterThan`` share.
 """
 
 from __future__ import annotations
@@ -225,23 +226,6 @@ class TriplePattern(namedtuple("TriplePattern", "subject predicate object")):
 Binding = dict[str, Term]
 
 
-def match_one(pattern: TriplePattern, t: Triple, binding: Optional[Binding] = None) -> Optional[Binding]:
-    """Binding extending ``binding`` under which pattern equals t, else None."""
-    b = dict(binding) if binding else {}
-    for slot, term in ((pattern.subject, t.subject), (pattern.predicate, t.predicate), (pattern.object, t.object)):
-        if isinstance(slot, str):
-            bound = b.get(slot)
-            if bound is None:
-                b[slot] = term
-                continue
-            slot = bound
-        # ``==``, not ``!=``: Term defines only __eq__, and ``!=`` reaches it
-        # through a slower double dispatch
-        if not slot == term:
-            return None
-    return b
-
-
 _Nested = dict[Term, dict[Term, list[Triple]]]
 
 
@@ -325,8 +309,8 @@ class Graph:
 
         A pattern with no concrete slot returns the graph itself and builds
         no index.  Otherwise ``(s, p)`` and ``(p, o)`` return one bucket,
-        valid until the next insert; ``(s, p, o)`` filters the shorter of
-        the two, ``(s, o)`` the subject's triples; ``s`` or ``p`` alone
+        valid until the next insert; ``(s, p, o)`` filters the ``(s, p)``
+        bucket, ``(s, o)`` the subject's triples; ``s`` or ``p`` alone
         gathers its inner dict, ``o`` alone its bucket under every
         predicate, each into a new list: a snapshot.
         """
@@ -346,14 +330,7 @@ class Graph:
             if by_p is None:
                 return ()
             by_s = by_p.get(p, ()) if isinstance(p, Term) else list(chain.from_iterable(by_p.values()))
-            if not isinstance(o, Term):
-                return by_s
-            if not isinstance(p, Term):
-                return [t for t in by_s if t.object == o]
-            by_o = pos[p].get(o, ()) if by_s else ()
-            if len(by_s) <= len(by_o):
-                return [t for t in by_s if t.object == o]
-            return [t for t in by_o if t.subject == s]
+            return [t for t in by_s if t.object == o] if isinstance(o, Term) else by_s
         if isinstance(p, Term):
             by_o = pos.get(p)
             if by_o is None:
@@ -405,8 +382,8 @@ def comparison(comparator: str, operand: Term) -> Callable[[Term], bool]:
     return lambda term: False
 
 
-#: a candidate triple's slots, in pattern order
-_SLOTS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))
+#: the attribute of a triple that each pattern slot reads, in pattern order
+_FIELDS = ("subject", "predicate", "object")
 
 
 def substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
@@ -443,7 +420,9 @@ def join(
     fresh variables.  A check tests the term bound to its variable: the
     terms of ``binding`` first, then, at the level that binds the variable,
     the term in the candidate's slot, before the candidate's binding is
-    built.  A check whose variable nothing binds fails every row.
+    built.  A check whose variable nothing binds fails every row.  A fresh
+    variable that fills two or three slots of a pattern adds, after its own
+    checks, one test that those slots hold one term.
     """
     binding = {} if binding is None else binding
     if not all(test(binding[variable]) for variable, test in checks if variable in binding):
@@ -467,20 +446,25 @@ def join(
         fresh = [name for name in names if name is not None]
         # each check that this level's variables make runnable, with the slot
         # that holds its term
-        now = [(_SLOTS[names.index(variable)], test) for variable, test in checks if variable in fresh]
+        now = [(attrgetter(_FIELDS[names.index(variable)]), test) for variable, test in checks if variable in fresh]
         checks = [c for c in checks if c[0] not in fresh]
         placed.update(fresh)
-        # a variable that fills two slots still needs the slots compared
-        repeated = len(set(fresh)) < len(fresh)
-        levels.append((bound, filled, names, now, repeated, None if levels else bucket))
+        repeated = [field for field, name in zip(_FIELDS, names) if name is not None and names.count(name) > 1]
+        if repeated:
+            now.append((attrgetter(*repeated), lambda terms: len(set(terms)) == 1))
+        levels.append((bound, filled, names, now, None if levels else bucket))
     if checks:
         return iter(())
     return _extend(levels, 0, graph, binding) if levels else iter((binding,))
 
 
 def _extend(levels: list, depth: int, graph: Graph, binding: Binding) -> Iterator[Binding]:
-    """The matches of ``levels[depth:]`` under ``binding``, as ``join`` planned them."""
-    bound, filled, names, now, repeated, candidates = levels[depth]
+    """The matches of ``levels[depth:]`` under ``binding``, as ``join`` planned them.
+
+    A candidate that passes the level's tests binds each fresh variable to
+    the term in its slot.
+    """
+    bound, filled, names, now, candidates = levels[depth]
     if candidates is None:
         (s, p, o), (fs, fp, fo) = bound, filled
         probe = (s if fs is None else binding[fs], p if fp is None else binding[fp], o if fo is None else binding[fo])
@@ -490,18 +474,13 @@ def _extend(levels: list, depth: int, graph: Graph, binding: Binding) -> Iterato
     deeper = depth + 1 < len(levels)
     s, p, o = names
     for t in candidates:
-        if repeated:
-            extended = match_one(bound, t, binding)
-            if extended is None:
-                continue
-        else:
-            extended = binding.copy()
-            if s is not None:
-                extended[s] = t.subject
-            if p is not None:
-                extended[p] = t.predicate
-            if o is not None:
-                extended[o] = t.object
+        extended = binding.copy()
+        if s is not None:
+            extended[s] = t.subject
+        if p is not None:
+            extended[p] = t.predicate
+        if o is not None:
+            extended[o] = t.object
         if deeper:
             yield from _extend(levels, depth + 1, graph, extended)
         else:

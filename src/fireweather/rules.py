@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from . import vocab
 from .rdf import (
-    Check, Graph, RdfError, Term, Triple, TriplePattern, comparison, decimal, iri, join, match_one, split_lines, string
+    Check, Graph, RdfError, Term, Triple, TriplePattern, comparison, decimal, iri, join, split_lines, string
 )
 
 
@@ -233,10 +233,10 @@ def parse_rule(text: str, line: int = 1) -> Rule:
 def parse_rules(text: str) -> RuleSet:
     rules = []
     for lineno, raw in enumerate(split_lines(text), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        rules.append(parse_rule(stripped, lineno))
+        # unstripped, so that an error's column counts from the line as written
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            rules.append(parse_rule(line, lineno))
     return RuleSet(tuple(rules))
 
 
@@ -253,11 +253,11 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     ``g`` is not modified: every join reads one copy of it, to which each
     round adds the triples it derived.  Round 1 joins each rule's body.
     Each later round finds only the derivations that use a triple derived
-    in the round before: for each body pattern and each such triple with
-    the pattern's predicate, the triple's match seeds a join of the rest of
-    the body against everything known.  Every body is evaluated by
-    ``rdf.join``, with each builtin as a check.  Chaining stops after a
-    round that derives nothing new.
+    in the round before: each binding of a body pattern over a graph of
+    just those triples seeds a join of the rest of the body against
+    everything known.  Seeds and bodies are both evaluated by ``rdf.join``,
+    with each builtin as a check on the body.  Chaining stops after a round
+    that derives nothing new.
 
     A triple derived more than once in the round that first derives it keeps
     the derivation of the lowest-indexed rule, as rules run in index order;
@@ -267,26 +267,21 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     A head subject bound to a literal raises ``RdfError`` naming the rule.
     """
     full = Graph(g)
-    bodies = [(rule.patterns(), rule.checks()) for rule in ruleset.rules]
-    # each head's subject variable and its other two triple terms, built once per rule
-    heads = [(r.head.subject, iri(vocab.prop_iri(r.head.property_name)), string(r.head.value.value)) for r in ruleset.rules]
+    # each rule's body, and its head's subject variable and other two terms, built once
+    compiled = [(rule, rule.patterns(), rule.checks(), rule.head.pattern()) for rule in ruleset.rules]
     facts: list[InferredFact] = []
-    # the triples the last round derived, by predicate; None before round 1
-    new: Optional[dict[Term, list[Triple]]] = None
+    # the triples the last round derived; None before round 1
+    last: Optional[Graph] = None
     while True:
         found: dict[Triple, InferredFact] = {}
-        for rule, (patterns, checks), (subject, predicate, obj) in zip(ruleset.rules, bodies, heads):
-            if new is None:
+        for rule, patterns, checks, (subject, predicate, obj) in compiled:
+            if last is None:
                 seeds = [(patterns, {})]
             else:
                 seeds = (
-                    (patterns[:i] + patterns[i + 1 :], match_one(p, t))
-                    for i, p in enumerate(patterns)
-                    for t in new.get(p.predicate, ())
+                    (patterns[:i] + patterns[i + 1 :], seed) for i, p in enumerate(patterns) for seed in join([p], last)
                 )
             for rest, seed in seeds:
-                if seed is None:
-                    continue
                 for binding in join(rest, full, checks, seed):
                     try:
                         t = Triple(binding[subject], predicate, obj)
@@ -303,9 +298,7 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
                         found[t] = InferredFact(t.subject, predicate.value, obj.value, rule, bindings)
         if not found:
             break
-        new = {}
-        for t in found:
-            new.setdefault(t.predicate, []).append(t)
+        last = Graph(found)
         full.update(found)
         facts += found.values()
     return sorted(facts, key=lambda f: (f.subject.sort_key(), f.property_iri, f.label))

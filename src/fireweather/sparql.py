@@ -82,7 +82,7 @@ _TOKEN_RE = re.compile(
     | (?P<PNAME>[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z_][A-Za-z0-9_.-]*|[A-Za-z_][A-Za-z0-9_-]*:)
     | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<OP>>=|<=|!=|>|<|=)
-    | (?P<PUNCT>[{}().^]|\^\^)
+    | (?P<PUNCT>[{}().^])
     """,
     re.VERBOSE,
 )

@@ -114,10 +114,14 @@ class TestParsing:
         ("foo(?s) ^ p(?s, ) -> bar(?s, x)", "line 2, column 17: unexpected atom argument ')'"),
         ("foo(?s) ^ p(?s, ?v) -> bar(?s, ?v)", "line 2, column 32: head atom object must be a constant"),
         ("foo(?s) ^ p(?s, ?v) -> greaterThan(?v, 3)", "line 2: head must be a data-property atom"),
+        # a column counts from the line as written, leading whitespace too
+        ("    sensor_id(?s) ^ $x(?s, ?v) -> a(?s, b)", "line 2, column 21: unexpected character '$'"),
+        ("\tsensor_id(?s) ^ $x(?s, ?v) -> a(?s, b)", "line 2, column 18: unexpected character '$'"),
     ],
     ids=[
         "empty-variable", "unexpected-character", "argument-not-variable", "greater-than-one-argument",
         "threshold-not-numeric", "unexpected-argument", "head-object-variable", "head-not-data-property",
+        "leading-spaces", "leading-tab",
     ],
 )
 def test_parse_error_message_and_position(text, message):
