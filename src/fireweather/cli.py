@@ -14,7 +14,7 @@ from . import bands, rules, sparql
 from .assess import alerts_for, assess, synthetic_timestamp
 from .indices import DomainError, WeatherInputs, compute_chain
 from .ingest import IngestError, SensorId, ingest_observations, parse_csv
-from .rdf import RdfError, export_ntriples, import_ntriples
+from .rdf import RdfError, export_ntriples, import_ntriples, split_lines
 
 DEFAULT_RULES = "rules/fwi.rules"
 
@@ -82,12 +82,14 @@ class InputError(Exception):
 def _decoding(path: str, first_line: int = 1):
     """Reports a byte of ``path`` that is not UTF-8 as an error at its line.
 
-    The bytes decoded inside start at line ``first_line`` of ``path``.
+    The bytes decoded inside start at line ``first_line`` of ``path``; the
+    lines up to the bad byte are counted as ``split_lines`` counts them.
     """
     try:
         yield
     except UnicodeDecodeError as exc:
-        line = first_line + exc.object.count(b"\n", 0, exc.start)
+        # the bytes before the first bad one always decode
+        line = first_line + len(split_lines(exc.object[: exc.start].decode("utf-8"))) - 1
         raise InputError(f"{path}: line {line}: not valid UTF-8") from None
 
 

@@ -52,7 +52,8 @@ class Term:
 
     ``value`` is the IRI string or the literal's lexical form.  ``datatype``
     is None for IRIs.  A term is validated and hashed once, when built; a
-    numeric literal keeps the float it parsed to.
+    numeric literal keeps the float it parsed to.  An integer's lexical form
+    is an ASCII sign and digits; a decimal's may add a point and an exponent.
     """
 
     value: str
@@ -65,13 +66,16 @@ class Term:
         if datatype is None:
             if not value or _WHITESPACE.search(value):
                 raise RdfError(f"invalid IRI: {value!r}")
-        elif datatype is Datatype.INTEGER or datatype is Datatype.DECIMAL:
+        elif datatype is not Datatype.STRING:
             try:
                 num = float(value)
             except ValueError:
                 raise RdfError(f"literal {value!r} is not a valid {datatype.name.lower()}") from None
             if not math.isfinite(num):
                 raise RdfError(f"literal {value!r} is not a finite {datatype.name.lower()}")
+            # ``float`` also reads "1_000", " 7" and "١٢", and "7." or "1e5", which are no integer
+            if value.strip("0123456789+-" if datatype is Datatype.INTEGER else "0123456789+-.eE"):
+                raise RdfError(f"literal {value!r} is not a valid {datatype.name.lower()}")
         _set_value(self, value)
         _set_datatype(self, datatype)
         _set_num(self, num)
@@ -541,7 +545,7 @@ def _token_error(body: str, tokens: list[str]) -> str:
 
 
 def split_lines(text: str) -> list[str]:
-    """The lines of ``text``, ended only by ``\\n``, ``\\r\\n`` or ``\\r``.
+    """The lines of ``text``, ended only by ``\\n``, ``\\r\\n`` or ``\\r``: every reader's line rule.
 
     ``str.splitlines`` also breaks at characters that a string literal or a
     comment may hold, such as U+2028 or a form feed.

@@ -123,13 +123,12 @@ class InferredFact:
 # --- parsing ---------------------------------------------------------------
 
 
-#: one token after any whitespace, or the end of the line; no group matches
-#: where no token starts
+#: one token; ``BAD`` takes any character that starts no other
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-      (?P<ARROW>->) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<AND>\^)
-    | (?P<VAR>\?\w*) | (?P<NUMBER>[+\-.]?\d[\d+\-.eE]*) | (?P<NAME>\w+) | (?P<EOF>\Z)
-    )?""",
+    r"""
+      (?P<WS>\s+) | (?P<ARROW>->) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<AND>\^)
+    | (?P<VAR>\?\w*) | (?P<NUMBER>[+\-.]?\d[\d+\-.eE]*) | (?P<NAME>\w+) | (?P<BAD>.)
+    """,
     re.VERBOSE,
 )
 
@@ -139,18 +138,16 @@ class _Lexer:
         self.line = line
         self.tokens: list[tuple[str, str, int]] = []
         self.index = 0
-        end, kind = 0, None
-        while kind != "EOF":
-            m = _TOKEN_RE.match(text, end)
-            kind, end = m.lastgroup, m.end()
-            start = m.start(kind) if kind else end
-            token = text[start:end]
+        for m in _TOKEN_RE.finditer(text):
+            kind, token, column = m.lastgroup, m.group(), m.start() + 1
             # ``\w`` also takes digits and numerals, which cannot start a name
-            if kind is None or kind == "NAME" and not (token[0].isalpha() or token[0] == "_"):
-                raise RuleParseError(f"unexpected character {text[start]!r}", line, start + 1)
+            if kind == "BAD" or kind == "NAME" and not (token[0].isalpha() or token[0] == "_"):
+                raise RuleParseError(f"unexpected character {token[0]!r}", line, column)
             if token == "?":
-                raise RuleParseError("empty variable name", line, start + 1)
-            self.tokens.append((kind, token, start + 1))
+                raise RuleParseError("empty variable name", line, column)
+            if kind != "WS":
+                self.tokens.append((kind, token, column))
+        self.tokens.append(("EOF", "", len(text) + 1))
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]

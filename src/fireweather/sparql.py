@@ -14,9 +14,9 @@ import io
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .rdf import Datatype, Graph, RdfError, Term, TriplePattern, comparison, join, unescape_literal
+from .rdf import Datatype, Graph, RdfError, Term, TriplePattern, comparison, join, split_lines, unescape_literal
 
 
 class QueryParseError(Exception):
@@ -72,6 +72,7 @@ class ResultTable:
 
 # --- tokenizer -------------------------------------------------------------
 
+#: one token; ``BAD`` takes any character that starts no other
 _TOKEN_RE = re.compile(
     r"""
       (?P<WS>\s+)
@@ -79,45 +80,21 @@ _TOKEN_RE = re.compile(
     | (?P<STRING>"(?:[^"\\]|\\.)*")
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<NUMBER>[+-]?\d+(?:\.\d+)?)
-    | (?P<PNAME>[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z_][A-Za-z0-9_.-]*|[A-Za-z_][A-Za-z0-9_-]*:)
+    | (?P<PNAME>[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?|[A-Za-z_][A-Za-z0-9_-]*:)
     | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<OP>>=|<=|!=|>|<|=)
     | (?P<PUNCT>[{}().^])
+    | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
 
-#: a line break as ``rdf.split_lines`` counts one
-_LINE_BREAK = re.compile(r"\r\n?|\n")
 
-
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QueryParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "WS":
-            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
-        # a string literal may hold a line break too
-        for brk in _LINE_BREAK.finditer(value):
-            line += 1
-            line_start = m.start() + brk.end()
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
-    return tokens
+    #: where the token starts in the query text
+    offset: int
 
 
 # --- parser ----------------------------------------------------------------
@@ -125,9 +102,14 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = [_Token(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup != "WS"]
+        self.tokens.append(_Token("EOF", "", len(text)))
         self.index = 0
         self.prefixes: dict[str, str] = {}
+        for tok in self.tokens:
+            if tok.kind == "BAD":
+                self.fail(f"unexpected character {tok.text!r}", tok)
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -138,8 +120,9 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: Optional[_Token] = None):
-        tok = tok or self.peek()
-        raise QueryParseError(message, tok.line, tok.column)
+        """Raises ``message`` at ``tok``, or at the next token, on the line that ``split_lines`` counts."""
+        lines = split_lines(self.text[: (tok or self.peek()).offset])
+        raise QueryParseError(message, len(lines), len(lines[-1]) + 1)
 
     def keyword(self, word: str) -> bool:
         tok = self.peek()

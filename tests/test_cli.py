@@ -96,21 +96,25 @@ class TestUnreadableInput:
         assert err.startswith("error: ") and str(tmp_path) in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, brk",
         [
-            ["ingest", "{bad}"],
-            ["assess", "{bad}"],
-            ["plot", "{bad}", "--days", "1"],
-            ["infer", "{bad}"],
-            ["infer", "{good}", "--rules", "{bad}"],
-            ["query", "{bad}", "{good}"],
-            ["query", "{good}", "{bad}"],
+            pytest.param(argv, brk, id=name + suffix)
+            for brk, suffix in [(b"\n", ""), (b"\r\n", "-crlf"), (b"\r", "-cr")]
+            for name, argv in [
+                ("ingest", ["ingest", "{bad}"]),
+                ("assess", ["assess", "{bad}"]),
+                ("plot", ["plot", "{bad}", "--days", "1"]),
+                ("infer-store", ["infer", "{bad}"]),
+                ("infer-rules", ["infer", "{good}", "--rules", "{bad}"]),
+                ("query-store", ["query", "{bad}", "{good}"]),
+                ("query-text", ["query", "{good}", "{bad}"]),
+            ]
         ],
-        ids=["ingest", "assess", "plot", "infer-store", "infer-rules", "query-store", "query-text"],
     )
-    def test_input_not_utf8_exit_1_with_path_and_line(self, capsys, tmp_path, argv):
+    def test_input_not_utf8_exit_1_with_path_and_line(self, capsys, tmp_path, argv, brk):
         bad, good = tmp_path / "bad.txt", tmp_path / "empty.txt"
-        bad.write_bytes(NOT_UTF8)
+        # the bad byte is on line 2 whichever break ends the lines
+        bad.write_bytes(NOT_UTF8.replace(b"\n", brk))
         good.write_text("")
         code, out, err = run(capsys, *(arg.format(bad=bad, good=good) for arg in argv))
         assert code == 1 and out == ""

@@ -67,6 +67,11 @@ class TestParse:
         )
         assert q.patterns[0].predicate == iri("urn:ex:knows")
         assert q.patterns[0].object == string("bob")
+        # a local name does not take in the '.' that ends a pattern, but may hold one
+        q = parse_query("PREFIX e: <urn:e:> SELECT ?s WHERE { ?s e:p e:o. ?s e:q ?v }")
+        assert q.patterns[0].object == iri("urn:e:o")
+        q = parse_query("PREFIX e: <urn:e:> SELECT ?s WHERE { ?s e:a.b ?v }")
+        assert q.patterns[0].predicate == iri("urn:e:a.b")
 
     def test_unknown_prefix_rejected(self):
         with pytest.raises(QueryParseError, match="unknown prefix"):
@@ -289,7 +294,8 @@ def test_string_literal_escapes_read_as_in_ntriples():
 
 @pytest.mark.parametrize(
     "literal",
-    ['"abc"^^xsd:integer', '"nan"^^xsd:decimal', '"\\U00110000"', '"x\\uD800y"', '"\\uDFFF"', '"\\U0000D800"'],
+    ['"abc"^^xsd:integer', '"nan"^^xsd:decimal', '"\\U00110000"', '"x\\uD800y"', '"\\uDFFF"', '"\\U0000D800"',
+     '"1_000"^^xsd:integer', '"7."^^xsd:integer', "\u0669\u0669\u0669"],
 )
 def test_bad_literal_carries_position(literal):
     text = f"PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\nSELECT ?s WHERE {{ ?s <urn:p> ?v\nFILTER (?v > {literal}) }}\n"

@@ -1,6 +1,6 @@
 """The term representation: equality, hashing, immutability, escaping,
-non-finite numbers, one ``Term`` per distinct token on import, and the
-import fast path agreeing with the general tokenizer."""
+non-finite numbers, numeric lexical forms, one ``Term`` per distinct token
+on import, and the import fast path agreeing with the general tokenizer."""
 
 import dataclasses
 import re
@@ -89,6 +89,37 @@ class TestNonFinite:
     def test_import_reports_the_line_of_a_bad_iri(self):
         with pytest.raises(RdfError, match=r"^line 1: invalid IRI"):
             import_ntriples("<> <urn:p> <urn:o> .\n")
+
+
+class TestNumericLexicalForm:
+    """An integer is an ASCII sign and digits; a decimal may add one point
+    and an exponent, as ``format_decimal`` writes them."""
+
+    @pytest.mark.parametrize("lexical, datatype", [
+        ("1_000", Datatype.INTEGER), (" 7", Datatype.INTEGER), ("7 ", Datatype.INTEGER),
+        ("\u0661\u0662", Datatype.INTEGER), ("1e5", Datatype.INTEGER), ("7.", Datatype.INTEGER),
+        ("1_000.5", Datatype.DECIMAL), ("\t2.5", Datatype.DECIMAL), ("\u0669.5", Datatype.DECIMAL),
+        ("1.5\n", Datatype.DECIMAL),
+    ])
+    def test_term_rejects_what_only_float_reads(self, lexical, datatype):
+        with pytest.raises(RdfError, match=f"^literal {re.escape(repr(lexical))} is not a valid "):
+            Term(lexical, datatype)
+
+    @pytest.mark.parametrize("lexical, datatype", [
+        ("+7", Datatype.INTEGER), ("-0", Datatype.INTEGER), ("007", Datatype.INTEGER),
+        ("1e-05", Datatype.DECIMAL), ("-1.5E+20", Datatype.DECIMAL), (".5", Datatype.DECIMAL),
+        ("5.", Datatype.DECIMAL), ("+2.5", Datatype.DECIMAL),
+    ])
+    def test_term_accepts_the_ascii_forms(self, lexical, datatype):
+        assert Term(lexical, datatype).sort_key()[1] == float(lexical)
+
+    def test_import_reports_the_line(self):
+        text = (
+            f'<urn:s> <urn:p> "1000"^^<{Datatype.INTEGER.value}> .\n'
+            f'<urn:s> <urn:p> "1_000"^^<{Datatype.INTEGER.value}> .\n'
+        )
+        with pytest.raises(RdfError, match=r"^line 2: literal '1_000' is not a valid integer$"):
+            import_ntriples(text)
 
 
 class TestEscaping:
