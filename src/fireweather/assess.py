@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
 
@@ -62,7 +62,7 @@ class Alert:
     message: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def synthetic_timestamp(month: str) -> str:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import os
@@ -64,6 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="also render a line chart to this SVG file")
 
     return parser
+
+
+#: every JSON line's encoder, built once: ``json.dumps(obj, sort_keys=True)``
+#: builds a new one per call
+_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def _write(text: str, output: str | None):
@@ -127,7 +131,7 @@ def cmd_assess(args) -> int:
     lines = []
     for a in assessments:
         r = a.record
-        lines.append(json.dumps({
+        lines.append(_JSON.encode({
             "type": "assessment",
             "sensor": a.sensor,
             "timestamp": a.timestamp,
@@ -143,9 +147,10 @@ def cmd_assess(args) -> int:
             "wind_risk": a.wind_risk,
             "verdict": str(a.verdict),
             "trace": list(a.trace),
-        }, sort_keys=True))
+        }))
     for alert in alerts_for(assessments):
-        lines.append(json.dumps(dict(dataclasses.asdict(alert), type="alert"), sort_keys=True))
+        # an alert's fields are strings and floats, so its ``vars`` need no deep copy
+        lines.append(_JSON.encode(dict(vars(alert), type="alert")))
     _write("".join(line + "\n" for line in lines), args.output)
     return 0
 
@@ -163,13 +168,13 @@ def cmd_infer(args) -> int:
     facts = rules.forward_chain(graph, ruleset)
     if args.format == "jsonl":
         rendered = {rule: rule.render() for rule in ruleset.rules}
-        lines = [json.dumps({
+        lines = [_JSON.encode({
             "subject": f.subject.value,
             "property": f.property_iri,
             "label": f.label,
             "rule": rendered[f.rule],
             "bindings": {k: str(v) for k, v in f.bindings},
-        }, sort_keys=True) for f in facts]
+        }) for f in facts]
         _write("".join(line + "\n" for line in lines), args.output)
     else:
         _write("".join(str(f.triple()) + "\n" for f in facts), args.output)
@@ -188,9 +193,12 @@ def cmd_query(args) -> int:
         return 0
     # REPL: one query per blank-line-terminated block
     block: list[str] = []
-    for lineno, raw in enumerate(sys.stdin.buffer, start=1):
+    # stdin is read by its "\n"-ended lines, but numbered as ``split_lines`` numbers them
+    lineno = 1
+    for raw in sys.stdin.buffer:
         with _decoding("-", lineno):
             line = raw.decode("utf-8")
+        lineno += len(split_lines(line)) - 1
         if line.strip():
             block.append(line)
             continue

@@ -6,6 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from . import vocab
@@ -161,8 +162,6 @@ def to_triples(obs: WeatherObservation, sensor: SensorId) -> list[Triple]:
 
 
 def ingest_observations(observations: Iterable[WeatherObservation]) -> Graph:
-    """Load observations into a graph, minting sensor ordinals from 1."""
-    g = Graph()
-    for ordinal, obs in enumerate(observations, start=1):
-        g.update(to_triples(obs, SensorId(ordinal)))
-    return g
+    """Load observations into a graph, minting sensor ordinals from 1, with no ``Graph.insert`` per triple."""
+    rows = enumerate(observations, start=1)
+    return Graph(chain.from_iterable(to_triples(obs, SensorId(ordinal)) for ordinal, obs in rows))

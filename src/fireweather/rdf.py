@@ -41,6 +41,10 @@ class Datatype(Enum):
     INTEGER = XSD + "integer"
     DECIMAL = XSD + "decimal"
 
+    # each member is a singleton, so identity is equality, and a term's hash
+    # reads its datatype's without a call into ``Enum.__hash__``
+    __hash__ = object.__hash__
+
 
 class RdfError(Exception):
     """Malformed term, triple, or serialization input."""
@@ -108,7 +112,7 @@ class Term:
         if self.datatype is None:
             return f"<{self.value}>"
         escaped = _NEEDS_ESCAPE.sub(_escape_char, self.value)
-        return f'"{escaped}"^^<{self.datatype.value}>'
+        return f'"{escaped}{_SUFFIXES[self.datatype]}'
 
 
 # The slots' own setters: a frozen dataclass's ``__setattr__`` raises, and
@@ -116,6 +120,10 @@ class Term:
 _set_value, _set_datatype, _set_num, _set_term_hash = (
     Term.value.__set__, Term.datatype.__set__, Term._num.__set__, Term._hash.__set__
 )
+
+
+#: each datatype's end of a written literal: the closing quote and ``^^<datatype>``
+_SUFFIXES = {dt: f'"^^<{dt.value}>' for dt in Datatype}
 
 
 def _escape_char(m: re.Match) -> str:
@@ -178,7 +186,8 @@ class Triple:
         _set_subject(self, subject)
         _set_predicate(self, predicate)
         _set_object(self, object)
-        _set_triple_hash(self, hash((subject, predicate, object)))
+        # the terms' stored hashes, read without a call to ``Term.__hash__``
+        _set_triple_hash(self, hash((subject._hash, predicate._hash, object._hash)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -256,6 +265,21 @@ def _index_triple(spo: _Nested, pos: _Nested, t: Triple) -> None:
         po.append(t)
 
 
+class _Buckets:
+    """The triples of several index buckets: sized by summing their lengths, read by chaining them."""
+
+    __slots__ = ("buckets",)
+
+    def __init__(self, buckets: Iterable[list[Triple]]):
+        self.buckets = buckets
+
+    def __len__(self) -> int:
+        return sum(map(len, self.buckets))
+
+    def __iter__(self) -> Iterator[Triple]:
+        return chain.from_iterable(self.buckets)
+
+
 class Graph:
     """Insertion-ordered set of triples, with nested indexes built when first read.
 
@@ -273,15 +297,13 @@ class Graph:
     pattern's concrete slots, so a match only has to bind its variables.
 
     Single writer or multiple readers at any moment; callers must not
-    interleave a writer with readers.  An ``(s, p)`` or ``(p, o)`` bucket
-    from ``candidates`` is valid until the next insert.
+    interleave a writer with readers.  A bucket or ``_Buckets`` from
+    ``candidates`` is valid until the next insert.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         """A graph of ``triples``, filled without ``insert``, as no index exists yet; a copy builds none."""
-        self._triples: dict[Triple, None] = {}
-        for t in triples:
-            self._triples[t] = None
+        self._triples: dict[Triple, None] = dict.fromkeys(triples)
         self._indexes: Optional[tuple[_Nested, _Nested]] = None
 
     def __len__(self) -> int:
@@ -312,10 +334,11 @@ class Graph:
         """The triples that agree with every concrete slot of the pattern.
 
         A pattern with no concrete slot returns the graph itself and builds
-        no index.  Otherwise ``(s, p)`` and ``(p, o)`` return one bucket,
-        valid until the next insert; ``(s, p, o)`` filters the ``(s, p)``
-        bucket, ``(s, o)`` the subject's triples; ``s`` or ``p`` alone
-        gathers its inner dict, ``o`` alone its bucket under every
+        no index.  Otherwise ``(s, p)`` and ``(p, o)`` return one bucket;
+        ``s`` or ``p`` alone returns its inner dict's buckets as one
+        ``_Buckets``, sized without a list; each is valid until the next
+        insert.  ``(s, p, o)`` filters the ``(s, p)`` bucket, ``(s, o)`` the
+        subject's triples, and ``o`` alone gathers its bucket under every
         predicate, each into a new list: a snapshot.
         """
         s, p, o = pattern
@@ -333,13 +356,13 @@ class Graph:
             by_p = spo.get(s)
             if by_p is None:
                 return ()
-            by_s = by_p.get(p, ()) if isinstance(p, Term) else list(chain.from_iterable(by_p.values()))
+            by_s = by_p.get(p, ()) if isinstance(p, Term) else _Buckets(by_p.values())
             return [t for t in by_s if t.object == o] if isinstance(o, Term) else by_s
         if isinstance(p, Term):
             by_o = pos.get(p)
             if by_o is None:
                 return ()
-            return by_o.get(o, ()) if isinstance(o, Term) else list(chain.from_iterable(by_o.values()))
+            return by_o.get(o, ()) if isinstance(o, Term) else _Buckets(by_o.values())
         if isinstance(o, Term):
             return [t for by_o in pos.values() for t in by_o.get(o, ())]
         return self
@@ -436,9 +459,10 @@ def join(
     for pattern in patterns:
         bound = substitute(pattern, binding)
         bucket = graph.candidates(bound)
-        if not bucket:
+        size = len(bucket)
+        if not size:
             return iter(())
-        sized.append((len(bucket), bound, bucket))
+        sized.append((size, bound, bucket))
     levels, placed, left = [], set(), list(range(len(sized)))
     while left:
         linked = [i for i in left if placed.intersection(sized[i][1].variables())]
@@ -588,6 +612,8 @@ def import_ntriples(text: str) -> Graph:
     1-based line number and a reason.
     """
     g = Graph()
+    # filled directly: the new graph has no index for ``insert`` to keep
+    triples = g._triples
     terms = _Terms()
     try:
         for lineno, line in enumerate(split_lines(text), start=1):
@@ -595,7 +621,7 @@ def import_ntriples(text: str) -> Graph:
             tokens = _tokens(line) if m is None else m.groups()
             if tokens is not None:
                 s, p, o = tokens
-                g.insert(Triple(terms[s], terms[p], terms[o]))
+                triples[Triple(terms[s], terms[p], terms[o])] = None
     except RdfError as exc:
         raise RdfError(f"line {lineno}: {exc}") from None
     return g

@@ -11,12 +11,12 @@ set semantics; every inferred fact carries the rule and bindings that
 produced it.
 
 ``greaterThan(?v, N)`` means ``FILTER (?v > N)``: both compile through
-``rdf.comparison``.
+``rdf.comparison``, and ``N`` must spell a decimal ``Term``, as a FILTER
+operand must.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
@@ -179,15 +179,15 @@ def _parse_atom(lx: _Lexer, head: bool) -> BodyAtom:
     if name == "greaterThan":
         if kind != "NUMBER":
             raise RuleParseError("greaterThan threshold must be numeric", lx.line, scol)
+        # the numeral must spell a decimal ``Term``, as a FILTER operand must:
+        # ``float`` alone also reads numerals that are not ASCII
         try:
-            threshold = float(second)
-        except ValueError:
-            raise RuleParseError(f"greaterThan threshold {second!r} is not a number", lx.line, scol) from None
-        if not math.isfinite(threshold):
-            raise RuleParseError(f"greaterThan threshold {second!r} is not finite", lx.line, scol)
+            decimal(second)
+        except RdfError as exc:
+            raise RuleParseError(f"greaterThan threshold: {exc}", lx.line, scol) from None
         lx.take("NUMBER")
         lx.take("RPAREN")
-        return BuiltinGreaterThan(first, threshold)
+        return BuiltinGreaterThan(first, float(second))
     if name in ("lessThan", "equal", "notEqual", "greaterThanOrEqual", "lessThanOrEqual"):
         raise RuleParseError(f"unsupported builtin {name!r}: only greaterThan is available", lx.line, col)
     if kind == "VAR":

@@ -454,6 +454,17 @@ class TestQuery:
         assert "error:" in err
         assert "45.0" in out
 
+    @pytest.mark.parametrize(
+        "stdin, line",
+        [(b"a\rb\n\xff\n", 3), (b"SELECT ?s\rWHERE\xff\n", 2), (b"a\r\nb\n\xff\n", 3), (b"\r\r\n\xff", 3)],
+        ids=["cr-in-an-earlier-line", "cr-in-the-bad-line", "crlf", "blank-lines"],
+    )
+    def test_repl_numbers_lines_as_split_lines_does(self, capsys, wind_store, monkeypatch, stdin, line):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+        code, out, err = run(capsys, "query", str(wind_store))
+        assert (code, out) == (1, "")
+        assert err == f"error: -: line {line}: not valid UTF-8\n"
+
     def test_bad_query_file_exit_1(self, capsys, tmp_path, wind_store):
         qfile = tmp_path / "q.rq"
         qfile.write_text("SELECT WHERE {}")

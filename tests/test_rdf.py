@@ -21,7 +21,7 @@ from fireweather.rdf import (
     string,
 )
 from fireweather.sparql import evaluate, parse_query
-from test_sparql import COMPARATORS, DRY_AUGUST_QUERY, WIND_SURVEY_QUERY
+from test_sparql import COMPARATORS, DRY_AUGUST_QUERY, LOOKUP_QUERY, WIND_SURVEY_QUERY
 from util import (
     PREDICATES,
     SUBJECTS,
@@ -353,6 +353,28 @@ class TestJoinPlan:
         # at each later level, and no pattern is substituted again
         assert calls["candidates"] == 4 + len(august) + len(observations) + len(fuel)
         assert calls["substitute"] == 4
+
+    def test_lookup_sizes_the_value_pattern_without_gathering_it(self, dataset_text, monkeypatch):
+        g = ingest_observations(parse_csv(dataset_text))
+        has_value = iri(vocab.HAS_VALUE)
+        returned = []
+        candidates = Graph.candidates
+
+        def recording(self, pattern):
+            found = candidates(self, pattern)
+            # a later level's probe is a bare tuple
+            subject, predicate, _ = pattern
+            if predicate == has_value and isinstance(subject, str):
+                returned.append(found)
+            return found
+
+        monkeypatch.setattr(Graph, "candidates", recording)
+        table = evaluate(parse_query(LOOKUP_QUERY), g)
+        assert len(table.rows) == 9
+        # ``?obs p:hasvalue ?value`` is sized once, from its buckets, and its
+        # 4,653 triples are never copied into a list
+        assert len(returned) == 1 and len(returned[0]) == 517 * 9
+        assert not isinstance(returned[0], list)
 
 
 class TestIndexCoherence:

@@ -23,7 +23,7 @@ from fireweather.rules import (
     parse_rules,
     verify_provenance,
 )
-from fireweather.sparql import evaluate, parse_query
+from fireweather.sparql import QueryParseError, evaluate, parse_query
 from util import SUBJECTS, brute_force_join, check_index_coherence, reference_filter, terms
 
 RULE_TEXT = "sensor_id(?s) ^ notdifficult(?s, ?rh) ^ greaterThan(?rh, 16) -> DifficultyofControle(?s, notDifficult)"
@@ -87,6 +87,18 @@ class TestParsing:
         column = text.index(threshold) + 1
         with pytest.raises(RuleParseError, match=rf"^line 3, column {column}: .*{threshold}"):
             parse_rules("# comment\n\n" + text + "\n")
+
+    @pytest.mark.parametrize("numeral", ["٩٩٩", "1٩", "-١٢.5"])
+    def test_threshold_obeys_the_term_numeral_rule_as_a_filter_does(self, numeral):
+        text = f"foo(?s) ^ p(?s, ?v) ^ greaterThan(?v, {numeral}) -> bar(?s, x)"
+        with pytest.raises(RuleParseError) as info:
+            parse_rule(text)
+        assert (info.value.line, info.value.column) == (1, text.index(numeral) + 1)
+        assert numeral in str(info.value)
+        query = f"SELECT ?s WHERE {{ ?s <urn:p> ?v FILTER (?v > {numeral}) }}"
+        with pytest.raises(QueryParseError) as info:
+            parse_query(query)
+        assert info.value.column == query.index(numeral) + 1
 
     @pytest.mark.parametrize("char", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
     def test_comment_holds_a_non_newline_line_break(self, char):

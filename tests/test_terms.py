@@ -3,6 +3,7 @@ non-finite numbers, numeric lexical forms, one ``Term`` per distinct token
 on import, and the import fast path agreeing with the general tokenizer."""
 
 import dataclasses
+import enum
 import re
 from unittest import mock
 
@@ -50,8 +51,27 @@ class TestContract:
     def test_equal_triples_hash_equal(self):
         a = Triple(iri("urn:s"), iri("urn:p"), decimal("2.5"))
         b = Triple(Term("urn:s"), Term("urn:p"), Term("2.5", Datatype.DECIMAL))
-        assert a == b and hash(a) == hash(b) == hash((a.subject, a.predicate, a.object))
+        assert a == b and hash(a) == hash(b) == hash((a.subject._hash, a.predicate._hash, a.object._hash))
         assert a != Triple(iri("urn:s"), iri("urn:p"), decimal("2.50"))
+
+    def test_building_terms_and_triples_makes_no_python_hash_call(self, monkeypatch):
+        calls = []
+
+        def counting(name, hash_):
+            def wrapper(self):
+                calls.append(name)
+                return hash_(self)
+            return wrapper
+
+        monkeypatch.setattr(Term, "__hash__", counting("Term", Term.__hash__))
+        monkeypatch.setattr(enum.Enum, "__hash__", counting("Enum", enum.Enum.__hash__))
+        s, p = iri("urn:s"), iri("urn:p")
+        for o in [iri("urn:o"), string("x"), integer(7), decimal(2.5)]:
+            Triple(s, p, o)
+        assert calls == []
+        # the hooks do count
+        hash(s), hash(enum.Enum("Other", "A").A)
+        assert calls == ["Term", "Enum"]
 
     def test_assignment_raises(self):
         term = iri("urn:a")
@@ -186,6 +206,25 @@ def test_ntriples_round_trip(items):
     again = import_ntriples(text)
     assert set(again) == set(g)
     assert export_ntriples(again) == text
+
+
+def test_bulk_loads_never_call_insert(dataset_text, monkeypatch):
+    calls = 0
+    insert = Graph.insert
+
+    def counting(self, t):
+        nonlocal calls
+        calls += 1
+        return insert(self, t)
+
+    monkeypatch.setattr(Graph, "insert", counting)
+    g = ingest_observations(parse_csv(dataset_text))
+    again = import_ntriples(export_ntriples(g))
+    assert calls == 0
+    assert list(again) == sorted(g, key=str) and len(g) == 517 * 32
+    # the hook does count
+    Graph().insert(next(iter(g)))
+    assert calls == 1
 
 
 def test_import_builds_one_term_per_distinct_token(dataset_text, monkeypatch):
