@@ -11,6 +11,7 @@ from fireweather.rdf import (
     export_ntriples,
     import_ntriples,
     iri,
+    join,
     string,
 )
 
@@ -26,7 +27,7 @@ g.insert(Triple(station, iri("urn:demo:wind"), decimal(45.0)))
 print(f"store holds {len(g)} triples")
 
 # Pattern matching binds ?variables in any position.
-for binding in g.match(TriplePattern("?s", iri("urn:demo:wind"), "?v")):
+for binding in join([TriplePattern("?s", iri("urn:demo:wind"), "?v")], g):
     print(f"  {binding['?s'].value} reports wind {binding['?v'].value}")
 
 # N-Triples round-trips byte-identically.

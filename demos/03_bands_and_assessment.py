@@ -3,6 +3,8 @@
 Run from the repository root: python3 demos/03_bands_and_assessment.py
 """
 
+import json
+
 from fireweather.assess import alerts_for, assess
 from fireweather.bands import classify_fire_intensity, classify_ignition_potential
 from fireweather.indices import WeatherInputs, compute_chain
@@ -26,4 +28,4 @@ print(f"rainy day verdict: {assess(rec, wet, 'urn:ssn:sensor:demo').verdict}")
 
 # Act/Extreme verdicts produce alerts ready for JSON transport.
 for alert in alerts_for([a]):
-    print(f"\nalert: {alert.to_json()}")
+    print(f"\nalert: {json.dumps(vars(alert), sort_keys=True)}")

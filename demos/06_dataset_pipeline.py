@@ -5,9 +5,10 @@ Run from the repository root: python3 demos/06_dataset_pipeline.py
 
 from collections import Counter
 
+from fireweather import vocab
 from fireweather.assess import alerts_for, assess, synthetic_timestamp
 from fireweather.indices import WeatherInputs, compute_chain
-from fireweather.ingest import SensorId, ingest_observations, parse_csv
+from fireweather.ingest import ingest_observations, parse_csv
 
 with open("data/forestfires.csv", encoding="utf-8") as fh:
     rows = parse_csv(fh.read())
@@ -21,7 +22,7 @@ for ordinal, row in enumerate(rows, start=1):
     rec = compute_chain(row.ffmc, row.dmc, row.dc, row.wind)
     weather = WeatherInputs(temp=row.temp, rh=row.rh, wind=row.wind, rain_24h=row.rain)
     assessments.append(
-        assess(rec, weather, SensorId(ordinal).iri, synthetic_timestamp(row.month))
+        assess(rec, weather, vocab.sensor_iri(ordinal), synthetic_timestamp(row.month))
     )
 
 counts = Counter(str(a.verdict) for a in assessments)

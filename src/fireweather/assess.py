@@ -9,7 +9,6 @@ the verdict is demoted from Extreme to Act.
 from __future__ import annotations
 
 import datetime
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
@@ -60,9 +59,6 @@ class Alert:
     threshold: float
     verdict: str
     message: str
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
 
 
 def synthetic_timestamp(month: str) -> str:

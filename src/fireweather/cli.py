@@ -6,16 +6,13 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 
-from . import bands, rules, sparql
+from . import bands, rules, sparql, vocab
 from .assess import alerts_for, assess, synthetic_timestamp
 from .indices import DomainError, WeatherInputs, compute_chain
-from .ingest import IngestError, SensorId, ingest_observations, parse_csv
+from .ingest import IngestError, ingest_observations, parse_csv
 from .rdf import RdfError, export_ntriples, import_ntriples, split_lines
-
-DEFAULT_RULES = "rules/fwi.rules"
 
 CLASSIFIERS = {
     "ffmc": bands.classify_ignition_potential,
@@ -46,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="forward-chain the rule file over a store")
     p.add_argument("store_path")
-    p.add_argument("--rules", default=None)
+    p.add_argument("--rules", default="rules/fwi.rules")
     p.add_argument("--format", choices=["ntriples", "jsonl"], default="ntriples")
     p.add_argument("--output")
 
@@ -107,10 +104,6 @@ def _read(path: str) -> str:
             return fh.read()
 
 
-def _rules_path(flag: str | None) -> str:
-    return flag or os.environ.get("FWI_RULES") or DEFAULT_RULES
-
-
 def cmd_ingest(args) -> int:
     graph = ingest_observations(parse_csv(_read(args.csv_path)))
     _write(export_ntriples(graph), args.output)
@@ -121,7 +114,7 @@ def cmd_assess(args) -> int:
     observations = parse_csv(_read(args.csv_path))
     assessments = []
     for ordinal, obs in enumerate(observations, start=1):
-        sensor = SensorId(ordinal).iri
+        sensor = vocab.sensor_iri(ordinal)
         try:
             rec = compute_chain(obs.ffmc, obs.dmc, obs.dc, obs.wind)
             weather = WeatherInputs(temp=obs.temp, rh=obs.rh, wind=obs.wind, rain_24h=obs.rain)
@@ -162,9 +155,8 @@ def cmd_classify(args) -> int:
 
 def cmd_infer(args) -> int:
     graph = import_ntriples(_read(args.store_path))
-    rules_path = _rules_path(args.rules)
-    with _decoding(rules_path):
-        ruleset = rules.load_rules(rules_path)
+    with _decoding(args.rules):
+        ruleset = rules.load_rules(args.rules)
     facts = rules.forward_chain(graph, ruleset)
     if args.format == "jsonl":
         rendered = {rule: rule.render() for rule in ruleset.rules}

@@ -78,17 +78,6 @@ class WeatherObservation:
         return {q: float(getattr(self, q)) for q in QUANTITY_UNITS}
 
 
-@dataclass(frozen=True)
-class SensorId:
-    """Deterministic sensor identity minted from the row ordinal (1-based)."""
-
-    ordinal: int
-
-    @property
-    def iri(self) -> str:
-        return vocab.sensor_iri(self.ordinal)
-
-
 def parse_csv(text: str) -> list[WeatherObservation]:
     """Parse the dataset CSV into observations, preserving file order."""
     reader = csv.reader(io.StringIO(text))
@@ -98,12 +87,19 @@ def parse_csv(text: str) -> list[WeatherObservation]:
         raise IngestError("empty input: missing header row") from None
     if [h.strip() for h in header] != EXPECTED_HEADER:
         raise IngestError(f"unexpected header {header!r}, want {EXPECTED_HEADER!r}")
+    # ``int`` and ``float`` also read ``_`` and every Unicode digit; the rows
+    # of a text that holds neither a ``_`` nor a non-ASCII character need no check
+    suspect = "_" in text or not text.isascii()
     observations = []
     for rownum, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(EXPECTED_HEADER):
             raise IngestError(f"row {rownum}: expected {len(EXPECTED_HEADER)} columns, got {len(row)}")
+        if suspect:
+            for name, field in zip(EXPECTED_HEADER, row):
+                if name not in ("month", "day") and ("_" in field or not field.isascii()):
+                    raise IngestError(f"row {rownum}: {name.lower()} must be an ASCII numeral without '_': {field!r}")
         try:
             obs = WeatherObservation(
                 x_coord=int(row[0]),
@@ -143,9 +139,9 @@ _MONTH_TERMS = {month: string(month) for month in MONTHS}
 _DAY_TERMS = {day: string(day) for day in DAYS}
 
 
-def to_triples(obs: WeatherObservation, sensor: SensorId) -> list[Triple]:
-    """Map one observation to its fixed per-row triple schema."""
-    s = iri(sensor.iri)
+def to_triples(obs: WeatherObservation, ordinal: int) -> list[Triple]:
+    """Map the observation of row ``ordinal`` (1-based) to its fixed per-row triple schema."""
+    s = iri(vocab.sensor_iri(ordinal))
     triples = [
         Triple(s, _RDF_TYPE, _SENSOR_CLASS),
         Triple(s, _HAS_DEPLOYMENT_X, integer(obs.x_coord)),
@@ -154,7 +150,7 @@ def to_triples(obs: WeatherObservation, sensor: SensorId) -> list[Triple]:
         Triple(s, _HAS_DAY, _DAY_TERMS[obs.day]),
     ]
     for quantity, value in obs.quantities().items():
-        node = iri(vocab.obs_iri(sensor.ordinal, quantity))
+        node = iri(vocab.obs_iri(ordinal, quantity))
         triples.append(Triple(node, _HAS_VALUE, decimal(value)))
         triples.append(Triple(node, _HAS_UNIT, _UNIT_TERMS[quantity]))
         triples.append(Triple(node, _OBSERVED_BY, s))
@@ -164,4 +160,4 @@ def to_triples(obs: WeatherObservation, sensor: SensorId) -> list[Triple]:
 def ingest_observations(observations: Iterable[WeatherObservation]) -> Graph:
     """Load observations into a graph, minting sensor ordinals from 1, with no ``Graph.insert`` per triple."""
     rows = enumerate(observations, start=1)
-    return Graph(chain.from_iterable(to_triples(obs, SensorId(ordinal)) for ordinal, obs in rows))
+    return Graph(chain.from_iterable(to_triples(obs, ordinal) for ordinal, obs in rows))

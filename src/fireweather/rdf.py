@@ -3,10 +3,10 @@
 Terms are IRIs or typed literals (string / integer / decimal).  Blank nodes
 are deliberately unsupported; ingestion mints deterministic IRIs instead.
 
-``join`` is the one pattern matcher: ``Graph.match``, rule bodies, the
-seeds of each semi-naive chaining round and SPARQL queries all evaluate
-through it.  ``comparison`` is the one comparison, which a SPARQL
-``FILTER`` and a rule's ``greaterThan`` share.
+``join`` is the one pattern matcher: rule bodies, the seeds of each
+semi-naive chaining round and SPARQL queries all evaluate through it.
+``comparison`` is the one comparison, which a SPARQL ``FILTER`` and a
+rule's ``greaterThan`` share.
 """
 
 from __future__ import annotations
@@ -366,17 +366,6 @@ class Graph:
         if isinstance(o, Term):
             return [t for by_o in pos.values() for t in by_o.get(o, ())]
         return self
-
-    def match(self, pattern: TriplePattern) -> list[Binding]:
-        """All bindings under which the pattern occurs in the graph.
-
-        Order is deterministic: lexicographic by the bound terms in the
-        pattern's variable order.
-        """
-        variables = list(dict.fromkeys(pattern.variables()))
-        results = list(join([pattern], self))
-        results.sort(key=lambda b: tuple(b[v].sort_key() for v in variables))
-        return results
 
 
 #: A variable and a test on the term bound to it.  The join runs the test on

@@ -101,12 +101,6 @@ class Rule:
 class RuleSet:
     rules: tuple[Rule, ...]
 
-    def render(self) -> str:
-        return "".join(r.render() + "\n" for r in self.rules)
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
 
 @dataclass(frozen=True)
 class InferredFact:

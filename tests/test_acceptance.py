@@ -28,7 +28,7 @@ from fireweather.indices import (
     isi_from,
 )
 from fireweather.ingest import parse_csv
-from fireweather.rdf import Graph, Triple, TriplePattern, decimal, iri, string
+from fireweather.rdf import Graph, Triple, TriplePattern, decimal, iri, join, string
 from fireweather.rules import forward_chain, load_rules, verify_provenance
 from fireweather.sparql import evaluate, parse_query
 from conftest import RULES_FILE
@@ -122,7 +122,7 @@ def _measurement_view(graph: Graph, quantity: str) -> Graph:
     """
     view = Graph()
     suffix = ":" + quantity
-    for binding in graph.match(TriplePattern("?s", iri(vocab.HAS_VALUE), "?v")):
+    for binding in join([TriplePattern("?s", iri(vocab.HAS_VALUE), "?v")], graph):
         if binding["?s"].value.endswith(suffix):
             view.insert(Triple(binding["?s"], iri(vocab.HAS_VALUE), binding["?v"]))
     return view
@@ -202,7 +202,7 @@ def test_criterion_9_documented_reconstructions():
     reconstruction exercised through the plot subcommand.
     """
     ruleset = load_rules(str(RULES_FILE))
-    assert len(ruleset) == 27
+    assert len(ruleset.rules) == 27
     from fireweather.cli import main
     assert main(["plot", str(RULES_FILE.parent.parent / "data" / "forestfires.csv"), "--days", "78", "--output", "/dev/null"]) == 0
     _report(9, "non-reproducible figures are covered by criteria 4–6 and the plot reconstruction")

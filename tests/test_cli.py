@@ -188,6 +188,12 @@ class TestAssess:
         expected += sum(1 for a in assessments if a["wind_risk"])
         assert len(alerts) == expected
 
+    def test_jsonl_shape(self, dataset_lines):
+        alerts = [p for p in dataset_lines if p["type"] == "alert"]
+        assert alerts
+        for alert in alerts:
+            assert set(alert) == {"type", "sensor", "timestamp", "index", "value", "threshold", "verdict", "message"}
+
 
 #: SHA-256 of the stdout of ``fireweather <command> data/forestfires.csv``.
 #: The default ingest bytes are a contract (the benchmark's store check reads
@@ -327,18 +333,6 @@ class TestInfer:
         assert any("DifficultyofControle" in line and "notDifficult" in line for line in out.splitlines())
         assert any("FireIntensity" in line and "moderate" in line for line in out.splitlines())
 
-    def test_env_var_fallback(self, capsys, sensor_store, monkeypatch):
-        monkeypatch.setenv("FWI_RULES", str(RULES_FILE))
-        code, out, _ = run(capsys, "infer", str(sensor_store))
-        assert code == 0 and "notDifficult" in out
-
-    def test_flag_beats_env(self, capsys, sensor_store, tmp_path, monkeypatch):
-        empty = tmp_path / "empty.rules"
-        empty.write_text("")
-        monkeypatch.setenv("FWI_RULES", str(RULES_FILE))
-        code, out, _ = run(capsys, "infer", str(sensor_store), "--rules", str(empty))
-        assert code == 0 and out == ""
-
     def test_jsonl_format_carries_provenance(self, capsys, sensor_store):
         code, out, _ = run(
             capsys, "infer", str(sensor_store), "--rules", str(RULES_FILE), "--format", "jsonl"
@@ -367,7 +361,7 @@ class TestInfer:
         monkeypatch.setattr(Rule, "render", counting)
         code, out, _ = run(capsys, "infer", str(store), "--rules", str(RULES_FILE), "--format", "jsonl")
         assert code == 0 and len(out.splitlines()) == 40
-        assert renders <= len(load_rules(str(RULES_FILE)))
+        assert renders <= len(load_rules(str(RULES_FILE)).rules)
 
     def test_non_finite_literal_exit_1_with_line(self, capsys, tmp_path):
         store = tmp_path / "nan.nt"

@@ -6,13 +6,12 @@ from fireweather.ingest import (
     QUANTITY_UNITS,
     TRIPLES_PER_ROW,
     IngestError,
-    SensorId,
     WeatherObservation,
     ingest_observations,
     parse_csv,
     to_triples,
 )
-from fireweather.rdf import TriplePattern, decimal, export_ntriples, format_decimal, iri
+from fireweather.rdf import TriplePattern, decimal, export_ntriples, format_decimal, iri, join
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area\n"
 ROW = "7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\n"
@@ -85,10 +84,23 @@ class TestValidation:
         with pytest.raises(IngestError, match=f"^row 3: {name} must be a finite number"):
             parse_csv(HEADER + ROW + ",".join(fields) + "\n")
 
+    @pytest.mark.parametrize("column, text", [
+        (0, "0_7"), (4, "8_6.2"),                      # digit separators
+        (0, "\u0667"), (4, "\u0668\u0666.\u0662"),  # Arabic-Indic digits
+        (0, "\uff17"), (4, "\uff18\uff16.\uff12"),  # fullwidth digits
+    ])
+    def test_csv_numerals_are_ascii_without_separators(self, column, text):
+        # ``int`` and ``float`` read each of these as the row's own value
+        fields = ROW.strip().split(",")
+        fields[column] = text
+        name = EXPECTED_HEADER[column].lower()
+        with pytest.raises(IngestError, match=f"^row 3: {name} must be an ASCII numeral"):
+            parse_csv(HEADER + ROW + ",".join(fields) + "\n")
+
 
 class TestToTriples:
     def test_per_row_schema(self):
-        triples = to_triples(obs(wind=45.0), SensorId(3))
+        triples = to_triples(obs(wind=45.0), 3)
         assert len(triples) == TRIPLES_PER_ROW
         wind_node = iri(vocab.obs_iri(3, "wind"))
         assert any(
@@ -102,18 +114,20 @@ class TestToTriples:
         )
 
     def test_exactly_one_type_triple(self):
-        triples = to_triples(obs(), SensorId(1))
+        triples = to_triples(obs(), 1)
         types = [t for t in triples if t.predicate.value == vocab.RDF_TYPE]
         assert len(types) == 1
         assert types[0].object.value == vocab.SENSOR_CLASS
 
     def test_one_unit_triple_per_quantity(self):
-        triples = to_triples(obs(), SensorId(1))
+        triples = to_triples(obs(), 1)
         units = [t for t in triples if t.predicate.value == vocab.HAS_UNIT]
         assert len(units) == len(QUANTITY_UNITS)
 
     def test_deterministic_iris(self):
-        assert SensorId(5).iri == SensorId(5).iri == "urn:ssn:sensor:5"
+        triples = to_triples(obs(), 5)
+        assert triples == to_triples(obs(), 5)
+        assert triples[0].subject.value == vocab.sensor_iri(5) == "urn:ssn:sensor:5"
 
     def test_total_triple_count(self, dataset_text):
         g = ingest_observations(parse_csv(dataset_text))
@@ -126,7 +140,7 @@ class TestRoundTrip:
         g = ingest_observations(rows)
         for ordinal, row in enumerate(rows, start=1):
             pattern = TriplePattern(iri(vocab.obs_iri(ordinal, "wind")), iri(vocab.HAS_VALUE), "?v")
-            got = g.match(pattern)
+            got = list(join([pattern], g))
             assert len(got) == 1
             assert got[0]["?v"].value == format_decimal(row.wind)
 
