@@ -159,14 +159,19 @@ def cmd_infer(args) -> int:
         ruleset = rules.load_rules(args.rules)
     facts = rules.forward_chain(graph, ruleset)
     if args.format == "jsonl":
-        rendered = {rule: rule.render() for rule in ruleset.rules}
-        lines = [_JSON.encode({
-            "subject": f.subject.value,
-            "property": f.property_iri,
-            "label": f.label,
-            "rule": rendered[f.rule],
-            "bindings": {k: str(v) for k, v in f.bindings},
-        }) for f in facts]
+        # sorted keys put "bindings" first and "subject" last, and the keys
+        # between them hold the rule's constants: each rule's are encoded once
+        middles = {rule: _JSON.encode({
+            "label": rule.head.value.value,
+            "property": vocab.prop_iri(rule.head.property_name),
+            "rule": rule.render(),
+        })[1:-1] for rule in ruleset.rules}
+        encode = _JSON.encode
+        lines = [
+            '{"bindings": {' + ", ".join(f"{encode(k)}: {encode(str(v))}" for k, v in f.bindings) + "}, "
+            + middles[f.rule] + ', "subject": ' + encode(f.subject.value) + "}"
+            for f in facts
+        ]
         _write("".join(line + "\n" for line in lines), args.output)
     else:
         _write("".join(str(f.triple()) + "\n" for f in facts), args.output)

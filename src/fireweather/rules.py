@@ -241,14 +241,17 @@ def load_rules(path: str) -> RuleSet:
 def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     """Least fixpoint of the rule set over ``g``, by semi-naive rounds.
 
-    ``g`` is not modified: every join reads one copy of it, to which each
-    round adds the triples it derived.  Round 1 joins each rule's body.
-    Each later round finds only the derivations that use a triple derived
-    in the round before: each binding of a body pattern over a graph of
-    just those triples seeds a join of the rest of the body against
-    everything known.  Seeds and bodies are both evaluated by ``rdf.join``,
-    with each builtin as a check on the body.  Chaining stops after a round
-    that derives nothing new.
+    ``g``'s triples are not changed.  Round 1 joins each rule's body.  Each
+    later round finds only the derivations that use a triple derived in the
+    round before: each binding of a body pattern over a graph of just those
+    triples seeds a join of the rest of the body against everything known.
+    Only a pattern whose predicate is some rule's head property can bind
+    such a triple, so only those patterns seed.  When no rule has one,
+    round 1 is the fixpoint and joins over ``g`` itself, which gains only
+    the lazy indexes any read builds; otherwise every join reads one copy
+    of ``g``, to which each round adds the triples it derived.  Seeds and
+    bodies are both evaluated by ``rdf.join``, with each builtin as a check
+    on the body.  Chaining stops after a round that derives nothing new.
 
     A triple derived more than once in the round that first derives it keeps
     the derivation of the lowest-indexed rule, as rules run in index order;
@@ -257,20 +260,26 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     iteration order.  Facts come back sorted by subject, property and label.
     A head subject bound to a literal raises ``RdfError`` naming the rule.
     """
-    full = Graph(g)
-    # each rule's body, and its head's subject variable and other two terms, built once
-    compiled = [(rule, rule.patterns(), rule.checks(), rule.head.pattern()) for rule in ruleset.rules]
+    heads = {rule.head.pattern().predicate for rule in ruleset.rules}
+    # each rule's body, its head's subject variable and other two terms, and
+    # the indices of its body patterns that read a head property, built once
+    compiled = []
+    for rule in ruleset.rules:
+        patterns = rule.patterns()
+        reads = [i for i, p in enumerate(patterns) if p.predicate in heads]
+        compiled.append((rule, patterns, rule.checks(), rule.head.pattern(), reads))
+    full = Graph(g) if any(reads for *_, reads in compiled) else g
     facts: list[InferredFact] = []
     # the triples the last round derived; None before round 1
     last: Optional[Graph] = None
     while True:
         found: dict[Triple, InferredFact] = {}
-        for rule, patterns, checks, (subject, predicate, obj) in compiled:
+        for rule, patterns, checks, (subject, predicate, obj), reads in compiled:
             if last is None:
                 seeds = [(patterns, {})]
             else:
                 seeds = (
-                    (patterns[:i] + patterns[i + 1 :], seed) for i, p in enumerate(patterns) for seed in join([p], last)
+                    (patterns[:i] + patterns[i + 1 :], seed) for i in reads for seed in join([patterns[i]], last)
                 )
             for rest, seed in seeds:
                 for binding in join(rest, full, checks, seed):
@@ -287,11 +296,11 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
                     # the same rule's bindings bind the same names, in the same order
                     if fact is None or [v.sort_key() for _, v in bindings] < [v.sort_key() for _, v in fact.bindings]:
                         found[t] = InferredFact(t.subject, predicate.value, obj.value, rule, bindings)
-        if not found:
+        facts += found.values()
+        if not found or full is g:
             break
         last = Graph(found)
         full.update(found)
-        facts += found.values()
     return sorted(facts, key=lambda f: (f.subject.sort_key(), f.property_iri, f.label))
 
 

@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
-from fireweather.cli import main
+from fireweather import vocab
+from fireweather.cli import _JSON, main
 from fireweather.ingest import TRIPLES_PER_ROW, parse_csv
-from fireweather.rules import DataPropertyAtom, Rule, load_rules
+from fireweather.rdf import Graph, Triple, export_ntriples, import_ntriples, iri, string
+from fireweather.rules import DataPropertyAtom, Rule, forward_chain, load_rules
 from conftest import DATA_CSV, REPO, RULES_FILE
 from test_sparql import DRY_AUGUST_QUERY, LOOKUP_QUERY, RAIN_SURVEY_QUERY, WIND_SURVEY_QUERY
 
@@ -362,6 +364,34 @@ class TestInfer:
         code, out, _ = run(capsys, "infer", str(store), "--rules", str(RULES_FILE), "--format", "jsonl")
         assert code == 0 and len(out.splitlines()) == 40
         assert renders <= len(load_rules(str(RULES_FILE)).rules)
+
+    def test_jsonl_lines_are_the_encoder_s(self, capsys, tmp_path):
+        # string bindings, a subject, a variable and a label that JSON must escape
+        values = ['say "hi"', "back\\slash", "caf\u00e9 \u6771", "line\u2028sep\u2029end", "tab\tand\nnewline", "\U0001f525"]
+        graph = Graph()
+        for i, value in enumerate(values):
+            subject = iri(f"urn:ssn:sensor:S\u00e9{i}")
+            graph.insert(Triple(subject, iri(vocab.prop_iri("note")), string(value)))
+            graph.insert(Triple(subject, iri(vocab.prop_iri("tag")), string(values[-1 - i])))
+        store = tmp_path / "store.nt"
+        store.write_text(export_ntriples(graph), encoding="utf-8")
+        rules_path = tmp_path / "escape.rules"
+        rules_path.write_text(
+            "note(?s, ?v) -> flagged(?s, \u00e9t\u00e9)\nnote(?s, ?v) ^ tag(?s, ?\u0175) -> tagged(?s, yes)\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "infer", str(store), "--rules", str(rules_path), "--format", "jsonl")
+        facts = forward_chain(import_ntriples(store.read_text(encoding="utf-8")), load_rules(str(rules_path)))
+        records = [{
+            "subject": f.subject.value,
+            "property": f.property_iri,
+            "label": f.label,
+            "rule": f.rule.render(),
+            "bindings": {k: str(v) for k, v in f.bindings},
+        } for f in facts]
+        assert code == 0 and len(records) == 2 * len(values)
+        assert out.splitlines() == [_JSON.encode(r) for r in records]
+        assert [json.loads(line) for line in out.splitlines()] == records
 
     def test_non_finite_literal_exit_1_with_line(self, capsys, tmp_path):
         store = tmp_path / "nan.nt"

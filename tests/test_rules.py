@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fireweather import rules as rules_module
 from fireweather import vocab
-from fireweather.rdf import Graph, RdfError, Term, Triple, decimal, integer, iri, string
+from fireweather.rdf import Graph, RdfError, Term, Triple, decimal, integer, iri, join, string
 from fireweather.rules import (
     BuiltinGreaterThan,
     ClassAtom,
@@ -416,6 +417,25 @@ def test_provenance_resatisfies_on_random_stores(rules_text):
         assert verify_provenance(g, ruleset, facts)
 
 
+# fwi.rules plus a rule whose body reads two of its head properties, so that
+# chaining runs a second round seeded from those patterns alone
+MIXED_RULE = "sensor_id(?s) ^ FireIntensity(?s, ?level) ^ RateofSpread(?s, fast) -> Alarm(?s, raised)\n"
+
+
+def test_mixed_rule_set_matches_naive_oracle(rules_text):
+    ruleset = parse_rules(rules_text + MIXED_RULE)
+    rng = random.Random(4242)
+    alarms = 0
+    for _ in range(300):
+        g = random_store(rng)
+        facts = forward_chain(g, ruleset)
+        want = naive_fixpoint(g, ruleset)
+        assert {f.triple() for f in facts} == want
+        assert verify_provenance(g, ruleset, facts)
+        alarms += any(f.rule is ruleset.rules[-1] for f in facts)
+    assert alarms >= 20
+
+
 # --- recursive rule sets ---------------------------------------------------
 #
 # fwi.rules never reads a head predicate, so chaining it stops after round 1.
@@ -581,6 +601,40 @@ def test_chaining_orders_bindings_only_on_a_tie(rules_text, monkeypatch):
     assert len(facts) == 1714 and calls == len(facts)
 
 
+def count_joins(monkeypatch) -> list[int]:
+    """Make ``forward_chain`` count, in the returned one-item list, its ``join`` calls."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return join(*args)
+
+    monkeypatch.setattr(rules_module, "join", counting)
+    return calls
+
+
+def test_chaining_with_no_head_read_runs_one_round_over_the_store(rules_text, monkeypatch):
+    # no body in fwi.rules reads a head property, so round 1 is the fixpoint:
+    # one join per rule over the caller's store, with no copy and no insert
+    ruleset = parse_rules(rules_text)
+    g = rule_input_store(100)
+    before = set(g)
+    joins = count_joins(monkeypatch)
+    inserts = 0
+    insert = Graph.insert
+
+    def counting(self, t):
+        nonlocal inserts
+        inserts += 1
+        return insert(self, t)
+
+    monkeypatch.setattr(Graph, "insert", counting)
+    assert len(forward_chain(g, ruleset)) == 1714
+    # a second round, over a copy of the store, made 81 joins and 1,714 inserts
+    assert inserts == 0 and joins[0] == len(ruleset.rules)
+    assert set(g) == before and check_index_coherence(g)
+
+
 REACH = "a(?s, ?t) ^ reach(?t, yes) -> reach(?s, yes)\n"
 
 
@@ -604,6 +658,15 @@ def test_recursive_chaining_work_grows_linearly(monkeypatch):
     # rerunning the whole rule each round iterates 10,300 and 161,200
     assert work[0] > 0
     assert work[1] < 6 * work[0]
+
+
+def test_recursive_chaining_seeds_only_from_head_reads(monkeypatch):
+    # round 1 joins the body once; each of the 99 later rounds joins the
+    # reach pattern over the last round's fact, then the a pattern from that
+    # seed.  Seeding from a(?s, ?t) too, which no head writes, made 298.
+    joins = count_joins(monkeypatch)
+    assert len(forward_chain(reach_chain(100), parse_rules(REACH))) == 99
+    assert joins[0] == 1 + 99 * 2
 
 
 @pytest.mark.parametrize(
