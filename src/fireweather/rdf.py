@@ -121,6 +121,21 @@ _set_value, _set_datatype, _set_num, _set_term_hash = (
     Term.value.__set__, Term.datatype.__set__, Term._num.__set__, Term._hash.__set__
 )
 
+_NUMERIC = {Datatype.INTEGER, Datatype.DECIMAL}
+
+
+def column_sort_keys(column: Sequence[Term]) -> Iterable:
+    """Keys that order ``column`` as ``Term.sort_key`` does, read by a C-level getter where one kind fills it.
+
+    Only IRIs, or only strings, order by ``value``; only numbers by ``(_num, value)``.
+    """
+    kinds = set(map(attrgetter("datatype"), column))
+    if kinds <= _NUMERIC:
+        return map(attrgetter("_num", "value"), column)
+    if len(kinds) == 1:
+        return map(attrgetter("value"), column)
+    return map(Term.sort_key, column)
+
 
 #: each datatype's end of a written literal: the closing quote and ``^^<datatype>``
 _SUFFIXES = {dt: f'"^^<{dt.value}>' for dt in Datatype}

@@ -14,9 +14,11 @@ import io
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .rdf import Datatype, Graph, RdfError, Term, TriplePattern, comparison, join, split_lines, unescape_literal
+from .rdf import (
+    Datatype, Graph, RdfError, Term, TriplePattern, column_sort_keys, comparison, join, split_lines, unescape_literal,
+)
 
 
 class QueryParseError(Exception):
@@ -46,27 +48,36 @@ class Query:
     patterns: tuple[TriplePattern, ...]
     filters: tuple[FilterExpr, ...]
 
+    def __post_init__(self):
+        if not self.select_vars:
+            raise ValueError("SELECT needs at least one variable")
+        bound = {v for p in self.patterns for v in p.variables()}
+        for v in self.select_vars:
+            if v not in bound:
+                raise ValueError(f"select variable {v} is not bound by any pattern")
+
 
 @dataclass(frozen=True)
 class ResultTable:
     header: tuple[str, ...]
     rows: tuple[tuple[Term, ...], ...]
 
+    def _value_rows(self) -> Iterator[tuple[str, ...]]:
+        """Each row's cell values, read a column at a time."""
+        return zip(*[map(operator.attrgetter("value"), column) for column in zip(*self.rows)])
+
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(v.lstrip("?") for v in self.header)
-        writer.writerows([t.value for t in row] for row in self.rows)
+        writer.writerows(self._value_rows())
         return out.getvalue()
 
     def to_text(self) -> str:
-        cells = [list(self.header)] + [[t.value for t in row] for row in self.rows]
-        widths = [max(len(r[i]) for r in cells) for i in range(len(self.header))]
-        lines = []
-        for i, row in enumerate(cells):
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
+        cells = [self.header, *self._value_rows()]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines = ["  ".join(map(str.ljust, row, widths)).rstrip() for row in cells]
+        lines.insert(1, "  ".join("-" * w for w in widths))
         return "".join(line + "\n" for line in lines)
 
 
@@ -153,12 +164,11 @@ class _Parser:
                 self.fail("expected <iri> after prefix name", iri_tok)
             self.prefixes[prefix] = iri_tok.text[1:-1]
 
+        select_tok = self.peek()
         self.expect_keyword("SELECT")
         select_vars = []
         while self.peek().kind == "VAR":
             select_vars.append(self.next().text)
-        if not select_vars:
-            self.fail("SELECT needs at least one variable")
 
         self.expect_keyword("WHERE")
         self.expect_punct("{")
@@ -181,12 +191,10 @@ class _Parser:
         if tok.kind != "EOF":
             self.fail(f"trailing input {tok.text!r}")
 
-        bound = {v for p in patterns for v in p.variables()}
-        for v in select_vars:
-            if v not in bound:
-                self.fail(f"select variable {v} is not bound by any pattern", self.tokens[0])
-
-        return Query(dict(self.prefixes), tuple(select_vars), tuple(patterns), tuple(filters))
+        try:
+            return Query(dict(self.prefixes), tuple(select_vars), tuple(patterns), tuple(filters))
+        except ValueError as exc:
+            self.fail(str(exc), select_tok)
 
     def parse_pattern(self) -> TriplePattern:
         slots = [self.parse_term_or_var() for _ in range(3)]
@@ -271,9 +279,15 @@ def parse_query(text: str) -> Query:
 
 
 def evaluate(query: Query, g: Graph) -> ResultTable:
+    """The query's rows over ``g``, ordered by ``Term.sort_key`` per column in select order, ties in join order.
+
+    Each column is keyed once, by ``rdf.column_sort_keys``; the row indices sort on the zipped keys.
+    """
     names = query.select_vars
     checks = [(f.variable, f.term_test()) for f in query.filters]
-    project = operator.itemgetter(*names) if len(names) > 1 else lambda b: tuple(b[v] for v in names)
-    rows = list(map(project, join(query.patterns, g, checks)))
-    rows.sort(key=lambda row: tuple(map(Term.sort_key, row)))
+    # one name's getter returns the bare term, which ``zip`` wraps in a 1-tuple
+    cells = map(operator.itemgetter(*names), join(query.patterns, g, checks))
+    rows = list(cells if len(names) > 1 else zip(cells))
+    keys = list(zip(*map(column_sort_keys, zip(*rows))))
+    rows = list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
     return ResultTable(tuple(names), tuple(rows))

@@ -228,6 +228,15 @@ PINNED_QUERY_CSV = {
     "one-sensor lookup": (LOOKUP_QUERY, "d0563ea1ffa307eaf6f0321ebf08bb9fd23eae253f5a300a202e0f48ef2f669b"),
 }
 
+#: SHA-256 of the stdout of ``fireweather query <store> <query>`` in the
+#: default table format, for each query of ``PINNED_QUERY_CSV``
+PINNED_QUERY_TABLE = {
+    "wind survey": "88298eb5a0407f295180885bd40253b1b01d7dab80fcb5608f00549f906d6e2b",
+    "rain survey": "8001d142bb36b16fe6cb95c7ecdbd032c392e71d8ef10d1782e06c5280be752d",
+    "dry August join": "78de8f5aa4303c392457c191d60f80b1ac8c493accb78c65221286a2b92220b9",
+    "one-sensor lookup": "7058a0f763fe8c760dbc47f8359cb1654cdf8a18768811e676697ee7b13bc98e",
+}
+
 
 @pytest.fixture(scope="module")
 def dataset_store(tmp_path_factory):
@@ -244,6 +253,15 @@ def test_dashboard_query_csv_is_pinned(capsys, tmp_path, dataset_store, name):
     code, out, _ = run(capsys, "query", str(dataset_store), str(path), "--format", "csv")
     assert code == 0 and out.count("\n") > 1
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_QUERY_TABLE))
+def test_dashboard_query_table_is_pinned(capsys, tmp_path, dataset_store, name):
+    path = tmp_path / "query.rq"
+    path.write_text(PINNED_QUERY_CSV[name][0], encoding="utf-8")
+    code, out, _ = run(capsys, "query", str(dataset_store), str(path))
+    assert code == 0 and out.count("\n") > 2
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_QUERY_TABLE[name]
 
 
 #: values that each sensor of the pinned rule-input store gives every body

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 import re
 
@@ -5,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fireweather.rdf import Datatype, Graph, Term, Triple, TriplePattern, decimal, integer, iri, string
-from fireweather.sparql import FilterExpr, Query, QueryParseError, evaluate, parse_query
+from fireweather.ingest import ingest_observations, parse_csv
+from fireweather.rdf import (
+    Datatype, Graph, Term, Triple, TriplePattern, column_sort_keys, decimal, integer, iri, join, string,
+)
+from fireweather.sparql import FilterExpr, Query, QueryParseError, ResultTable, evaluate, parse_query
 from util import brute_force_join, numeric_terms, random_graph, random_pattern, reference_filter, string_terms, terms
 
 WIND_SURVEY_QUERY = """\
@@ -111,11 +116,14 @@ class TestParse:
         ("SELECT ?s WHERE { ?s <urn:p> ?v\nFILTER (?v 3) }", "line 2, column 12: expected comparator, got '3'"),
         ("SELECT ?s WHERE { ?s <urn:p> ?v\nFILTER (?v > ?s) }",
          "line 2, column 14: expected literal operand, got '?s'"),
+        ("PREFIX e: <urn:e:>\n  SELECT ?s ?x WHERE {\n ?s e:p ?v }",
+         "line 2, column 3: select variable ?x is not bound by any pattern"),
+        ("PREFIX e: <urn:e:>\n  SELECT WHERE { ?s e:p ?v }", "line 2, column 3: SELECT needs at least one variable"),
     ],
     ids=[
         "unexpected-character", "expected-select", "expected-where", "prefix-name", "prefix-iri",
         "unterminated-group", "trailing-input", "datatype-missing", "datatype-unsupported",
-        "filter-variable", "filter-comparator", "filter-operand",
+        "filter-variable", "filter-comparator", "filter-operand", "select-unbound", "select-empty",
     ],
 )
 def test_parse_error_message_and_position(text, message):
@@ -343,3 +351,133 @@ def test_unknown_comparator_is_rejected_when_compiled():
 def test_invalid_term_carries_position(text, column):
     with pytest.raises(QueryParseError, match=rf"^line 1, column {column}: "):
         parse_query(text)
+
+
+def test_built_query_with_an_unbound_select_variable_is_rejected():
+    g = Graph([Triple(iri("urn:a"), iri("urn:p"), integer(1))])
+    with pytest.raises(ValueError, match=r"^select variable \?x is not bound by any pattern$"):
+        evaluate(Query({}, ("?x",), (), ()), g)
+    with pytest.raises(ValueError, match=r"^select variable \?x is not bound by any pattern$"):
+        evaluate(Query({}, ("?s", "?x"), (TriplePattern("?s", iri("urn:p"), "?v"),), ()), g)
+
+
+def test_built_query_with_no_select_variable_is_rejected():
+    with pytest.raises(ValueError, match="^SELECT needs at least one variable$"):
+        Query({}, (), (TriplePattern("?s", iri("urn:p"), "?v"),), ())
+
+
+# --- row order -------------------------------------------------------------
+
+#: terms of each kind; under ``Term.sort_key`` integer 7 and decimal 7 tie,
+#: decimal 7.0 follows them, and decimal 10 follows integer 9
+ORDER_POOLS = {
+    "iris": [iri("urn:b"), iri("urn:a"), iri("urn:a:1"), iri("urn:B"), iri("urn:\u00e9")],
+    "strings": [string("b"), string(""), string("a"), string("7"), string("10"), string("\u00e9")],
+    "numbers": [integer("7"), decimal("7"), decimal("7.0"), integer("-1"), decimal("10"), integer("9"), decimal("6.99")],
+}
+ORDER_POOLS["mixed"] = [t for pool in ORDER_POOLS.values() for t in pool]
+
+
+def sort_key_order(rows):
+    """``rows`` stably sorted by ``Term.sort_key`` per cell."""
+    return sorted(rows, key=lambda row: tuple(t.sort_key() for t in row))
+
+
+@pytest.mark.parametrize("kind", sorted(ORDER_POOLS))
+def test_column_sort_keys_order_as_sort_key_does(kind):
+    rng = random.Random(11)
+    for _ in range(50):
+        column = [rng.choice(ORDER_POOLS[kind]) for _ in range(rng.randrange(0, 30))]
+        keys = list(column_sort_keys(column))
+        want = sorted(range(len(column)), key=lambda i: column[i].sort_key())
+        assert sorted(range(len(column)), key=keys.__getitem__) == want
+
+
+@pytest.mark.parametrize("select", [("?a", "?b"), ("?b", "?a"), ("?b",)], ids=["ab", "ba", "b"])
+@pytest.mark.parametrize("kinds", [(a, b) for a in sorted(ORDER_POOLS) for b in sorted(ORDER_POOLS)], ids="-".join)
+def test_rows_are_a_stable_sort_key_order_of_the_join(kinds, select):
+    rng = random.Random(23)
+    patterns = (TriplePattern("?s", iri("urn:a"), "?a"), TriplePattern("?s", iri("urn:b"), "?b"))
+    q = Query({}, select, patterns, ())
+    for _ in range(20):
+        g = Graph()
+        for i in range(rng.randrange(1, 40)):
+            s = iri(f"urn:s{i}")
+            g.insert(Triple(s, iri("urn:a"), rng.choice(ORDER_POOLS[kinds[0]])))
+            g.insert(Triple(s, iri("urn:b"), rng.choice(ORDER_POOLS[kinds[1]])))
+        joined = [tuple(b[v] for v in select) for b in join(patterns, g, [])]
+        # terms compare with their datatype, so a tie of integer 7 and decimal 7 must keep join order
+        assert evaluate(q, g).rows == tuple(sort_key_order(joined))
+
+
+def test_sort_key_runs_only_for_a_mixed_column(monkeypatch, dataset_text):
+    g = ingest_observations(parse_csv(dataset_text))
+    calls = []
+    sort_key = Term.sort_key
+
+    def counting_sort_key(term):
+        calls.append(term)
+        return sort_key(term)
+
+    monkeypatch.setattr(Term, "sort_key", counting_sort_key)
+    for text in (WIND_SURVEY_QUERY, RAIN_SURVEY_QUERY, DRY_AUGUST_QUERY, LOOKUP_QUERY):
+        assert evaluate(parse_query(text), g).rows
+    assert calls == []
+    mixed = Graph(Triple(iri(f"urn:s{i}"), iri("urn:p"), term) for i, term in enumerate(ORDER_POOLS["mixed"]))
+    table = evaluate(parse_query("SELECT ?s ?v WHERE { ?s <urn:p> ?v }"), mixed)
+    assert len(calls) == len(table.rows) == len(ORDER_POOLS["mixed"])
+
+
+# --- rendering -------------------------------------------------------------
+
+
+def reference_to_csv(table: ResultTable) -> str:
+    """The renderer that wrote one list per row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(v.lstrip("?") for v in table.header)
+    writer.writerows([t.value for t in row] for row in table.rows)
+    return out.getvalue()
+
+
+def reference_to_text(table: ResultTable) -> str:
+    """The renderer that padded one cell at a time."""
+    cells = [list(table.header)] + [[t.value for t in row] for row in table.rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(table.header))]
+    lines = []
+    for i, row in enumerate(cells):
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        if i == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "".join(line + "\n" for line in lines)
+
+
+#: values that the CSV writer quotes, or that are empty or not ASCII
+RENDER_VALUES = [",", '"', "\r", "\n", "a\r\nb", "\u2028", "", "caf\u00e9", "\u706b", 'say "hi", then go', " 7 "]
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        (("?a", "?b"), [(string(v), string(w)) for v, w in zip(RENDER_VALUES, reversed(RENDER_VALUES))]),
+        (("?s", "?v"), [(iri("urn:s"), decimal("7.0")), (iri("urn:t\u00e9"), string(",\n"))]),
+        (("?a",), [(string(v),) for v in RENDER_VALUES]),
+        (("?a", "?b"), []),
+        (("?a",), []),
+        (("?a",), [(string(""),)]),
+    ],
+    ids=["two-columns", "iris-and-numbers", "one-column", "no-rows", "one-column-no-rows", "one-empty-cell"],
+)
+def test_renderers_match_the_per_row_reference(header, rows):
+    table = ResultTable(header, tuple(rows))
+    assert table.to_csv() == reference_to_csv(table)
+    assert table.to_text() == reference_to_text(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(st.text(), min_size=n, max_size=n), max_size=6)))
+def test_renderers_match_the_per_row_reference_on_any_text(values):
+    width = len(values[0]) if values else 2
+    table = ResultTable(tuple(f"?v{i}" for i in range(width)), tuple(tuple(map(string, row)) for row in values))
+    assert table.to_csv() == reference_to_csv(table)
+    assert table.to_text() == reference_to_text(table)
