@@ -6,13 +6,13 @@ Run from the repository root: python3 demos/03_bands_and_assessment.py
 import json
 
 from fireweather.assess import alerts_for, assess
-from fireweather.bands import classify_fire_intensity, classify_ignition_potential
+from fireweather.bands import FIRE_INTENSITY, IGNITION_POTENTIAL
 from fireweather.indices import WeatherInputs, compute_chain
 
 # Each index maps to a qualitative band via fixed thresholds.
 for fwi in (3.0, 8.0, 15.0, 23.0, 35.0):
-    print(f"FWI {fwi:5.1f} -> {classify_fire_intensity(fwi)}")
-print(f"FFMC 95 -> ignition {classify_ignition_potential(95.0)}")
+    print(f"FWI {fwi:5.1f} -> {FIRE_INTENSITY.classify(fwi)}")
+print(f"FFMC 95 -> ignition {IGNITION_POTENTIAL.classify(95.0)}")
 
 # A hot dry day escalates all the way to an Extreme verdict...
 rec = compute_chain(ffmc=95.0, dmc=47.0, dc=321.0, wind=10.0)

@@ -8,8 +8,8 @@ from fireweather.rdf import Graph, Triple, decimal, iri
 from fireweather.rules import forward_chain, load_rules, parse_rule, verify_provenance
 
 ruleset = load_rules("rules/fwi.rules")
-print(f"loaded {len(ruleset.rules)} rules; the first one reads:")
-print(f"  {ruleset.rules[0].render()}")
+print(f"loaded {len(ruleset)} rules; the first one reads:")
+print(f"  {ruleset[0].render()}")
 
 # Rules are plain text: class atoms, data-property atoms, one numeric builtin.
 rule = parse_rule(

@@ -1,15 +1,7 @@
 """Fire-weather decision support over an RDF sensor store."""
 
 from .assess import Alert, Assessment, Verdict, alerts_for, assess
-from .bands import (
-    classify_difficulty_of_control,
-    classify_fire_intensity,
-    classify_ignition_potential,
-    classify_mopup_needs,
-    classify_rate_of_spread,
-    rain_override,
-    wind_risk,
-)
+from .bands import SCALES, rain_override, wind_risk
 from .indices import (
     FuelSample,
     FwiRecord,
@@ -25,7 +17,7 @@ from .indices import (
 )
 from .ingest import WeatherObservation, ingest_observations, parse_csv, to_triples
 from .rdf import Graph, Term, Triple, TriplePattern, export_ntriples, import_ntriples
-from .rules import InferredFact, Rule, RuleSet, forward_chain, load_rules, parse_rules
+from .rules import InferredFact, Rule, forward_chain, load_rules, parse_rules
 from .sparql import Query, ResultTable, evaluate, parse_query
 
 __version__ = "0.1.0"

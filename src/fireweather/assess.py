@@ -76,11 +76,11 @@ def assess(rec: FwiRecord, w: WeatherInputs, sensor: str, timestamp: str = "") -
     ``timestamp`` is kept as given, empty by default: the result never
     depends on the day it is computed.
     """
-    ignition = bands.classify_ignition_potential(rec.ffmc)
-    mopup = bands.classify_mopup_needs(rec.dmc)
-    difficulty = bands.classify_difficulty_of_control(rec.bui)
-    spread = bands.classify_rate_of_spread(rec.isi)
-    intensity = bands.classify_fire_intensity(rec.fwi)
+    ignition = bands.IGNITION_POTENTIAL.classify(rec.ffmc)
+    mopup = bands.MOPUP_NEEDS.classify(rec.dmc)
+    difficulty = bands.DIFFICULTY_OF_CONTROL.classify(rec.bui)
+    spread = bands.RATE_OF_SPREAD.classify(rec.isi)
+    intensity = bands.FIRE_INTENSITY.classify(rec.fwi)
     rain_stop = bands.rain_override(w.rain_24h) is not None
     windy = bands.wind_risk(w.wind) is not None
 

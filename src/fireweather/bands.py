@@ -7,6 +7,7 @@ exceeds, and the lowest band below the first threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .indices import FFMC_MAX, DomainError, nonnegative
@@ -14,11 +15,12 @@ from .indices import FFMC_MAX, DomainError, nonnegative
 
 @dataclass(frozen=True)
 class BandTable:
-    """Lowest-band label plus ascending (threshold, label) steps."""
+    """Lowest-band label plus ascending (threshold, label) steps, over values in [0, maximum]."""
 
     name: str
     base_label: str
     steps: tuple[tuple[float, str], ...]
+    maximum: float = math.inf
 
     def __post_init__(self):
         thresholds = [t for t, _ in self.steps]
@@ -29,8 +31,9 @@ class BandTable:
             raise ValueError(f"{self.name}: labels must be unique")
 
     def classify(self, value: float) -> str:
-        if not nonnegative(value):
-            raise DomainError(f"{self.name} must be finite and >= 0: {value}")
+        if not nonnegative(value) or value > self.maximum:
+            why = f"out of range [0, {self.maximum:g}]" if self.maximum < math.inf else "must be finite and >= 0"
+            raise DomainError(f"{self.name} {why}: {value}")
         label = self.base_label
         for threshold, step_label in self.steps:
             if value > threshold:
@@ -56,6 +59,7 @@ class BandTable:
 IGNITION_POTENTIAL = BandTable(
     "ffmc", "difficult",
     ((74.0, "moderatelyeasy"), (84.0, "easy"), (88.0, "veryeasy"), (92.0, "extremelyeasy")),
+    FFMC_MAX,
 )
 MOPUP_NEEDS = BandTable(
     "dmc", "little",
@@ -74,30 +78,11 @@ FIRE_INTENSITY = BandTable(
     ((5.0, "moderate"), (12.0, "high"), (20.0, "veryhigh"), (29.0, "extreme")),
 )
 
+#: each table by its index name, as ``fireweather classify`` takes it
+SCALES = {t.name: t for t in (IGNITION_POTENTIAL, MOPUP_NEEDS, DIFFICULTY_OF_CONTROL, RATE_OF_SPREAD, FIRE_INTENSITY)}
+
 RAIN_OVERRIDE_THRESHOLD = 1.0
 WIND_RISK_THRESHOLD = 50.0
-
-
-def classify_ignition_potential(ffmc: float) -> str:
-    if not 0.0 <= ffmc <= FFMC_MAX:
-        raise DomainError(f"ffmc out of range [0, 101]: {ffmc}")
-    return IGNITION_POTENTIAL.classify(ffmc)
-
-
-def classify_mopup_needs(dmc: float) -> str:
-    return MOPUP_NEEDS.classify(dmc)
-
-
-def classify_difficulty_of_control(bui: float) -> str:
-    return DIFFICULTY_OF_CONTROL.classify(bui)
-
-
-def classify_rate_of_spread(isi: float) -> str:
-    return RATE_OF_SPREAD.classify(isi)
-
-
-def classify_fire_intensity(fwi: float) -> str:
-    return FIRE_INTENSITY.classify(fwi)
 
 
 def rain_override(rain_mm: float) -> str | None:

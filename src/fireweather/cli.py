@@ -14,15 +14,6 @@ from .indices import DomainError, WeatherInputs, compute_chain
 from .ingest import IngestError, ingest_observations, parse_csv
 from .rdf import RdfError, export_ntriples, import_ntriples, split_lines
 
-CLASSIFIERS = {
-    "ffmc": bands.classify_ignition_potential,
-    "dmc": bands.classify_mopup_needs,
-    "bui": bands.classify_difficulty_of_control,
-    "isi": bands.classify_rate_of_spread,
-    "fwi": bands.classify_fire_intensity,
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared: do not modify it."""
@@ -38,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
 
     p = sub.add_parser("classify", help="band label for a single index value")
-    p.add_argument("index", choices=sorted(CLASSIFIERS))
+    p.add_argument("index", choices=sorted(bands.SCALES))
     p.add_argument("value", type=float)
 
     p = sub.add_parser("infer", help="forward-chain the rule file over a store")
@@ -149,7 +140,7 @@ def cmd_assess(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    print(CLASSIFIERS[args.index](args.value))
+    print(bands.SCALES[args.index].classify(args.value))
     return 0
 
 
@@ -165,7 +156,7 @@ def cmd_infer(args) -> int:
             "label": rule.head.value.value,
             "property": vocab.prop_iri(rule.head.property_name),
             "rule": rule.render(),
-        })[1:-1] for rule in ruleset.rules}
+        })[1:-1] for rule in ruleset}
         encode = _JSON.encode
         lines = [
             '{"bindings": {' + ", ".join(f"{encode(k)}: {encode(str(v))}" for k, v in f.bindings) + "}, "

@@ -74,9 +74,6 @@ class WeatherObservation:
             if getattr(self, name) < 0.0:
                 raise IngestError(f"{name} must be >= 0: {getattr(self, name)}")
 
-    def quantities(self) -> dict[str, float]:
-        return {q: float(getattr(self, q)) for q in QUANTITY_UNITS}
-
 
 def parse_csv(text: str) -> list[WeatherObservation]:
     """Parse the dataset CSV into observations, preserving file order."""
@@ -149,9 +146,9 @@ def to_triples(obs: WeatherObservation, ordinal: int) -> list[Triple]:
         Triple(s, _HAS_MONTH, _MONTH_TERMS[obs.month]),
         Triple(s, _HAS_DAY, _DAY_TERMS[obs.day]),
     ]
-    for quantity, value in obs.quantities().items():
+    for quantity in QUANTITY_UNITS:
         node = iri(vocab.obs_iri(ordinal, quantity))
-        triples.append(Triple(node, _HAS_VALUE, decimal(value)))
+        triples.append(Triple(node, _HAS_VALUE, decimal(float(getattr(obs, quantity)))))
         triples.append(Triple(node, _HAS_UNIT, _UNIT_TERMS[quantity]))
         triples.append(Triple(node, _OBSERVED_BY, s))
     return triples

@@ -341,10 +341,6 @@ class Graph:
             _index_triple(*self._indexes, t)
         return len(triples)
 
-    def update(self, triples: Iterable[Triple]) -> None:
-        for t in triples:
-            self.insert(t)
-
     def candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
         """The triples that agree with every concrete slot of the pattern.
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from itertools import chain
+from typing import Iterable, Optional, Sequence, Union
 
 from . import vocab
 from .rdf import (
@@ -68,10 +69,6 @@ class BuiltinGreaterThan:
     variable: str
     threshold: float
 
-    def term_test(self) -> Callable[[Term], bool]:
-        """The builtin compiled to a test on the term bound to its variable: ``FILTER (?v > threshold)``."""
-        return comparison(">", decimal(self.threshold))
-
     def render(self) -> str:
         t = self.threshold
         lexical = str(int(t)) if t == int(t) else repr(t)
@@ -94,12 +91,9 @@ class Rule:
         return [a.pattern() for a in self.body if not isinstance(a, BuiltinGreaterThan)]
 
     def checks(self) -> list[Check]:
-        return [(a.variable, a.term_test()) for a in self.body if isinstance(a, BuiltinGreaterThan)]
-
-
-@dataclass(frozen=True)
-class RuleSet:
-    rules: tuple[Rule, ...]
+        return [
+            (a.variable, comparison(">", decimal(a.threshold))) for a in self.body if isinstance(a, BuiltinGreaterThan)
+        ]
 
 
 @dataclass(frozen=True)
@@ -221,24 +215,24 @@ def parse_rule(text: str, line: int = 1) -> Rule:
     return rule
 
 
-def parse_rules(text: str) -> RuleSet:
+def parse_rules(text: str) -> tuple[Rule, ...]:
     rules = []
     for lineno, raw in enumerate(split_lines(text), start=1):
         # unstripped, so that an error's column counts from the line as written
         line = raw.split("#", 1)[0]
         if line.strip():
             rules.append(parse_rule(line, lineno))
-    return RuleSet(tuple(rules))
+    return tuple(rules)
 
 
-def load_rules(path: str) -> RuleSet:
+def load_rules(path: str) -> tuple[Rule, ...]:
     with open(path, encoding="utf-8") as fh:
         return parse_rules(fh.read())
 
 
 # --- forward chaining ------------------------------------------------------
 
-def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
+def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     """Least fixpoint of the rule set over ``g``, by semi-naive rounds.
 
     ``g``'s triples are not changed.  Round 1 joins each rule's body.  Each
@@ -260,11 +254,11 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
     iteration order.  Facts come back sorted by subject, property and label.
     A head subject bound to a literal raises ``RdfError`` naming the rule.
     """
-    heads = {rule.head.pattern().predicate for rule in ruleset.rules}
+    heads = {rule.head.pattern().predicate for rule in ruleset}
     # each rule's body, its head's subject variable and other two terms, and
     # the indices of its body patterns that read a head property, built once
     compiled = []
-    for rule in ruleset.rules:
+    for rule in ruleset:
         patterns = rule.patterns()
         reads = [i for i, p in enumerate(patterns) if p.predicate in heads]
         compiled.append((rule, patterns, rule.checks(), rule.head.pattern(), reads))
@@ -300,11 +294,13 @@ def forward_chain(g: Graph, ruleset: RuleSet) -> list[InferredFact]:
         if not found or full is g:
             break
         last = Graph(found)
-        full.update(found)
-    return sorted(facts, key=lambda f: (f.subject.sort_key(), f.property_iri, f.label))
+        for t in found:
+            full.insert(t)
+    # every subject is an IRI, whose ``sort_key`` orders as its value does
+    return sorted(facts, key=lambda f: (f.subject.value, f.property_iri, f.label))
 
 
-def verify_provenance(g: Graph, ruleset: RuleSet, facts: Iterable[InferredFact]) -> bool:
+def verify_provenance(g: Graph, ruleset: Sequence[Rule], facts: Iterable[InferredFact]) -> bool:
     """Re-check every fact against its rule, which must be one of ``ruleset``'s.
 
     The body must hold under the fact's bindings, over the graph plus all
@@ -312,10 +308,9 @@ def verify_provenance(g: Graph, ruleset: RuleSet, facts: Iterable[InferredFact])
     subject, property and label.
     """
     fact_list = list(facts)
-    known = Graph(g)
-    known.update(f.triple() for f in fact_list)
+    known = Graph(chain(g, (f.triple() for f in fact_list)))
     for f in fact_list:
-        if f.rule not in ruleset.rules:
+        if f.rule not in ruleset:
             return False
         binding = dict(f.bindings)
         if next(join(f.rule.patterns(), known, f.rule.checks(), binding), None) is None:

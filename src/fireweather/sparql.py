@@ -14,7 +14,7 @@ import io
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .rdf import (
     Datatype, Graph, RdfError, Term, TriplePattern, column_sort_keys, comparison, join, split_lines, unescape_literal,
@@ -35,10 +35,6 @@ class FilterExpr:
     variable: str
     comparator: str  # one of > < >= <= = !=
     operand: Term
-
-    def term_test(self) -> Callable[[Term], bool]:
-        """The filter compiled by ``rdf.comparison`` to a test on the term bound to its variable."""
-        return comparison(self.comparator, self.operand)
 
 
 @dataclass(frozen=True)
@@ -284,7 +280,7 @@ def evaluate(query: Query, g: Graph) -> ResultTable:
     Each column is keyed once, by ``rdf.column_sort_keys``; the row indices sort on the zipped keys.
     """
     names = query.select_vars
-    checks = [(f.variable, f.term_test()) for f in query.filters]
+    checks = [(f.variable, comparison(f.comparator, f.operand)) for f in query.filters]
     # one name's getter returns the bare term, which ``zip`` wraps in a 1-tuple
     cells = map(operator.itemgetter(*names), join(query.patterns, g, checks))
     rows = list(cells if len(names) > 1 else zip(cells))

@@ -11,11 +11,12 @@ import pytest
 from fireweather import vocab
 from fireweather.assess import Verdict, assess
 from fireweather.bands import (
-    classify_difficulty_of_control,
-    classify_fire_intensity,
-    classify_ignition_potential,
-    classify_mopup_needs,
-    classify_rate_of_spread,
+    DIFFICULTY_OF_CONTROL,
+    FIRE_INTENSITY,
+    IGNITION_POTENTIAL,
+    MOPUP_NEEDS,
+    RATE_OF_SPREAD,
+    SCALES,
 )
 from fireweather.indices import (
     WeatherInputs,
@@ -32,7 +33,7 @@ from fireweather.rdf import Graph, Triple, TriplePattern, decimal, iri, join, st
 from fireweather.rules import forward_chain, load_rules, verify_provenance
 from fireweather.sparql import evaluate, parse_query
 from conftest import RULES_FILE
-from test_bands import CLASSIFIERS, DIRECT_TABLES, direct_label, probe_values
+from test_bands import DIRECT_TABLES, direct_label, probe_values
 from test_rules import naive_fixpoint, random_store
 from test_sparql import WIND_SURVEY_QUERY, RAIN_SURVEY_QUERY, naive_evaluate, random_query
 from util import random_graph
@@ -60,14 +61,14 @@ def test_criterion_2_moisture_conversion():
 def test_criterion_3_band_tables():
     for index in DIRECT_TABLES:
         for v in probe_values(index):
-            assert CLASSIFIERS[index](v) == direct_label(index, v), f"{index}={v}"
-    assert classify_ignition_potential(95.0) == "extremelyeasy"
-    assert classify_mopup_needs(47.0) == "difficultandextensive"
-    assert classify_difficulty_of_control(17.0) == "notDifficult"
-    assert classify_rate_of_spread(6.0) == "moderatelyFast"
-    assert classify_fire_intensity(8.0) == "moderate"
-    assert classify_fire_intensity(23.0) == "veryhigh"
-    _report(3, "all five classifiers match the direct threshold encoding plus anchors")
+            assert SCALES[index].classify(v) == direct_label(index, v), f"{index}={v}"
+    assert IGNITION_POTENTIAL.classify(95.0) == "extremelyeasy"
+    assert MOPUP_NEEDS.classify(47.0) == "difficultandextensive"
+    assert DIFFICULTY_OF_CONTROL.classify(17.0) == "notDifficult"
+    assert RATE_OF_SPREAD.classify(6.0) == "moderatelyFast"
+    assert FIRE_INTENSITY.classify(8.0) == "moderate"
+    assert FIRE_INTENSITY.classify(23.0) == "veryhigh"
+    _report(3, "all five band tables match the direct threshold encoding plus anchors")
 
 
 def test_criterion_4_inference_walkthrough():
@@ -202,7 +203,7 @@ def test_criterion_9_documented_reconstructions():
     reconstruction exercised through the plot subcommand.
     """
     ruleset = load_rules(str(RULES_FILE))
-    assert len(ruleset.rules) == 27
+    assert len(ruleset) == 27
     from fireweather.cli import main
     assert main(["plot", str(RULES_FILE.parent.parent / "data" / "forestfires.csv"), "--days", "78", "--output", "/dev/null"]) == 0
     _report(9, "non-reproducible figures are covered by criteria 4–6 and the plot reconstruction")

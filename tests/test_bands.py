@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fireweather.bands import (
@@ -6,11 +8,7 @@ from fireweather.bands import (
     IGNITION_POTENTIAL,
     MOPUP_NEEDS,
     RATE_OF_SPREAD,
-    classify_difficulty_of_control,
-    classify_fire_intensity,
-    classify_ignition_potential,
-    classify_mopup_needs,
-    classify_rate_of_spread,
+    SCALES,
     rain_override,
     wind_risk,
 )
@@ -30,15 +28,6 @@ DIRECT_TABLES = {
             ["low", "moderate", "high", "veryhigh", "extreme"]),
 }
 
-CLASSIFIERS = {
-    "ffmc": classify_ignition_potential,
-    "dmc": classify_mopup_needs,
-    "bui": classify_difficulty_of_control,
-    "isi": classify_rate_of_spread,
-    "fwi": classify_fire_intensity,
-}
-
-
 def direct_label(index: str, value: float) -> str:
     bounds, labels = DIRECT_TABLES[index]
     for bound, label in zip(bounds, labels):
@@ -56,9 +45,16 @@ def probe_values(index: str):
     return values
 
 
+def test_scales_are_the_five_tables_by_name():
+    assert SCALES == {
+        "ffmc": IGNITION_POTENTIAL, "dmc": MOPUP_NEEDS, "bui": DIFFICULTY_OF_CONTROL, "isi": RATE_OF_SPREAD,
+        "fwi": FIRE_INTENSITY,
+    }
+
+
 @pytest.mark.parametrize("index", sorted(DIRECT_TABLES))
 def test_classifier_matches_direct_encoding(index):
-    classify = CLASSIFIERS[index]
+    classify = SCALES[index].classify
     for v in probe_values(index):
         assert classify(v) == direct_label(index, v), f"{index}={v}"
 
@@ -67,46 +63,55 @@ def test_classifier_matches_direct_encoding(index):
 def test_exactly_one_label(index):
     labels = set(DIRECT_TABLES[index][1])
     for v in probe_values(index):
-        assert CLASSIFIERS[index](v) in labels
+        assert SCALES[index].classify(v) in labels
 
 
 class TestAnchors:
     def test_ignition(self):
-        assert classify_ignition_potential(70.0) == "difficult"
-        assert classify_ignition_potential(95.0) == "extremelyeasy"
-        assert classify_ignition_potential(0.0) == "difficult"
-        assert classify_ignition_potential(92.0) == "veryeasy"
+        assert IGNITION_POTENTIAL.classify(70.0) == "difficult"
+        assert IGNITION_POTENTIAL.classify(95.0) == "extremelyeasy"
+        assert IGNITION_POTENTIAL.classify(0.0) == "difficult"
+        assert IGNITION_POTENTIAL.classify(92.0) == "veryeasy"
 
     def test_mopup(self):
-        assert classify_mopup_needs(47.0) == "difficultandextensive"
-        assert classify_mopup_needs(27.0) == "difficult"
-        assert classify_mopup_needs(0.0) == "little"
+        assert MOPUP_NEEDS.classify(47.0) == "difficultandextensive"
+        assert MOPUP_NEEDS.classify(27.0) == "difficult"
+        assert MOPUP_NEEDS.classify(0.0) == "little"
 
     def test_difficulty(self):
-        assert classify_difficulty_of_control(17.0) == "notDifficult"
-        assert classify_difficulty_of_control(115.0) == "extremelyDifficult"
-        assert classify_difficulty_of_control(45.0) == "difficult"
+        assert DIFFICULTY_OF_CONTROL.classify(17.0) == "notDifficult"
+        assert DIFFICULTY_OF_CONTROL.classify(115.0) == "extremelyDifficult"
+        assert DIFFICULTY_OF_CONTROL.classify(45.0) == "difficult"
 
     def test_spread(self):
-        assert classify_rate_of_spread(6.0) == "moderatelyFast"
-        assert classify_rate_of_spread(1.5) == "slow"
-        assert classify_rate_of_spread(20.0) == "extremelyDifficult"
+        assert RATE_OF_SPREAD.classify(6.0) == "moderatelyFast"
+        assert RATE_OF_SPREAD.classify(1.5) == "slow"
+        assert RATE_OF_SPREAD.classify(20.0) == "extremelyDifficult"
 
     def test_intensity(self):
-        assert classify_fire_intensity(8.0) == "moderate"
-        assert classify_fire_intensity(23.0) == "veryhigh"
-        assert classify_fire_intensity(31.0) == "extreme"
+        assert FIRE_INTENSITY.classify(8.0) == "moderate"
+        assert FIRE_INTENSITY.classify(23.0) == "veryhigh"
+        assert FIRE_INTENSITY.classify(31.0) == "extreme"
 
 
 class TestDomainErrors:
     def test_ffmc_bounds(self):
-        with pytest.raises(DomainError):
-            classify_ignition_potential(101.5)
+        with pytest.raises(DomainError, match=r"^ffmc out of range \[0, 101\]: 101.5$"):
+            IGNITION_POTENTIAL.classify(101.5)
+        assert IGNITION_POTENTIAL.classify(101.0) == "extremelyeasy"
 
-    @pytest.mark.parametrize("classify", list(CLASSIFIERS.values()))
-    def test_negative_rejected(self, classify):
+    @pytest.mark.parametrize("index", sorted(SCALES))
+    def test_negative_rejected(self, index):
         with pytest.raises(DomainError):
-            classify(-0.001)
+            SCALES[index].classify(-0.001)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", sorted(SCALES))
+    def test_non_finite_rejected(self, index, value):
+        # a NaN compares false with every threshold, so unguarded it would
+        # read as the lowest band
+        with pytest.raises(DomainError, match=f"^{index} "):
+            SCALES[index].classify(value)
 
 
 class TestOverrides:
@@ -125,7 +130,7 @@ def test_threshold_consistency_highest_satisfied_wins():
     # above the lowest threshold, the label is that of the highest
     # strictly-exceeded threshold
     for index, (bounds, labels) in DIRECT_TABLES.items():
-        classify = CLASSIFIERS[index]
+        classify = SCALES[index].classify
         for v in probe_values(index):
             if v <= bounds[0]:
                 continue

@@ -293,7 +293,7 @@ def rule_input_store(tmp_path_factory):
     values, so one rule derives its triple under two bindings.
     """
     properties = sorted({
-        atom.property_name for rule in load_rules(str(RULES_FILE)).rules for atom in rule.body
+        atom.property_name for rule in load_rules(str(RULES_FILE)) for atom in rule.body
         if isinstance(atom, DataPropertyAtom)
     })
     lines = []
@@ -333,6 +333,16 @@ class TestClassify:
     def test_out_of_domain_exit_1(self, capsys):
         code, _, err = run(capsys, "classify", "ffmc", "150")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("index,value,why", [
+        ("ffmc", "101.5", "out of range [0, 101]"),
+        ("ffmc", "nan", "out of range [0, 101]"),
+        ("dmc", "-1", "must be finite and >= 0"),
+        ("fwi", "inf", "must be finite and >= 0"),
+    ])
+    def test_out_of_domain_error_names_the_domain(self, capsys, index, value, why):
+        code, out, err = run(capsys, "classify", index, value)
+        assert (code, out, err) == (1, "", f"error: {index} {why}: {float(value)}\n")
 
 
 @pytest.fixture()
@@ -381,7 +391,7 @@ class TestInfer:
         monkeypatch.setattr(Rule, "render", counting)
         code, out, _ = run(capsys, "infer", str(store), "--rules", str(RULES_FILE), "--format", "jsonl")
         assert code == 0 and len(out.splitlines()) == 40
-        assert renders <= len(load_rules(str(RULES_FILE)).rules)
+        assert renders <= len(load_rules(str(RULES_FILE)))
 
     def test_jsonl_lines_are_the_encoder_s(self, capsys, tmp_path):
         # string bindings, a subject, a variable and a label that JSON must escape

@@ -18,7 +18,6 @@ from fireweather.rules import (
     DataPropertyAtom,
     Rule,
     RuleParseError,
-    RuleSet,
     forward_chain,
     parse_rule,
     parse_rules,
@@ -54,8 +53,8 @@ class TestParsing:
         assert rule.head.value.value == "notDifficult"
 
     def test_empty_file(self):
-        assert len(parse_rules("").rules) == 0
-        assert len(parse_rules("# only a comment\n\n").rules) == 0
+        assert parse_rules("") == ()
+        assert parse_rules("# only a comment\n\n") == ()
 
     def test_unsafe_rule_rejected(self):
         with pytest.raises(RuleParseError, match=r"unsafe.*\?t"):
@@ -79,8 +78,8 @@ class TestParsing:
 
     def test_render_round_trips(self, rules_text):
         ruleset = parse_rules(rules_text)
-        assert len(ruleset.rules) == 27
-        assert parse_rules("".join(rule.render() + "\n" for rule in ruleset.rules)) == ruleset
+        assert len(ruleset) == 27
+        assert parse_rules("".join(rule.render() + "\n" for rule in ruleset)) == ruleset
 
     @pytest.mark.parametrize("threshold", ["1-2", "1.2.3", "1e", "1e999"])
     def test_bad_threshold_carries_position(self, threshold):
@@ -107,12 +106,12 @@ class TestParsing:
         with pytest.raises(RuleParseError, match=r"^line 4, column 4: expected LPAREN"):
             parse_rules(text)
         ruleset = parse_rules(text[: text.index("bad")])
-        assert [r.head.property_name for r in ruleset.rules] == ["b", "d"]
+        assert [r.head.property_name for r in ruleset] == ["b", "d"]
 
     def test_decimal_threshold(self):
         rule = parse_rule("foo(?s) ^ p(?s, ?v) ^ greaterThan(?v, 1.5) -> bar(?s, x)")
         assert rule.body[2].threshold == 1.5
-        assert parse_rules(rule.render()).rules[0] == rule
+        assert parse_rules(rule.render()) == (rule,)
 
 
 @pytest.mark.parametrize(
@@ -192,22 +191,24 @@ def random_rules(draw) -> Rule:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(random_rules(), max_size=4).map(lambda rules: RuleSet(tuple(rules))))
+@given(st.lists(random_rules(), max_size=4).map(tuple))
 def test_random_rule_sets_round_trip_through_render(ruleset):
-    assert parse_rules("".join(rule.render() + "\n" for rule in ruleset.rules)) == ruleset
+    assert parse_rules("".join(rule.render() + "\n" for rule in ruleset)) == ruleset
 
 
 @settings(max_examples=500, deadline=None)
 @given(term=terms, threshold=st.one_of(THRESHOLDS, st.sampled_from([0.0, 4.5, 16.0, 17.0])))
 def test_compiled_greater_than_matches_the_reference(term, threshold):
-    builtin = BuiltinGreaterThan("?v", threshold)
+    rule = Rule((BuiltinGreaterThan("?v", threshold),), DataPropertyAtom("b", "?v", string("x")))
     want = reference_filter(term, ">", decimal(threshold))
-    assert builtin.term_test()(term) is want
+    ((variable, test),) = rule.checks()
+    assert variable == "?v" and test(term) is want
 
 
 def test_nan_threshold_is_rejected_when_compiled():
+    rule = Rule((BuiltinGreaterThan("?v", math.nan),), DataPropertyAtom("b", "?v", string("x")))
     with pytest.raises(RdfError, match="not a finite decimal"):
-        BuiltinGreaterThan("?v", math.nan).term_test()
+        rule.checks()
 
 
 #: thresholds spelled so that both the rule and the query grammar read them
@@ -296,7 +297,7 @@ class TestForwardChain:
         )
         g = Graph([prop("s1", "a", integer(5)), prop("s1", "a", integer(50))])
         (fact,) = forward_chain(g, ruleset)
-        assert fact.rule == ruleset.rules[0] and dict(fact.bindings)["?v"] == integer(50)
+        assert fact.rule == ruleset[0] and dict(fact.bindings)["?v"] == integer(50)
 
     def test_monotone_under_insertion(self, rules_text):
         ruleset = parse_rules(rules_text)
@@ -338,7 +339,7 @@ class TestVerifyProvenance:
 
     def test_rejects_a_fact_from_a_rule_outside_the_set(self, rules_text):
         # the body holds and the head agrees, but no rule of the set is the fact's
-        forged = RuleSet((parse_rule("sensor_id(?s) -> FireIntensity(?s, extreme)"),))
+        forged = (parse_rule("sensor_id(?s) -> FireIntensity(?s, extreme)"),)
         g = Graph([typed("Sensor_2")])
         facts = forward_chain(g, forged)
         assert verify_provenance(g, forged, facts)
@@ -355,7 +356,7 @@ def naive_fixpoint(g: Graph, ruleset) -> set[Triple]:
     changed = True
     while changed:
         changed = False
-        for rule in ruleset.rules:
+        for rule in ruleset:
             patterns = [a.pattern() for a in rule.body if not isinstance(a, BuiltinGreaterThan)]
             builtins = [a for a in rule.body if isinstance(a, BuiltinGreaterThan)]
             for binding in brute_force_join(work, patterns):
@@ -432,7 +433,7 @@ def test_mixed_rule_set_matches_naive_oracle(rules_text):
         want = naive_fixpoint(g, ruleset)
         assert {f.triple() for f in facts} == want
         assert verify_provenance(g, ruleset, facts)
-        alarms += any(f.rule is ruleset.rules[-1] for f in facts)
+        alarms += any(f.rule is ruleset[-1] for f in facts)
     assert alarms >= 20
 
 
@@ -558,7 +559,7 @@ def test_join_iterates_at_most_two_candidates_per_rule_per_sensor(rules_text, mo
     assert forward_chain(g, ruleset)
     # the sensor's rdf:type triple, then its exact (sensor, property) bucket;
     # with one-slot buckets it was the type triple and all 24 of the sensor's
-    assert iterated[0] <= 2 * len(ruleset.rules) * 100
+    assert iterated[0] <= 2 * len(ruleset) * 100
 
 
 def test_chaining_builds_terms_once_per_rule_not_per_fact(rules_text, monkeypatch):
@@ -596,9 +597,10 @@ def test_chaining_orders_bindings_only_on_a_tie(rules_text, monkeypatch):
 
     monkeypatch.setattr(Term, "sort_key", counting)
     facts = forward_chain(g, ruleset)
-    # no rule derives one triple twice here, so the one key per fact is the
-    # final sort's; a key for every fact's bindings made 5,142 calls
-    assert len(facts) == 1714 and calls == len(facts)
+    # no rule derives one triple twice here, so no bindings are keyed, and the
+    # final sort reads each subject's value: a key for every fact's bindings
+    # made 5,142 calls, and a key for each fact's subject 1,714
+    assert len(facts) == 1714 and calls == 0
 
 
 def count_joins(monkeypatch) -> list[int]:
@@ -631,7 +633,7 @@ def test_chaining_with_no_head_read_runs_one_round_over_the_store(rules_text, mo
     monkeypatch.setattr(Graph, "insert", counting)
     assert len(forward_chain(g, ruleset)) == 1714
     # a second round, over a copy of the store, made 81 joins and 1,714 inserts
-    assert inserts == 0 and joins[0] == len(ruleset.rules)
+    assert inserts == 0 and joins[0] == len(ruleset)
     assert set(g) == before and check_index_coherence(g)
 
 
@@ -676,7 +678,8 @@ def test_recursive_chaining_seeds_only_from_head_reads(monkeypatch):
 )
 def test_chaining_inserts_each_fact_once(text, monkeypatch):
     g = reach_chain(30)
-    g.update(prop(f"s{i}", "a", integer(i)) for i in range(-3, 4))
+    for i in range(-3, 4):
+        g.insert(prop(f"s{i}", "a", integer(i)))
     ruleset = parse_rules(text)
     inserts = 0
     insert = Graph.insert
