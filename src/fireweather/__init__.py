@@ -15,7 +15,7 @@ from .indices import (
     fwi_from,
     isi_from,
 )
-from .ingest import WeatherObservation, ingest_observations, parse_csv, to_triples
+from .ingest import WeatherObservation, ingest_observations, ntriples_lines, parse_csv
 from .rdf import Graph, Term, Triple, TriplePattern, export_ntriples, import_ntriples
 from .rules import InferredFact, Rule, forward_chain, load_rules, parse_rules
 from .sparql import Query, ResultTable, evaluate, parse_query

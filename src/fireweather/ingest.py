@@ -6,11 +6,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 from . import vocab
-from .rdf import Graph, Triple, decimal, integer, iri, string
+from .rdf import Datatype, Graph, Term, format_decimal, import_ntriples, string
 
 EXPECTED_HEADER = ["X", "Y", "month", "day", "FFMC", "DMC", "DC", "ISI",
                    "temp", "RH", "wind", "rain", "area"]
@@ -121,40 +120,51 @@ def parse_csv(text: str) -> list[WeatherObservation]:
     return observations
 
 
-# Terms every row shares, built once.
-_RDF_TYPE = iri(vocab.RDF_TYPE)
-_SENSOR_CLASS = iri(vocab.SENSOR_CLASS)
-_HAS_DEPLOYMENT_X = iri(vocab.HAS_DEPLOYMENT_X)
-_HAS_DEPLOYMENT_Y = iri(vocab.HAS_DEPLOYMENT_Y)
-_HAS_MONTH = iri(vocab.HAS_MONTH)
-_HAS_DAY = iri(vocab.HAS_DAY)
-_HAS_VALUE = iri(vocab.HAS_VALUE)
-_HAS_UNIT = iri(vocab.HAS_UNIT)
-_OBSERVED_BY = iri(vocab.OBSERVED_BY)
-_UNIT_TERMS = {quantity: string(unit) for quantity, unit in QUANTITY_UNITS.items()}
-_MONTH_TERMS = {month: string(month) for month in MONTHS}
-_DAY_TERMS = {day: string(day) for day in DAYS}
+# Tokens every row shares, written once.
+_RDF_TYPE, _SENSOR_CLASS, _HAS_DEPLOYMENT_X, _HAS_DEPLOYMENT_Y, _HAS_MONTH, _HAS_DAY, _HAS_VALUE, _HAS_UNIT, _OBSERVED_BY = (
+    f"<{value}>" for value in (
+        vocab.RDF_TYPE, vocab.SENSOR_CLASS, vocab.HAS_DEPLOYMENT_X, vocab.HAS_DEPLOYMENT_Y,
+        vocab.HAS_MONTH, vocab.HAS_DAY, vocab.HAS_VALUE, vocab.HAS_UNIT, vocab.OBSERVED_BY,
+    )
+)
+#: each month, day and unit as the string literal that ``rdf`` writes
+_STRINGS = {value: str(string(value)) for value in (*MONTHS, *DAYS, *QUANTITY_UNITS.values())}
 
 
-def to_triples(obs: WeatherObservation, ordinal: int) -> list[Triple]:
-    """Map the observation of row ``ordinal`` (1-based) to its fixed per-row triple schema."""
-    s = iri(vocab.sensor_iri(ordinal))
-    triples = [
-        Triple(s, _RDF_TYPE, _SENSOR_CLASS),
-        Triple(s, _HAS_DEPLOYMENT_X, integer(obs.x_coord)),
-        Triple(s, _HAS_DEPLOYMENT_Y, integer(obs.y_coord)),
-        Triple(s, _HAS_MONTH, _MONTH_TERMS[obs.month]),
-        Triple(s, _HAS_DAY, _DAY_TERMS[obs.day]),
-    ]
-    for quantity in QUANTITY_UNITS:
-        node = iri(vocab.obs_iri(ordinal, quantity))
-        triples.append(Triple(node, _HAS_VALUE, decimal(float(getattr(obs, quantity)))))
-        triples.append(Triple(node, _HAS_UNIT, _UNIT_TERMS[quantity]))
-        triples.append(Triple(node, _OBSERVED_BY, s))
-    return triples
+class _Literals(dict):
+    """(lexical form, datatype) -> that literal as ``rdf`` writes it, rendered on its first lookup.
+
+    Keyed by the lexical form, not the number: ``-0.0 == 0.0``, yet each is its own literal.
+    """
+
+    def __missing__(self, key: tuple[str, Datatype]) -> str:
+        token = self[key] = str(Term(*key))
+        return token
+
+
+def ntriples_lines(observations: Iterable[WeatherObservation]) -> list[str]:
+    """The CSV->RDF mapping: each row's N-Triples lines, in row order, minting sensor ordinals from 1."""
+    literals = _Literals()
+    lines = []
+    for ordinal, obs in enumerate(observations, start=1):
+        s = f"<{vocab.sensor_iri(ordinal)}>"
+        lines += (
+            f"{s} {_RDF_TYPE} {_SENSOR_CLASS} .",
+            f"{s} {_HAS_DEPLOYMENT_X} {literals[str(obs.x_coord), Datatype.INTEGER]} .",
+            f"{s} {_HAS_DEPLOYMENT_Y} {literals[str(obs.y_coord), Datatype.INTEGER]} .",
+            f"{s} {_HAS_MONTH} {_STRINGS[obs.month]} .",
+            f"{s} {_HAS_DAY} {_STRINGS[obs.day]} .",
+        )
+        for quantity, unit in QUANTITY_UNITS.items():
+            node = f"<{vocab.obs_iri(ordinal, quantity)}>"
+            lines += (
+                f"{node} {_HAS_VALUE} {literals[format_decimal(getattr(obs, quantity)), Datatype.DECIMAL]} .",
+                f"{node} {_HAS_UNIT} {_STRINGS[unit]} .",
+                f"{node} {_OBSERVED_BY} {s} .",
+            )
+    return lines
 
 
 def ingest_observations(observations: Iterable[WeatherObservation]) -> Graph:
-    """Load observations into a graph, minting sensor ordinals from 1, with no ``Graph.insert`` per triple."""
-    rows = enumerate(observations, start=1)
-    return Graph(chain.from_iterable(to_triples(obs, ordinal) for ordinal, obs in rows))
+    """The observations' graph, read back from their ``ntriples_lines``, in row order."""
+    return import_ntriples("\n".join(ntriples_lines(observations)))

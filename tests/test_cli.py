@@ -77,7 +77,7 @@ class TestIngest:
         bad.write_text(HEADER + "7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\n" + "7,5,mar,fri,86.2,nan,94.3,5.1,8.2,51,6.7,0,0\n")
         code, out, err = run(capsys, command, str(bad))
         assert code == 1 and out == ""
-        assert err == "error: row 3: dmc must be a finite number: nan\n"
+        assert err == f"error: {bad}: row 3: dmc must be a finite number: nan\n"
 
     def test_empty_csv_header_only(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -121,6 +121,30 @@ class TestUnreadableInput:
         code, out, err = run(capsys, *(arg.format(bad=bad, good=good) for arg in argv))
         assert code == 1 and out == ""
         assert err == f"error: {bad}: line 2: not valid UTF-8\n"
+
+    @pytest.mark.parametrize(
+        "argv, culprit, reason",
+        [
+            (["infer", "{store}", "--rules", "{rules}"], "store", "line 2: unterminated literal '\"x'"),
+            (["infer", "{empty}", "--rules", "{rules}"], "rules", "line 2: unsafe rule: head variable ?t not bound in body"),
+            (["query", "{store}", "{query}"], "store", "line 2: unterminated literal '\"x'"),
+            (["query", "{empty}", "{query}"], "query", "line 2, column 20: expected term or variable, got '}'"),
+            (["plot", "{csv}", "--days", "1"], "csv", "row 2: expected 13 columns, got 3"),
+        ],
+        ids=["infer-store", "infer-rules", "query-store", "query-text", "plot-csv"],
+    )
+    def test_parse_error_exit_1_with_path(self, capsys, tmp_path, argv, culprit, reason):
+        # each file is at fault only where the case names it: the store is
+        # read first, so a bad store stops the command before its rules or query
+        paths = {name: tmp_path / name for name in ("store", "rules", "query", "csv", "empty")}
+        paths["store"].write_text('<urn:s> <urn:p> <urn:o> .\n<urn:s> <urn:p> "x .\n')
+        paths["rules"].write_text("a(?s, ?v) -> b(?s, x)\n" + ("foo(?s) -> bar(?t, x)\n" if culprit == "rules" else ""))
+        paths["query"].write_text("SELECT ?s\nWHERE { ?s <urn:p> " + ("}\n" if culprit == "query" else "?o }\n"))
+        paths["csv"].write_text(HEADER + "7,5,mar\n")
+        paths["empty"].write_text("")
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: {paths[culprit]}: {reason}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -426,7 +450,7 @@ class TestInfer:
         store.write_text('<urn:s> <urn:p> "inf"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n')
         code, _, err = run(capsys, "infer", str(store), "--rules", str(RULES_FILE))
         assert code == 1
-        assert err == "error: line 1: literal 'inf' is not a finite decimal\n"
+        assert err == f"error: {store}: line 1: literal 'inf' is not a finite decimal\n"
 
     def test_literal_head_subject_exit_1_naming_rule(self, capsys, tmp_path):
         store = tmp_path / "store.nt"
@@ -451,7 +475,7 @@ class TestInfer:
         bad.write_text("# thresholds\nsensor_id(?s) ^ Rain(?s, ?r) ^ greaterThan(?r, 1-2) -> startRaining(?s, FireStop)\n")
         code, out, err = run(capsys, "infer", str(sensor_store), "--rules", str(bad))
         assert code == 1 and out == ""
-        assert err.startswith("error: line 2, column 48: ") and "'1-2'" in err
+        assert err.startswith(f"error: {bad}: line 2, column 48: ") and "'1-2'" in err
 
     def test_jsonl_does_not_depend_on_hash_seed(self, tmp_path):
         # three readings satisfy the same rule, so one fact has three derivations
@@ -503,7 +527,8 @@ class TestQuery:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(blocks.encode())))
         code, out, err = run(capsys, "query", str(wind_store))
         assert code == 0
-        assert "error:" in err
+        # a block typed at the prompt is located without a file name
+        assert err == "error: line 1, column 19: expected term or variable, got 'broken'\n"
         assert "45.0" in out
 
     @pytest.mark.parametrize(
@@ -533,7 +558,7 @@ class TestQuery:
         qfile.write_text(text + "\n")
         code, out, err = run(capsys, "query", str(wind_store), str(qfile))
         assert code == 1 and out == ""
-        assert err == f"error: line 1, column {column}: invalid IRI: ''\n"
+        assert err == f"error: {qfile}: line 1, column {column}: invalid IRI: ''\n"
 
     @pytest.mark.parametrize("where", ["store", "store-to-output", "query"])
     def test_surrogate_escape_exit_1_with_position(self, capsys, tmp_path, where):
@@ -549,7 +574,7 @@ class TestQuery:
         if where == "store-to-output":
             argv += ["--output", str(out_file)]
         code, out, err = run(capsys, *argv)
-        position = "line 1, column 50" if where == "query" else "line 1"
+        position = f"{qfile}: line 1, column 50" if where == "query" else f"{store}: line 1"
         assert (code, out) == (1, "") and not out_file.exists()
         assert err == f"error: {position}: invalid escape '\\\\uD800'\n"
 
@@ -588,7 +613,8 @@ class TestPlot:
 
     def test_days_beyond_rows_exit_1(self, capsys):
         code, _, err = run(capsys, "plot", str(DATA_CSV), "--days", "100000")
-        assert code == 1 and "error:" in err
+        # an option's error names no file
+        assert (code, err) == (1, "error: --days 100000 exceeds the 517 available rows\n")
 
     def test_all_days_is_passthrough_order(self, capsys, small_csv):
         code, out, _ = run(capsys, "plot", str(small_csv), "--days", "2")

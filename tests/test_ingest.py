@@ -1,17 +1,20 @@
 import pytest
 
 from fireweather import vocab
+from fireweather.cli import main
 from fireweather.ingest import (
+    DAYS,
     EXPECTED_HEADER,
+    MONTHS,
     QUANTITY_UNITS,
     TRIPLES_PER_ROW,
     IngestError,
     WeatherObservation,
     ingest_observations,
     parse_csv,
-    to_triples,
 )
-from fireweather.rdf import TriplePattern, decimal, export_ntriples, format_decimal, iri, join
+from fireweather.rdf import Graph, Triple, TriplePattern, decimal, export_ntriples, format_decimal, integer, iri, join, string
+from conftest import DATA_CSV
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area\n"
 ROW = "7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\n"
@@ -98,9 +101,14 @@ class TestValidation:
             parse_csv(HEADER + ROW + ",".join(fields) + "\n")
 
 
+def row_triples(row: WeatherObservation, ordinal: int) -> list[Triple]:
+    """The triples that the row mapping gives ``row`` as the observation of row ``ordinal``."""
+    return list(ingest_observations([row] * ordinal))[-TRIPLES_PER_ROW:]
+
+
 class TestToTriples:
     def test_per_row_schema(self):
-        triples = to_triples(obs(wind=45.0), 3)
+        triples = row_triples(obs(wind=45.0), 3)
         assert len(triples) == TRIPLES_PER_ROW
         wind_node = iri(vocab.obs_iri(3, "wind"))
         assert any(
@@ -114,19 +122,19 @@ class TestToTriples:
         )
 
     def test_exactly_one_type_triple(self):
-        triples = to_triples(obs(), 1)
+        triples = row_triples(obs(), 1)
         types = [t for t in triples if t.predicate.value == vocab.RDF_TYPE]
         assert len(types) == 1
         assert types[0].object.value == vocab.SENSOR_CLASS
 
     def test_one_unit_triple_per_quantity(self):
-        triples = to_triples(obs(), 1)
+        triples = row_triples(obs(), 1)
         units = [t for t in triples if t.predicate.value == vocab.HAS_UNIT]
         assert len(units) == len(QUANTITY_UNITS)
 
     def test_deterministic_iris(self):
-        triples = to_triples(obs(), 5)
-        assert triples == to_triples(obs(), 5)
+        triples = row_triples(obs(), 5)
+        assert triples == row_triples(obs(), 5)
         assert triples[0].subject.value == vocab.sensor_iri(5) == "urn:ssn:sensor:5"
 
     def test_total_triple_count(self, dataset_text):
@@ -148,3 +156,80 @@ class TestRoundTrip:
         first = export_ntriples(ingest_observations(parse_csv(dataset_text)))
         second = export_ntriples(ingest_observations(parse_csv(dataset_text)))
         assert first == second
+
+
+def reference_triples(observations) -> list[Triple]:
+    """The row mapping as it was written with ``Term`` and ``Triple`` objects, kept as the reference."""
+    triples = []
+    for ordinal, obs in enumerate(observations, start=1):
+        s = iri(vocab.sensor_iri(ordinal))
+        triples += [
+            Triple(s, iri(vocab.RDF_TYPE), iri(vocab.SENSOR_CLASS)),
+            Triple(s, iri(vocab.HAS_DEPLOYMENT_X), integer(obs.x_coord)),
+            Triple(s, iri(vocab.HAS_DEPLOYMENT_Y), integer(obs.y_coord)),
+            Triple(s, iri(vocab.HAS_MONTH), string(obs.month)),
+            Triple(s, iri(vocab.HAS_DAY), string(obs.day)),
+        ]
+        for quantity, unit in QUANTITY_UNITS.items():
+            node = iri(vocab.obs_iri(ordinal, quantity))
+            triples.append(Triple(node, iri(vocab.HAS_VALUE), decimal(float(getattr(obs, quantity)))))
+            triples.append(Triple(node, iri(vocab.HAS_UNIT), string(unit)))
+            triples.append(Triple(node, iri(vocab.OBSERVED_BY), s))
+    return triples
+
+
+def reference_ntriples(triples) -> str:
+    """The triples as the N-Triples writer wrote them: one line each, sorted, and a newline after the last."""
+    lines = sorted(f"<{t.subject.value}> <{t.predicate.value}> {t.object} ." for t in triples)
+    lines.append("")
+    return "\n".join(lines)
+
+
+#: every month (one in upper case) and every day; -0.0 and 0.0 in the temp,
+#: rain and area columns, each beside exponents such as 1e-5 and 1E3; and
+#: coordinates spelled -0, +0 and +7
+EDGE_ROWS = [
+    f"{x},{y},{month},{day},86.2,26.2,94.3,5.1,{temp},51,6.7,{rain},{area}\n"
+    for x, y, month, day, temp, rain, area in zip(
+        ["-0", "+7", "1", "9", "0", "+0", "2", "3", "4", "5", "6", "8"],
+        ["+7", "-0", "2", "9", "1", "3", "4", "5", "6", "7", "8", "+2"],
+        ["JAN", *MONTHS[1:]],
+        DAYS * 2,
+        ["-0.0", "0.0", "-12.5", "1E3", "0", "-0", "1e-5", "20", "20.0", "3", "3.0", "-3"],
+        ["-0.0", "0.0", "-0.0", "0", "0.0", "-0", "1e-5", "0.0", "-0.0", "1E3", "2", "0"],
+        ["1e-5", "1E3", "0.0", "-0.0", "1e-05", "1000", "0", "-0", "1E-5", "7", "7.0", "0"],
+    )
+]
+
+
+class TestIngestWritesTheReference:
+    def write(self, capsys, tmp_path, text: str) -> str:
+        path = tmp_path / "rows.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["ingest", str(path)]) == 0
+        return capsys.readouterr().out
+
+    def test_edge_values(self, capsys, tmp_path):
+        text = HEADER + "".join(EDGE_ROWS)
+        out = self.write(capsys, tmp_path, text)
+        assert out == reference_ntriples(reference_triples(parse_csv(text)))
+        # the literals that equal numbers share would merge under a memo keyed by the number
+        assert '"-0.0"^^<' in out and '"0.0"^^<' in out and '"1e-05"^^<' in out and '"1000.0"^^<' in out
+
+    def test_header_only_writes_nothing(self, capsys, tmp_path):
+        assert self.write(capsys, tmp_path, HEADER) == ""
+
+    def test_bundled_csv_builds_no_triple_or_graph(self, capsys, dataset_text, monkeypatch):
+        built = {Triple: 0, Graph: 0}
+        for cls in built:
+            def counting(self, *args, _init=cls.__init__, _cls=cls):
+                built[_cls] += 1
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counting)
+        assert main(["ingest", str(DATA_CSV)]) == 0
+        assert built == {Triple: 0, Graph: 0}
+        monkeypatch.undo()
+        rows = parse_csv(dataset_text)
+        want = reference_triples(rows)
+        assert capsys.readouterr().out == reference_ntriples(want)
+        assert list(ingest_observations(rows)) == want
