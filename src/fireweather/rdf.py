@@ -4,7 +4,8 @@ Terms are IRIs or typed literals (string / integer / decimal).  Blank nodes
 are deliberately unsupported; ingestion mints deterministic IRIs instead.
 
 ``join`` is the one pattern matcher: rule bodies, the seeds of each
-semi-naive chaining round and SPARQL queries all evaluate through it.
+semi-naive chaining round and SPARQL queries all evaluate through it, each
+plan run as a generated loop nest.
 ``comparison`` is the one comparison, which a SPARQL ``FILTER`` and a
 rule's ``greaterThan`` share.
 """
@@ -17,8 +18,10 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -301,19 +304,21 @@ class Graph:
     ``_triples`` holds each triple once; length, membership and iteration
     read it, and iteration follows the order in which each triple was
     first inserted.  ``_indexes`` is None until ``candidates`` first gets a
-    pattern with a concrete slot.  That lookup builds both indexes in one
-    pass over the set and publishes them with one assignment, so a
-    concurrent reader sees either no indexes or whole ones.  From then on
-    ``insert`` files each new triple in both.  The first index maps subject
-    to predicate to the triples with both, the second predicate to object
-    to the triples with both, in plain dicts of dicts of lists.  Each triple
-    is in one list of each index, in insertion order, and no list is ever
-    empty.  ``candidates`` returns exactly the triples that agree with a
-    pattern's concrete slots, so a match only has to bind its variables.
+    pattern with a concrete slot, or a join first reads them.  That read
+    builds both indexes in one pass over the set and publishes them with
+    one assignment, so a concurrent reader sees either no indexes or whole
+    ones.  From then on ``insert`` files each new triple in both.  The
+    first index maps subject to predicate to the triples with both, the
+    second predicate to object to the triples with both, in plain dicts of
+    dicts of lists.  Each triple is in one list of each index, in insertion
+    order, and no list is ever empty.  ``candidates`` returns exactly the
+    triples that agree with a pattern's concrete slots, and a join level
+    reads the bucket that does, so a match only has to bind its variables.
 
     Single writer or multiple readers at any moment; callers must not
     interleave a writer with readers.  A bucket or ``_Buckets`` from
-    ``candidates`` is valid until the next insert.
+    ``candidates``, and a join being iterated, are valid until the next
+    insert.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -341,8 +346,18 @@ class Graph:
             _index_triple(*self._indexes, t)
         return len(triples)
 
+    def _indexed(self) -> tuple[_Nested, _Nested]:
+        """Both indexes, built from the set in one pass if they are not yet."""
+        indexes = self._indexes
+        if indexes is None:
+            spo, pos = {}, {}
+            for t in self._triples:
+                _index_triple(spo, pos, t)
+            indexes = self._indexes = (spo, pos)
+        return indexes
+
     def candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
-        """The triples that agree with every concrete slot of the pattern.
+        """The triples that agree with every concrete slot of the pattern: what ``join`` sizes a pattern by.
 
         A pattern with no concrete slot returns the graph itself and builds
         no index.  Otherwise ``(s, p)`` and ``(p, o)`` return one bucket;
@@ -350,19 +365,14 @@ class Graph:
         ``_Buckets``, sized without a list; each is valid until the next
         insert.  ``(s, p, o)`` filters the ``(s, p)`` bucket, ``(s, o)`` the
         subject's triples, and ``o`` alone gathers its bucket under every
-        predicate, each into a new list: a snapshot.
+        predicate, each into a new list: a snapshot.  A join's later levels
+        read the same buckets straight from the indexes, in code that
+        ``join`` generates, with no call to this method.
         """
         s, p, o = pattern
-        indexes = self._indexes
-        if indexes is None:
-            if not (isinstance(s, Term) or isinstance(p, Term) or isinstance(o, Term)):
-                return self
-            spo, pos = {}, {}
-            for t in self._triples:
-                _index_triple(spo, pos, t)
-            self._indexes = (spo, pos)
-        else:
-            spo, pos = indexes
+        if not (isinstance(s, Term) or isinstance(p, Term) or isinstance(o, Term)):
+            return self
+        spo, pos = self._indexed()
         if isinstance(s, Term):
             by_p = spo.get(s)
             if by_p is None:
@@ -374,9 +384,7 @@ class Graph:
             if by_o is None:
                 return ()
             return by_o.get(o, ()) if isinstance(o, Term) else _Buckets(by_o.values())
-        if isinstance(o, Term):
-            return [t for by_o in pos.values() for t in by_o.get(o, ())]
-        return self
+        return [t for by_o in pos.values() for t in by_o.get(o, ())]
 
 
 #: A variable and a test on the term bound to it.  The join runs the test on
@@ -409,10 +417,6 @@ def comparison(comparator: str, operand: Term) -> Callable[[Term], bool]:
     return lambda term: False
 
 
-#: the attribute of a triple that each pattern slot reads, in pattern order
-_FIELDS = ("subject", "predicate", "object")
-
-
 def substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
     """The pattern with every variable that ``binding`` binds replaced by its term."""
     s, p, o = pattern
@@ -432,29 +436,46 @@ def join(
     graph: Graph,
     checks: Sequence[Check] = (),
     binding: Optional[Binding] = None,
-) -> Iterator[Binding]:
+    select: Optional[Sequence[str]] = None,
+) -> Iterator:
     """Every extension of ``binding`` that matches all patterns and passes all checks.
 
-    Each pattern is matched against ``graph`` by an index nested loop,
-    planned once per call.  Every pattern is sized by its candidates under
-    ``binding``, and a pattern with none ends the call.  The smallest goes
-    first, ties to the lowest index; each next level takes the smallest of
-    the patterns that share a variable with those placed, or of all left if
-    none does.  The plan fixes, per level, the slots an earlier level fills,
-    the fresh variables and the checks run there.  The first level reads the
-    candidates it was sized from; each later level makes one exact
-    ``Graph.candidates`` lookup per binding, so a candidate only binds the
-    fresh variables.  A check tests the term bound to its variable: the
-    terms of ``binding`` first, then, at the level that binds the variable,
-    the term in the candidate's slot, before the candidate's binding is
-    built.  A check whose variable nothing binds fails every row.  A fresh
-    variable that fills two or three slots of a pattern adds, after its own
-    checks, one test that those slots hold one term.
+    Each extension comes as a new dict, or, when ``select`` names
+    variables, as the tuple of their terms in that order.  A select
+    variable that neither ``binding`` nor a pattern binds is a
+    ``ValueError`` once the join is planned, which a pattern with no
+    candidates forestalls.
+
+    The patterns are matched against ``graph`` by an index nested loop,
+    planned once per call.  Every pattern is sized by its
+    ``Graph.candidates`` under ``binding``, and a pattern with none ends the
+    call.  The smallest goes first, ties to the lowest index; each next
+    level takes the smallest of the patterns that share a variable with
+    those placed, or of all left if none does.  The plan is then run as one
+    generated function, a nest of one ``for`` per level, in depth-first
+    order.  A level that no earlier level feeds reads the bucket it was
+    sized from; every other level reads its exact bucket from the graph's
+    indexes, one lookup per binding, so a candidate only binds the fresh
+    variables.  A check tests the term bound to its variable: the terms of
+    ``binding`` first, then, at the level that binds the variable, the term
+    in the candidate's slot, before any binding is built.  A check whose
+    variable nothing binds fails every row.  A fresh variable that fills
+    two or three slots of a pattern adds, after its own checks, one test
+    that those slots hold one term.  A plan deeper than ``_MAX_LEVELS``
+    joins the rest of its patterns under each binding of its first levels.
+
+    The generated source is built only from fixed fragments, local names
+    made from integers, and slot indices.  Every term, test and variable
+    name reaches the function as an argument, so no query text, rule text
+    or term value is ever part of the source.  Functions are cached by the
+    plan's shape: each slot's kind, the slots that the checks read, and the
+    output form.
     """
     binding = {} if binding is None else binding
-    if not all(test(binding[variable]) for variable, test in checks if variable in binding):
-        return iter(())
-    checks = [c for c in checks if c[0] not in binding]
+    if checks:
+        if not all(test(binding[variable]) for variable, test in checks if variable in binding):
+            return iter(())
+        checks = [c for c in checks if c[0] not in binding]
     sized = []
     for pattern in patterns:
         bound = substitute(pattern, binding)
@@ -463,56 +484,149 @@ def join(
         if not size:
             return iter(())
         sized.append((size, bound, bucket))
-    levels, placed, left = [], set(), list(range(len(sized)))
-    while left:
-        linked = [i for i in left if placed.intersection(sized[i][1].variables())]
-        chosen = min(linked or left, key=lambda i: sized[i][0])
+    # the plan's shape, from which alone the source is made, and what the
+    # function reads: the buckets of levels that no earlier level feeds, the
+    # constant terms of the others, and the tests
+    levels, buckets, terms, tests = [], [], [], []
+    # each variable that a level binds, by the number of its local
+    local: dict[str, int] = {}
+    left = list(range(len(sized)))
+    while left and len(levels) < _MAX_LEVELS:
+        if len(left) > 1:
+            linked = [i for i in left if not local.keys().isdisjoint(sized[i][1].variables())]
+            chosen = min(linked or left, key=lambda i: sized[i][0])
+        else:
+            chosen = left[0]
         left.remove(chosen)
         _, bound, bucket = sized[chosen]
-        filled = [slot if isinstance(slot, str) and slot in placed else None for slot in bound]
-        names = [slot if isinstance(slot, str) and slot not in placed else None for slot in bound]
-        fresh = [name for name in names if name is not None]
-        # each check that this level's variables make runnable, with the slot
-        # that holds its term
-        now = [(attrgetter(_FIELDS[names.index(variable)]), test) for variable, test in checks if variable in fresh]
-        checks = [c for c in checks if c[0] not in fresh]
-        placed.update(fresh)
-        repeated = [field for field, name in zip(_FIELDS, names) if name is not None and names.count(name) > 1]
-        if repeated:
-            now.append((attrgetter(*repeated), lambda terms: len(set(terms)) == 1))
-        levels.append((bound, filled, names, now, None if levels else bucket))
-    if checks:
-        return iter(())
-    return _extend(levels, 0, graph, binding) if levels else iter((binding,))
-
-
-def _extend(levels: list, depth: int, graph: Graph, binding: Binding) -> Iterator[Binding]:
-    """The matches of ``levels[depth:]`` under ``binding``, as ``join`` planned them.
-
-    A candidate that passes the level's tests binds each fresh variable to
-    the term in its slot.
-    """
-    bound, filled, names, now, candidates = levels[depth]
-    if candidates is None:
-        (s, p, o), (fs, fp, fo) = bound, filled
-        probe = (s if fs is None else binding[fs], p if fp is None else binding[fp], o if fo is None else binding[fo])
-        candidates = graph.candidates(probe)
-    for term_of, test in now:
-        candidates = [t for t in candidates if test(term_of(t))]
-    deeper = depth + 1 < len(levels)
-    s, p, o = names
-    for t in candidates:
-        extended = binding.copy()
-        if s is not None:
-            extended[s] = t.subject
-        if p is not None:
-            extended[p] = t.predicate
-        if o is not None:
-            extended[o] = t.object
-        if deeper:
-            yield from _extend(levels, depth + 1, graph, extended)
+        slots, fresh, constants, fed = [], {}, [], False
+        for k, slot in enumerate(bound):
+            if not isinstance(slot, str):
+                slots.append(("c", 0))
+                constants.append(slot)
+            elif slot in local:
+                slots.append(("b", local[slot]))
+                fed = True
+            elif slot in fresh:
+                slots.append(("r", fresh[slot]))
+            else:
+                fresh[slot] = k
+                slots.append(("f", 0))
+        if fed:
+            terms += constants
         else:
-            yield extended
+            buckets.append(bucket)
+        # each check that this level's variables make runnable, on the first slot that holds its term
+        now = [(variable, test) for variable, test in checks if variable in fresh]
+        tests += [test for _, test in now]
+        levels.append((tuple(slots), tuple([fresh[variable] for variable, _ in now])))
+        checks = [c for c in checks if c[0] not in fresh]
+        for variable in fresh:
+            local[variable] = len(local)
+    deeper = [sized[i][1] for i in left] if left else None
+    names, seeded = (), []
+    if select is None or deeper:
+        output, names = "dict", tuple(local)
+    else:
+        output = []
+        for variable in select:
+            if variable in local:
+                output.append(("v", local[variable]))
+            elif variable in binding:
+                output.append(("z", len(seeded)))
+                seeded.append(binding[variable])
+            else:
+                raise ValueError(f"select variable {variable} is not bound by any pattern")
+        output = tuple(output)
+    if checks and not deeper:
+        return iter(())
+    # a level that an earlier one feeds gave no bucket: it reads the indexes
+    spo, pos = graph._indexed() if len(buckets) < len(levels) else (None, None)
+    rows = _compile((tuple(levels), output))(binding, buckets, terms, tests, names, seeded, spo, pos)
+    if deeper:
+        return chain.from_iterable(join(deeper, graph, checks, extended, select) for extended in rows)
+    return rows
+
+
+#: the attribute of a triple that each pattern slot reads, in pattern order
+_FIELDS = ("subject", "predicate", "object")
+
+#: the most levels that one generated function nests: each is one ``for``,
+#: and Python allows 20 nested blocks
+_MAX_LEVELS = 16
+
+#: the inner dict that a probe reads for a key its index lacks
+_NO_KEY = MappingProxyType({})
+
+
+@lru_cache(maxsize=256)
+def _compile(shape: tuple) -> Callable[..., Iterator]:
+    """The generator function that runs a plan of this shape, with no builtins in reach."""
+    namespace = {"__builtins__": {}, "flat": chain.from_iterable, "E": _NO_KEY}
+    exec(compile(_source(shape), "<join plan>", "exec"), namespace)
+    return namespace["nest"]
+
+
+def _source(shape: tuple) -> str:
+    """The loop nest for a plan's shape, as ``join`` describes it.
+
+    ``shape`` is the levels, each as its three slots and the slots its
+    checks read, and the output form.  A slot is ``("c", 0)`` for a
+    constant, ``("b", j)`` for the variable that local ``vj`` holds,
+    ``("f", 0)`` for a fresh variable, which takes the next ``vj``, and
+    ``("r", k)`` for a repeat of the fresh variable in slot ``k``.  The
+    output is ``"dict"``, or one ``("v", j)`` or ``("z", i)`` per select
+    variable: local ``vj``, or the ``i``-th term of ``binding`` that a
+    select variable reads.
+    """
+    levels, output = shape
+    lines, bucket, term, test, var = [], 0, 0, 0, 0
+    for depth, (slots, checks) in enumerate(levels, start=1):
+        pad, t = "    " * depth, f"t{depth}"
+        # each concrete slot's local, for a level that an earlier one feeds
+        s = p = o = None
+        if any(tag == "b" for tag, _ in slots):
+            concrete = []
+            for tag, n in slots:
+                if tag == "c":
+                    concrete.append(f"c{term}")
+                    term += 1
+                else:
+                    concrete.append(f"v{n}" if tag == "b" else None)
+            s, p, o = concrete
+        if s is None and p is None and o is None:
+            source = f"f{bucket}"
+            bucket += 1
+        elif s is not None:
+            source = f"spo.get({s}, E).get({p}, ())" if p is not None else f"flat(spo.get({s}, E).values())"
+        elif p is not None:
+            source = f"pos.get({p}, E).get({o}, ())" if o is not None else f"flat(pos.get({p}, E).values())"
+        else:
+            source = f"flat(by_o.get({o}, ()) for by_o in pos.values())"
+        tests = [f"{t}.object == {o}"] if s is not None and o is not None else []
+        for k in checks:
+            tests.append(f"k{test}({t}.{_FIELDS[k]})")
+            test += 1
+        tests += [f"{t}.{_FIELDS[k]} == {t}.{_FIELDS[n]}" for k, (tag, n) in enumerate(slots) if tag == "r"]
+        lines.append(f"{pad}for {t} in {source}:")
+        lines += [f"{pad}    if not ({x}): continue" for x in tests]
+        for k, (tag, _) in enumerate(slots):
+            if tag == "f":
+                lines.append(f"{pad}    v{var} = {t}.{_FIELDS[k]}")
+                var += 1
+    pad = "    " * (len(levels) + 1)
+    if output == "dict":
+        lines.append(pad + "yield {**B" + "".join(f", n{j}: v{j}" for j in range(var)) + "}")
+        named, seeded = var, 0
+    else:
+        lines.append(pad + "yield (" + "".join(f"{'v' if tag == 'v' else 'z'}{n}, " for tag, n in output) + ")")
+        named, seeded = 0, sum(tag == "z" for tag, _ in output)
+    header = ["def nest(B, F, C, K, N, Z, spo, pos):"]
+    for argument, letter, count in (("F", "f", bucket), ("C", "c", term), ("K", "k", test), ("N", "n", named),
+                                    ("Z", "z", seeded)):
+        if count:
+            header.append(f"    {', '.join(f'{letter}{i}' for i in range(count))}, = {argument}")
+    return "\n".join(header + lines) + "\n"
 
 
 # --- N-Triples-style flat-file serialization -------------------------------

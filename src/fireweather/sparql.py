@@ -281,9 +281,7 @@ def evaluate(query: Query, g: Graph) -> ResultTable:
     """
     names = query.select_vars
     checks = [(f.variable, comparison(f.comparator, f.operand)) for f in query.filters]
-    # one name's getter returns the bare term, which ``zip`` wraps in a 1-tuple
-    cells = map(operator.itemgetter(*names), join(query.patterns, g, checks))
-    rows = list(cells if len(names) > 1 else zip(cells))
+    rows = list(join(query.patterns, g, checks, select=names))
     keys = list(zip(*map(column_sort_keys, zip(*rows))))
     rows = list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
     return ResultTable(tuple(names), tuple(rows))

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from fireweather import rdf, vocab
+from fireweather import rules as rules_module
 from fireweather.ingest import ingest_observations, parse_csv
 from fireweather.rdf import (
     Datatype,
@@ -197,18 +199,24 @@ class TestJoin:
 
     def test_only_a_candidate_that_passes_gets_a_binding(self):
         g = Graph(t("urn:s", "urn:p", integer(i)) for i in range(1, 6))
-        copies = 0
+        built = 0
 
         class Seed(dict):
-            def copy(self):
-                nonlocal copies
-                copies += 1
-                return dict(self)
+            # a dict subclass with its own ``__iter__`` is copied through its
+            # ``keys``, read once by each ``{**seed, ...}``
+            def __iter__(self):
+                return super().__iter__()
+
+            def keys(self):
+                nonlocal built
+                built += 1
+                return super().keys()
 
         above_3 = ("?o", lambda term: float(term.value) > 3)
         got = list(join([TriplePattern("?s", iri("urn:p"), "?o")], g, [above_3], Seed()))
         assert sorted(float(b["?o"].value) for b in got) == [4, 5]
-        assert copies == 2
+        # five candidates, and a binding only for the two that pass
+        assert built == 2
 
     def test_a_repeated_variable_is_tested_before_its_slots_are_compared(self, monkeypatch):
         g = Graph(t(s, "urn:p", iri(o)) for s, o in [("urn:a", "urn:a"), ("urn:a", "urn:b"), ("urn:c", "urn:c")])
@@ -246,14 +254,35 @@ class TestJoin:
                     TriplePattern("?s", iri("urn:q"), "?w")]
         assert list(join(patterns, g)) == []
         assert calls == 1
-        # a deeper level: three calls choose ?s's pattern, then under ?s = a
-        # the first pattern looked at has none
+        # a deeper level: sizing finds candidates for all three patterns, then
+        # under ?s = a the first level probed has none
         g.insert(t("urn:b", "urn:r", integer(3)))
         calls = 0
         patterns = [TriplePattern("?s", iri("urn:p"), "?v"), TriplePattern("?s", iri("urn:r"), "?o"),
                     TriplePattern("?s", iri("urn:q"), "?w")]
+        probes = count_probes(g)
         assert list(join(patterns, g)) == []
-        assert calls == 4
+        # three lookups size the patterns, and one index probe finds no ?s = a
+        # under urn:r, so urn:q's level is never reached
+        assert calls == 3
+        assert probes == [3 + 1]
+
+
+def count_probes(g: Graph) -> list[int]:
+    """Give ``g`` index copies that count, in the returned one-item list, every outer lookup made in either.
+
+    ``candidates`` makes one for each pattern it sizes, and a join level
+    that an earlier level feeds one for each binding it extends.
+    """
+    probes = [0]
+
+    class Probed(dict):
+        def get(self, key, default=None):
+            probes[0] += 1
+            return dict.get(self, key, default)
+
+    g._indexes = tuple(map(Probed, g._indexed()))
+    return probes
 
 
 def linked_graph(rng: random.Random, max_size: int) -> Graph:
@@ -348,12 +377,15 @@ class TestJoinPlan:
 
         monkeypatch.setattr(Graph, "candidates", counting_candidates)
         monkeypatch.setattr(rdf, "substitute", counting_substitute)
+        probes = count_probes(g)
         table = evaluate(parse_query(DRY_AUGUST_QUERY), g)
         assert rows and sorted((sensor.value, float(code.value)) for sensor, code in table.rows) == rows
-        # one lookup sizes each of the 4 patterns; after that, one per binding
-        # at each later level, and no pattern is substituted again
-        assert calls["candidates"] == 4 + len(august) + len(observations) + len(fuel)
+        # one lookup sizes each of the 4 patterns, and no pattern is
+        # substituted again; after that, one index probe per binding at each
+        # later level
+        assert calls["candidates"] == 4
         assert calls["substitute"] == 4
+        assert probes == [4 + len(august) + len(observations) + len(fuel)]
 
     def test_lookup_sizes_the_value_pattern_without_gathering_it(self, dataset_text, monkeypatch):
         g = ingest_observations(parse_csv(dataset_text))
@@ -363,7 +395,6 @@ class TestJoinPlan:
 
         def recording(self, pattern):
             found = candidates(self, pattern)
-            # a later level's probe is a bare tuple
             subject, predicate, _ = pattern
             if predicate == has_value and isinstance(subject, str):
                 returned.append(found)
@@ -376,6 +407,174 @@ class TestJoinPlan:
         # 4,653 triples are never copied into a list
         assert len(returned) == 1 and len(returned[0]) == 517 * 9
         assert not isinstance(returned[0], list)
+
+
+def record_shapes(monkeypatch) -> list:
+    """Make ``join`` record, in the returned list, the shape of every plan it runs."""
+    shapes = []
+    compile_plan = rdf._compile
+
+    def recording(shape):
+        shapes.append(shape)
+        return compile_plan(shape)
+
+    monkeypatch.setattr(rdf, "_compile", recording)
+    return shapes
+
+
+def leaves(value):
+    """Every item of nested tuples that is not itself a tuple."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+def join_both_ways(patterns, g, checks=(), seed=None, select=()) -> int:
+    """Check ``join``'s bindings, and its tuples in ``select`` order, against the filtered brute-force join.
+
+    Returns the number of rows.
+    """
+    want = [b for b in brute_force_join(g, patterns, seed) if all(v in b and test(b[v]) for v, test in checks)]
+    got = list(join(patterns, g, checks, dict(seed or {})))
+    assert canonical(got) == canonical(want)
+    tuples = list(join(patterns, g, checks, dict(seed or {}), select))
+    # the bindings' rows, in the same order
+    assert tuples == [tuple(b[v] for v in select) for b in got]
+    assert sorted(map(repr, tuples)) == sorted(repr(tuple(b[v] for v in select)) for b in want)
+    return len(want)
+
+
+#: the tags that a plan's shape holds, besides integers
+SHAPE_TAGS = {"c", "b", "f", "r", "v", "z", "dict"}
+#: text that would break or inject code if a name or a term reached a generated source
+HOSTILE = ['"', "'", "\n", "}", "__import__('os')"]
+
+
+class TestGeneratedSource:
+    def test_hostile_names_and_terms_stay_out_of_the_source(self, monkeypatch):
+        shapes = record_shapes(monkeypatch)
+        # IRIs hold no whitespace; literals hold anything
+        iris = [iri("urn:" + h.replace("\n", "n")) for h in HOSTILE] + [iri("urn:x\"'}__import__('os')")]
+        literals = [string(h) for h in HOSTILE] + [string("\"'\n}__import__('os')")]
+        g = Graph()
+        for i, s in enumerate(iris):
+            g.insert(Triple(s, iris[-1], literals[i]))
+            g.insert(Triple(s, iris[0], iris[(i + 1) % len(iris)]))
+        g.insert(Triple(iris[1], iri("urn:q\"}"), string("__import__('os')\n\"'}")))
+        g.insert(Triple(iris[1], iri(vocab.prop_iri("p")), string("__import__")))
+        g.insert(Triple(iris[1], iri(vocab.prop_iri("q")), iris[2]))
+
+        # direct: variable names that spell the hostile text
+        names = ["?" + h for h in HOSTILE]
+        patterns = [TriplePattern(names[0], iris[-1], names[1]), TriplePattern(names[0], iris[0], names[2]),
+                    TriplePattern(names[2], names[3], names[4])]
+        checks = [(names[1], comparison("!=", string("}"))), (names[4], lambda term: "'" not in term.value)]
+        assert join_both_ways(patterns, g, checks, select=[names[4], names[0], names[1]]) > 0
+
+        # through the query parser: hostile IRIs, a hostile literal and filter operand
+        query = parse_query(
+            "PREFIX e: <urn:x\"'}__import__('os')>\n"
+            "SELECT ?__import__ ?v WHERE { ?__import__ e: ?v . "
+            "?__import__ <urn:q\"}> \"__import__('os')\\n\\\"'}\" . FILTER (?v != \"}\") }"
+        )
+        want = [
+            (b["?__import__"], b["?v"]) for b in brute_force_join(g, list(query.patterns))
+            if reference_filter(b["?v"], "!=", string("}"))
+        ]
+        assert want and sorted(map(repr, evaluate(query, g).rows)) == sorted(map(repr, want))
+
+        # through the rule parser: a hostile variable name and constant
+        rule = rules_module.parse_rule("p(?__import__, __import__) ^ q(?__import__, ?o) -> r(?__import__, x)")
+        assert join_both_ways(rule.patterns(), g, rule.checks(), select=["?o", "?__import__"]) == 1
+
+        assert shapes
+        for shape in shapes:
+            assert all(type(leaf) is int or leaf in SHAPE_TAGS for leaf in leaves(shape))
+            source = rdf._source(shape)
+            assert not any(text in source for text in ("'", '"', "?", "urn", "import"))
+
+    def test_plans_that_differ_only_in_terms_and_names_share_one_function(self, monkeypatch):
+        shapes = record_shapes(monkeypatch)
+        g = Graph(t(f"urn:s{i}", p, integer(i)) for i in range(4) for p in ("urn:p", "urn:q"))
+        for p, q, a, b in [("urn:p", "urn:q", "?a", "?b"), ("urn:q", "urn:p", "?x", "?'y")]:
+            patterns = [TriplePattern(a, iri(p), "?v"), TriplePattern(a, iri(q), b)]
+            assert len(list(join(patterns, g, [(b, lambda term: True)], select=[b, a]))) == 4
+        assert len(shapes) == 2 and shapes[0] == shapes[1]
+        assert rdf._compile(shapes[0]) is rdf._compile(shapes[1])
+
+
+U = [iri(f"urn:u{i}") for i in range(3)]
+FIRST = iri("urn:first")
+
+
+def cube_graph() -> Graph:
+    """Two ``FIRST`` triples, and the triples of ``U`` cubed less one on every line along each axis."""
+    g = Graph(Triple(U[i], U[j], U[k]) for i in range(3) for j in range(3) for k in range(3) if (i + 2 * j + k) % 3)
+    g.insert(Triple(U[0], FIRST, U[1]))
+    g.insert(Triple(U[2], FIRST, U[2]))
+    return g
+
+
+class TestProbeKinds:
+    """A later level of each kind, against the brute-force join in both output forms.
+
+    ``?x FIRST ?y`` has two candidates, and every pattern with a variable in
+    ``cube_graph`` has at least two, so it is placed first and binds ``?x``
+    and ``?y`` for the next level.
+    """
+
+    @pytest.mark.parametrize("kinds", ["".join(k) for k in itertools.product("cbf", repeat=3)])
+    def test_each_constant_bound_or_fresh_slot(self, kinds, monkeypatch):
+        shapes = record_shapes(monkeypatch)
+        slots = [
+            {"c": U[(k + 1) % 3], "b": ("?x", "?y", "?x")[k], "f": ("?fs", "?fp", "?fo")[k]}[kind]
+            for k, kind in enumerate(kinds)
+        ]
+        patterns = [TriplePattern("?x", FIRST, "?y"), TriplePattern(*slots)]
+        select = sorted({v for p in patterns for v in p.variables()}, reverse=True)
+        join_both_ways(patterns, cube_graph(), select=select)
+        if "b" in kinds:
+            # the second level is the pattern, fed by the first
+            for shape in shapes:
+                levels, _ = shape
+                assert len(levels) == 2 and "".join(tag for tag, _ in levels[1][0]) == kinds
+
+    @pytest.mark.parametrize("second", [("?r", "?y", "?r"), ("?y", "?r", "?r"), ("?r", "?r", "?y"), ("?r", "?r", "?r")])
+    def test_a_fresh_variable_in_two_or_three_slots(self, second):
+        g = cube_graph()
+        assert join_both_ways([TriplePattern("?x", FIRST, "?y"), TriplePattern(*second)], g, select=["?r", "?x"])
+        # at the first level too
+        assert join_both_ways([TriplePattern(second[0], FIRST, second[0])], g, select=[second[0]]) == 1
+
+    def test_a_check_at_each_level_and_a_select_variable_bound_by_the_seed(self):
+        g = cube_graph()
+        patterns = [TriplePattern("?x", FIRST, "?y"), TriplePattern("?y", "?p", "?o"), TriplePattern("?o", "?q", "?x")]
+        seed = {"?z": integer(7), "?w": string("w")}
+        # on the seed's term, then one on a variable of each level: ?x, then
+        # ?p and ?o, then ?q
+        checks = [("?z", lambda term: term == integer(7)), ("?x", lambda term: term != U[0]),
+                  ("?p", lambda term: term != U[0]), ("?q", lambda term: term != U[2])]
+        counts = [join_both_ways(patterns, g, checks[:i], seed, ["?q", "?z", "?x", "?w", "?o"]) for i in range(5)]
+        assert counts[0] == counts[1] > counts[2] > counts[3] > counts[4] > 0
+        assert join_both_ways(patterns, g, checks, seed, ["?w", "?z"]) == counts[4]
+        # a check that fails the seed's term ends the join
+        assert join_both_ways(patterns, g, [("?z", lambda term: False)], seed, ["?z"]) == 0
+
+    def test_a_select_variable_nothing_binds_is_an_error(self):
+        with pytest.raises(ValueError, match=r"\?w"):
+            join([TriplePattern("?x", FIRST, "?y")], cube_graph(), select=["?x", "?w"])
+
+    def test_a_plan_deeper_than_one_nest_joins_the_rest_under_each_binding(self, monkeypatch):
+        shapes = record_shapes(monkeypatch)
+        path = Graph(t(f"urn:n{i}", "urn:next", iri(f"urn:n{i + 1}")) for i in range(25))
+        depth = rdf._MAX_LEVELS + 4
+        patterns = [TriplePattern(f"?v{i}", iri("urn:next"), f"?v{i + 1}") for i in range(depth)]
+        assert join_both_ways(patterns, path, select=["?v0", f"?v{depth}"]) == 25 - depth + 1
+        last = (f"?v{depth}", lambda term: term != iri("urn:n25"))
+        assert join_both_ways(patterns, path, [last], select=[f"?v{depth}"]) == 25 - depth
+        assert max(len(levels) for levels, _ in shapes) == rdf._MAX_LEVELS
 
 
 class TestIndexCoherence:

@@ -517,9 +517,14 @@ def rule_input_store(n_sensors: int) -> Graph:
 
 
 def count_candidates(monkeypatch) -> list[int]:
-    """Make ``Graph.candidates`` count, in the returned one-item list, the triples its callers iterate."""
+    """Make every index bucket count, in the returned one-item list, the triples read from it.
+
+    ``Graph._indexed`` hands out read-only views of both built indexes, so
+    the buckets that ``candidates`` sizes a join's first level by and the
+    ones each later level probes are counted alike.
+    """
     iterated = [0]
-    candidates = Graph.candidates
+    indexed = Graph._indexed
 
     class Counted:
         def __init__(self, bucket):
@@ -533,7 +538,23 @@ def count_candidates(monkeypatch) -> list[int]:
                 iterated[0] += 1
                 yield t
 
-    monkeypatch.setattr(Graph, "candidates", lambda self, pattern: Counted(candidates(self, pattern)))
+    class View:
+        """One level of an index, whose buckets, or inner views, are wrapped by ``wrap``."""
+
+        def __init__(self, index, wrap):
+            self.index, self.wrap = index, wrap
+
+        def get(self, key, default=None):
+            found = self.index.get(key)
+            return default if found is None else self.wrap(found)
+
+        def values(self):
+            return [self.wrap(inner) for inner in self.index.values()]
+
+    def outer(index):
+        return View(index, lambda inner: View(inner, Counted))
+
+    monkeypatch.setattr(Graph, "_indexed", lambda self: tuple(map(outer, indexed(self))))
     return iterated
 
 
