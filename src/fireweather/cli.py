@@ -7,6 +7,7 @@ import contextlib
 import functools
 import json
 import sys
+from pathlib import Path
 
 from . import bands, rules, sparql, vocab
 from .assess import alerts_for, assess, synthetic_timestamp
@@ -35,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="forward-chain the rule file over a store")
     p.add_argument("store_path")
-    p.add_argument("--rules", default="rules/fwi.rules")
+    p.add_argument("--rules", default=str(Path(__file__).resolve().parents[2] / "rules" / "fwi.rules"))
     p.add_argument("--format", choices=["ntriples", "jsonl"], default="ntriples")
     p.add_argument("--output")
 

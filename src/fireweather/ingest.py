@@ -167,4 +167,4 @@ def ntriples_lines(observations: Iterable[WeatherObservation]) -> list[str]:
 
 def ingest_observations(observations: Iterable[WeatherObservation]) -> Graph:
     """The observations' graph, read back from their ``ntriples_lines``, in row order."""
-    return import_ntriples("\n".join(ntriples_lines(observations)))
+    return import_ntriples("".join(line + "\n" for line in ntriples_lines(observations)))

@@ -1,4 +1,4 @@
-"""In-memory RDF triple store: a set of triples, with exact-bucket indexes built when first read.
+"""In-memory RDF triple store: a set of triples as N-Triples tokens, with exact-bucket indexes built when first read.
 
 Terms are IRIs or typed literals (string / integer / decimal).  Blank nodes
 are deliberately unsupported; ingestion mints deterministic IRIs instead.
@@ -19,7 +19,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, starmap
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -53,20 +53,19 @@ class RdfError(Exception):
     """Malformed term, triple, or serialization input."""
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Term:
     """An IRI or a typed literal.
 
     ``value`` is the IRI string or the literal's lexical form.  ``datatype``
-    is None for IRIs.  A term is validated and hashed once, when built; a
-    numeric literal keeps the float it parsed to.  An integer's lexical form
+    is None for IRIs.  A term is validated once, when built; a numeric
+    literal keeps the float it parsed to.  An integer's lexical form
     is an ASCII sign and digits; a decimal's may add a point and an exponent.
     """
 
     value: str
     datatype: Optional[Datatype]
-    _num: Optional[float] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    _num: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __init__(self, value: str, datatype: Optional[Datatype] = None):
         num = None
@@ -86,17 +85,6 @@ class Term:
         _set_value(self, value)
         _set_datatype(self, datatype)
         _set_num(self, num)
-        _set_term_hash(self, hash((value, datatype)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Term:
-            return NotImplemented
-        return self._hash == other._hash and self.datatype is other.datatype and self.value == other.value
 
     @property
     def is_iri(self) -> bool:
@@ -120,9 +108,7 @@ class Term:
 
 # The slots' own setters: a frozen dataclass's ``__setattr__`` raises, and
 # ``object.__setattr__`` looks each slot up again on every call.
-_set_value, _set_datatype, _set_num, _set_term_hash = (
-    Term.value.__set__, Term.datatype.__set__, Term._num.__set__, Term._hash.__set__
-)
+_set_value, _set_datatype, _set_num = Term.value.__set__, Term.datatype.__set__, Term._num.__set__
 
 _NUMERIC = {Datatype.INTEGER, Datatype.DECIMAL}
 
@@ -189,46 +175,22 @@ def format_decimal(value: float) -> str:
     return repr(float(value))
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@dataclass(frozen=True, slots=True)
 class Triple:
+    """Three terms, the first two IRIs: what a graph yields and takes, and stores as a ``Key``."""
+
     subject: Term
     predicate: Term
     object: Term
-    _hash: int = field(init=False, repr=False)
 
-    def __init__(self, subject: Term, predicate: Term, object: Term):
-        if subject.datatype is not None:
-            raise RdfError(f"triple subject must be an IRI, got {subject}")
-        if predicate.datatype is not None:
-            raise RdfError(f"triple predicate must be an IRI, got {predicate}")
-        _set_subject(self, subject)
-        _set_predicate(self, predicate)
-        _set_object(self, object)
-        # the terms' stored hashes, read without a call to ``Term.__hash__``
-        _set_triple_hash(self, hash((subject._hash, predicate._hash, object._hash)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Triple:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.subject == other.subject
-            and self.predicate == other.predicate
-            and self.object == other.object
-        )
+    def __post_init__(self):
+        if self.subject.datatype is not None:
+            raise RdfError(f"triple subject must be an IRI, got {self.subject}")
+        if self.predicate.datatype is not None:
+            raise RdfError(f"triple predicate must be an IRI, got {self.predicate}")
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
-
-
-_set_subject, _set_predicate, _set_object, _set_triple_hash = (
-    Triple.subject.__set__, Triple.predicate.__set__, Triple.object.__set__, Triple._hash.__set__
-)
 
 
 #: A pattern slot: a concrete term or a "?name" variable.
@@ -256,13 +218,15 @@ class TriplePattern(namedtuple("TriplePattern", "subject predicate object")):
 
 Binding = dict[str, Term]
 
+#: A stored triple: its terms' tokens, ``str(term)``, one string per distinct ``Term``.
+Key = tuple[str, str, str]
 
-_Nested = dict[Term, dict[Term, list[Triple]]]
+_Nested = dict[str, dict[str, list[Key]]]
 
 
-def _index_triple(spo: _Nested, pos: _Nested, t: Triple) -> None:
+def _index_triple(spo: _Nested, pos: _Nested, t: Key) -> None:
     """File a triple that neither index holds yet under its keys in both."""
-    s, p, o = t.subject, t.predicate, t.object
+    s, p, o = t
     by_p = spo.get(s)
     if by_p is None:
         by_p = spo[s] = {}
@@ -288,32 +252,53 @@ class _Buckets:
 
     __slots__ = ("buckets",)
 
-    def __init__(self, buckets: Iterable[list[Triple]]):
+    def __init__(self, buckets: Iterable[list[Key]]):
         self.buckets = buckets
 
     def __len__(self) -> int:
         return sum(map(len, self.buckets))
 
-    def __iter__(self) -> Iterator[Triple]:
+    def __iter__(self) -> Iterator[Key]:
         return chain.from_iterable(self.buckets)
 
 
-class Graph:
-    """Insertion-ordered set of triples, with nested indexes built when first read.
+class _Terms(dict):
+    """Token -> ``Term``, parsed when first looked up; ``numbers`` maps each numeric token to its number."""
 
-    ``_triples`` holds each triple once; length, membership and iteration
-    read it, and iteration follows the order in which each triple was
-    first inserted.  ``_indexes`` is None until ``candidates`` first gets a
-    pattern with a concrete slot, or a join first reads them.  That read
-    builds both indexes in one pass over the set and publishes them with
-    one assignment, so a concurrent reader sees either no indexes or whole
-    ones.  From then on ``insert`` files each new triple in both.  The
-    first index maps subject to predicate to the triples with both, the
-    second predicate to object to the triples with both, in plain dicts of
-    dicts of lists.  Each triple is in one list of each index, in insertion
-    order, and no list is ever empty.  ``candidates`` returns exactly the
-    triples that agree with a pattern's concrete slots, and a join level
-    reads the bucket that does, so a match only has to bind its variables.
+    def __init__(self, terms: Optional[_Terms] = None):
+        super().__init__(terms or ())
+        self.numbers = {} if terms is None else terms.numbers.copy()
+
+    def __missing__(self, token: str) -> Term:
+        return self.file(token, _parse_term(token))
+
+    def file(self, token: str, term: Term) -> Term:
+        """The term under ``token``: ``term``, unless an equal one is there already."""
+        term = self.setdefault(token, term)
+        if term._num is not None:
+            self.numbers[token] = term._num
+        return term
+
+
+class Graph:
+    """Insertion-ordered set of triples, stored by their ``Key``s, with nested indexes built when first read.
+
+    ``_triples`` holds each triple's key once; length, membership and
+    iteration read it, and iteration follows the order in which each triple
+    was first inserted.  Keys hash and compare in C, so no ``Term`` or
+    ``Triple`` is made per stored triple.  ``_terms`` turns a token into its
+    ``Term`` only at the edges: iteration, which yields ``Triple``s, and the
+    rows of a join.  ``_indexes`` is None until ``candidates`` first gets a
+    pattern with a token, or a join first reads them.  That read builds both
+    indexes in one pass over the set and publishes them with one
+    assignment, so a concurrent reader sees either no indexes or whole ones.
+    From then on ``insert`` files each new key in both.  The first index
+    maps subject to predicate to the keys with both, the second predicate to
+    object to the keys with both, in plain dicts of dicts of lists.  Each
+    key is in one list of each index, in insertion order, and no list is
+    ever empty.  ``candidates`` returns exactly the keys that agree with a
+    pattern's tokens, and a join level reads the bucket that does, so a
+    match only has to bind its variables.
 
     Single writer or multiple readers at any moment; callers must not
     interleave a writer with readers.  A bucket or ``_Buckets`` from
@@ -322,28 +307,49 @@ class Graph:
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        """A graph of ``triples``, filled without ``insert``, as no index exists yet; a copy builds none."""
-        self._triples: dict[Triple, None] = dict.fromkeys(triples)
+        """A graph of ``triples``, filled without ``insert``, as no index exists yet; a copy builds no ``Triple``."""
+        if isinstance(triples, Graph):
+            self._triples, self._terms = triples._triples.copy(), _Terms(triples._terms)
+        else:
+            self._terms = _Terms()
+            self._triples: dict[Key, None] = dict.fromkeys(map(self._key, triples))
         self._indexes: Optional[tuple[_Nested, _Nested]] = None
+
+    @classmethod
+    def _of(cls, triples: dict[Key, None], terms: _Terms) -> Graph:
+        """A graph that holds the keys of ``triples`` and reads their terms from ``terms``."""
+        g = cls()
+        g._triples, g._terms = triples, terms
+        return g
+
+    def _key(self, t: Triple) -> Key:
+        """The key of ``t``, with its terms filed in the table."""
+        terms = (t.subject, t.predicate, t.object)
+        key = tuple(map(str, terms))
+        for token, term in zip(key, terms):
+            self._terms.file(token, term)
+        return key
 
     def __len__(self) -> int:
         return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
         """In the order each triple was first inserted."""
-        return iter(self._triples)
+        terms = self._terms
+        return (Triple(terms[s], terms[p], terms[o]) for s, p, o in self._triples)
 
-    def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+    def __contains__(self, t: Union[Triple, Key]) -> bool:
+        return (t if t.__class__ is tuple else (str(t.subject), str(t.predicate), str(t.object))) in self._triples
 
-    def insert(self, t: Triple) -> int:
-        """Add a triple; returns the graph size afterwards."""
+    def insert(self, t: Union[Triple, Key]) -> int:
+        """Add a triple, or the key of one; returns the graph size afterwards."""
+        key = t if t.__class__ is tuple else self._key(t)
         triples = self._triples
         size = len(triples)
-        # an equal triple already in the set keeps its place and its object
-        triples[t] = None
+        # an equal triple already in the set keeps its place, and the table its terms
+        triples[key] = None
         if len(triples) > size and self._indexes is not None:
-            _index_triple(*self._indexes, t)
+            _index_triple(*self._indexes, key)
         return len(triples)
 
     def _indexed(self) -> tuple[_Nested, _Nested]:
@@ -356,34 +362,34 @@ class Graph:
             indexes = self._indexes = (spo, pos)
         return indexes
 
-    def candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
-        """The triples that agree with every concrete slot of the pattern: what ``join`` sizes a pattern by.
+    def candidates(self, pattern: tuple[Optional[str], Optional[str], Optional[str]]) -> Iterable[Key]:
+        """The keys that agree with every token of ``pattern``, None for a variable: what ``join`` sizes a pattern by.
 
-        A pattern with no concrete slot returns the graph itself and builds
-        no index.  Otherwise ``(s, p)`` and ``(p, o)`` return one bucket;
-        ``s`` or ``p`` alone returns its inner dict's buckets as one
-        ``_Buckets``, sized without a list; each is valid until the next
-        insert.  ``(s, p, o)`` filters the ``(s, p)`` bucket, ``(s, o)`` the
-        subject's triples, and ``o`` alone gathers its bucket under every
+        A pattern with no token returns the set of keys itself and builds no
+        index.  Otherwise ``(s, p)`` and ``(p, o)`` return one bucket; ``s``
+        or ``p`` alone returns its inner dict's buckets as one ``_Buckets``,
+        sized without a list; each is valid until the next insert.
+        ``(s, p, o)`` filters the ``(s, p)`` bucket, ``(s, o)`` the
+        subject's keys, and ``o`` alone gathers its bucket under every
         predicate, each into a new list: a snapshot.  A join's later levels
         read the same buckets straight from the indexes, in code that
         ``join`` generates, with no call to this method.
         """
         s, p, o = pattern
-        if not (isinstance(s, Term) or isinstance(p, Term) or isinstance(o, Term)):
-            return self
+        if s is None and p is None and o is None:
+            return self._triples
         spo, pos = self._indexed()
-        if isinstance(s, Term):
+        if s is not None:
             by_p = spo.get(s)
             if by_p is None:
                 return ()
-            by_s = by_p.get(p, ()) if isinstance(p, Term) else _Buckets(by_p.values())
-            return [t for t in by_s if t.object == o] if isinstance(o, Term) else by_s
-        if isinstance(p, Term):
+            by_s = by_p.get(p, ()) if p is not None else _Buckets(by_p.values())
+            return [t for t in by_s if t[2] == o] if o is not None else by_s
+        if p is not None:
             by_o = pos.get(p)
             if by_o is None:
                 return ()
-            return by_o.get(o, ()) if isinstance(o, Term) else _Buckets(by_o.values())
+            return by_o.get(o, ()) if o is not None else _Buckets(by_o.values())
         return [t for by_o in pos.values() for t in by_o.get(o, ())]
 
 
@@ -391,10 +397,18 @@ class Graph:
 #: a candidate's term before it builds a binding for the candidate.
 Check = tuple[str, Callable[[Term], bool]]
 
-#: each comparator's function, on two numbers or two strings
-_COMPARATORS = {
-    ">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le, "=": operator.eq, "!=": operator.ne
-}
+#: each comparator's function, on two numbers or two strings, and its spelling in a generated loop nest
+_COMPARATORS = {">": (operator.gt, ">"), "<": (operator.lt, "<"), ">=": (operator.ge, ">="),
+                "<=": (operator.le, "<="), "=": (operator.eq, "=="), "!=": (operator.ne, "!=")}
+
+
+class _Comparison(namedtuple("_Comparison", "comparator field operand")):
+    """``?v <comparator> operand`` on a number's ``_num`` or a string's ``value``, which ``join`` writes inline."""
+
+    def __call__(self, term: Term) -> bool:
+        value = getattr(term, self.field)
+        comparable = value is not None and (self.field == "_num" or term.datatype is Datatype.STRING)
+        return comparable and _COMPARATORS[self.comparator][0](value, self.operand)
 
 
 def comparison(comparator: str, operand: Term) -> Callable[[Term], bool]:
@@ -405,15 +419,12 @@ def comparison(comparator: str, operand: Term) -> Callable[[Term], bool]:
     term.  Any other pair is incomparable and fails, so a string that
     spells a number never compares with a number.
     """
-    try:
-        compare = _COMPARATORS[comparator]
-    except KeyError:
-        raise ValueError(f"unknown comparator {comparator!r}") from None
-    number, text = operand._num, operand.value
-    if number is not None:
-        return lambda term: term._num is not None and compare(term._num, number)
+    if comparator not in _COMPARATORS:
+        raise ValueError(f"unknown comparator {comparator!r}")
+    if operand._num is not None:
+        return _Comparison(comparator, "_num", operand._num)
     if operand.datatype is Datatype.STRING:
-        return lambda term: term.datatype is Datatype.STRING and compare(term.value, text)
+        return _Comparison(comparator, "value", operand.value)
     return lambda term: False
 
 
@@ -448,28 +459,30 @@ def join(
 
     The patterns are matched against ``graph`` by an index nested loop,
     planned once per call.  Every pattern is sized by its
-    ``Graph.candidates`` under ``binding``, and a pattern with none ends the
-    call.  The smallest goes first, ties to the lowest index; each next
-    level takes the smallest of the patterns that share a variable with
-    those placed, or of all left if none does.  The plan is then run as one
-    generated function, a nest of one ``for`` per level, in depth-first
-    order.  A level that no earlier level feeds reads the bucket it was
-    sized from; every other level reads its exact bucket from the graph's
-    indexes, one lookup per binding, so a candidate only binds the fresh
-    variables.  A check tests the term bound to its variable: the terms of
-    ``binding`` first, then, at the level that binds the variable, the term
-    in the candidate's slot, before any binding is built.  A check whose
-    variable nothing binds fails every row.  A fresh variable that fills
-    two or three slots of a pattern adds, after its own checks, one test
-    that those slots hold one term.  A plan deeper than ``_MAX_LEVELS``
-    joins the rest of its patterns under each binding of its first levels.
+    ``Graph.candidates`` under ``binding``, with its terms as tokens, and a
+    pattern with none ends the call.  The smallest goes first, ties to the
+    lowest index; each next level takes the smallest of the patterns that
+    share a variable with those placed, or of all left if none does.  The
+    plan runs as one generated function, a nest of one ``for`` per level, in
+    depth-first order.  A level that no earlier level feeds reads the bucket
+    it was sized from; every other level reads its exact bucket from the
+    graph's indexes, one lookup per binding, so a candidate only binds the
+    fresh variables.  A check tests the term bound to its variable: the
+    terms of ``binding`` first, then, at the level that binds the variable,
+    the term in the candidate's slot, before any binding is built; a
+    ``comparison`` runs inline.  A check whose variable nothing binds fails
+    every row.  A fresh variable that fills two or three slots of a pattern
+    adds, after its own checks, one test that those slots hold one term.
+    The nest binds tokens, which become ``Term``s only where it yields.  A
+    plan deeper than ``_MAX_LEVELS`` joins the rest of its patterns under
+    each binding of its first levels.
 
     The generated source is built only from fixed fragments, local names
-    made from integers, and slot indices.  Every term, test and variable
-    name reaches the function as an argument, so no query text, rule text
-    or term value is ever part of the source.  Functions are cached by the
-    plan's shape: each slot's kind, the slots that the checks read, and the
-    output form.
+    made from integers, and slot indices.  Every token, test, operand and
+    variable name reaches the function as an argument, so no query text,
+    rule text or term value is ever part of the source.  Functions are
+    cached by the plan's shape: each slot's kind, each check's slot and
+    comparison, and the output form.
     """
     binding = {} if binding is None else binding
     if checks:
@@ -479,15 +492,16 @@ def join(
     sized = []
     for pattern in patterns:
         bound = substitute(pattern, binding)
-        bucket = graph.candidates(bound)
+        keys = tuple([None if isinstance(slot, str) else str(slot) for slot in bound])
+        bucket = graph.candidates(keys)
         size = len(bucket)
         if not size:
             return iter(())
-        sized.append((size, bound, bucket))
+        sized.append((size, bound, keys, bucket))
     # the plan's shape, from which alone the source is made, and what the
     # function reads: the buckets of levels that no earlier level feeds, the
-    # constant terms of the others, and the tests
-    levels, buckets, terms, tests = [], [], [], []
+    # constant tokens of the others, and the tests' callables or operands
+    levels, buckets, tokens, tests = [], [], [], []
     # each variable that a level binds, by the number of its local
     local: dict[str, int] = {}
     left = list(range(len(sized)))
@@ -498,12 +512,12 @@ def join(
         else:
             chosen = left[0]
         left.remove(chosen)
-        _, bound, bucket = sized[chosen]
+        _, bound, keys, bucket = sized[chosen]
         slots, fresh, constants, fed = [], {}, [], False
         for k, slot in enumerate(bound):
             if not isinstance(slot, str):
                 slots.append(("c", 0))
-                constants.append(slot)
+                constants.append(keys[k])
             elif slot in local:
                 slots.append(("b", local[slot]))
                 fed = True
@@ -513,13 +527,14 @@ def join(
                 fresh[slot] = k
                 slots.append(("f", 0))
         if fed:
-            terms += constants
+            tokens += constants
         else:
             buckets.append(bucket)
-        # each check that this level's variables make runnable, on the first slot that holds its term
-        now = [(variable, test) for variable, test in checks if variable in fresh]
-        tests += [test for _, test in now]
-        levels.append((tuple(slots), tuple([fresh[variable] for variable, _ in now])))
+        # each check that this level's variables make runnable, on the first
+        # slot that holds its term; a comparison by its comparator and field
+        now = [(fresh[variable], test) for variable, test in checks if variable in fresh]
+        tests += [test.operand if isinstance(test, _Comparison) else test for _, test in now]
+        levels.append((tuple(slots), tuple((k, *t[:2]) if isinstance(t, _Comparison) else (k,) for k, t in now)))
         checks = [c for c in checks if c[0] not in fresh]
         for variable in fresh:
             local[variable] = len(local)
@@ -542,14 +557,11 @@ def join(
         return iter(())
     # a level that an earlier one feeds gave no bucket: it reads the indexes
     spo, pos = graph._indexed() if len(buckets) < len(levels) else (None, None)
-    rows = _compile((tuple(levels), output))(binding, buckets, terms, tests, names, seeded, spo, pos)
+    rows = _compile((tuple(levels), output))(binding, buckets, tokens, tests, names, seeded, spo, pos, graph._terms)
     if deeper:
         return chain.from_iterable(join(deeper, graph, checks, extended, select) for extended in rows)
     return rows
 
-
-#: the attribute of a triple that each pattern slot reads, in pattern order
-_FIELDS = ("subject", "predicate", "object")
 
 #: the most levels that one generated function nests: each is one ``for``,
 #: and Python allows 20 nested blocks
@@ -558,11 +570,14 @@ _MAX_LEVELS = 16
 #: the inner dict that a probe reads for a key its index lacks
 _NO_KEY = MappingProxyType({})
 
+#: a comparison of the term of token ``{0}``, by the field it reads; ``U`` holds each numeric token's number
+_INLINE = {"_num": "{0} in U and U[{0}] {1} {2}", "value": "(x := T[{0}]).datatype is S and x.value {1} {2}"}
+
 
 @lru_cache(maxsize=256)
 def _compile(shape: tuple) -> Callable[..., Iterator]:
     """The generator function that runs a plan of this shape, with no builtins in reach."""
-    namespace = {"__builtins__": {}, "flat": chain.from_iterable, "E": _NO_KEY}
+    namespace = {"__builtins__": {}, "flat": chain.from_iterable, "E": _NO_KEY, "S": Datatype.STRING}
     exec(compile(_source(shape), "<join plan>", "exec"), namespace)
     return namespace["nest"]
 
@@ -570,17 +585,18 @@ def _compile(shape: tuple) -> Callable[..., Iterator]:
 def _source(shape: tuple) -> str:
     """The loop nest for a plan's shape, as ``join`` describes it.
 
-    ``shape`` is the levels, each as its three slots and the slots its
-    checks read, and the output form.  A slot is ``("c", 0)`` for a
-    constant, ``("b", j)`` for the variable that local ``vj`` holds,
-    ``("f", 0)`` for a fresh variable, which takes the next ``vj``, and
-    ``("r", k)`` for a repeat of the fresh variable in slot ``k``.  The
-    output is ``"dict"``, or one ``("v", j)`` or ``("z", i)`` per select
-    variable: local ``vj``, or the ``i``-th term of ``binding`` that a
-    select variable reads.
+    ``shape`` is the levels, each as its three slots and its checks, and
+    the output form.  A check is ``(k,)``, a test called on slot ``k``'s
+    term, or ``(k, comparator, field)``, a ``_Comparison`` written inline.
+    A slot is ``("c", 0)`` for a constant, ``("b", j)`` for the variable
+    that local ``vj`` holds, ``("f", 0)`` for a fresh variable, which takes
+    the next ``vj``, and ``("r", k)`` for a repeat of the fresh variable in
+    slot ``k``.  The output is ``"dict"``, or one ``("v", j)`` or
+    ``("z", i)`` per select variable: local ``vj``, or the ``i``-th term of
+    ``binding`` that a select variable reads.
     """
     levels, output = shape
-    lines, bucket, term, test, var = [], 0, 0, 0, 0
+    lines, bucket, constant, test, var = [], 0, 0, 0, 0
     for depth, (slots, checks) in enumerate(levels, start=1):
         pad, t = "    " * depth, f"t{depth}"
         # each concrete slot's local, for a level that an earlier one feeds
@@ -589,8 +605,8 @@ def _source(shape: tuple) -> str:
             concrete = []
             for tag, n in slots:
                 if tag == "c":
-                    concrete.append(f"c{term}")
-                    term += 1
+                    concrete.append(f"c{constant}")
+                    constant += 1
                 else:
                     concrete.append(f"v{n}" if tag == "b" else None)
             s, p, o = concrete
@@ -603,26 +619,27 @@ def _source(shape: tuple) -> str:
             source = f"pos.get({p}, E).get({o}, ())" if o is not None else f"flat(pos.get({p}, E).values())"
         else:
             source = f"flat(by_o.get({o}, ()) for by_o in pos.values())"
-        tests = [f"{t}.object == {o}"] if s is not None and o is not None else []
-        for k in checks:
-            tests.append(f"k{test}({t}.{_FIELDS[k]})")
+        tests = [f"{t}[2] == {o}"] if s is not None and o is not None else []
+        for k, *inline in checks:
+            tests.append(_INLINE[inline[1]].format(f"{t}[{k}]", _COMPARATORS[inline[0]][1], f"k{test}")
+                         if inline else f"k{test}(T[{t}[{k}]])")
             test += 1
-        tests += [f"{t}.{_FIELDS[k]} == {t}.{_FIELDS[n]}" for k, (tag, n) in enumerate(slots) if tag == "r"]
+        tests += [f"{t}[{k}] == {t}[{n}]" for k, (tag, n) in enumerate(slots) if tag == "r"]
         lines.append(f"{pad}for {t} in {source}:")
         lines += [f"{pad}    if not ({x}): continue" for x in tests]
         for k, (tag, _) in enumerate(slots):
             if tag == "f":
-                lines.append(f"{pad}    v{var} = {t}.{_FIELDS[k]}")
+                lines.append(f"{pad}    v{var} = {t}[{k}]")
                 var += 1
     pad = "    " * (len(levels) + 1)
     if output == "dict":
-        lines.append(pad + "yield {**B" + "".join(f", n{j}: v{j}" for j in range(var)) + "}")
+        lines.append(pad + "yield {**B" + "".join(f", n{j}: T[v{j}]" for j in range(var)) + "}")
         named, seeded = var, 0
     else:
-        lines.append(pad + "yield (" + "".join(f"{'v' if tag == 'v' else 'z'}{n}, " for tag, n in output) + ")")
+        lines.append(pad + "yield (" + "".join(f"T[v{n}], " if tag == "v" else f"z{n}, " for tag, n in output) + ")")
         named, seeded = 0, sum(tag == "z" for tag, _ in output)
-    header = ["def nest(B, F, C, K, N, Z, spo, pos):"]
-    for argument, letter, count in (("F", "f", bucket), ("C", "c", term), ("K", "k", test), ("N", "n", named),
+    header = ["def nest(B, F, C, K, N, Z, spo, pos, T):", "    U = T.numbers"]
+    for argument, letter, count in (("F", "f", bucket), ("C", "c", constant), ("K", "k", test), ("N", "n", named),
                                     ("Z", "z", seeded)):
         if count:
             header.append(f"    {', '.join(f'{letter}{i}' for i in range(count))}, = {argument}")
@@ -633,14 +650,12 @@ def _source(shape: tuple) -> str:
 
 
 def export_ntriples(g: Graph) -> str:
-    """One triple per line, sorted for byte-stable output.
+    """One triple per line, sorted for byte-stable output: the stored tokens, with no ``Term`` made.
 
     Literals escape the N-Triples ECHAR set and write the other line breaks
     as ``\\uXXXX``, so every literal round-trips through ``import_ntriples``.
     """
-    # a triple's subject and predicate are IRIs, so each is written as
-    # ``<value>`` with no call to ``Term.__str__``
-    lines = sorted(f"<{t.subject.value}> <{t.predicate.value}> {t.object} ." for t in g)
+    lines = sorted(starmap("{} {} {} .".format, g._triples))
     # the empty last line ends the text with a newline, without a second
     # copy of every line
     lines.append("")
@@ -651,11 +666,10 @@ def export_ntriples(g: Graph) -> str:
 #: up to the next whitespace, any other run of non-whitespace, or a lone
 #: quote that no closing quote ends.
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"\S*|[^\s"]\S*|"', re.S)
-_LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
-#: A whole line as ``export_ntriples`` writes it: three tokens and the ``.``,
-#: each after one space.  Its groups are the tokens that ``_TOKEN`` finds in
-#: such a line.
-_STATEMENT = re.compile(r'(<\S*>) (<\S*>) (<\S*>|"(?:[^"\\]|\\.)*"\^\^<\S*>) \.', re.S)
+#: A literal token's body and datatype IRI.
+_LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"\^\^<(\S*)>', re.S)
+#: An IRI token with no whitespace, which ``Term`` accepts.
+_IRI = re.compile(r"<\S+>")
 _DATATYPES = {dt.value: dt for dt in Datatype}
 
 
@@ -663,15 +677,13 @@ def _parse_term(token: str) -> Term:
     if token.startswith("<") and token.endswith(">"):
         return Term(token[1:-1])
     if token.startswith('"'):
-        m = _LITERAL.match(token)
-        rest = token[m.end() :]
-        if not (rest.startswith("^^<") and rest.endswith(">")):
+        m = _LITERAL.fullmatch(token)
+        if m is None:
             raise RdfError(f"literal missing ^^<datatype>: {token!r}")
-        dt_iri = rest[3:-1]
-        dt = _DATATYPES.get(dt_iri)
+        dt = _DATATYPES.get(m[2])
         if dt is None:
-            raise RdfError(f"unsupported datatype <{dt_iri}>")
-        return Term(unescape_literal(m.group(1)), dt)
+            raise RdfError(f"unsupported datatype <{m[2]}>")
+        return Term(unescape_literal(m[1]), dt)
     raise RdfError(f"unrecognized term {token!r}")
 
 
@@ -706,36 +718,63 @@ def _tokens(line: str) -> Optional[list[str]]:
     return tokens
 
 
-class _Terms(dict):
-    """Token -> ``Term``, parsing each token the first time it is looked up."""
-
-    def __missing__(self, token: str) -> Term:
-        term = self[token] = _parse_term(token)
-        return term
-
-
-def import_ntriples(text: str) -> Graph:
-    """Parse the flat-file format back into a Graph.
-
-    A line in the form that ``export_ntriples`` writes (``<s> <p> o .``,
-    single spaces, nothing before or after) is split by one regex match.
-    Every other line, including comments, blank lines and any line with
-    other whitespace, goes through the general tokenizer, which alone
-    defines the accepted syntax and its errors.  Each distinct token becomes
-    one ``Term``, shared by every triple that uses it.  Errors carry the
-    1-based line number and a reason.
-    """
-    g = Graph()
-    # filled directly: the new graph has no index for ``insert`` to keep
-    triples = g._triples
+def _read_lines(text: str) -> Iterator[Triple]:
+    """Each statement of ``text``, read line by line by the general tokenizer."""
     terms = _Terms()
     try:
         for lineno, line in enumerate(split_lines(text), start=1):
-            m = _STATEMENT.fullmatch(line)
-            tokens = _tokens(line) if m is None else m.groups()
+            tokens = _tokens(line)
             if tokens is not None:
                 s, p, o = tokens
-                triples[Triple(terms[s], terms[p], terms[o])] = None
+                yield Triple(terms[s], terms[p], terms[o])
     except RdfError as exc:
         raise RdfError(f"line {lineno}: {exc}") from None
-    return g
+
+
+def _read_bulk(text: str, terms: _Terms) -> Optional[dict[Key, None]]:
+    """The keys of ``text`` if it is all in ``export_ntriples`` form, its objects' terms filed in ``terms``; else None.
+
+    Counts check that each line ends in `` .\\n`` and splits at spaces into
+    four items; a line end out of place stays among the tokens, which no
+    token form takes.  Each distinct token is checked once, a subject or
+    predicate by ``_IRI`` and an object by ``_parse_term``, and a literal
+    that export writes another way is stored as export writes it.
+    """
+    lines = text.count("\n")
+    if "\r" in text or not text.endswith("\n") or text.count(" .\n") != lines:
+        return None
+    flat = text.replace(" .\n", " \n ").split(" ")
+    if len(flat) != 4 * lines + 1:
+        return None
+    del flat[3::4]
+    flat.pop()
+    iris = {*flat[0::3], *flat[1::3]}
+    if not all(map(_IRI.fullmatch, iris)):
+        return None
+    # the distinct tokens in the order they first appear, copied into new
+    # strings that lie together in memory, in that order
+    distinct = dict.fromkeys(flat)
+    canonical = dict(zip(distinct, " ".join(distinct).split(" ")))
+    for token in distinct:
+        if token not in iris:
+            try:
+                term = _parse_term(token)
+            except RdfError:
+                return None
+            if token[0] == '"' and _NEEDS_ESCAPE.search(token, 1, token.rindex('"')):
+                canonical[token] = str(term)
+            terms.file(canonical[token], term)
+    tokens = map(canonical.__getitem__, flat)
+    return dict.fromkeys(zip(tokens, tokens, tokens))
+
+
+def import_ntriples(text: str) -> Graph:
+    """Parse the flat-file format back into a Graph, which stores each triple by its terms' canonical tokens.
+
+    A text all in ``export_ntriples`` form is read in one bulk pass, and
+    any other line by line, which defines the accepted syntax and its
+    errors: each carries the 1-based line number and a reason.
+    """
+    terms = _Terms()
+    triples = _read_bulk(text, terms)
+    return Graph(_read_lines(text)) if triples is None else Graph._of(triples, terms)

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 from . import vocab
 from .rdf import (
-    Check, Graph, RdfError, Term, Triple, TriplePattern, comparison, decimal, iri, join, split_lines, string
+    Check, Graph, Key, RdfError, Term, Triple, TriplePattern, comparison, decimal, iri, join, split_lines, string
 )
 
 
@@ -242,7 +241,7 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     Only a pattern whose predicate is some rule's head property can bind
     such a triple, so only those patterns seed.  When no rule has one,
     round 1 is the fixpoint and joins over ``g`` itself, which gains only
-    the lazy indexes any read builds; otherwise every join reads one copy
+    the indexes and terms any read builds; otherwise every join reads one copy
     of ``g``, to which each round adds the triples it derived.  Seeds and
     bodies are both evaluated by ``rdf.join``, with each builtin as a check
     on the body.  Chaining stops after a round that derives nothing new.
@@ -255,20 +254,20 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     A head subject bound to a literal raises ``RdfError`` naming the rule.
     """
     heads = {rule.head.pattern().predicate for rule in ruleset}
-    # each rule's body, its head's subject variable and other two terms, and
-    # the indices of its body patterns that read a head property, built once
+    # each rule's body, its head and the tokens of the head's two constants,
+    # and the indices of its body patterns that read a head property, built once
     compiled = []
     for rule in ruleset:
-        patterns = rule.patterns()
+        patterns, head = rule.patterns(), rule.head.pattern()
         reads = [i for i, p in enumerate(patterns) if p.predicate in heads]
-        compiled.append((rule, patterns, rule.checks(), rule.head.pattern(), reads))
+        compiled.append((rule, patterns, rule.checks(), head, (str(head.predicate), str(head.object)), reads))
     full = Graph(g) if any(reads for *_, reads in compiled) else g
     facts: list[InferredFact] = []
     # the triples the last round derived; None before round 1
     last: Optional[Graph] = None
     while True:
-        found: dict[Triple, InferredFact] = {}
-        for rule, patterns, checks, (subject, predicate, obj), reads in compiled:
+        found: dict[Key, InferredFact] = {}
+        for rule, patterns, checks, (subject, predicate, obj), tokens, reads in compiled:
             if last is None:
                 seeds = [(patterns, {})]
             else:
@@ -277,23 +276,22 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
                 )
             for rest, seed in seeds:
                 for binding in join(rest, full, checks, seed):
-                    try:
-                        t = Triple(binding[subject], predicate, obj)
-                    except RdfError:
-                        # a rule file may bind its head subject to a literal
-                        raise RdfError(f"rule {rule.render()}: head subject {subject} is bound to"
-                                       f" {binding[subject]}, not an IRI") from None
+                    s = binding[subject]
+                    # a rule file may bind its head subject to a literal
+                    if s.datatype is not None:
+                        raise RdfError(f"rule {rule.render()}: head subject {subject} is bound to {s}, not an IRI")
+                    t = (f"<{s.value}>", *tokens)
                     fact = found.get(t)
                     if t in full or fact is not None and fact.rule is not rule:
                         continue
                     bindings = tuple(sorted(binding.items()))
                     # the same rule's bindings bind the same names, in the same order
                     if fact is None or [v.sort_key() for _, v in bindings] < [v.sort_key() for _, v in fact.bindings]:
-                        found[t] = InferredFact(t.subject, predicate.value, obj.value, rule, bindings)
+                        found[t] = InferredFact(s, predicate.value, obj.value, rule, bindings)
         facts += found.values()
         if not found or full is g:
             break
-        last = Graph(found)
+        last = Graph._of(dict.fromkeys(found), full._terms)
         for t in found:
             full.insert(t)
     # every subject is an IRI, whose ``sort_key`` orders as its value does
@@ -308,7 +306,9 @@ def verify_provenance(g: Graph, ruleset: Sequence[Rule], facts: Iterable[Inferre
     subject, property and label.
     """
     fact_list = list(facts)
-    known = Graph(chain(g, (f.triple() for f in fact_list)))
+    known = Graph(g)
+    for f in fact_list:
+        known.insert(f.triple())
     for f in fact_list:
         if f.rule not in ruleset:
             return False

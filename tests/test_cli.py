@@ -381,6 +381,15 @@ def sensor_store(tmp_path):
 
 
 class TestInfer:
+    def test_default_rules_are_the_checkouts_from_any_directory(self, capsys, sensor_store, tmp_path, monkeypatch):
+        want = run(capsys, "infer", str(sensor_store), "--rules", str(RULES_FILE))
+        monkeypatch.chdir(tmp_path)
+        assert not (tmp_path / "rules").exists()
+        assert run(capsys, "infer", str(sensor_store)) == want and want[0] == 0 and want[1]
+        # a path given still resolves against the working directory
+        code, _, err = run(capsys, "infer", str(sensor_store), "--rules", "rules/fwi.rules")
+        assert code == 2 and "rules/fwi.rules" in err
+
     def test_rules_flag(self, capsys, sensor_store):
         code, out, _ = run(capsys, "infer", str(sensor_store), "--rules", str(RULES_FILE))
         assert code == 0

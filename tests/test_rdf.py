@@ -30,11 +30,13 @@ from util import (
     brute_force_join,
     brute_force_match,
     check_index_coherence,
+    key,
     random_graph,
     random_pattern,
     random_term,
     random_triple,
     reference_filter,
+    tokens,
 )
 
 
@@ -219,25 +221,19 @@ class TestJoin:
         assert built == 2
 
     def test_a_repeated_variable_is_tested_before_its_slots_are_compared(self, monkeypatch):
+        shapes = record_shapes(monkeypatch)
         g = Graph(t(s, "urn:p", iri(o)) for s, o in [("urn:a", "urn:a"), ("urn:a", "urn:b"), ("urn:c", "urn:c")])
-        pattern = TriplePattern("?x", iri("urn:p"), "?x")
-        # the indexes are built first: their dict keys compare terms too
-        g.candidates(pattern)
-        compared = []
-        eq = Term.__eq__
-
-        def comparing(self, other):
-            compared.append((self.value, getattr(other, "value", other)))
-            return eq(self, other)
-
-        monkeypatch.setattr(Term, "__eq__", comparing)
-        got = list(join([pattern], g, [("?x", lambda term: term.value != "urn:c")]))
-        monkeypatch.undo()
+        tested = []
+        check = ("?x", lambda term: tested.append(term.value) or term.value != "urn:c")
+        got = list(join([TriplePattern("?x", iri("urn:p"), "?x")], g, [check]))
         assert got == [{"?x": iri("urn:a")}]
-        # urn:a's slots are compared; urn:c fails the test on its subject, so
-        # its slots are never compared
-        assert ("urn:a", "urn:a") in compared
-        assert not any("urn:c" in pair for pair in compared)
+        # the test runs on each candidate's subject, and the nest compares the
+        # slots' tokens only after it: urn:c fails the test, so its slots are
+        # never compared
+        assert tested == ["urn:a", "urn:a", "urn:c"]
+        (lines,) = [rdf._source(shape).splitlines() for shape in shapes]
+        test = next(i for i, line in enumerate(lines) if "k0(T[t1[0]])" in line)
+        assert lines[test + 1].strip() == "if not (t1[2] == t1[0]): continue"
 
     def test_a_pattern_with_no_candidates_ends_the_level(self, monkeypatch):
         g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:a", "urn:q", integer(2))])
@@ -396,7 +392,7 @@ class TestJoinPlan:
         def recording(self, pattern):
             found = candidates(self, pattern)
             subject, predicate, _ = pattern
-            if predicate == has_value and isinstance(subject, str):
+            if predicate == str(has_value) and subject is None:
                 returned.append(found)
             return found
 
@@ -446,8 +442,9 @@ def join_both_ways(patterns, g, checks=(), seed=None, select=()) -> int:
     return len(want)
 
 
-#: the tags that a plan's shape holds, besides integers
-SHAPE_TAGS = {"c", "b", "f", "r", "v", "z", "dict"}
+#: the tags that a plan's shape holds, besides integers: slot kinds, the
+#: output form, and an inline comparison's comparator and field
+SHAPE_TAGS = {"c", "b", "f", "r", "v", "z", "dict", ">", "<", ">=", "<=", "=", "!=", "_num", "value"}
 #: text that would break or inject code if a name or a term reached a generated source
 HOSTILE = ['"', "'", "\n", "}", "__import__('os')"]
 
@@ -465,6 +462,7 @@ class TestGeneratedSource:
         g.insert(Triple(iris[1], iri("urn:q\"}"), string("__import__('os')\n\"'}")))
         g.insert(Triple(iris[1], iri(vocab.prop_iri("p")), string("__import__")))
         g.insert(Triple(iris[1], iri(vocab.prop_iri("q")), iris[2]))
+        g.insert(Triple(iris[1], iri(vocab.prop_iri("n")), decimal(7319.25)))
 
         # direct: variable names that spell the hostile text
         names = ["?" + h for h in HOSTILE]
@@ -485,15 +483,24 @@ class TestGeneratedSource:
         ]
         assert want and sorted(map(repr, evaluate(query, g).rows)) == sorted(map(repr, want))
 
-        # through the rule parser: a hostile variable name and constant
+        # a numeric FILTER operand, and a stored number that passes it
+        query = parse_query("SELECT ?v WHERE { ?s ?p ?v FILTER (?v >= 5813) }")
+        assert [row[0].value for row in evaluate(query, g).rows] == ["7319.25"]
+
+        # through the rule parser: a hostile variable name and constant, and a threshold
         rule = rules_module.parse_rule("p(?__import__, __import__) ^ q(?__import__, ?o) -> r(?__import__, x)")
         assert join_both_ways(rule.patterns(), g, rule.checks(), select=["?o", "?__import__"]) == 1
+        rule = rules_module.parse_rule("p(?s, __import__) ^ n(?s, ?n) ^ greaterThan(?n, 4271.5) -> r(?s, x)")
+        assert join_both_ways(rule.patterns(), g, rule.checks(), select=["?n"]) == 1
 
+        # the cache keys hold only ints and fixed tags; the FILTERs and the
+        # threshold are written inline, and no operand reaches the source
         assert shapes
+        assert {"!=", ">=", ">"} <= {leaf for shape in shapes for leaf in leaves(shape)}
         for shape in shapes:
             assert all(type(leaf) is int or leaf in SHAPE_TAGS for leaf in leaves(shape))
             source = rdf._source(shape)
-            assert not any(text in source for text in ("'", '"', "?", "urn", "import"))
+            assert not any(text in source for text in ("'", '"', "?", "urn", "import", "7319", "5813", "4271"))
 
     def test_plans_that_differ_only_in_terms_and_names_share_one_function(self, monkeypatch):
         shapes = record_shapes(monkeypatch)
@@ -588,8 +595,8 @@ class TestIndexCoherence:
                 # every later insert is filed in them as it comes
                 assert g._indexes is None
                 predicate = pool[0].predicate
-                want = {u for u in inserted if u.predicate == predicate}
-                got = list(g.candidates(TriplePattern("?s", predicate, "?o")))
+                want = {key(u) for u in inserted if u.predicate == predicate}
+                got = list(g.candidates((None, str(predicate), None)))
                 assert len(got) == len(want) and set(got) == want
                 assert g._indexes is not None and check_index_coherence(g)
             triple = rng.choice(pool)
@@ -608,21 +615,21 @@ class TestIndexCoherence:
                     for term, bit in zip((triple.subject, triple.predicate, triple.object), (1, 2, 4))
                 ]
                 pattern = TriplePattern(*slots)
-                want = {u for u in set(inserted) if all(
+                want = {key(u) for u in set(inserted) if all(
                     isinstance(slot, str) or slot == term
                     for slot, term in zip(slots, (u.subject, u.predicate, u.object))
                 )}
-                got = list(g.candidates(pattern))
-                assert len(got) == len(g.candidates(pattern)) == len(want)
+                got = list(g.candidates(tokens(pattern)))
+                assert len(got) == len(g.candidates(tokens(pattern))) == len(want)
                 assert set(got) == want
 
     def test_iteration_follows_insertion(self):
         a1, b1, a2 = t("urn:a", "urn:p", integer(1)), t("urn:b", "urn:p", integer(1)), t("urn:a", "urn:q", integer(2))
         g = Graph([a1, b1, a2, a1])
         assert list(g) == [a1, b1, a2]
-        # an equal triple inserted again keeps the first one's object
-        again = Triple(a1.subject, a1.predicate, a1.object)
-        assert g.insert(again) == 3 and next(iter(g)) is a1
+        # an equal triple inserted again keeps the first one's place and terms
+        again = Triple(iri("urn:a"), iri("urn:p"), integer(1))
+        assert g.insert(again) == 3 and next(iter(g)).object is a1.object
 
     def test_unknown_keys_have_no_candidates(self):
         g = Graph([t("urn:s", "urn:p", integer(1))])
@@ -634,7 +641,7 @@ class TestIndexCoherence:
             TriplePattern(iri("urn:x"), iri("urn:p"), integer(1)),
             TriplePattern(iri("urn:s"), "?p", integer(2)),
         ]:
-            assert not g.candidates(pattern) and list(g.candidates(pattern)) == []
+            assert not g.candidates(tokens(pattern)) and list(g.candidates(tokens(pattern))) == []
 
 
 class TestIndexesOnFirstLookup:
@@ -648,9 +655,9 @@ class TestIndexesOnFirstLookup:
         assert surveys[0] == surveys[1] and surveys[0].rows
         # one lookup with a concrete predicate builds both indexes
         has_value = iri(vocab.HAS_VALUE)
-        got = list(g.candidates(TriplePattern("?s", has_value, "?v")))
+        got = list(g.candidates((None, str(has_value), None)))
         assert g._indexes is not None
-        assert len(got) == len(set(got)) and set(got) == {u for u in g if u.predicate == has_value}
+        assert len(got) == len(set(got)) and set(got) == {key(u) for u in g if u.predicate == has_value}
         assert check_index_coherence(g)
         rng = random.Random(3)
         for triple in rng.sample(list(g), 3):

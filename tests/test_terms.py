@@ -1,6 +1,6 @@
 """The term representation: equality, hashing, immutability, escaping,
 non-finite numbers, numeric lexical forms, one ``Term`` per distinct token
-on import, and the import fast path agreeing with the general tokenizer."""
+on import, and the bulk reader agreeing with the line-by-line reader."""
 
 import dataclasses
 import enum
@@ -51,7 +51,7 @@ class TestContract:
     def test_equal_triples_hash_equal(self):
         a = Triple(iri("urn:s"), iri("urn:p"), decimal("2.5"))
         b = Triple(Term("urn:s"), Term("urn:p"), Term("2.5", Datatype.DECIMAL))
-        assert a == b and hash(a) == hash(b) == hash((a.subject._hash, a.predicate._hash, a.object._hash))
+        assert a == b and hash(a) == hash(b) == hash((a.subject, a.predicate, a.object))
         assert a != Triple(iri("urn:s"), iri("urn:p"), decimal("2.50"))
 
     def test_building_terms_and_triples_makes_no_python_hash_call(self, monkeypatch):
@@ -240,11 +240,16 @@ def test_import_builds_one_term_per_distinct_token(dataset_text, monkeypatch):
 
     monkeypatch.setattr(Term, "__init__", counting)
     g = import_ntriples(text)
-    assert len(built) == len(tokens)
+    # the import builds the term of each object, as it checks a literal's
+    # lexical form; a subject's or predicate's is built the first time it is read
+    statements = [line[: -len(" .")].split(" ") for line in text.splitlines()]
+    assert len(built) == len({o for _, _, o in statements} - {t for s, p, _ in statements for t in (s, p)})
     assert len({id(term) for t in g for term in (t.subject, t.predicate, t.object)}) == len(tokens)
+    assert len(built) == len(tokens)
+    assert list(g) and len(built) == len(tokens)
 
 
-# --- the import fast path -------------------------------------------------
+# --- the bulk reader against the line-by-line reader ----------------------
 
 STRING_IRI = Datatype.STRING.value
 #: escape sequences, valid, unknown and out of range, and raw characters that
@@ -277,37 +282,102 @@ lines = st.one_of(
     st.builds(lambda t, extra: f"{str(t)[:-2]} {extra} .", triples, tokens),
     st.sampled_from(["", "   ", "# comment", "  # indented", "#<a> <b> <c> ."]),
 )
-#: a statement regex that matches nothing, so every line takes the general path
-NO_FAST_PATH = re.compile(r"(?!)")
 
 
-def import_outcome(text: str):
+def per_line(text: str) -> Graph:
+    """The graph that the per-line reader alone makes of ``text``."""
+    return Graph(rdf._read_lines(text))
+
+
+def outcome(read, text: str):
+    """The stored keys and the triples, in order, of the graph that ``read`` makes of ``text``, or its error."""
     try:
-        return list(import_ntriples(text))
+        g = read(text)
     except RdfError as exc:
         return str(exc)
+    return list(g._triples), list(g)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(lines, min_size=1, max_size=6))
 def test_fast_path_never_changes_a_result(items):
-    text = "\n".join(items)
-    with mock.patch.object(rdf, "_STATEMENT", NO_FAST_PATH):
-        general = import_outcome(text)
-    assert import_outcome(text) == general
+    for text in ("\n".join(items), "".join(item + "\n" for item in items)):
+        assert outcome(import_ntriples, text) == outcome(per_line, text)
+
+
+#: edits that can take a line out of export form, or keep it there
+EDITS = [" ", "  ", "\n", "\r\n", "\r", "\t", ".", " .", " .\n", "<", ">", "<>", '"', "\\", "#", "\u2028", "x",
+         "^^", "\\u0041", ""]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(triples, min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(EDITS)), max_size=3))
+def test_bulk_reader_matches_the_per_line_reader(items, edits):
+    text = export_ntriples(Graph(items))
+    for position, cut, insert in edits:
+        position %= len(text) + 1
+        text = text[:position] + insert + text[position + cut:]
+    want = outcome(per_line, text)
+    bulk = rdf._read_bulk(text, rdf._Terms())
+    if bulk is not None:
+        assert list(bulk) == want[0]
+    assert outcome(import_ntriples, text) == want
+
+
+S = f"<{STRING_IRI}>"
+
+
+@pytest.mark.parametrize("text, want, bulk", [
+    # three spaces a line on average, but line 1 has two terms
+    ("<a> <b> .\n<a> <b> <c> <d> .\n", "line 1: expected 3 terms, got 2", False),
+    # a line end after every fourth item, but seven terms in the line
+    ("<a> <b> <c> <d> <e> <f> <g> .\n", "line 1: expected 3 terms, got 7", False),
+    ("<> <b> <c> .\n", "line 1: invalid IRI: ''", False),
+    ("# note\n<a> <b> <c> .\n", 1, False),
+    ("<a> <b> <c> .\n\n<a> <b> <d> .\n", 2, False),
+    ("<a> <b> <c> .\r\n<a> <b> <d> .\r\n", 2, False),
+    ("<a>\t<b> <c> .\n", 1, False),
+    ("<a> <b> <c> .\n<a> <b> <c> .", 1, False),
+    ("<a> <b> <c> .\n<a> <b> <d> .\n", 2, True),
+    # one literal spelled two ways is one triple
+    (f'<a> <b> "\\u0041"^^{S} .\n<a> <b> "A"^^{S} .\n', 1, True),
+    (f'<a> <b> "x\u2028y"^^{S} .\n', 1, True),
+    (f'<a> <b> "x y"^^{S} .\n', 1, False),
+    ('<a> <b> "1"^^<urn:other> .\n', "line 1: unsupported datatype <urn:other>", False),
+    (f'<a> <b> "1e999"^^<{DECIMAL_IRI}> .\n', "line 1: literal '1e999' is not a finite decimal", False),
+    (f'<a> <b> <c> .\n<a> <b> "1e999"^^<{DECIMAL_IRI}> .\n', "line 2: literal '1e999' is not a finite decimal", False),
+])
+def test_bulk_and_per_line_readers_agree(text, want, bulk):
+    got = outcome(import_ntriples, text)
+    assert got == outcome(per_line, text)
+    assert (got if isinstance(got, str) else len(got[0])) == want
+    assert (rdf._read_bulk(text, rdf._Terms()) is not None) is bulk
+
+
+def test_bulk_reader_stores_canonical_tokens():
+    g = import_ntriples(f'<a> <b> "\\u0041\\q"^^{S} .\n<a> <b> "x\u2028\ty"^^{S} .\n')
+    assert list(g._triples) == [("<a>", "<b>", f'"A\\\\q"^^{S}'), ("<a>", "<b>", f'"x\\u2028\\ty"^^{S}')]
+    assert [t.object.value for t in g] == ["A\\q", "x\u2028\ty"]
 
 
 def test_exported_dataset_never_reaches_the_general_tokenizer(dataset_text):
     text = export_ntriples(ingest_observations(parse_csv(dataset_text)))
-    general = rdf._tokens
-    seen = []
-
-    def recording(line):
-        seen.append(line)
-        return general(line)
-
-    with mock.patch.object(rdf, "_tokens", recording):
+    # the bulk reader takes the whole text, so no line is tokenized
+    with mock.patch.object(rdf, "_tokens", side_effect=AssertionError("read line by line")):
         g = import_ntriples(text)
-    # only the empty line after the final newline
-    assert seen == [""]
     assert export_ntriples(g) == text
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_export_writes_the_stored_tokens_without_a_term(newline, monkeypatch):
+    # escapes that export writes another way, a raw tab and U+2028, and an unknown escape
+    lines = [f'<urn:s> <urn:p> "\\u0041\t\u2028\\q"^^{S} .', f'<urn:s> <urn:p> "\\"\\x\\u00e9"^^{S} .']
+    g = import_ntriples(newline.join(lines) + newline)
+    calls = []
+    monkeypatch.setattr(Term, "__str__", lambda term: calls.append(term) or "")
+    text = export_ntriples(g)
+    monkeypatch.undo()
+    assert calls == []
+    assert text == "".join(sorted(str(t) + "\n" for t in g))
+    assert text == f'<urn:s> <urn:p> "A\\t\\u2028\\\\q"^^{S} .\n<urn:s> <urn:p> "\\"\\\\x\u00e9"^^{S} .\n'

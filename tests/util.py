@@ -89,32 +89,41 @@ def brute_force_join(g: Graph, patterns: list[TriplePattern], binding: Binding |
     return bindings
 
 
+def key(t: Triple) -> tuple[str, str, str]:
+    """The tokens that a graph stores ``t`` by."""
+    return (str(t.subject), str(t.predicate), str(t.object))
+
+
+def tokens(pattern: TriplePattern) -> tuple:
+    """``pattern`` as ``Graph.candidates`` reads it: each term's token, and None for a variable."""
+    return tuple(None if isinstance(slot, str) else str(slot) for slot in pattern)
+
+
 def check_index_coherence(g: Graph) -> bool:
     """True iff both nested indexes hold exactly the triples of the graph's set.
 
     A graph whose indexes are not built yet builds them through
-    ``candidates``.  Each triple of the set must sit once in each index,
-    under its own keys, and nothing else may; no bucket may be empty, and
-    ``len(g)`` must count the set.
+    ``candidates``.  Each triple's key in the set must sit once in each
+    index, under its own tokens, and nothing else may; no bucket may be
+    empty, ``len(g)`` must count the set, and the set must hold the key of
+    each triple that iteration yields.
     """
     if g._indexes is None:
-        g.candidates(TriplePattern("?s", iri(PREDICATES[0]), "?o"))
+        g.candidates((None, str(iri(PREDICATES[0])), None))
     stored = list(g._triples)
     indexed = []
-    for index, keys in zip(g._indexes, (
-        lambda t: (t.subject, t.predicate),
-        lambda t: (t.predicate, t.object),
-    )):
+    for index, keys in zip(g._indexes, (lambda t: t[:2], lambda t: t[1:])):
         triples = []
         for outer, inner in index.items():
-            for key, bucket in inner.items():
-                if not bucket or any(keys(t) != (outer, key) for t in bucket):
+            for token, bucket in inner.items():
+                if not bucket or any(keys(t) != (outer, token) for t in bucket):
                     return False
                 triples += bucket
         indexed.append(triples)
     return (
         len(g) == len(stored)
         and all(len(triples) == len(stored) and set(triples) == set(stored) for triples in indexed)
+        and list(map(key, g)) == stored
     )
 
 
