@@ -9,12 +9,10 @@ string under a numeric comparison), are silently dropped.
 
 from __future__ import annotations
 
-import csv
-import io
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .rdf import (
     Datatype, Graph, RdfError, Term, TriplePattern, column_sort_keys, comparison, join, split_lines, unescape_literal,
@@ -58,23 +56,35 @@ class ResultTable:
     header: tuple[str, ...]
     rows: tuple[tuple[Term, ...], ...]
 
-    def _value_rows(self) -> Iterator[tuple[str, ...]]:
-        """Each row's cell values, read a column at a time."""
-        return zip(*[map(operator.attrgetter("value"), column) for column in zip(*self.rows)])
+    def _columns(self) -> list[list[str]]:
+        """Each column's cell values; none when the table has no rows."""
+        return [list(map(operator.attrgetter("value"), column)) for column in zip(*self.rows)]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(v.lstrip("?") for v in self.header)
-        writer.writerows(self._value_rows())
-        return out.getvalue()
+        """SPARQL 1.1 CSV results, each line ``\\n``-ended; a row's lone empty cell is ``""``, as ``csv.writer`` writes it."""
+        columns = [_csv_quoted(column) for column in self._columns()]
+        if len(columns) == 1:
+            columns[0] = [v or '""' for v in columns[0]]
+        lines = [",".join(v.lstrip("?") for v in self.header), *map(",".join, zip(*columns)), ""]
+        return "\n".join(lines)
 
     def to_text(self) -> str:
-        cells = [self.header, *self._value_rows()]
+        cells = [self.header, *zip(*self._columns())]
         widths = [max(map(len, column)) for column in zip(*cells)]
         lines = ["  ".join(map(str.ljust, row, widths)).rstrip() for row in cells]
         lines.insert(1, "  ".join("-" * w for w in widths))
         return "".join(line + "\n" for line in lines)
+
+
+#: a character that makes a CSV cell quoted (W3C SPARQL 1.1 CSV results §2, RFC 4180 §2.6)
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_quoted(column: list[str]) -> list[str]:
+    """``column`` with each cell that holds a special character quoted; the column itself when none does."""
+    if not _CSV_SPECIAL.search("".join(column)):
+        return column
+    return ['"' + v.replace('"', '""') + '"' if _CSV_SPECIAL.search(v) else v for v in column]
 
 
 # --- tokenizer -------------------------------------------------------------

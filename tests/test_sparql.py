@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import random
 import re
@@ -432,12 +433,18 @@ def test_sort_key_runs_only_for_a_mixed_column(monkeypatch, dataset_text):
 
 
 def reference_to_csv(table: ResultTable) -> str:
-    """The renderer that wrote one list per row."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(v.lstrip("?") for v in table.header)
-    writer.writerows([t.value for t in row] for row in table.rows)
-    return out.getvalue()
+    """The standard library's writer, one row at a time with ``\\n`` line ends.
+
+    Each row goes through its own ``csv.writer`` with ``\\r\\n`` line ends, which quotes a cell that holds CR on
+    every Python, and its trailing ``\\r\\n`` becomes ``\\n``. A writer with ``lineterminator="\\n"`` leaves
+    such a cell unquoted before 3.13.
+    """
+    lines = []
+    for row in [[v.lstrip("?") for v in table.header], *([t.value for t in row] for row in table.rows)]:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 def reference_to_text(table: ResultTable) -> str:
@@ -481,3 +488,27 @@ def test_renderers_match_the_per_row_reference_on_any_text(values):
     table = ResultTable(tuple(f"?v{i}" for i in range(width)), tuple(tuple(map(string, row)) for row in values))
     assert table.to_csv() == reference_to_csv(table)
     assert table.to_text() == reference_to_text(table)
+
+
+#: cells that the same table quotes on every Python, each ``"`` doubled, CR included
+PINNED_SPECIAL_CELLS = ["a\rb", ",", '"', '""', " "]
+
+
+def test_csv_of_special_cells_is_pinned():
+    table = ResultTable(("?s", "?v"), tuple((iri(f"urn:s{i}"), string(v)) for i, v in enumerate(PINNED_SPECIAL_CELLS)))
+    out = table.to_csv()
+    assert out == reference_to_csv(table)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "b1fdfcbff3e262782fc6075ef5d95615c89ce346f6a427870ab39a754b7df170"
+
+
+#: any text but NUL, which the 3.10 ``csv.reader`` rejects ("line contains NUL") and 3.11 reads
+READABLE_TEXT = st.text().map(lambda v: v.replace("\0", ""))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(READABLE_TEXT, min_size=n, max_size=n), max_size=6)))
+def test_csv_reads_back_as_the_header_and_cells(values):
+    width = len(values[0]) if values else 2
+    table = ResultTable(tuple(f"?v{i}" for i in range(width)), tuple(tuple(map(string, row)) for row in values))
+    read = list(csv.reader(io.StringIO(table.to_csv(), newline="")))
+    assert read == [[f"v{i}" for i in range(width)], *values]
