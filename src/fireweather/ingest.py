@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import vocab
-from .rdf import Datatype, Graph, Term, format_decimal, import_ntriples, string
+from .rdf import Datatype, Graph, Term, import_ntriples, string
 
 EXPECTED_HEADER = ["X", "Y", "month", "day", "FFMC", "DMC", "DC", "ISI",
                    "temp", "RH", "wind", "rain", "area"]
@@ -129,36 +129,45 @@ _RDF_TYPE, _SENSOR_CLASS, _HAS_DEPLOYMENT_X, _HAS_DEPLOYMENT_Y, _HAS_MONTH, _HAS
 )
 #: each month, day and unit as the string literal that ``rdf`` writes
 _STRINGS = {value: str(string(value)) for value in (*MONTHS, *DAYS, *QUANTITY_UNITS.values())}
+#: the end of an integer and of a decimal literal as ``rdf`` writes them: the closing quote and datatype
+_INTEGER_END, _DECIMAL_END = (f'"^^<{dt.value}>' for dt in (Datatype.INTEGER, Datatype.DECIMAL))
+#: an ``int`` below this in magnitude reads as a finite float, as ``Term`` requires of an integer
+_FINITE = 10**308
 
 
-class _Literals(dict):
-    """(lexical form, datatype) -> that literal as ``rdf`` writes it, rendered on its first lookup.
+def _integer(value: int) -> str:
+    """``value``'s integer literal as ``rdf`` writes it; anything but a plain, finite ``int`` goes through ``Term``.
 
-    Keyed by the lexical form, not the number: ``-0.0 == 0.0``, yet each is its own literal.
+    So a float, a bool or an ``int`` too large for a float raises
+    ``RdfError``, and an ``int`` subclass is written as ``str`` spells it.
     """
-
-    def __missing__(self, key: tuple[str, Datatype]) -> str:
-        token = self[key] = str(Term(*key))
-        return token
+    if value.__class__ is int and -_FINITE < value < _FINITE:
+        return f'"{value}{_INTEGER_END}'
+    return str(Term(str(value), Datatype.INTEGER))
 
 
 def ntriples_lines(observations: Iterable[WeatherObservation]) -> list[str]:
-    """The CSV->RDF mapping: each row's N-Triples lines, in row order, minting sensor ordinals from 1."""
-    literals = _Literals()
+    """The CSV->RDF mapping: each row's N-Triples lines, in row order, minting sensor ordinals from 1.
+
+    Each literal is formatted as ``rdf`` writes its ``Term``, with no
+    ``Term`` made: a quantity as its float's ``repr``, as ``format_decimal``
+    writes it, which ``WeatherObservation`` has checked is finite, so
+    ``-0.0`` and ``0.0`` stay two literals.
+    """
     lines = []
     for ordinal, obs in enumerate(observations, start=1):
         s = f"<{vocab.sensor_iri(ordinal)}>"
         lines += (
             f"{s} {_RDF_TYPE} {_SENSOR_CLASS} .",
-            f"{s} {_HAS_DEPLOYMENT_X} {literals[str(obs.x_coord), Datatype.INTEGER]} .",
-            f"{s} {_HAS_DEPLOYMENT_Y} {literals[str(obs.y_coord), Datatype.INTEGER]} .",
+            f"{s} {_HAS_DEPLOYMENT_X} {_integer(obs.x_coord)} .",
+            f"{s} {_HAS_DEPLOYMENT_Y} {_integer(obs.y_coord)} .",
             f"{s} {_HAS_MONTH} {_STRINGS[obs.month]} .",
             f"{s} {_HAS_DAY} {_STRINGS[obs.day]} .",
         )
         for quantity, unit in QUANTITY_UNITS.items():
             node = f"<{vocab.obs_iri(ordinal, quantity)}>"
             lines += (
-                f"{node} {_HAS_VALUE} {literals[format_decimal(getattr(obs, quantity)), Datatype.DECIMAL]} .",
+                f'{node} {_HAS_VALUE} "{float(getattr(obs, quantity))!r}{_DECIMAL_END} .',
                 f"{node} {_HAS_UNIT} {_STRINGS[unit]} .",
                 f"{node} {_OBSERVED_BY} {s} .",
             )

@@ -80,7 +80,7 @@ class Term:
             if not math.isfinite(num):
                 raise RdfError(f"literal {value!r} is not a finite {datatype.name.lower()}")
             # ``float`` also reads "1_000", " 7" and "١٢", and "7." or "1e5", which are no integer
-            if value.strip("0123456789+-" if datatype is Datatype.INTEGER else "0123456789+-.eE"):
+            if value.strip(_NUMERALS[datatype]):
                 raise RdfError(f"literal {value!r} is not a valid {datatype.name.lower()}")
         _set_value(self, value)
         _set_datatype(self, datatype)
@@ -107,10 +107,15 @@ class Term:
 
 
 # The slots' own setters: a frozen dataclass's ``__setattr__`` raises, and
-# ``object.__setattr__`` looks each slot up again on every call.
+# ``object.__setattr__`` looks each slot up again on every call.  ``_new_term``
+# makes a term with no slot set, for a caller that sets all three.
 _set_value, _set_datatype, _set_num = Term.value.__set__, Term.datatype.__set__, Term._num.__set__
+_new_term = object.__new__
 
 _NUMERIC = {Datatype.INTEGER, Datatype.DECIMAL}
+
+#: the characters of each numeric datatype's lexical form, which ``float`` must also read
+_NUMERALS = {Datatype.INTEGER: "0123456789+-", Datatype.DECIMAL: "0123456789+-.eE"}
 
 
 def column_sort_keys(column: Sequence[Term]) -> Iterable:
@@ -263,14 +268,32 @@ class _Buckets:
 
 
 class _Terms(dict):
-    """Token -> ``Term``, parsed when first looked up; ``numbers`` maps each numeric token to its number."""
+    """Token -> ``Term``, rebuilt from the token when first looked up; ``numbers`` maps each numeric token to its number.
+
+    A token is checked before it enters a graph, so a lookup rebuilds its
+    term without checking it again: the value sliced from the token and
+    unescaped, the datatype read from its suffix, and the number from
+    ``numbers``.
+    """
 
     def __init__(self, terms: Optional[_Terms] = None):
         super().__init__(terms or ())
         self.numbers = {} if terms is None else terms.numbers.copy()
 
     def __missing__(self, token: str) -> Term:
-        return self.file(token, _parse_term(token))
+        term = _new_term(Term)
+        if token[0] == "<":
+            _set_value(term, token[1:-1])
+            _set_datatype(term, None)
+            _set_num(term, None)
+        else:
+            end = token.rindex('"')
+            _set_value(term, unescape_literal(token[1:end]))
+            # the datatype IRI follows the closing quote and ``^^<``
+            _set_datatype(term, _DATATYPES[token[end + 4 : -1]])
+            _set_num(term, self.numbers.get(token))
+        self[token] = term
+        return term
 
     def file(self, token: str, term: Term) -> Term:
         """The term under ``token``: ``term``, unless an equal one is there already."""
@@ -288,7 +311,18 @@ class Graph:
     was first inserted.  Keys hash and compare in C, so no ``Term`` or
     ``Triple`` is made per stored triple.  ``_terms`` turns a token into its
     ``Term`` only at the edges: iteration, which yields ``Triple``s, and the
-    rows of a join.  ``_indexes`` is None until ``candidates`` first gets a
+    rows of a join.
+
+    Every token of a key was checked when it entered the graph, and each
+    numeric token's number filed in ``_terms.numbers``: the bulk reader of
+    ``import_ntriples`` checks its tokens by kind, and every other token is
+    the ``str`` of a ``Term``, which checked itself when built, filed by
+    ``_key`` or, for a rule head's constants, by ``rules.forward_chain``.
+    So ``_terms`` rebuilds a token's ``Term`` on its first read without
+    checking it again.  ``insert`` of a key is internal to the package, for
+    keys of such tokens; a caller outside it inserts ``Triple``s.
+
+    ``_indexes`` is None until ``candidates`` first gets a
     pattern with a token, or a join first reads them.  That read builds both
     indexes in one pass over the set and publishes them with one
     assignment, so a concurrent reader sees either no indexes or whole ones.
@@ -324,11 +358,13 @@ class Graph:
 
     def _key(self, t: Triple) -> Key:
         """The key of ``t``, with its terms filed in the table."""
-        terms = (t.subject, t.predicate, t.object)
-        key = tuple(map(str, terms))
-        for token, term in zip(key, terms):
-            self._terms.file(token, term)
-        return key
+        return self._token(t.subject), self._token(t.predicate), self._token(t.object)
+
+    def _token(self, term: Term) -> str:
+        """The token of ``term``, with ``term`` filed in the table under it."""
+        token = str(term)
+        self._terms.file(token, term)
+        return token
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -342,7 +378,7 @@ class Graph:
         return (t if t.__class__ is tuple else (str(t.subject), str(t.predicate), str(t.object))) in self._triples
 
     def insert(self, t: Union[Triple, Key]) -> int:
-        """Add a triple, or the key of one; returns the graph size afterwards."""
+        """Add a triple, or, from inside the package, the key of one; returns the graph size afterwards."""
         key = t if t.__class__ is tuple else self._key(t)
         triples = self._triples
         size = len(triples)
@@ -668,8 +704,8 @@ def export_ntriples(g: Graph) -> str:
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"\S*|[^\s"]\S*|"', re.S)
 #: A literal token's body and datatype IRI.
 _LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"\^\^<(\S*)>', re.S)
-#: An IRI token with no whitespace, which ``Term`` accepts.
-_IRI = re.compile(r"<\S+>")
+#: IRI tokens with no whitespace, which ``Term`` accepts, joined by single spaces.
+_IRIS = re.compile(r"<\S+>(?: <\S+>)*")
 _DATATYPES = {dt.value: dt for dt in Datatype}
 
 
@@ -719,12 +755,15 @@ def _tokens(line: str) -> Optional[list[str]]:
 
 
 def _read_lines(text: str) -> Iterator[Triple]:
-    """Each statement of ``text``, read line by line by the general tokenizer."""
-    terms = _Terms()
+    """Each statement of ``text``, read line by line by the general tokenizer, each distinct token parsed once."""
+    terms: dict[str, Term] = {}
     try:
         for lineno, line in enumerate(split_lines(text), start=1):
             tokens = _tokens(line)
             if tokens is not None:
+                for token in tokens:
+                    if token not in terms:
+                        terms[token] = _parse_term(token)
                 s, p, o = tokens
                 yield Triple(terms[s], terms[p], terms[o])
     except RdfError as exc:
@@ -732,12 +771,13 @@ def _read_lines(text: str) -> Iterator[Triple]:
 
 
 def _read_bulk(text: str, terms: _Terms) -> Optional[dict[Key, None]]:
-    """The keys of ``text`` if it is all in ``export_ntriples`` form, its objects' terms filed in ``terms``; else None.
+    """The keys of ``text`` if it is all in ``export_ntriples`` form, its numbers filed in ``terms``; else None.
 
     Counts check that each line ends in `` .\\n`` and splits at spaces into
     four items; a line end out of place stays among the tokens, which no
-    token form takes.  Each distinct token is checked once, a subject or
-    predicate by ``_IRI`` and an object by ``_parse_term``, and a literal
+    token form takes.  The distinct tokens are checked in bulk, by kind, and
+    no ``Term`` is made: every IRI, subject, predicate or object, by one
+    regex over them all, and the literals by ``_check_literals``.  A literal
     that export writes another way is stored as export writes it.
     """
     lines = text.count("\n")
@@ -748,24 +788,63 @@ def _read_bulk(text: str, terms: _Terms) -> Optional[dict[Key, None]]:
         return None
     del flat[3::4]
     flat.pop()
-    iris = {*flat[0::3], *flat[1::3]}
-    if not all(map(_IRI.fullmatch, iris)):
-        return None
     # the distinct tokens in the order they first appear, copied into new
     # strings that lie together in memory, in that order
     distinct = dict.fromkeys(flat)
     canonical = dict(zip(distinct, " ".join(distinct).split(" ")))
-    for token in distinct:
-        if token not in iris:
-            try:
-                term = _parse_term(token)
-            except RdfError:
-                return None
-            if token[0] == '"' and _NEEDS_ESCAPE.search(token, 1, token.rindex('"')):
-                canonical[token] = str(term)
-            terms.file(canonical[token], term)
+    # in that order too, so that the numbers are filed as a scan reads them
+    literals = [token for token in distinct if token[:1] == '"']
+    # every other token, and every subject and predicate, even one that looks like a literal
+    iris = distinct.keys() - literals
+    iris.update(flat[0::3], flat[1::3])
+    # no token holds a space, so the join matches only if each token does
+    if not _IRIS.fullmatch(" ".join(iris)):
+        return None
+    if not _check_literals(literals, canonical, terms.numbers):
+        return None
     tokens = map(canonical.__getitem__, flat)
     return dict.fromkeys(zip(tokens, tokens, tokens))
+
+
+def _check_literals(literals: list[str], canonical: dict[str, str], numbers: dict[str, float]) -> bool:
+    """Whether ``Term`` accepts every literal token of ``literals``, checked in bulk, one datatype at a time.
+
+    A token is grouped by the suffix of its datatype, and one group's bodies
+    are split from one join of its tokens.  Only a token whose body holds a
+    character that export escapes is parsed alone, and ``canonical`` maps it
+    to the token that export writes.  A numeric group's lexical forms are
+    checked by one ``strip`` of their join and read by ``float``, and each
+    number is filed in ``numbers`` under its canonical token.
+    """
+    grouped = 0
+    for dt, suffix in _SUFFIXES.items():
+        # a token that is the suffix alone has no opening quote
+        group = [token for token in literals if token.endswith(suffix) and token != suffix]
+        if not group:
+            continue
+        grouped += len(group)
+        # no token holds a space, so the bodies are what lies between the joins
+        bodies = " ".join(group)[1 : -len(suffix)].split(suffix + ' "')
+        if _NEEDS_ESCAPE.search("".join(bodies)):
+            for i, body in enumerate(bodies):
+                if _NEEDS_ESCAPE.search(body):
+                    try:
+                        term = _parse_term(group[i])
+                    except RdfError:
+                        return False
+                    token = canonical[group[i]] = str(term)
+                    bodies[i] = token[1 : -len(suffix)]
+        if dt in _NUMERALS:
+            if "".join(bodies).strip(_NUMERALS[dt]):
+                return False
+            try:
+                values = list(map(float, bodies))
+            except ValueError:
+                return False
+            if not all(map(math.isfinite, values)):
+                return False
+            numbers.update(zip(map(canonical.__getitem__, group), values))
+    return grouped == len(literals)
 
 
 def import_ntriples(text: str) -> Graph:

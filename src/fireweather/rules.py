@@ -254,14 +254,17 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     A head subject bound to a literal raises ``RdfError`` naming the rule.
     """
     heads = {rule.head.pattern().predicate for rule in ruleset}
-    # each rule's body, its head and the tokens of the head's two constants,
-    # and the indices of its body patterns that read a head property, built once
+    bodies = [rule.patterns() for rule in ruleset]
+    # the indices of each rule's body patterns that read a head property
+    reads = [[i for i, p in enumerate(patterns) if p.predicate in heads] for patterns in bodies]
+    full = Graph(g) if any(reads) else g
+    # each rule's body, its head, the tokens of the head's two constants,
+    # filed in the table that every join reads, and its reads, built once
     compiled = []
-    for rule in ruleset:
-        patterns, head = rule.patterns(), rule.head.pattern()
-        reads = [i for i, p in enumerate(patterns) if p.predicate in heads]
-        compiled.append((rule, patterns, rule.checks(), head, (str(head.predicate), str(head.object)), reads))
-    full = Graph(g) if any(reads for *_, reads in compiled) else g
+    for rule, patterns, reading in zip(ruleset, bodies, reads):
+        head = rule.head.pattern()
+        tokens = (full._token(head.predicate), full._token(head.object))
+        compiled.append((rule, patterns, rule.checks(), head, tokens, reading))
     facts: list[InferredFact] = []
     # the triples the last round derived; None before round 1
     last: Optional[Graph] = None

@@ -1,6 +1,10 @@
-import pytest
+import math
 
-from fireweather import vocab
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fireweather import rdf, vocab
 from fireweather.cli import main
 from fireweather.ingest import (
     DAYS,
@@ -11,10 +15,14 @@ from fireweather.ingest import (
     IngestError,
     WeatherObservation,
     ingest_observations,
+    ntriples_lines,
     parse_csv,
 )
-from fireweather.rdf import Graph, Triple, TriplePattern, decimal, export_ntriples, format_decimal, integer, iri, join, string
+from fireweather.rdf import (
+    Graph, RdfError, Triple, TriplePattern, decimal, export_ntriples, format_decimal, integer, iri, join, string
+)
 from conftest import DATA_CSV
+from util import count_built_terms
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area\n"
 ROW = "7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\n"
@@ -233,3 +241,61 @@ class TestIngestWritesTheReference:
         want = reference_triples(rows)
         assert capsys.readouterr().out == reference_ntriples(want)
         assert list(ingest_observations(rows)) == want
+
+
+#: values that format one way as literals and another as floats: signed
+#: zeros, exponents, the FFMC bound, and quantities passed as ``int``
+EDGE_VALUES = [-0.0, 0.0, 1e-05, 1e+16, 101.0, 0, 7, 101]
+
+
+def quantity(low: float, high: float):
+    """A value in [low, high]: an edge value, an ``int`` or a float."""
+    return st.one_of(
+        st.sampled_from([v for v in EDGE_VALUES if low <= v <= high]),
+        st.integers(math.ceil(low), math.floor(min(high, 10**6))),
+        st.floats(low, high),
+    )
+
+
+observations = st.builds(
+    WeatherObservation,
+    x_coord=st.integers(-(10**20), 10**20), y_coord=st.integers(-9, 9),
+    month=st.sampled_from(MONTHS), day=st.sampled_from(DAYS),
+    ffmc=quantity(0.0, 101.0), dmc=quantity(0.0, 1e300), dc=quantity(0.0, 1e300), isi=quantity(0.0, 1e300),
+    temp=quantity(-1e300, 1e300), rh=quantity(0.0, 100.0), wind=quantity(0.0, 1e300),
+    rain=quantity(0.0, 1e300), area=quantity(0.0, 1e300),
+)
+
+
+class TestNtriplesLinesWriteTheTermsTokens:
+    """``ntriples_lines`` against ``reference_triples``, whose every literal is ``str(Term(...))``."""
+
+    def test_bundled_csv(self, dataset_text):
+        rows = parse_csv(dataset_text)
+        assert ntriples_lines(rows) == list(map(str, reference_triples(rows)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(observations, min_size=1, max_size=4))
+    def test_observations(self, rows):
+        assert ntriples_lines(rows) == list(map(str, reference_triples(rows)))
+
+    @pytest.mark.parametrize("coordinate, message", [
+        (7.0, "literal '7.0' is not a valid integer"),
+        (True, "literal 'True' is not a valid integer"),
+        (10**400, f"literal '{10**400}' is not a finite integer"),
+    ])
+    @pytest.mark.parametrize("field", ["x_coord", "y_coord"])
+    def test_coordinate_that_no_integer_term_takes(self, field, coordinate, message):
+        with pytest.raises(RdfError, match=f"^{message}$"):
+            ntriples_lines([obs(), obs(**{field: coordinate})])
+
+    def test_builds_no_term(self, dataset_text, monkeypatch):
+        rows = parse_csv(dataset_text)
+        built = count_built_terms(monkeypatch)
+        lines = ntriples_lines(rows)
+        assert built == []
+        assert len(lines) == len(rows) * TRIPLES_PER_ROW
+        # the hooks do count: a term that a graph rebuilds, and one built by ``__init__``
+        rdf.import_ntriples(lines[0] + "\n")._terms[lines[0].split(" ")[0]]
+        integer(1)
+        assert len(built) == 2

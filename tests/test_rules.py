@@ -583,6 +583,17 @@ def test_join_iterates_at_most_two_candidates_per_rule_per_sensor(rules_text, mo
     assert iterated[0] <= 2 * len(ruleset) * 100
 
 
+def test_a_numeric_head_constant_derives_a_number_that_greater_than_reads():
+    # a rule built in code may put a number in its head, which a rule file cannot
+    score = Rule((ClassAtom("sensor_id", "?s"),), DataPropertyAtom("score", "?s", decimal(5.0)))
+    high = Rule((DataPropertyAtom("score", "?s", "?v"), BuiltinGreaterThan("?v", 4.0)),
+                DataPropertyAtom("high", "?s", string("yes")))
+    g = Graph([typed("1")])
+    facts = forward_chain(g, [score, high])
+    assert [(f.property_iri, f.label) for f in facts] == [(vocab.prop_iri("high"), "yes"), (vocab.prop_iri("score"), "5.0")]
+    assert dict(facts[0].bindings)["?v"].sort_key() == decimal(5.0).sort_key()
+
+
 def test_chaining_builds_terms_once_per_rule_not_per_fact(rules_text, monkeypatch):
     ruleset = parse_rules(rules_text)
     stores = [rule_input_store(n) for n in (25, 100)]

@@ -1,6 +1,7 @@
 """The term representation: equality, hashing, immutability, escaping,
-non-finite numbers, numeric lexical forms, one ``Term`` per distinct token
-on import, and the bulk reader agreeing with the line-by-line reader."""
+non-finite numbers, numeric lexical forms, no ``Term`` built on import and
+one per distinct token read, the terms a graph rebuilds from its tokens, and
+the bulk reader agreeing with the line-by-line reader."""
 
 import dataclasses
 import enum
@@ -8,11 +9,12 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fireweather import rdf
 from fireweather.ingest import ingest_observations, parse_csv
+from fireweather.sparql import evaluate, parse_query
 from fireweather.rdf import (
     Datatype,
     Graph,
@@ -26,6 +28,8 @@ from fireweather.rdf import (
     iri,
     string,
 )
+from test_sparql import WIND_SURVEY_QUERY
+from util import count_built_terms
 
 DECIMAL_IRI = Datatype.DECIMAL.value
 
@@ -227,26 +231,22 @@ def test_bulk_loads_never_call_insert(dataset_text, monkeypatch):
     assert calls == 1
 
 
-def test_import_builds_one_term_per_distinct_token(dataset_text, monkeypatch):
+def test_terms_are_built_only_where_read(dataset_text, monkeypatch):
     text = export_ntriples(ingest_observations(parse_csv(dataset_text)))
     # no literal in the ingested store contains a space
     tokens = {token for line in text.splitlines() for token in line[: -len(" .")].split(" ")}
-    built = []
-    init = Term.__init__
-
-    def counting(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(Term, "__init__", counting)
+    query = parse_query(WIND_SURVEY_QUERY)
+    built = count_built_terms(monkeypatch)
     g = import_ntriples(text)
-    # the import builds the term of each object, as it checks a literal's
-    # lexical form; a subject's or predicate's is built the first time it is read
-    statements = [line[: -len(" .")].split(" ") for line in text.splitlines()]
-    assert len(built) == len({o for _, _, o in statements} - {t for s, p, _ in statements for t in (s, p)})
+    assert built == []
+    # a full iteration builds each distinct token's term once, on its first read
     assert len({id(term) for t in g for term in (t.subject, t.predicate, t.object)}) == len(tokens)
     assert len(built) == len(tokens)
     assert list(g) and len(built) == len(tokens)
+    # a query over a fresh import builds the terms of the tokens in its rows, and no other
+    built.clear()
+    table = evaluate(query, import_ntriples(text))
+    assert table.rows and len(built) == len({str(term) for row in table.rows for term in row})
 
 
 # --- the bulk reader against the line-by-line reader ----------------------
@@ -347,6 +347,9 @@ S = f"<{STRING_IRI}>"
     ('<a> <b> "1"^^<urn:other> .\n', "line 1: unsupported datatype <urn:other>", False),
     (f'<a> <b> "1e999"^^<{DECIMAL_IRI}> .\n', "line 1: literal '1e999' is not a finite decimal", False),
     (f'<a> <b> <c> .\n<a> <b> "1e999"^^<{DECIMAL_IRI}> .\n', "line 2: literal '1e999' is not a finite decimal", False),
+    # a lone quote before ^^<datatype>: a literal's end with no start, alone and beside a literal
+    (f'<a> <b> "^^{S} .\n', f"line 1: unterminated literal '\"^^{S}'", False),
+    (f'<a> <b> "x"^^{S} .\n<a> <b> "^^{S} .\n', f"line 2: unterminated literal '\"^^{S}'", False),
 ])
 def test_bulk_and_per_line_readers_agree(text, want, bulk):
     got = outcome(import_ntriples, text)
@@ -359,6 +362,35 @@ def test_bulk_reader_stores_canonical_tokens():
     g = import_ntriples(f'<a> <b> "\\u0041\\q"^^{S} .\n<a> <b> "x\u2028\ty"^^{S} .\n')
     assert list(g._triples) == [("<a>", "<b>", f'"A\\\\q"^^{S}'), ("<a>", "<b>", f'"x\\u2028\\ty"^^{S}')]
     assert [t.object.value for t in g] == ["A\\q", "x\u2028\ty"]
+
+
+def assert_rebuilt_terms_are_the_parsed_terms(text: str) -> None:
+    """Each token of the graph that the bulk reader makes of ``text`` rebuilds to the term the line reader parses."""
+    g = import_ntriples(text)
+    assert rdf._read_bulk(text, rdf._Terms()) is not None and len(g._terms) == 0
+    parsed = {token: rdf._parse_term(token) for key in g._triples for token in key}
+    for token, want in parsed.items():
+        got = g._terms[token]
+        assert (got.value, got.datatype, repr(got._num)) == (want.value, want.datatype, repr(want._num)), token
+    want_numbers = {token: term._num for token, term in parsed.items() if term._num is not None}
+    assert {token: repr(n) for token, n in g._terms.numbers.items()} == {t: repr(n) for t, n in want_numbers.items()}
+
+
+def test_the_bundled_store_rebuilds_the_parsed_terms(dataset_text):
+    assert_rebuilt_terms_are_the_parsed_terms(export_ntriples(ingest_observations(parse_csv(dataset_text))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(triples, min_size=1, max_size=8), st.lists(escape_bodies, max_size=3),
+       st.lists(st.sampled_from(["1\\u0030", "-0.0", "0.0", "+.5e-3", "1e+16", "0\\u00305"]), max_size=2))
+def test_rebuilt_terms_are_the_parsed_terms(items, bodies, numerals):
+    # the store, with literals that export writes another way: escapes, and raw characters it escapes
+    text = export_ntriples(Graph(items)) + "".join(
+        [f'<urn:s> <urn:p> "{body}"^^<{STRING_IRI}> .\n' for body in bodies]
+        + [f'<urn:s> <urn:n> "{numeral}"^^<{DECIMAL_IRI}> .\n' for numeral in numerals]
+    )
+    assume(rdf._read_bulk(text, rdf._Terms()) is not None)
+    assert_rebuilt_terms_are_the_parsed_terms(text)
 
 
 def test_exported_dataset_never_reaches_the_general_tokenizer(dataset_text):

@@ -6,6 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
+from fireweather import rdf
 from fireweather.rdf import (
     Binding,
     Datatype,
@@ -166,3 +167,21 @@ def reference_filter(term: Term, comparator: str, operand: Term) -> bool:
         "!=": a < b or b < a,
     }[comparator]
 
+
+def count_built_terms(monkeypatch) -> list:
+    """The list to which every ``Term`` built from now on is appended: checked by ``__init__``, or rebuilt by a graph."""
+    built = []
+    init, new = Term.__init__, rdf._new_term
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_new(cls):
+        term = new(cls)
+        built.append(term)
+        return term
+
+    monkeypatch.setattr(Term, "__init__", counting_init)
+    monkeypatch.setattr(rdf, "_new_term", counting_new)
+    return built
