@@ -27,8 +27,8 @@ g.insert(Triple(station, iri("urn:demo:wind"), decimal(45.0)))
 print(f"store holds {len(g)} triples")
 
 # Pattern matching binds ?variables in any position.
-for binding in join([TriplePattern("?s", iri("urn:demo:wind"), "?v")], g):
-    print(f"  {binding['?s'].value} reports wind {binding['?v'].value}")
+for s, v in join([TriplePattern("?s", iri("urn:demo:wind"), "?v")], g, ["?s", "?v"]):
+    print(f"  {s.value} reports wind {v.value}")
 
 # N-Triples round-trips byte-identically.
 text = export_ntriples(g)

@@ -104,7 +104,7 @@ class InferredFact:
     bindings: tuple[tuple[str, Term], ...]
 
     def triple(self) -> Triple:
-        return Triple(self.subject, iri(self.property_iri), string(self.label))
+        return Triple(self.subject, iri(self.property_iri), self.rule.head.value)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -244,7 +244,9 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     the indexes and terms any read builds; otherwise every join reads one copy
     of ``g``, to which each round adds the triples it derived.  Seeds and
     bodies are both evaluated by ``rdf.join``, with each builtin as a check
-    on the body.  Chaining stops after a round that derives nothing new.
+    on the body; a body's rows select its variables in name order, and
+    zipped with those names they are a fact's bindings.  Chaining stops
+    after a round that derives nothing new.
 
     A triple derived more than once in the round that first derives it keeps
     the derivation of the lowest-indexed rule, as rules run in index order;
@@ -255,31 +257,35 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     """
     heads = {rule.head.pattern().predicate for rule in ruleset}
     bodies = [rule.patterns() for rule in ruleset]
-    # the indices of each rule's body patterns that read a head property
-    reads = [[i for i, p in enumerate(patterns) if p.predicate in heads] for patterns in bodies]
+    # the indices of each rule's body patterns that read a head property, with their variables
+    reads = [[(i, p.variables()) for i, p in enumerate(patterns) if p.predicate in heads] for patterns in bodies]
     full = Graph(g) if any(reads) else g
-    # each rule's body, its head, the tokens of the head's two constants,
+    # each rule's body, its variables in name order and the head subject's
+    # place among them, its head, the tokens of the head's two constants,
     # filed in the table that every join reads, and its reads, built once
     compiled = []
     for rule, patterns, reading in zip(ruleset, bodies, reads):
         head = rule.head.pattern()
         tokens = (full._token(head.predicate), full._token(head.object))
-        compiled.append((rule, patterns, rule.checks(), head, tokens, reading))
+        names = sorted({head.subject, *(v for p in patterns for v in p.variables())})
+        compiled.append((rule, patterns, names, names.index(head.subject), rule.checks(), head, tokens, reading))
     facts: list[InferredFact] = []
     # the triples the last round derived; None before round 1
     last: Optional[Graph] = None
     while True:
         found: dict[Key, InferredFact] = {}
-        for rule, patterns, checks, (subject, predicate, obj), tokens, reads in compiled:
+        for rule, patterns, names, at, checks, (subject, predicate, obj), tokens, reads in compiled:
             if last is None:
-                seeds = [(patterns, {})]
+                seeds = [(patterns, None)]
             else:
                 seeds = (
-                    (patterns[:i] + patterns[i + 1 :], seed) for i in reads for seed in join([patterns[i]], last)
+                    (patterns[:i] + patterns[i + 1 :], dict(zip(variables, row)))
+                    for i, variables in reads
+                    for row in join([patterns[i]], last, variables)
                 )
             for rest, seed in seeds:
-                for binding in join(rest, full, checks, seed):
-                    s = binding[subject]
+                for row in join(rest, full, names, checks, seed):
+                    s = row[at]
                     # a rule file may bind its head subject to a literal
                     if s.datatype is not None:
                         raise RdfError(f"rule {rule.render()}: head subject {subject} is bound to {s}, not an IRI")
@@ -287,7 +293,7 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
                     fact = found.get(t)
                     if t in full or fact is not None and fact.rule is not rule:
                         continue
-                    bindings = tuple(sorted(binding.items()))
+                    bindings = tuple(zip(names, row))
                     # the same rule's bindings bind the same names, in the same order
                     if fact is None or [v.sort_key() for _, v in bindings] < [v.sort_key() for _, v in fact.bindings]:
                         found[t] = InferredFact(s, predicate.value, obj.value, rule, bindings)
@@ -316,7 +322,7 @@ def verify_provenance(g: Graph, ruleset: Sequence[Rule], facts: Iterable[Inferre
         if f.rule not in ruleset:
             return False
         binding = dict(f.bindings)
-        if next(join(f.rule.patterns(), known, f.rule.checks(), binding), None) is None:
+        if next(join(f.rule.patterns(), known, (), f.rule.checks(), binding), None) is None:
             return False
         head = f.rule.head
         if (

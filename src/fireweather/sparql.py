@@ -291,7 +291,7 @@ def evaluate(query: Query, g: Graph) -> ResultTable:
     """
     names = query.select_vars
     checks = [(f.variable, comparison(f.comparator, f.operand)) for f in query.filters]
-    rows = list(join(query.patterns, g, checks, select=names))
+    rows = list(join(query.patterns, g, names, checks))
     keys = list(zip(*map(column_sort_keys, zip(*rows))))
     rows = list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
     return ResultTable(tuple(names), tuple(rows))

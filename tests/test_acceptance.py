@@ -123,9 +123,9 @@ def _measurement_view(graph: Graph, quantity: str) -> Graph:
     """
     view = Graph()
     suffix = ":" + quantity
-    for binding in join([TriplePattern("?s", iri(vocab.HAS_VALUE), "?v")], graph):
-        if binding["?s"].value.endswith(suffix):
-            view.insert(Triple(binding["?s"], iri(vocab.HAS_VALUE), binding["?v"]))
+    for s, v in join([TriplePattern("?s", iri(vocab.HAS_VALUE), "?v")], graph, ["?s", "?v"]):
+        if s.value.endswith(suffix):
+            view.insert(Triple(s, iri(vocab.HAS_VALUE), v))
     return view
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fireweather import vocab
 from fireweather.cli import _JSON, main
@@ -587,6 +590,15 @@ class TestQuery:
         assert (code, out) == (1, "") and not out_file.exists()
         assert err == f"error: {position}: invalid escape '\\\\uD800'\n"
 
+    def test_a_40_pattern_chain(self, capsys, tmp_path):
+        store, qfile = tmp_path / "chain.nt", tmp_path / "chain.rq"
+        store.write_text("".join(f"<urn:n{i}> <urn:next> <urn:n{i + 1}> .\n" for i in range(45)))
+        chain = " . ".join(f"?v{i} <urn:next> ?v{i + 1}" for i in range(40))
+        qfile.write_text(f"SELECT ?v0 ?v40 WHERE {{ {chain} }}\n")
+        code, out, err = run(capsys, "query", str(store), str(qfile), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["v0,v40"] + [f"urn:n{i},urn:n{i + 40}" for i in range(6)]
+
     @pytest.mark.parametrize("fmt", ["csv", "table"])
     def test_output_does_not_depend_on_hash_seed(self, tmp_path, small_csv, fmt):
         store = tmp_path / "store.nt"
@@ -647,3 +659,56 @@ class TestPlot:
         code, _, _ = run(capsys, "plot", str(DATA_CSV), "--days", "3", "--svg", str(svg))
         assert code == 0
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == PINNED_SVG
+
+
+#: what a mutation inserts: a metacharacter of the rule or query grammar, NUL,
+#: a byte that is not UTF-8, or a line separator that ``str.splitlines`` breaks at
+INSERTS = [c.encode() for c in '{}().?"\\^<>#'] + [b"\x00", b"\xff", "\u2028".encode()]
+
+
+@st.composite
+def mutated(draw, text: bytes) -> bytes:
+    """``text`` after one to three edits: a byte deleted, an ``INSERTS`` item inserted, or a run of it spliced in."""
+    data = bytearray(text)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(["delete", "insert", "splice"]))
+        if edit == "delete":
+            del data[at]
+        elif edit == "insert":
+            data[at:at] = draw(st.sampled_from(INSERTS))
+        else:
+            start = draw(st.integers(0, len(data) - 1))
+            data[at:at] = data[start : start + draw(st.integers(1, 40))]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def boundary_store(tmp_path_factory, rule_input_store):
+    """A store of five ingested CSV rows and the rule-input sensors, so that queries and rules both find rows."""
+    directory = tmp_path_factory.mktemp("boundary")
+    csv, store = directory / "rows.csv", directory / "store.nt"
+    csv.write_text("".join(DATA_CSV.read_text(encoding="utf-8").splitlines(keepends=True)[:6]), encoding="utf-8")
+    assert main(["ingest", str(csv), "--output", str(store)]) == 0
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.write(rule_input_store[0].read_text(encoding="utf-8"))
+    return store
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_queries_and_rules_fail_with_one_error_line(boundary_store, data):
+    command = data.draw(st.sampled_from(["query", "infer"]))
+    original = WIND_SURVEY_QUERY if command == "query" else RULES_FILE.read_text(encoding="utf-8")
+    path = boundary_store.with_name("mutated")
+    path.write_bytes(data.draw(mutated(original.encode())))
+    if command == "query":
+        argv = ["query", str(boundary_store), str(path)]
+    else:
+        argv = ["infer", str(boundary_store), "--rules", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue()
+    one_line = message.startswith("error: ") and message.endswith("\n") and message.count("\n") == 1
+    assert (code, message) == (0, "") or code == 1 and one_line, (code, message)

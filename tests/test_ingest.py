@@ -156,9 +156,8 @@ class TestRoundTrip:
         g = ingest_observations(rows)
         for ordinal, row in enumerate(rows, start=1):
             pattern = TriplePattern(iri(vocab.obs_iri(ordinal, "wind")), iri(vocab.HAS_VALUE), "?v")
-            got = list(join([pattern], g))
-            assert len(got) == 1
-            assert got[0]["?v"].value == format_decimal(row.wind)
+            ((value,),) = join([pattern], g, ["?v"])
+            assert value.value == format_decimal(row.wind)
 
     def test_double_ingest_is_byte_identical(self, dataset_text):
         first = export_ntriples(ingest_observations(parse_csv(dataset_text)))

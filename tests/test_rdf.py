@@ -34,6 +34,7 @@ from util import (
     random_graph,
     random_pattern,
     random_term,
+    count_built_terms,
     random_triple,
     reference_filter,
     tokens,
@@ -96,9 +97,15 @@ class TestInsert:
         assert len(g) == 3
 
 
+def bindings(patterns, g: Graph, checks=(), seed=None) -> list[dict]:
+    """``join``'s rows as bindings: every variable of the patterns and of ``seed`` selected, in name order."""
+    names = sorted({v for p in patterns for v in p.variables()} | set(seed or {}))
+    return [dict(zip(names, row)) for row in join(patterns, g, names, checks, dict(seed or {}))]
+
+
 def match(g: Graph, pattern: TriplePattern) -> list:
-    """The rows of ``join`` on one pattern, sorted to compare with ``brute_force_match``."""
-    return sorted(map(repr, join([pattern], g)))
+    """The rows of ``join`` on one pattern, in the ``canonical`` form that compares with ``brute_force_match``."""
+    return canonical(bindings([pattern], g))
 
 
 class TestMatch:
@@ -116,15 +123,14 @@ class TestMatch:
         pattern = TriplePattern("?x", iri("urn:hasWind"), "?w")
         got = match(g, pattern)
         assert len(got) == 2
-        assert got == sorted(map(repr, brute_force_match(g, pattern)))
+        assert got == canonical(brute_force_match(g, pattern))
 
     def test_repeated_variable_requires_equal_terms(self):
         g = Graph()
         g.insert(t("urn:a", "urn:p", iri("urn:a")))
         g.insert(t("urn:a", "urn:p", iri("urn:b")))
-        got = list(join([TriplePattern("?x", iri("urn:p"), "?x")], g))
-        assert len(got) == 1
-        assert got[0]["?x"].value == "urn:a"
+        got = list(join([TriplePattern("?x", iri("urn:p"), "?x")], g, ["?x"]))
+        assert got == [(iri("urn:a"),)]
 
     def test_brute_force_oracle_equality(self):
         rng = random.Random(1234)
@@ -133,18 +139,28 @@ class TestMatch:
         for _ in range(1000):
             g = random_graph(rng, 100)
             pattern = random_pattern(rng, ["?a", "?b", "?c"])
-            assert match(g, pattern) == sorted(map(repr, brute_force_match(g, pattern)))
+            assert match(g, pattern) == canonical(brute_force_match(g, pattern))
 
 
-def random_check(rng: random.Random, variable: str):
-    """A test on the term bound to ``variable``."""
-    pivot = random_term(rng).sort_key()
+def random_literal(rng: random.Random) -> Term:
+    """A ``random_term`` that is no IRI: a comparison's operand."""
+    term = random_term(rng)
+    return term if term.datatype is not None else string(term.value)
 
-    def check(term):
-        assert term.__class__ is Term
-        return term.sort_key() <= pivot
 
-    return variable, check
+def random_filter(rng: random.Random, variable: str) -> tuple:
+    """A random comparison of the term bound to ``variable``, as ``(variable, comparator, operand)``."""
+    return variable, rng.choice(COMPARATORS), random_literal(rng)
+
+
+def compiled(filters) -> list:
+    """The checks that ``join`` takes for ``(variable, comparator, operand)`` filters."""
+    return [(v, comparison(op, operand)) for v, op, operand in filters]
+
+
+def passes(b: dict, filters) -> bool:
+    """Whether binding ``b`` binds every filter's variable to a term that passes it, by ``reference_filter``."""
+    return all(v in b and reference_filter(b[v], op, operand) for v, op, operand in filters)
 
 
 def canonical(bindings):
@@ -156,8 +172,10 @@ class TestJoin:
         rng = random.Random(2024)
         variables = ["?a", "?b", "?c"]
         answered = 0
-        # answered cases in which a variable of one pattern alone fills two or
-        # three of its slots, by that count and whether a check tests it
+        # cases in which a variable of one pattern alone fills two or three of
+        # its slots, by that count and whether a check tests it: answered
+        # ones if none does, and any if one does, as the variable holds an
+        # IRI, which no comparison passes
         repeats = {(2, False): 0, (2, True): 0, (3, False): 0, (3, True): 0}
         while answered < 200 or min(repeats.values()) < 25:
             g = random_graph(rng, 40)
@@ -171,69 +189,56 @@ class TestJoin:
                 v, slots = rng.choice(variables), rng.choice([(0, 1), (0, 2), (1, 2), (0, 1, 2)])
                 patterns[0] = TriplePattern(*(v if i in slots else slot for i, slot in enumerate(patterns[0])))
             checked = rng.sample(variables, rng.randrange(3))
-            checks = [random_check(rng, v) for v in checked]
-            got = join(patterns, g, checks)
-            want = [b for b in brute_force_join(g, patterns) if all(v in b and check(b[v]) for v, check in checks)]
+            filters = [random_filter(rng, v) for v in checked]
+            got = bindings(patterns, g, compiled(filters))
+            want = [b for b in brute_force_join(g, patterns) if passes(b, filters)]
             assert canonical(got) == canonical(want)
             answered += bool(want)
             for v in variables:
                 uses = [pattern.count(v) for pattern in patterns]
                 if max(uses) > 1 and sum(uses) == max(uses):
-                    repeats[max(uses), v in checked] += bool(want)
+                    repeats[max(uses), v in checked] += v in checked or bool(want)
 
     def test_no_atoms_yields_the_binding_if_every_check_passes(self):
         binding = {"?a": integer(1)}
-        assert list(join([], Graph(), [("?a", lambda term: True)], binding)) == [binding]
-        assert list(join([], Graph(), [("?a", lambda term: False)], binding)) == []
-        assert list(join([], Graph(), [("?b", lambda term: True)], binding)) == []
+        assert list(join([], Graph(), ["?a"], [("?a", comparison(">", integer(0)))], binding)) == [(integer(1),)]
+        assert list(join([], Graph(), ["?a"], [("?a", comparison("<", integer(0)))], binding)) == []
+        assert list(join([], Graph(), ["?a"], [("?b", comparison(">", integer(0)))], binding)) == []
+        # and with no seed and nothing selected, the one empty row
+        assert list(join([], Graph(), [])) == [()]
 
     def test_checks_get_the_term_of_their_variable(self):
-        g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:b", "urn:p", iri("urn:b")), t("urn:b", "urn:q", integer(2))])
-        seen = []
-        checks = [(v, lambda term, v=v: seen.append((v, term)) or True) for v in ("?s", "?p", "?o", "?x")]
+        g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:b", "urn:p", string("x")), t("urn:b", "urn:q", integer(2))])
         patterns = [TriplePattern("?s", iri("urn:p"), "?o"), TriplePattern("?s", "?p", "?x")]
-        got = list(join(patterns, g, checks, {"?x": integer(2)}))
-        assert got == [{"?x": integer(2), "?s": iri("urn:b"), "?p": iri("urn:q"), "?o": iri("urn:b")}]
-        # the seed's term first, then a term of each candidate's slot
-        assert seen[0] == ("?x", integer(2))
-        assert {v for v, _ in seen} == {"?s", "?p", "?o", "?x"}
-        assert all(term.__class__ is Term for _, term in seen)
+        select = ["?x", "?s", "?p", "?o"]
+        row = (integer(2), iri("urn:b"), iri("urn:q"), string("x"))
+        seed = {"?x": integer(2)}
+        # a check on the seed's term, and one on a term that a level binds
+        for x, o in [(2, "x"), (2, "y"), (1, "x")]:
+            checks = [("?x", comparison("=", integer(x))), ("?o", comparison("=", string(o)))]
+            got = list(join(patterns, g, select, checks, seed))
+            assert got == ([row] if (x, o) == (2, "x") else [])
 
-    def test_only_a_candidate_that_passes_gets_a_binding(self):
-        g = Graph(t("urn:s", "urn:p", integer(i)) for i in range(1, 6))
-        built = 0
-
-        class Seed(dict):
-            # a dict subclass with its own ``__iter__`` is copied through its
-            # ``keys``, read once by each ``{**seed, ...}``
-            def __iter__(self):
-                return super().__iter__()
-
-            def keys(self):
-                nonlocal built
-                built += 1
-                return super().keys()
-
-        above_3 = ("?o", lambda term: float(term.value) > 3)
-        got = list(join([TriplePattern("?s", iri("urn:p"), "?o")], g, [above_3], Seed()))
-        assert sorted(float(b["?o"].value) for b in got) == [4, 5]
-        # five candidates, and a binding only for the two that pass
-        assert built == 2
+    def test_only_a_candidate_that_passes_gets_a_binding(self, monkeypatch):
+        g = import_ntriples(export_ntriples(Graph(t("urn:s", "urn:p", integer(i)) for i in range(1, 6))))
+        pattern, above_3 = TriplePattern("?s", iri("urn:p"), "?o"), ("?o", comparison(">", integer(3)))
+        want = [(iri("urn:s"), integer(4)), (iri("urn:s"), integer(5))]
+        built = count_built_terms(monkeypatch)
+        assert list(join([pattern], g, ["?s", "?o"], [above_3])) == want
+        # five candidates, and terms only for the rows of the two that pass:
+        # their subject, built once, and each one's object
+        assert sorted(term.value for term in built) == ["4", "5", "urn:s"]
 
     def test_a_repeated_variable_is_tested_before_its_slots_are_compared(self, monkeypatch):
         shapes = record_shapes(monkeypatch)
         g = Graph(t(s, "urn:p", iri(o)) for s, o in [("urn:a", "urn:a"), ("urn:a", "urn:b"), ("urn:c", "urn:c")])
-        tested = []
-        check = ("?x", lambda term: tested.append(term.value) or term.value != "urn:c")
-        got = list(join([TriplePattern("?x", iri("urn:p"), "?x")], g, [check]))
-        assert got == [{"?x": iri("urn:a")}]
-        # the test runs on each candidate's subject, and the nest compares the
-        # slots' tokens only after it: urn:c fails the test, so its slots are
-        # never compared
-        assert tested == ["urn:a", "urn:a", "urn:c"]
-        (lines,) = [rdf._source(shape).splitlines() for shape in shapes]
-        test = next(i for i, line in enumerate(lines) if "k0(T[t1[0]])" in line)
-        assert lines[test + 1].strip() == "if not (t1[2] == t1[0]): continue"
+        assert list(join([TriplePattern("?x", iri("urn:p"), "?x")], g, ["?x"])) == [(iri("urn:a"),), (iri("urn:c"),)]
+        # an IRI never passes a comparison
+        check = ("?x", comparison("!=", string("urn:c")))
+        assert list(join([TriplePattern("?x", iri("urn:p"), "?x")], g, ["?x"], [check])) == []
+        # the plan compares the slots' tokens only after the check's clause
+        source = rdf._source(shapes[1])
+        assert "if (x := T[t1[0]]).datatype is S and x.value != k0 if t1[2] == t1[0]" in source
 
     def test_a_pattern_with_no_candidates_ends_the_level(self, monkeypatch):
         g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:a", "urn:q", integer(2))])
@@ -248,7 +253,7 @@ class TestJoin:
         monkeypatch.setattr(Graph, "candidates", counting)
         patterns = [TriplePattern("?s", iri("urn:none"), "?o"), TriplePattern("?s", iri("urn:p"), "?v"),
                     TriplePattern("?s", iri("urn:q"), "?w")]
-        assert list(join(patterns, g)) == []
+        assert list(join(patterns, g, ["?s"])) == []
         assert calls == 1
         # a deeper level: sizing finds candidates for all three patterns, then
         # under ?s = a the first level probed has none
@@ -257,7 +262,7 @@ class TestJoin:
         patterns = [TriplePattern("?s", iri("urn:p"), "?v"), TriplePattern("?s", iri("urn:r"), "?o"),
                     TriplePattern("?s", iri("urn:q"), "?w")]
         probes = count_probes(g)
-        assert list(join(patterns, g)) == []
+        assert list(join(patterns, g, ["?s"])) == []
         # three lookups size the patterns, and one index probe finds no ?s = a
         # under urn:r, so urn:q's level is never reached
         assert calls == 3
@@ -328,14 +333,10 @@ class TestJoinPlan:
             literals = [u.object for u in g if not u.object.is_iri]
             filters = []
             for variable in rng.sample(variables, min(len(variables), rng.randrange(3))):
-                operand = rng.choice(literals) if literals and rng.random() < 0.7 else random_term(rng)
+                operand = rng.choice(literals) if literals and rng.random() < 0.7 else random_literal(rng)
                 filters.append((variable, rng.choice(COMPARATORS), operand))
-            checks = [(v, comparison(op, operand)) for v, op, operand in filters]
-            got = list(join(patterns, g, checks, dict(seed)))
-            want = [
-                b for b in brute_force_join(g, patterns, seed)
-                if all(v in b and reference_filter(b[v], op, operand) for v, op, operand in filters)
-            ]
+            got = bindings(patterns, g, compiled(filters), seed)
+            want = [b for b in brute_force_join(g, patterns, seed) if passes(b, filters)]
             assert canonical(got) == canonical(want)
             answered += bool(want)
             filtered += bool(want) and bool(filters)
@@ -427,24 +428,23 @@ def leaves(value):
         yield value
 
 
-def join_both_ways(patterns, g, checks=(), seed=None, select=()) -> int:
-    """Check ``join``'s bindings, and its tuples in ``select`` order, against the filtered brute-force join.
+def join_both_ways(patterns, g, filters=(), seed=None, select=()) -> int:
+    """Check ``join``'s rows, of every variable and in ``select`` order, against the filtered brute-force join.
 
-    Returns the number of rows.
+    ``filters`` are ``(variable, comparator, operand)``.  Returns the number of rows.
     """
-    want = [b for b in brute_force_join(g, patterns, seed) if all(v in b and test(b[v]) for v, test in checks)]
-    got = list(join(patterns, g, checks, dict(seed or {})))
+    want = [b for b in brute_force_join(g, patterns, seed) if passes(b, filters)]
+    got = bindings(patterns, g, compiled(filters), seed)
     assert canonical(got) == canonical(want)
-    tuples = list(join(patterns, g, checks, dict(seed or {}), select))
-    # the bindings' rows, in the same order
-    assert tuples == [tuple(b[v] for v in select) for b in got]
-    assert sorted(map(repr, tuples)) == sorted(repr(tuple(b[v] for v in select)) for b in want)
+    rows = list(join(patterns, g, select, compiled(filters), dict(seed or {})))
+    # the same rows, in the same order
+    assert rows == [tuple(b[v] for v in select) for b in got]
     return len(want)
 
 
-#: the tags that a plan's shape holds, besides integers: slot kinds, the
-#: output form, and an inline comparison's comparator and field
-SHAPE_TAGS = {"c", "b", "f", "r", "v", "z", "dict", ">", "<", ">=", "<=", "=", "!=", "_num", "value"}
+#: the tags that a plan's shape holds, besides integers: slot kinds, where a
+#: select variable is read, and an inline comparison's comparator and field
+SHAPE_TAGS = {"c", "b", "f", "r", "v", "z", ">", "<", ">=", "<=", "=", "!=", "_num", "value"}
 #: text that would break or inject code if a name or a term reached a generated source
 HOSTILE = ['"', "'", "\n", "}", "__import__('os')"]
 
@@ -468,8 +468,8 @@ class TestGeneratedSource:
         names = ["?" + h for h in HOSTILE]
         patterns = [TriplePattern(names[0], iris[-1], names[1]), TriplePattern(names[0], iris[0], names[2]),
                     TriplePattern(names[2], names[3], names[4])]
-        checks = [(names[1], comparison("!=", string("}"))), (names[4], lambda term: "'" not in term.value)]
-        assert join_both_ways(patterns, g, checks, select=[names[4], names[0], names[1]]) > 0
+        filters = [(names[1], "!=", string("}")), (names[4], "!=", string("'"))]
+        assert join_both_ways(patterns, g, filters, select=[names[4], names[0], names[1]]) > 0
 
         # through the query parser: hostile IRIs, a hostile literal and filter operand
         query = parse_query(
@@ -489,9 +489,11 @@ class TestGeneratedSource:
 
         # through the rule parser: a hostile variable name and constant, and a threshold
         rule = rules_module.parse_rule("p(?__import__, __import__) ^ q(?__import__, ?o) -> r(?__import__, x)")
-        assert join_both_ways(rule.patterns(), g, rule.checks(), select=["?o", "?__import__"]) == 1
+        assert join_both_ways(rule.patterns(), g, select=["?o", "?__import__"]) == 1
         rule = rules_module.parse_rule("p(?s, __import__) ^ n(?s, ?n) ^ greaterThan(?n, 4271.5) -> r(?s, x)")
-        assert join_both_ways(rule.patterns(), g, rule.checks(), select=["?n"]) == 1
+        threshold = [("?n", ">", decimal(4271.5))]
+        assert rule.checks() == compiled(threshold)
+        assert join_both_ways(rule.patterns(), g, threshold, select=["?n"]) == 1
 
         # the cache keys hold only ints and fixed tags; the FILTERs and the
         # threshold are written inline, and no operand reaches the source
@@ -505,15 +507,15 @@ class TestGeneratedSource:
     def test_plans_that_differ_only_in_terms_and_names_share_one_function(self, monkeypatch):
         shapes = record_shapes(monkeypatch)
         g = Graph(t(f"urn:s{i}", p, integer(i)) for i in range(4) for p in ("urn:p", "urn:q"))
-        for p, q, a, b in [("urn:p", "urn:q", "?a", "?b"), ("urn:q", "urn:p", "?x", "?'y")]:
+        for p, q, a, b, least in [("urn:p", "urn:q", "?a", "?b", 0), ("urn:q", "urn:p", "?x", "?'y", -3)]:
             patterns = [TriplePattern(a, iri(p), "?v"), TriplePattern(a, iri(q), b)]
-            assert len(list(join(patterns, g, [(b, lambda term: True)], select=[b, a]))) == 4
+            assert len(list(join(patterns, g, [b, a], [(b, comparison(">=", integer(least)))]))) == 4
         assert len(shapes) == 2 and shapes[0] == shapes[1]
         assert rdf._compile(shapes[0]) is rdf._compile(shapes[1])
 
 
 U = [iri(f"urn:u{i}") for i in range(3)]
-FIRST = iri("urn:first")
+FIRST, RANK = iri("urn:first"), iri("urn:rank")
 
 
 def cube_graph() -> Graph:
@@ -546,7 +548,7 @@ class TestProbeKinds:
             # the second level is the pattern, fed by the first
             for shape in shapes:
                 levels, _ = shape
-                assert len(levels) == 2 and "".join(tag for tag, _ in levels[1][0]) == kinds
+                assert len(levels) == 2 and "".join(slot[0] for slot in levels[1][0]) == kinds
 
     @pytest.mark.parametrize("second", [("?r", "?y", "?r"), ("?y", "?r", "?r"), ("?r", "?r", "?y"), ("?r", "?r", "?r")])
     def test_a_fresh_variable_in_two_or_three_slots(self, second):
@@ -555,33 +557,43 @@ class TestProbeKinds:
         # at the first level too
         assert join_both_ways([TriplePattern(second[0], FIRST, second[0])], g, select=[second[0]]) == 1
 
-    def test_a_check_at_each_level_and_a_select_variable_bound_by_the_seed(self):
+    def test_a_check_at_each_level_and_a_select_variable_bound_by_the_seed(self, monkeypatch):
+        shapes = record_shapes(monkeypatch)
         g = cube_graph()
-        patterns = [TriplePattern("?x", FIRST, "?y"), TriplePattern("?y", "?p", "?o"), TriplePattern("?o", "?q", "?x")]
+        for i, u in enumerate(U):
+            g.insert(Triple(u, RANK, integer(i)))
+        # each of ?x, ?p and ?q has its rank read by a level of its own
+        patterns = [TriplePattern("?x", FIRST, "?y"), TriplePattern("?y", "?p", "?o"), TriplePattern("?o", "?q", "?x"),
+                    TriplePattern("?x", RANK, "?rx"), TriplePattern("?p", RANK, "?rp"), TriplePattern("?q", RANK, "?rq")]
         seed = {"?z": integer(7), "?w": string("w")}
-        # on the seed's term, then one on a variable of each level: ?x, then
-        # ?p and ?o, then ?q
-        checks = [("?z", lambda term: term == integer(7)), ("?x", lambda term: term != U[0]),
-                  ("?p", lambda term: term != U[0]), ("?q", lambda term: term != U[2])]
-        counts = [join_both_ways(patterns, g, checks[:i], seed, ["?q", "?z", "?x", "?w", "?o"]) for i in range(5)]
+        # on the seed's term, then one on the rank of ?x, of ?p and of ?q:
+        # ?x is not U[0], nor is ?p, and ?q is not U[2]
+        filters = [("?z", "=", integer(7)), ("?rx", "!=", integer(0)), ("?rp", "!=", integer(0)),
+                   ("?rq", "!=", integer(2))]
+        counts = [join_both_ways(patterns, g, filters[:i], seed, ["?q", "?z", "?x", "?w", "?o"]) for i in range(5)]
         assert counts[0] == counts[1] > counts[2] > counts[3] > counts[4] > 0
-        assert join_both_ways(patterns, g, checks, seed, ["?w", "?z"]) == counts[4]
+        assert join_both_ways(patterns, g, filters, seed, ["?w", "?z"]) == counts[4]
+        # the three rank checks sit at three different levels
+        checked = [depth for depth, (_, checks) in enumerate(shapes[-1][0]) if checks]
+        assert len(checked) == 3
         # a check that fails the seed's term ends the join
-        assert join_both_ways(patterns, g, [("?z", lambda term: False)], seed, ["?z"]) == 0
+        assert join_both_ways(patterns, g, [("?z", "<", integer(7))], seed, ["?z"]) == 0
 
     def test_a_select_variable_nothing_binds_is_an_error(self):
         with pytest.raises(ValueError, match=r"\?w"):
             join([TriplePattern("?x", FIRST, "?y")], cube_graph(), select=["?x", "?w"])
 
-    def test_a_plan_deeper_than_one_nest_joins_the_rest_under_each_binding(self, monkeypatch):
+    def test_a_plan_of_any_depth_runs_as_one_generator_expression(self, monkeypatch):
         shapes = record_shapes(monkeypatch)
         path = Graph(t(f"urn:n{i}", "urn:next", iri(f"urn:n{i + 1}")) for i in range(25))
-        depth = rdf._MAX_LEVELS + 4
+        # Python nests at most 20 blocks, so 20 ``for`` statements would not compile
+        depth = 20
         patterns = [TriplePattern(f"?v{i}", iri("urn:next"), f"?v{i + 1}") for i in range(depth)]
         assert join_both_ways(patterns, path, select=["?v0", f"?v{depth}"]) == 25 - depth + 1
-        last = (f"?v{depth}", lambda term: term != iri("urn:n25"))
-        assert join_both_ways(patterns, path, [last], select=[f"?v{depth}"]) == 25 - depth
-        assert max(len(levels) for levels, _ in shapes) == rdf._MAX_LEVELS
+        # the join of every variable and the join of the two selected: each
+        # one shape that holds all 20 levels
+        assert [len(levels) for levels, _ in shapes] == [depth, depth]
+        assert all(rdf._source(shape).count(" for t") == depth for shape in shapes)
 
 
 class TestIndexCoherence:
@@ -666,7 +678,7 @@ class TestIndexesOnFirstLookup:
                     term if mask & bit else f"?v{bit}"
                     for term, bit in zip((triple.subject, triple.predicate, triple.object), (1, 2, 4))
                 ))
-                assert match(g, pattern) == sorted(map(repr, brute_force_match(g, pattern)))
+                assert match(g, pattern) == canonical(brute_force_match(g, pattern))
 
 
 class TestNTriples:

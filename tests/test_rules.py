@@ -592,6 +592,9 @@ def test_a_numeric_head_constant_derives_a_number_that_greater_than_reads():
     facts = forward_chain(g, [score, high])
     assert [(f.property_iri, f.label) for f in facts] == [(vocab.prop_iri("high"), "yes"), (vocab.prop_iri("score"), "5.0")]
     assert dict(facts[0].bindings)["?v"].sort_key() == decimal(5.0).sort_key()
+    # each fact's triple is the one derived, so each holds up when checked again
+    assert facts[1].triple().object == decimal(5.0)
+    assert verify_provenance(g, [score, high], facts)
 
 
 def test_chaining_builds_terms_once_per_rule_not_per_fact(rules_text, monkeypatch):
@@ -639,9 +642,9 @@ def count_joins(monkeypatch) -> list[int]:
     """Make ``forward_chain`` count, in the returned one-item list, its ``join`` calls."""
     calls = [0]
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return join(*args)
+        return join(*args, **kwargs)
 
     monkeypatch.setattr(rules_module, "join", counting)
     return calls

@@ -339,6 +339,13 @@ def test_unknown_comparator_is_rejected_when_compiled():
         evaluate(q, Graph())
 
 
+def test_an_iri_operand_is_rejected_when_compiled():
+    # the parser takes only literal operands, so only a query built in code has one
+    q = Query({}, ("?s",), (TriplePattern("?s", iri("urn:p"), "?v"),), (FilterExpr("?v", "=", iri("urn:o")),))
+    with pytest.raises(ValueError, match="operand <urn:o> is not a literal"):
+        evaluate(q, Graph())
+
+
 @pytest.mark.parametrize(
     "text, column",
     [
@@ -406,7 +413,7 @@ def test_rows_are_a_stable_sort_key_order_of_the_join(kinds, select):
             s = iri(f"urn:s{i}")
             g.insert(Triple(s, iri("urn:a"), rng.choice(ORDER_POOLS[kinds[0]])))
             g.insert(Triple(s, iri("urn:b"), rng.choice(ORDER_POOLS[kinds[1]])))
-        joined = [tuple(b[v] for v in select) for b in join(patterns, g, [])]
+        joined = list(join(patterns, g, select))
         # terms compare with their datatype, so a tie of integer 7 and decimal 7 must keep join order
         assert evaluate(q, g).rows == tuple(sort_key_order(joined))
 
