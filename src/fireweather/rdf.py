@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, starmap
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -112,23 +111,8 @@ class Term:
 _set_value, _set_datatype, _set_num = Term.value.__set__, Term.datatype.__set__, Term._num.__set__
 _new_term = object.__new__
 
-_NUMERIC = {Datatype.INTEGER, Datatype.DECIMAL}
-
 #: the characters of each numeric datatype's lexical form, which ``float`` must also read
 _NUMERALS = {Datatype.INTEGER: "0123456789+-", Datatype.DECIMAL: "0123456789+-.eE"}
-
-
-def column_sort_keys(column: Sequence[Term]) -> Iterable:
-    """Keys that order ``column`` as ``Term.sort_key`` does, read by a C-level getter where one kind fills it.
-
-    Only IRIs, or only strings, order by ``value``; only numbers by ``(_num, value)``.
-    """
-    kinds = set(map(attrgetter("datatype"), column))
-    if kinds <= _NUMERIC:
-        return map(attrgetter("_num", "value"), column)
-    if len(kinds) == 1:
-        return map(attrgetter("value"), column)
-    return map(Term.sort_key, column)
 
 
 #: each datatype's end of a written literal: the closing quote and ``^^<datatype>``
@@ -228,6 +212,9 @@ Key = tuple[str, str, str]
 
 _Nested = dict[str, dict[str, list[Key]]]
 
+#: the inner dict that a probe reads for a key its index lacks
+_NO_KEY = MappingProxyType({})
+
 
 def _index_triple(spo: _Nested, pos: _Nested, t: Key) -> None:
     """File a triple that neither index holds yet under its keys in both."""
@@ -250,21 +237,6 @@ def _index_triple(spo: _Nested, pos: _Nested, t: Key) -> None:
         by_o[o] = [t]
     else:
         po.append(t)
-
-
-class _Buckets:
-    """The triples of several index buckets: sized by summing their lengths, read by chaining them."""
-
-    __slots__ = ("buckets",)
-
-    def __init__(self, buckets: Iterable[list[Key]]):
-        self.buckets = buckets
-
-    def __len__(self) -> int:
-        return sum(map(len, self.buckets))
-
-    def __iter__(self) -> Iterator[Key]:
-        return chain.from_iterable(self.buckets)
 
 
 class _Terms(dict):
@@ -322,22 +294,21 @@ class Graph:
     checking it again.  ``insert`` of a key is internal to the package, for
     keys of such tokens; a caller outside it inserts ``Triple``s.
 
-    ``_indexes`` is None until ``candidates`` first gets a
-    pattern with a token, or a join first reads them.  That read builds both
-    indexes in one pass over the set and publishes them with one
-    assignment, so a concurrent reader sees either no indexes or whole ones.
-    From then on ``insert`` files each new key in both.  The first index
-    maps subject to predicate to the keys with both, the second predicate to
-    object to the keys with both, in plain dicts of dicts of lists.  Each
-    key is in one list of each index, in insertion order, and no list is
-    ever empty.  ``candidates`` returns exactly the keys that agree with a
-    pattern's tokens, and a join level reads the bucket that does, so a
-    match only has to bind its variables.
+    ``_indexes`` is None until ``count`` first gets a pattern with one or
+    two tokens, or a join first reads them.  That read builds both indexes
+    in one pass over the set and publishes them with one assignment, so a
+    concurrent reader sees either no indexes or whole ones.  From then on
+    ``insert`` files each new key in both.  The first index maps subject to
+    predicate to the keys with both, the second predicate to object to the
+    keys with both, in plain dicts of dicts of lists.  Each key is in one
+    list of each index, in insertion order, and no list is ever empty.
+    ``count`` sizes a pattern from them, and a join level reads the keys
+    that agree with its tokens straight from them, so a match only has to
+    bind its variables.
 
     Single writer or multiple readers at any moment; callers must not
-    interleave a writer with readers.  A bucket or ``_Buckets`` from
-    ``candidates``, and a join being iterated, are valid until the next
-    insert.
+    interleave a writer with readers.  A join being iterated is valid until
+    the next insert.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -398,35 +369,31 @@ class Graph:
             indexes = self._indexes = (spo, pos)
         return indexes
 
-    def candidates(self, pattern: tuple[Optional[str], Optional[str], Optional[str]]) -> Iterable[Key]:
-        """The keys that agree with every token of ``pattern``, None for a variable: what ``join`` sizes a pattern by.
+    def count(self, tokens: tuple[Optional[str], Optional[str], Optional[str]]) -> int:
+        """How many keys agree with every token of ``tokens``, None for a variable: what ``join`` sizes a pattern by.
 
-        A pattern with no token returns the set of keys itself and builds no
-        index.  Otherwise ``(s, p)`` and ``(p, o)`` return one bucket; ``s``
-        or ``p`` alone returns its inner dict's buckets as one ``_Buckets``,
-        sized without a list; each is valid until the next insert.
-        ``(s, p, o)`` filters the ``(s, p)`` bucket, ``(s, o)`` the
-        subject's keys, and ``o`` alone gathers its bucket under every
-        predicate, each into a new list: a snapshot.  A join's later levels
-        read the same buckets straight from the indexes, in code that
-        ``join`` generates, with no call to this method.
+        No key is gathered into a list.  A pattern with no token counts the
+        set, and one with three looks its key up there; neither builds an
+        index.  ``(s, o)`` looks up one key per predicate of the subject,
+        ``o`` alone sums its bucket's length under every predicate, and any
+        other pattern sums the lengths of the buckets its tokens select.
         """
-        s, p, o = pattern
+        s, p, o = tokens
+        triples = self._triples
         if s is None and p is None and o is None:
-            return self._triples
+            return len(triples)
+        if s is not None and p is not None and o is not None:
+            return int(tokens in triples)
         spo, pos = self._indexed()
         if s is not None:
-            by_p = spo.get(s)
-            if by_p is None:
-                return ()
-            by_s = by_p.get(p, ()) if p is not None else _Buckets(by_p.values())
-            return [t for t in by_s if t[2] == o] if o is not None else by_s
+            by_p = spo.get(s, _NO_KEY)
+            if p is not None:
+                return len(by_p.get(p, ()))
+            return sum(map(len, by_p.values())) if o is None else sum((s, q, o) in triples for q in by_p)
         if p is not None:
-            by_o = pos.get(p)
-            if by_o is None:
-                return ()
-            return by_o.get(o, ()) if o is not None else _Buckets(by_o.values())
-        return [t for by_o in pos.values() for t in by_o.get(o, ())]
+            by_o = pos.get(p, _NO_KEY)
+            return len(by_o.get(o, ())) if o is not None else sum(map(len, by_o.values()))
+        return sum(len(by_o.get(o, ())) for by_o in pos.values())
 
 
 #: each comparator's function, on two numbers or two strings, and its spelling in a generated plan
@@ -490,27 +457,29 @@ def join(
 
     A row is the tuple of the terms of ``select``'s variables, in that
     order.  A select variable that neither ``binding`` nor a pattern binds
-    is a ``ValueError`` once the join is planned, which a pattern with no
-    candidates forestalls.  With no patterns, the one row reads ``binding``.
+    is a ``ValueError`` once the join is planned, which a pattern that
+    matches nothing forestalls.  With no patterns, the one row reads
+    ``binding``.
 
     The patterns are matched against ``graph`` by an index nested loop,
-    planned once per call.  Every pattern is sized by its
-    ``Graph.candidates`` under ``binding``, with its terms as tokens, and a
-    pattern with none ends the call.  The smallest goes first, ties to the
-    lowest index; each next level takes the smallest of the patterns that
-    share a variable with those placed, or of all left if none does.  The
-    plan runs as one generator expression, made from its shape, with one
-    ``for`` clause per level and no cap on their number.  A level that
-    no earlier level feeds reads the bucket it was sized from; every other
-    level reads its exact bucket from the graph's indexes, one lookup per
-    binding.  Each check is a ``comparison``: on the term of ``binding``
-    first, then, at the level that binds its variable, as an ``if`` clause
-    on the candidate's token, before any row is built.  A check whose
-    variable nothing binds fails every row.  A fresh variable that fills two
-    or three slots of a pattern adds, after its level's checks, one clause
-    that those slots hold one token.  A variable is read as the token in the
-    slot of the level that bound it, which becomes a ``Term`` only where a
-    row is built.
+    planned once per call.  Every pattern is sized by its ``Graph.count``
+    under ``binding``, with its terms as tokens, and a pattern with none
+    ends the call.  The smallest goes first, ties to the lowest index; each
+    next level takes the smallest of the patterns that share a variable with
+    those placed, or of all left if none does.  The plan runs as one
+    generator expression, made from its shape, with one ``for`` clause per
+    level and no cap on their number.  Each level reads the keys that agree
+    with its constant tokens and the tokens its bound variables hold,
+    straight from the graph's indexes, one lookup per binding; a level with
+    neither reads the set of keys, and a plan of only such levels builds no
+    index.  The first level's lookup runs when ``join`` returns.  Each check
+    is a ``comparison``: on the term of ``binding`` first, then, at the
+    level that binds its variable, as an ``if`` clause on the candidate's
+    token, before any row is built.  A check whose variable nothing binds
+    fails every row.  A fresh variable that fills two or three slots of a
+    pattern adds, after its level's checks, one clause that those slots hold
+    one token.  A variable is read as the token in the slot of the level
+    that bound it, which becomes a ``Term`` only where a row is built.
 
     The generated source is built only from fixed fragments, local names
     made from integers, and slot indices.  Every token, operand and term of
@@ -527,16 +496,14 @@ def join(
     sized = []
     for pattern in patterns:
         bound = substitute(pattern, binding)
-        keys = tuple([None if isinstance(slot, str) else str(slot) for slot in bound])
-        bucket = graph.candidates(keys)
-        size = len(bucket)
+        tokens = tuple([None if isinstance(slot, str) else str(slot) for slot in bound])
+        size = graph.count(tokens)
         if not size:
             return iter(())
-        sized.append((size, bound, keys, bucket))
+        sized.append((size, bound, tokens))
     # the plan's shape, from which alone the source is made, and what the
-    # function reads: the buckets of levels that no earlier level feeds, the
-    # constant tokens of the others, and the comparisons' operands
-    levels, buckets, tokens, operands = [], [], [], []
+    # function reads: each level's constant tokens and the comparisons' operands
+    levels, constants, operands = [], [], []
     # each variable that a level binds, by that level's depth and its slot there
     local: dict[str, tuple[int, int]] = {}
     left = list(range(len(sized)))
@@ -547,24 +514,19 @@ def join(
         else:
             chosen = left[0]
         left.remove(chosen)
-        _, bound, keys, bucket = sized[chosen]
-        slots, fresh, constants, fed = [], {}, [], False
+        _, bound, tokens = sized[chosen]
+        slots, fresh = [], {}
         for k, slot in enumerate(bound):
             if not isinstance(slot, str):
                 slots.append(("c",))
-                constants.append(keys[k])
+                constants.append(tokens[k])
             elif slot in local:
                 slots.append(("b", *local[slot]))
-                fed = True
             elif slot in fresh:
                 slots.append(("r", fresh[slot]))
             else:
                 fresh[slot] = k
                 slots.append(("f",))
-        if fed:
-            tokens += constants
-        else:
-            buckets.append(bucket)
         # each check that this level's variables make runnable, on the first slot that holds its term
         now = [(fresh[variable], test) for variable, test in checks if variable in fresh]
         operands += [test.operand for _, test in now]
@@ -583,14 +545,12 @@ def join(
             raise ValueError(f"select variable {variable} is not bound by any pattern")
     if checks:
         return iter(())
-    # a level that an earlier one feeds gave no bucket: it reads the indexes
-    spo, pos = graph._indexed() if len(buckets) < len(levels) else (None, None)
+    # only a level with a token or a bound slot reads the indexes
+    probed = any(slot[0] in ("c", "b") for slots, _ in levels for slot in slots)
+    spo, pos = graph._indexed() if probed else (None, None)
     plan, terms = _compile((tuple(levels), tuple(output))), graph._terms
-    return plan(*buckets, *tokens, *operands, *seeded, spo, pos, terms, terms.numbers)
+    return plan(*constants, *operands, *seeded, graph._triples, spo, pos, terms, terms.numbers)
 
-
-#: the inner dict that a probe reads for a key its index lacks
-_NO_KEY = MappingProxyType({})
 
 #: a comparison of the term of token ``{0}``, by the field it reads; ``U`` holds each numeric token's number
 _INLINE = {"_num": "{0} in U and U[{0}] {1} {2}", "value": "(x := T[{0}]).datatype is S and x.value {1} {2}"}
@@ -606,37 +566,35 @@ def _compile(shape: tuple) -> Callable[..., Iterator]:
 def _source(shape: tuple) -> str:
     """A lambda that returns a plan's rows as one generator expression, as ``join`` describes it.
 
-    The lambda takes the buckets ``fi``, constant tokens ``ci``, operands
-    ``ki`` and terms of ``binding`` ``zi`` in the order that the plan reads
-    them, then the indexes, the token table and its numbers.  ``shape`` is
-    the levels, each as its three slots and its checks, and the select
-    variables.  Level ``d`` binds ``td`` to a candidate, a triple's three
-    tokens.  A check is ``(k, comparator, field)``, a comparison of slot
-    ``k``'s term.  A slot is ``("c",)`` for a constant, ``("b", d, k)`` for
-    a variable bound in slot ``k`` of level ``d``, ``("f",)`` for a fresh
-    variable, and ``("r", k)`` for a repeat of the fresh variable in slot
-    ``k``.  A select variable is ``("v", d, k)``, read as a bound slot is,
-    or ``("z", i)``.  A plan with no level yields its one row from a
-    one-item ``for``.
+    The lambda takes the constant tokens ``ci``, operands ``ki`` and terms
+    of ``binding`` ``zi`` in the order that the plan reads them, then the
+    set of keys ``X``, the indexes, the token table and its numbers.
+    ``shape`` is the levels, each as its three slots and its checks, and the
+    select variables.  Level ``d`` binds ``td`` to a candidate, a triple's
+    three tokens.  A check is ``(k, comparator, field)``, a comparison of
+    slot ``k``'s term.  A slot is ``("c",)`` for a constant, ``("b", d, k)``
+    for a variable bound in slot ``k`` of level ``d``, ``("f",)`` for a
+    fresh variable, and ``("r", k)`` for a repeat of the fresh variable in
+    slot ``k``.  A select variable is ``("v", d, k)``, read as a bound slot
+    is, or ``("z", i)``.  A level reads the keys that agree with its slots'
+    tokens from the indexes, or ``X`` if no slot holds a token.  A plan with
+    no level yields its one row from a one-item ``for``.
     """
     levels, output = shape
-    clauses, bucket, constant, operand = [], 0, 0, 0
+    clauses, constant, operand = [], 0, 0
     for depth, (slots, checks) in enumerate(levels, start=1):
         t = f"t{depth}"
-        # each concrete slot's token, for a level that an earlier one feeds
-        s = p = o = None
-        if any(slot[0] == "b" for slot in slots):
-            concrete = []
-            for tag, *at in slots:
-                if tag == "c":
-                    concrete.append(f"c{constant}")
-                    constant += 1
-                else:
-                    concrete.append("t{}[{}]".format(*at) if tag == "b" else None)
-            s, p, o = concrete
+        # each slot's token: a constant's argument, a bound variable's slot, or None
+        concrete = []
+        for tag, *at in slots:
+            if tag == "c":
+                concrete.append(f"c{constant}")
+                constant += 1
+            else:
+                concrete.append("t{}[{}]".format(*at) if tag == "b" else None)
+        s, p, o = concrete
         if s is None and p is None and o is None:
-            source = f"f{bucket}"
-            bucket += 1
+            source = "X"
         elif s is not None:
             source = f"spo.get({s}, E).get({p}, ())" if p is not None else f"flat(spo.get({s}, E).values())"
         elif p is not None:
@@ -652,9 +610,9 @@ def _source(shape: tuple) -> str:
         clauses += [f"if {t}[{k}] == {t}[{slot[1]}]" for k, slot in enumerate(slots) if slot[0] == "r"]
     row = "".join(f"T[t{slot[1]}[{slot[2]}]], " if slot[0] == "v" else f"z{slot[1]}, " for slot in output)
     seeded = sum(slot[0] == "z" for slot in output)
-    names = [f"{letter}{i}" for letter, count in (("f", bucket), ("c", constant), ("k", operand), ("z", seeded))
+    names = [f"{letter}{i}" for letter, count in (("c", constant), ("k", operand), ("z", seeded))
              for i in range(count)]
-    return f"lambda {', '.join(names + ['spo', 'pos', 'T', 'U'])}: (({row}) {' '.join(clauses or ['for _ in (0,)'])})"
+    return f"lambda {', '.join(names + ['X', 'spo', 'pos', 'T', 'U'])}: (({row}) {' '.join(clauses or ['for _ in (0,)'])})"
 
 
 # --- N-Triples-style flat-file serialization -------------------------------

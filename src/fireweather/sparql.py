@@ -12,11 +12,9 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .rdf import (
-    Datatype, Graph, RdfError, Term, TriplePattern, column_sort_keys, comparison, join, split_lines, unescape_literal,
-)
+from .rdf import Datatype, Graph, RdfError, Term, TriplePattern, comparison, join, split_lines, unescape_literal
 
 
 class QueryParseError(Exception):
@@ -284,10 +282,26 @@ def parse_query(text: str) -> Query:
 # --- evaluation ------------------------------------------------------------
 
 
+_NUMERIC = {Datatype.INTEGER, Datatype.DECIMAL}
+
+
+def column_sort_keys(column: Sequence[Term]) -> Iterable:
+    """Keys that order ``column`` as ``Term.sort_key`` does, read by a C-level getter where one kind fills it.
+
+    Only IRIs, or only strings, order by ``value``; only numbers by ``(_num, value)``.
+    """
+    kinds = set(map(operator.attrgetter("datatype"), column))
+    if kinds <= _NUMERIC:
+        return map(operator.attrgetter("_num", "value"), column)
+    if len(kinds) == 1:
+        return map(operator.attrgetter("value"), column)
+    return map(Term.sort_key, column)
+
+
 def evaluate(query: Query, g: Graph) -> ResultTable:
     """The query's rows over ``g``, ordered by ``Term.sort_key`` per column in select order, ties in join order.
 
-    Each column is keyed once, by ``rdf.column_sort_keys``; the row indices sort on the zipped keys.
+    Each column is keyed once, by ``column_sort_keys``; the row indices sort on the zipped keys.
     """
     names = query.select_vars
     checks = [(f.variable, comparison(f.comparator, f.operand)) for f in query.filters]

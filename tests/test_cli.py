@@ -698,17 +698,21 @@ def boundary_store(tmp_path_factory, rule_input_store):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mutated_queries_and_rules_fail_with_one_error_line(boundary_store, data):
-    command = data.draw(st.sampled_from(["query", "infer"]))
-    original = WIND_SURVEY_QUERY if command == "query" else RULES_FILE.read_text(encoding="utf-8")
-    path = boundary_store.with_name("mutated")
-    path.write_bytes(data.draw(mutated(original.encode())))
-    if command == "query":
-        argv = ["query", str(boundary_store), str(path)]
-    else:
-        argv = ["infer", str(boundary_store), "--rules", str(path)]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
-    message = err.getvalue()
-    one_line = message.startswith("error: ") and message.endswith("\n") and message.count("\n") == 1
-    assert (code, message) == (0, "") or code == 1 and one_line, (code, message)
+    # one input file is mutated: the query, the rules, or the store that both read
+    mutant = data.draw(st.sampled_from(["query", "rules", "store"]))
+    files = {"query": boundary_store.with_name("survey.rq"), "rules": RULES_FILE, "store": boundary_store}
+    files["query"].write_text(WIND_SURVEY_QUERY, encoding="utf-8")
+    original = files[mutant].read_bytes()
+    files[mutant] = boundary_store.with_name(f"mutated.{mutant}")
+    files[mutant].write_bytes(data.draw(mutated(original)))
+    runs = {
+        "query": ["query", str(files["store"]), str(files["query"])],
+        "rules": ["infer", str(files["store"]), "--rules", str(files["rules"])],
+    }
+    for argv in runs.values() if mutant == "store" else [runs[mutant]]:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        message = err.getvalue()
+        one_line = message.startswith("error: ") and message.endswith("\n") and message.count("\n") == 1
+        assert (code, message) == (0, "") or code == 1 and one_line, (argv[0], code, message)

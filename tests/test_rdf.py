@@ -243,14 +243,14 @@ class TestJoin:
     def test_a_pattern_with_no_candidates_ends_the_level(self, monkeypatch):
         g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:a", "urn:q", integer(2))])
         calls = 0
-        candidates = Graph.candidates
+        count = Graph.count
 
         def counting(self, pattern):
             nonlocal calls
             calls += 1
-            return candidates(self, pattern)
+            return count(self, pattern)
 
-        monkeypatch.setattr(Graph, "candidates", counting)
+        monkeypatch.setattr(Graph, "count", counting)
         patterns = [TriplePattern("?s", iri("urn:none"), "?o"), TriplePattern("?s", iri("urn:p"), "?v"),
                     TriplePattern("?s", iri("urn:q"), "?w")]
         assert list(join(patterns, g, ["?s"])) == []
@@ -263,17 +263,25 @@ class TestJoin:
                     TriplePattern("?s", iri("urn:q"), "?w")]
         probes = count_probes(g)
         assert list(join(patterns, g, ["?s"])) == []
-        # three lookups size the patterns, and one index probe finds no ?s = a
-        # under urn:r, so urn:q's level is never reached
+        # three lookups size the patterns, the first level's one lookup reads
+        # ?s = a under urn:p, and one index probe finds no ?s = a under
+        # urn:r, so urn:q's level is never reached
         assert calls == 3
-        assert probes == [3 + 1]
+        assert probes == [4 + 1]
+
+
+def joined_keys(g: Graph, pattern: TriplePattern) -> list[tuple[str, str, str]]:
+    """The key of each match of a one-pattern ``join`` that selects the pattern's variables, in join order."""
+    select = list(dict.fromkeys(pattern.variables()))
+    return [key(Triple(*rdf.substitute(pattern, dict(zip(select, row))))) for row in join([pattern], g, select)]
 
 
 def count_probes(g: Graph) -> list[int]:
     """Give ``g`` index copies that count, in the returned one-item list, every outer lookup made in either.
 
-    ``candidates`` makes one for each pattern it sizes, and a join level
-    that an earlier level feeds one for each binding it extends.
+    ``count`` makes one for each pattern with one or two tokens that it
+    sizes, a join's first level one when ``join`` returns, and each later
+    level one for each binding it extends.
     """
     probes = [0]
 
@@ -361,49 +369,54 @@ class TestJoinPlan:
                 codes.setdefault(u.subject, []).append(u.object)
         rows = sorted((sensor.value, float(code.value)) for sensor, o in fuel for code in codes[o]
                       if float(code.value) > 90.0)
-        calls = {"candidates": 0, "substitute": 0}
-        candidates, substitute = Graph.candidates, rdf.substitute
+        calls = {"count": 0, "substitute": 0}
+        count, substitute = Graph.count, rdf.substitute
 
-        def counting_candidates(self, pattern):
-            calls["candidates"] += 1
-            return candidates(self, pattern)
+        def counting_count(self, pattern):
+            calls["count"] += 1
+            return count(self, pattern)
 
         def counting_substitute(pattern, binding):
             calls["substitute"] += 1
             return substitute(pattern, binding)
 
-        monkeypatch.setattr(Graph, "candidates", counting_candidates)
+        monkeypatch.setattr(Graph, "count", counting_count)
         monkeypatch.setattr(rdf, "substitute", counting_substitute)
         probes = count_probes(g)
         table = evaluate(parse_query(DRY_AUGUST_QUERY), g)
         assert rows and sorted((sensor.value, float(code.value)) for sensor, code in table.rows) == rows
         # one lookup sizes each of the 4 patterns, and no pattern is
-        # substituted again; after that, one index probe per binding at each
-        # later level
-        assert calls["candidates"] == 4
+        # substituted again; after that, one lookup reads the first level, and
+        # one index probe per binding at each later level
+        assert calls["count"] == 4
         assert calls["substitute"] == 4
-        assert probes == [4 + len(august) + len(observations) + len(fuel)]
+        assert probes == [4 + 1 + len(august) + len(observations) + len(fuel)]
 
     def test_lookup_sizes_the_value_pattern_without_gathering_it(self, dataset_text, monkeypatch):
         g = ingest_observations(parse_csv(dataset_text))
         has_value = iri(vocab.HAS_VALUE)
         returned = []
-        candidates = Graph.candidates
+        count = Graph.count
 
         def recording(self, pattern):
-            found = candidates(self, pattern)
+            found = count(self, pattern)
             subject, predicate, _ = pattern
             if predicate == str(has_value) and subject is None:
                 returned.append(found)
             return found
 
-        monkeypatch.setattr(Graph, "candidates", recording)
+        monkeypatch.setattr(Graph, "count", recording)
+        shapes = record_shapes(monkeypatch)
         table = evaluate(parse_query(LOOKUP_QUERY), g)
         assert len(table.rows) == 9
-        # ``?obs p:hasvalue ?value`` is sized once, from its buckets, and its
-        # 4,653 triples are never copied into a list
-        assert len(returned) == 1 and len(returned[0]) == 517 * 9
-        assert not isinstance(returned[0], list)
+        # ``?obs p:hasvalue ?value`` is sized once, by a number, not a list
+        # of its 4,653 triples
+        assert returned == [517 * 9] and type(returned[0]) is int
+        # joined alone, its level reads its buckets from the index one after
+        # the other, and no list of them is made
+        pattern = TriplePattern("?obs", has_value, "?value")
+        assert sum(1 for _ in join([pattern], g, ["?obs", "?value"])) == 517 * 9
+        assert "for t1 in flat(pos.get(c0, E).values())" in rdf._source(shapes[-1])
 
 
 def record_shapes(monkeypatch) -> list:
@@ -608,9 +621,10 @@ class TestIndexCoherence:
                 assert g._indexes is None
                 predicate = pool[0].predicate
                 want = {key(u) for u in inserted if u.predicate == predicate}
-                got = list(g.candidates((None, str(predicate), None)))
-                assert len(got) == len(want) and set(got) == want
+                assert g.count((None, str(predicate), None)) == len(want)
                 assert g._indexes is not None and check_index_coherence(g)
+                got = joined_keys(g, TriplePattern("?s", predicate, "?o"))
+                assert len(got) == len(want) and set(got) == want
             triple = rng.choice(pool)
             if rng.random() < 0.5:
                 # an equal triple that is not the stored object
@@ -631,8 +645,8 @@ class TestIndexCoherence:
                     isinstance(slot, str) or slot == term
                     for slot, term in zip(slots, (u.subject, u.predicate, u.object))
                 )}
-                got = list(g.candidates(tokens(pattern)))
-                assert len(got) == len(g.candidates(tokens(pattern))) == len(want)
+                got = joined_keys(g, pattern)
+                assert g.count(tokens(pattern)) == len(got) == len(want)
                 assert set(got) == want
 
     def test_iteration_follows_insertion(self):
@@ -653,7 +667,7 @@ class TestIndexCoherence:
             TriplePattern(iri("urn:x"), iri("urn:p"), integer(1)),
             TriplePattern(iri("urn:s"), "?p", integer(2)),
         ]:
-            assert not g.candidates(tokens(pattern)) and list(g.candidates(tokens(pattern))) == []
+            assert g.count(tokens(pattern)) == 0 and joined_keys(g, pattern) == []
 
 
 class TestIndexesOnFirstLookup:
@@ -665,20 +679,24 @@ class TestIndexesOnFirstLookup:
         surveys = [evaluate(parse_query(WIND_SURVEY_QUERY), graph) for graph in (g, stored)]
         assert g._indexes is None and stored._indexes is None
         assert surveys[0] == surveys[1] and surveys[0].rows
-        # one lookup with a concrete predicate builds both indexes
+        # one count with a concrete predicate builds both indexes
         has_value = iri(vocab.HAS_VALUE)
-        got = list(g.candidates((None, str(has_value), None)))
+        want = {key(u) for u in g if u.predicate == has_value}
+        assert g.count((None, str(has_value), None)) == len(want)
         assert g._indexes is not None
-        assert len(got) == len(set(got)) and set(got) == {key(u) for u in g if u.predicate == has_value}
         assert check_index_coherence(g)
+        got = joined_keys(g, TriplePattern("?s", has_value, "?o"))
+        assert len(got) == len(set(got)) and set(got) == want
         rng = random.Random(3)
         for triple in rng.sample(list(g), 3):
-            for mask in range(1, 8):
+            for mask in range(8):
                 pattern = TriplePattern(*(
                     term if mask & bit else f"?v{bit}"
                     for term, bit in zip((triple.subject, triple.predicate, triple.object), (1, 2, 4))
                 ))
-                assert match(g, pattern) == canonical(brute_force_match(g, pattern))
+                want = brute_force_match(g, pattern)
+                assert g.count(tokens(pattern)) == len(want)
+                assert match(g, pattern) == canonical(want)
 
 
 class TestNTriples:

@@ -520,8 +520,8 @@ def count_candidates(monkeypatch) -> list[int]:
     """Make every index bucket count, in the returned one-item list, the triples read from it.
 
     ``Graph._indexed`` hands out read-only views of both built indexes, so
-    the buckets that ``candidates`` sizes a join's first level by and the
-    ones each later level probes are counted alike.
+    every join level's reads, the first level's included, are counted
+    alike, and ``Graph.count`` sizes a bucket by its length without reading it.
     """
     iterated = [0]
     indexed = Graph._indexed

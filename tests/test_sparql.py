@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fireweather.ingest import ingest_observations, parse_csv
-from fireweather.rdf import (
-    Datatype, Graph, Term, Triple, TriplePattern, column_sort_keys, comparison, decimal, integer, iri, join, string,
-)
-from fireweather.sparql import FilterExpr, Query, QueryParseError, ResultTable, evaluate, parse_query
+from fireweather.rdf import Datatype, Graph, Term, Triple, TriplePattern, comparison, decimal, integer, iri, join, string
+from fireweather.sparql import FilterExpr, Query, QueryParseError, ResultTable, column_sort_keys, evaluate, parse_query
 from util import brute_force_join, numeric_terms, random_graph, random_pattern, reference_filter, string_terms, terms
 
 WIND_SURVEY_QUERY = """\

@@ -96,7 +96,7 @@ def key(t: Triple) -> tuple[str, str, str]:
 
 
 def tokens(pattern: TriplePattern) -> tuple:
-    """``pattern`` as ``Graph.candidates`` reads it: each term's token, and None for a variable."""
+    """``pattern`` as ``Graph.count`` reads it: each term's token, and None for a variable."""
     return tuple(None if isinstance(slot, str) else str(slot) for slot in pattern)
 
 
@@ -104,13 +104,13 @@ def check_index_coherence(g: Graph) -> bool:
     """True iff both nested indexes hold exactly the triples of the graph's set.
 
     A graph whose indexes are not built yet builds them through
-    ``candidates``.  Each triple's key in the set must sit once in each
+    ``_indexed``.  Each triple's key in the set must sit once in each
     index, under its own tokens, and nothing else may; no bucket may be
     empty, ``len(g)`` must count the set, and the set must hold the key of
     each triple that iteration yields.
     """
     if g._indexes is None:
-        g.candidates((None, str(iri(PREDICATES[0])), None))
+        g._indexed()
     stored = list(g._triples)
     indexed = []
     for index, keys in zip(g._indexes, (lambda t: t[:2], lambda t: t[1:])):
