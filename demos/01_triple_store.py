@@ -26,8 +26,10 @@ g.insert(Triple(iri("urn:demo:station:2"), iri("urn:demo:wind"), decimal(12.0)))
 g.insert(Triple(station, iri("urn:demo:wind"), decimal(45.0)))
 print(f"store holds {len(g)} triples")
 
-# Pattern matching binds ?variables in any position.
-for s, v in join([TriplePattern("?s", iri("urn:demo:wind"), "?v")], g, ["?s", "?v"]):
+# Pattern matching binds ?variables in any position.  A row holds each
+# variable's N-Triples token, which the graph's term table turns into a term.
+for row in join([TriplePattern("?s", iri("urn:demo:wind"), "?v")], g, ["?s", "?v"]):
+    s, v = map(g._terms.__getitem__, row)
     print(f"  {s.value} reports wind {v.value}")
 
 # N-Triples round-trips byte-identically.

@@ -19,6 +19,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import chain, starmap
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -283,7 +284,7 @@ class Graph:
     was first inserted.  Keys hash and compare in C, so no ``Term`` or
     ``Triple`` is made per stored triple.  ``_terms`` turns a token into its
     ``Term`` only at the edges: iteration, which yields ``Triple``s, and the
-    rows of a join.
+    callers of a join, whose rows are tokens.
 
     Every token of a key was checked when it entered the graph, and each
     numeric token's number filed in ``_terms.numbers``: the bulk reader of
@@ -452,21 +453,25 @@ def join(
     select: Sequence[str],
     checks: Sequence[Check] = (),
     binding: Optional[Binding] = None,
-) -> Iterator[tuple[Term, ...]]:
+) -> Iterator[tuple[str, ...]]:
     """A row for every extension of ``binding`` that matches all patterns and passes all checks.
 
-    A row is the tuple of the terms of ``select``'s variables, in that
-    order.  A select variable that neither ``binding`` nor a pattern binds
-    is a ``ValueError`` once the join is planned, which a pattern that
-    matches nothing forestalls.  With no patterns, the one row reads
-    ``binding``.
+    A row is the tuple of the tokens of ``select``'s variables, in that
+    order, which ``graph._terms`` maps to their ``Term``s; a term of
+    ``binding`` that a row reads is filed there first, so it comes back as
+    the same term.  A row holds only strings, so the collector stops
+    tracking it at its first collection.  A select variable that neither
+    ``binding`` nor a pattern binds is a ``ValueError`` once the join is
+    planned, which a pattern that matches nothing forestalls.  With no
+    patterns, the one row reads ``binding``.
 
     The patterns are matched against ``graph`` by an index nested loop,
     planned once per call.  Every pattern is sized by its ``Graph.count``
     under ``binding``, with its terms as tokens, and a pattern with none
     ends the call.  The smallest goes first, ties to the lowest index; each
     next level takes the smallest of the patterns that share a variable with
-    those placed, or of all left if none does.  The plan runs as one
+    those placed, or of all left if none does, which ``_order`` finds from a
+    map of each variable to the patterns that hold it.  The plan runs as one
     generator expression, made from its shape, with one ``for`` clause per
     level and no cap on their number.  Each level reads the keys that agree
     with its constant tokens and the tokens its bound variables hold,
@@ -479,7 +484,7 @@ def join(
     fails every row.  A fresh variable that fills two or three slots of a
     pattern adds, after its level's checks, one clause that those slots hold
     one token.  A variable is read as the token in the slot of the level
-    that bound it, which becomes a ``Term`` only where a row is built.
+    that bound it, and no ``Term`` is built for a row.
 
     The generated source is built only from fixed fragments, local names
     made from integers, and slot indices.  Every token, operand and term of
@@ -506,14 +511,7 @@ def join(
     levels, constants, operands = [], [], []
     # each variable that a level binds, by that level's depth and its slot there
     local: dict[str, tuple[int, int]] = {}
-    left = list(range(len(sized)))
-    while left:
-        if len(left) > 1:
-            linked = [i for i in left if not local.keys().isdisjoint(sized[i][1].variables())]
-            chosen = min(linked or left, key=lambda i: sized[i][0])
-        else:
-            chosen = left[0]
-        left.remove(chosen)
+    for chosen in _order([size for size, _, _ in sized], [bound.variables() for _, bound, _ in sized]):
         _, bound, tokens = sized[chosen]
         slots, fresh = [], {}
         for k, slot in enumerate(bound):
@@ -540,7 +538,8 @@ def join(
             output.append(("v", *local[variable]))
         elif variable in binding:
             output.append(("z", len(seeded)))
-            seeded.append(binding[variable])
+            # filed, so that the table gives back this term for its token
+            seeded.append(graph._token(binding[variable]))
         else:
             raise ValueError(f"select variable {variable} is not bound by any pattern")
     if checks:
@@ -550,6 +549,35 @@ def join(
     spo, pos = graph._indexed() if probed else (None, None)
     plan, terms = _compile((tuple(levels), tuple(output))), graph._terms
     return plan(*constants, *operands, *seeded, graph._triples, spo, pos, terms, terms.numbers)
+
+
+def _order(sizes: list[int], variables: list[list[str]]) -> list[int]:
+    """The indices of patterns of these sizes and variables in the order that ``join`` places them.
+
+    Each variable maps to the patterns that hold it, so a placed pattern
+    pushes onto the heap of linked ones, keyed ``(size, index)``, only the
+    patterns that its variables newly reach.  With no pattern linked, the
+    next is the first unplaced one in ``(size, index)`` order.
+    """
+    holding: dict[str, list[int]] = {}
+    for i, names in enumerate(variables):
+        for name in names:
+            holding.setdefault(name, []).append(i)
+    ranked = iter(sorted(range(len(sizes)), key=sizes.__getitem__))
+    order, queued, linked = [], set(), []
+    while len(order) < len(sizes):
+        if linked:
+            _, chosen = heappop(linked)
+        else:
+            chosen = next(i for i in ranked if i not in queued)
+            queued.add(chosen)
+        order.append(chosen)
+        for name in variables[chosen]:
+            for i in holding.pop(name, ()):
+                if i not in queued:
+                    queued.add(i)
+                    heappush(linked, (sizes[i], i))
+    return order
 
 
 #: a comparison of the term of token ``{0}``, by the field it reads; ``U`` holds each numeric token's number
@@ -608,7 +636,7 @@ def _source(shape: tuple) -> str:
             clauses.append("if " + _INLINE[field].format(f"{t}[{k}]", _COMPARATORS[comparator][1], f"k{operand}"))
             operand += 1
         clauses += [f"if {t}[{k}] == {t}[{slot[1]}]" for k, slot in enumerate(slots) if slot[0] == "r"]
-    row = "".join(f"T[t{slot[1]}[{slot[2]}]], " if slot[0] == "v" else f"z{slot[1]}, " for slot in output)
+    row = "".join(f"t{slot[1]}[{slot[2]}], " if slot[0] == "v" else f"z{slot[1]}, " for slot in output)
     seeded = sum(slot[0] == "z" for slot in output)
     names = [f"{letter}{i}" for letter, count in (("c", constant), ("k", operand), ("z", seeded))
              for i in range(count)]

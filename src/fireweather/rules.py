@@ -244,9 +244,10 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     the indexes and terms any read builds; otherwise every join reads one copy
     of ``g``, to which each round adds the triples it derived.  Seeds and
     bodies are both evaluated by ``rdf.join``, with each builtin as a check
-    on the body; a body's rows select its variables in name order, and
-    zipped with those names they are a fact's bindings.  Chaining stops
-    after a round that derives nothing new.
+    on the body; a body's rows select the tokens of its variables in name
+    order, and mapped to terms through the table and zipped with those
+    names they are a fact's bindings.  Chaining stops after a round that
+    derives nothing new.
 
     A triple derived more than once in the round that first derives it keeps
     the derivation of the lowest-indexed rule, as rules run in index order;
@@ -272,6 +273,8 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     facts: list[InferredFact] = []
     # the triples the last round derived; None before round 1
     last: Optional[Graph] = None
+    # a join's rows are tokens: this builds a term only for a fact or a seed
+    term = full._terms.__getitem__
     while True:
         found: dict[Key, InferredFact] = {}
         for rule, patterns, names, at, checks, (subject, predicate, obj), tokens, reads in compiled:
@@ -279,24 +282,24 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
                 seeds = [(patterns, None)]
             else:
                 seeds = (
-                    (patterns[:i] + patterns[i + 1 :], dict(zip(variables, row)))
+                    (patterns[:i] + patterns[i + 1 :], dict(zip(variables, map(term, row))))
                     for i, variables in reads
                     for row in join([patterns[i]], last, variables)
                 )
             for rest, seed in seeds:
                 for row in join(rest, full, names, checks, seed):
                     s = row[at]
-                    # a rule file may bind its head subject to a literal
-                    if s.datatype is not None:
+                    # a rule file may bind its head subject to a literal, whose token starts with a quote
+                    if s[0] != "<":
                         raise RdfError(f"rule {rule.render()}: head subject {subject} is bound to {s}, not an IRI")
-                    t = (f"<{s.value}>", *tokens)
+                    t = (s, *tokens)
                     fact = found.get(t)
                     if t in full or fact is not None and fact.rule is not rule:
                         continue
-                    bindings = tuple(zip(names, row))
+                    bindings = tuple(zip(names, map(term, row)))
                     # the same rule's bindings bind the same names, in the same order
                     if fact is None or [v.sort_key() for _, v in bindings] < [v.sort_key() for _, v in fact.bindings]:
-                        found[t] = InferredFact(s, predicate.value, obj.value, rule, bindings)
+                        found[t] = InferredFact(bindings[at][1], predicate.value, obj.value, rule, bindings)
         facts += found.values()
         if not found or full is g:
             break

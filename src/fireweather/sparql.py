@@ -52,11 +52,17 @@ class Query:
 @dataclass(frozen=True)
 class ResultTable:
     header: tuple[str, ...]
-    rows: tuple[tuple[Term, ...], ...]
+    #: one tuple of terms per select variable, in header order
+    columns: tuple[tuple[Term, ...], ...]
+
+    @property
+    def rows(self) -> tuple[tuple[Term, ...], ...]:
+        """The row tuples, built when read."""
+        return tuple(zip(*self.columns))
 
     def _columns(self) -> list[list[str]]:
-        """Each column's cell values; none when the table has no rows."""
-        return [list(map(operator.attrgetter("value"), column)) for column in zip(*self.rows)]
+        """Each column's cell values."""
+        return [list(map(operator.attrgetter("value"), column)) for column in self.columns]
 
     def to_csv(self) -> str:
         """SPARQL 1.1 CSV results, each line ``\\n``-ended; a row's lone empty cell is ``""``, as ``csv.writer`` writes it."""
@@ -80,7 +86,8 @@ _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 def _csv_quoted(column: list[str]) -> list[str]:
     """``column`` with each cell that holds a special character quoted; the column itself when none does."""
-    if not _CSV_SPECIAL.search("".join(column)):
+    joined = "".join(column)
+    if not any(c in joined for c in ',"\r\n'):
         return column
     return ['"' + v.replace('"', '""') + '"' if _CSV_SPECIAL.search(v) else v for v in column]
 
@@ -285,27 +292,29 @@ def parse_query(text: str) -> Query:
 _NUMERIC = {Datatype.INTEGER, Datatype.DECIMAL}
 
 
-def column_sort_keys(column: Sequence[Term]) -> Iterable:
-    """Keys that order ``column`` as ``Term.sort_key`` does, read by a C-level getter where one kind fills it.
+def column_sort_keys(column: Sequence[Term]) -> list[Iterable]:
+    """Keys that, zipped, order ``column`` as ``Term.sort_key`` does, most significant first.
 
-    Only IRIs, or only strings, order by ``value``; only numbers by ``(_num, value)``.
+    Only IRIs, or only strings, order by ``value``; only numbers by ``_num``, then ``value``; each by a C-level getter.
     """
     kinds = set(map(operator.attrgetter("datatype"), column))
     if kinds <= _NUMERIC:
-        return map(operator.attrgetter("_num", "value"), column)
+        return [map(operator.attrgetter("_num"), column), map(operator.attrgetter("value"), column)]
     if len(kinds) == 1:
-        return map(operator.attrgetter("value"), column)
-    return map(Term.sort_key, column)
+        return [map(operator.attrgetter("value"), column)]
+    return [map(Term.sort_key, column)]
 
 
 def evaluate(query: Query, g: Graph) -> ResultTable:
     """The query's rows over ``g``, ordered by ``Term.sort_key`` per column in select order, ties in join order.
 
-    Each column is keyed once, by ``column_sort_keys``; the row indices sort on the zipped keys.
+    Each column of the join's token rows is mapped to terms and keyed once, by ``column_sort_keys``;
+    the row indices sort on the keys zipped flat, and each column is permuted into that order.
     """
     names = query.select_vars
     checks = [(f.variable, comparison(f.comparator, f.operand)) for f in query.filters]
-    rows = list(join(query.patterns, g, names, checks))
-    keys = list(zip(*map(column_sort_keys, zip(*rows))))
-    rows = list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
-    return ResultTable(tuple(names), tuple(rows))
+    term = g._terms.__getitem__
+    columns = [list(map(term, column)) for column in zip(*join(query.patterns, g, names, checks))] or [[] for _ in names]
+    keys = list(zip(*[key for column in columns for key in column_sort_keys(column)]))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return ResultTable(tuple(names), tuple(tuple(map(column.__getitem__, order)) for column in columns))

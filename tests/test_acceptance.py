@@ -123,7 +123,8 @@ def _measurement_view(graph: Graph, quantity: str) -> Graph:
     """
     view = Graph()
     suffix = ":" + quantity
-    for s, v in join([TriplePattern("?s", iri(vocab.HAS_VALUE), "?v")], graph, ["?s", "?v"]):
+    for row in join([TriplePattern("?s", iri(vocab.HAS_VALUE), "?v")], graph, ["?s", "?v"]):
+        s, v = map(graph._terms.__getitem__, row)
         if s.value.endswith(suffix):
             view.insert(Triple(s, iri(vocab.HAS_VALUE), v))
     return view

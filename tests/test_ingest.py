@@ -156,7 +156,8 @@ class TestRoundTrip:
         g = ingest_observations(rows)
         for ordinal, row in enumerate(rows, start=1):
             pattern = TriplePattern(iri(vocab.obs_iri(ordinal, "wind")), iri(vocab.HAS_VALUE), "?v")
-            ((value,),) = join([pattern], g, ["?v"])
+            ((token,),) = join([pattern], g, ["?v"])
+            value = g._terms[token]
             assert value.value == format_decimal(row.wind)
 
     def test_double_ingest_is_byte_identical(self, dataset_text):

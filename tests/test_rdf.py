@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -97,10 +98,15 @@ class TestInsert:
         assert len(g) == 3
 
 
+def terms(g: Graph, rows) -> list[tuple]:
+    """``join``'s rows of tokens, each token mapped to its term through ``g``'s table."""
+    return [tuple(map(g._terms.__getitem__, row)) for row in rows]
+
+
 def bindings(patterns, g: Graph, checks=(), seed=None) -> list[dict]:
     """``join``'s rows as bindings: every variable of the patterns and of ``seed`` selected, in name order."""
     names = sorted({v for p in patterns for v in p.variables()} | set(seed or {}))
-    return [dict(zip(names, row)) for row in join(patterns, g, names, checks, dict(seed or {}))]
+    return [dict(zip(names, row)) for row in terms(g, join(patterns, g, names, checks, dict(seed or {})))]
 
 
 def match(g: Graph, pattern: TriplePattern) -> list:
@@ -129,7 +135,7 @@ class TestMatch:
         g = Graph()
         g.insert(t("urn:a", "urn:p", iri("urn:a")))
         g.insert(t("urn:a", "urn:p", iri("urn:b")))
-        got = list(join([TriplePattern("?x", iri("urn:p"), "?x")], g, ["?x"]))
+        got = terms(g, join([TriplePattern("?x", iri("urn:p"), "?x")], g, ["?x"]))
         assert got == [(iri("urn:a"),)]
 
     def test_brute_force_oracle_equality(self):
@@ -200,8 +206,8 @@ class TestJoin:
                     repeats[max(uses), v in checked] += v in checked or bool(want)
 
     def test_no_atoms_yields_the_binding_if_every_check_passes(self):
-        binding = {"?a": integer(1)}
-        assert list(join([], Graph(), ["?a"], [("?a", comparison(">", integer(0)))], binding)) == [(integer(1),)]
+        binding, g = {"?a": integer(1)}, Graph()
+        assert terms(g, join([], g, ["?a"], [("?a", comparison(">", integer(0)))], binding)) == [(integer(1),)]
         assert list(join([], Graph(), ["?a"], [("?a", comparison("<", integer(0)))], binding)) == []
         assert list(join([], Graph(), ["?a"], [("?b", comparison(">", integer(0)))], binding)) == []
         # and with no seed and nothing selected, the one empty row
@@ -216,7 +222,7 @@ class TestJoin:
         # a check on the seed's term, and one on a term that a level binds
         for x, o in [(2, "x"), (2, "y"), (1, "x")]:
             checks = [("?x", comparison("=", integer(x))), ("?o", comparison("=", string(o)))]
-            got = list(join(patterns, g, select, checks, seed))
+            got = terms(g, join(patterns, g, select, checks, seed))
             assert got == ([row] if (x, o) == (2, "x") else [])
 
     def test_only_a_candidate_that_passes_gets_a_binding(self, monkeypatch):
@@ -224,7 +230,7 @@ class TestJoin:
         pattern, above_3 = TriplePattern("?s", iri("urn:p"), "?o"), ("?o", comparison(">", integer(3)))
         want = [(iri("urn:s"), integer(4)), (iri("urn:s"), integer(5))]
         built = count_built_terms(monkeypatch)
-        assert list(join([pattern], g, ["?s", "?o"], [above_3])) == want
+        assert terms(g, join([pattern], g, ["?s", "?o"], [above_3])) == want
         # five candidates, and terms only for the rows of the two that pass:
         # their subject, built once, and each one's object
         assert sorted(term.value for term in built) == ["4", "5", "urn:s"]
@@ -232,7 +238,7 @@ class TestJoin:
     def test_a_repeated_variable_is_tested_before_its_slots_are_compared(self, monkeypatch):
         shapes = record_shapes(monkeypatch)
         g = Graph(t(s, "urn:p", iri(o)) for s, o in [("urn:a", "urn:a"), ("urn:a", "urn:b"), ("urn:c", "urn:c")])
-        assert list(join([TriplePattern("?x", iri("urn:p"), "?x")], g, ["?x"])) == [(iri("urn:a"),), (iri("urn:c"),)]
+        assert terms(g, join([TriplePattern("?x", iri("urn:p"), "?x")], g, ["?x"])) == [(iri("urn:a"),), (iri("urn:c"),)]
         # an IRI never passes a comparison
         check = ("?x", comparison("!=", string("urn:c")))
         assert list(join([TriplePattern("?x", iri("urn:p"), "?x")], g, ["?x"], [check])) == []
@@ -269,11 +275,35 @@ class TestJoin:
         assert calls == 3
         assert probes == [4 + 1]
 
+    def test_rows_are_tuples_of_tokens_that_the_collector_stops_tracking(self, dataset_text):
+        g = ingest_observations(parse_csv(dataset_text))
+        patterns = [TriplePattern("?o", iri(vocab.OBSERVED_BY), "?s"), TriplePattern("?o", iri(vocab.HAS_VALUE), "?v")]
+        rows = list(join(patterns, g, ["?s", "?v", "?o"]))
+        assert len(rows) == 517 * 9
+        assert all(type(row) is tuple and all(type(token) is str for token in row) for row in rows)
+        assert [tuple(map(str, row)) for row in terms(g, rows)] == rows
+        gc.collect()
+        assert not any(map(gc.is_tracked, rows))
+
+    def test_a_seeded_term_comes_back_as_the_same_term(self):
+        g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:b", "urn:p", string("x"))])
+        seeded = decimal(7.5)
+        rows = list(join([TriplePattern("?s", iri("urn:p"), "?o")], g, ["?s", "?v"], binding={"?v": seeded}))
+        assert [s for s, _ in rows] == ["<urn:a>", "<urn:b>"]
+        # the token is filed with the term, so the table does not rebuild it without its number
+        for _, token in rows:
+            assert g._terms[token] is seeded and g._terms[token]._num == 7.5
+        assert terms(g, rows) == [(iri("urn:a"), seeded), (iri("urn:b"), seeded)]
+        # an equal term already in the table is the one that comes back
+        stored = integer(1)
+        ((token,),) = join([], g, ["?n"], binding={"?n": stored})
+        assert g._terms[token] == stored and g._terms[token]._num == 1.0
+
 
 def joined_keys(g: Graph, pattern: TriplePattern) -> list[tuple[str, str, str]]:
     """The key of each match of a one-pattern ``join`` that selects the pattern's variables, in join order."""
     select = list(dict.fromkeys(pattern.variables()))
-    return [key(Triple(*rdf.substitute(pattern, dict(zip(select, row))))) for row in join([pattern], g, select)]
+    return [key(Triple(*rdf.substitute(pattern, dict(zip(select, row))))) for row in terms(g, join([pattern], g, select))]
 
 
 def count_probes(g: Graph) -> list[int]:
@@ -418,6 +448,57 @@ class TestJoinPlan:
         assert sum(1 for _ in join([pattern], g, ["?obs", "?value"])) == 517 * 9
         assert "for t1 in flat(pos.get(c0, E).values())" in rdf._source(shapes[-1])
 
+    def test_the_order_is_the_scanning_planners(self):
+        rng = random.Random(3030)
+        names = [f"?v{i}" for i in range(8)]
+        for _ in range(2000):
+            n = rng.randrange(1, 14)
+            # few sizes, so that ties are common; a pattern may hold no
+            # variable, or one variable twice
+            sizes = [rng.randrange(1, 5) for _ in range(n)]
+            variables = [[rng.choice(names) for _ in range(rng.randrange(4))] for _ in range(n)]
+            assert rdf._order(sizes, variables) == scanning_order(sizes, variables)
+
+    def test_planning_a_chain_reads_each_pattern_once(self, monkeypatch):
+        calls = [0]
+        variables = TriplePattern.variables
+
+        def counting(self):
+            calls[0] += 1
+            return variables(self)
+
+        monkeypatch.setattr(TriplePattern, "variables", counting)
+        nxt = iri("urn:next")
+        path = Graph(t(f"urn:n{i}", "urn:next", iri(f"urn:n{i + 1}")) for i in range(2003))
+        counts = {}
+        for n in (1000, 2000):
+            patterns = [TriplePattern(f"?v{i}", nxt, f"?v{i + 1}") for i in range(n)]
+            calls[0] = 0
+            join(patterns, path, ["?v0"])
+            counts[n] = calls[0]
+        # the scanning planner made about n * n / 2 calls: 2,001,000 for 2,000 patterns
+        assert counts == {1000: 1000, 2000: 2000}
+
+
+def scanning_order(sizes: list[int], variables: list[list[str]]) -> list[int]:
+    """The planner that scanned every pattern left at each level, which ``rdf._order`` replaced.
+
+    Each level takes the smallest of the patterns left that share a variable
+    with those placed, or of all left if none does, ties to the lowest index.
+    """
+    placed: set[str] = set()
+    order, left = [], list(range(len(sizes)))
+    while left:
+        if len(left) > 1:
+            linked = [i for i in left if not placed.isdisjoint(variables[i])]
+            chosen = min(linked or left, key=lambda i: sizes[i])
+        else:
+            chosen = left[0]
+        left.remove(chosen)
+        order.append(chosen)
+        placed.update(variables[chosen])
+    return order
+
 
 def record_shapes(monkeypatch) -> list:
     """Make ``join`` record, in the returned list, the shape of every plan it runs."""
@@ -449,7 +530,7 @@ def join_both_ways(patterns, g, filters=(), seed=None, select=()) -> int:
     want = [b for b in brute_force_join(g, patterns, seed) if passes(b, filters)]
     got = bindings(patterns, g, compiled(filters), seed)
     assert canonical(got) == canonical(want)
-    rows = list(join(patterns, g, select, compiled(filters), dict(seed or {})))
+    rows = terms(g, join(patterns, g, select, compiled(filters), dict(seed or {})))
     # the same rows, in the same order
     assert rows == [tuple(b[v] for v in select) for b in got]
     return len(want)

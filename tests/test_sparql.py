@@ -157,6 +157,18 @@ class TestEvaluate:
         table = evaluate(parse_query(RAIN_SURVEY_QUERY), Graph())
         assert table.header == ("?Sensor_id", "?startRAIN")
         assert table.rows == ()
+        assert table.columns == ((), ())
+
+    def test_columns_hold_one_tuple_of_terms_per_select_variable(self, dataset_text):
+        g = ingest_observations(parse_csv(dataset_text))
+        for text in (WIND_SURVEY_QUERY, RAIN_SURVEY_QUERY, DRY_AUGUST_QUERY, LOOKUP_QUERY):
+            table = evaluate(parse_query(text), g)
+            assert len(table.columns) == len(table.header)
+            assert all(type(column) is tuple for column in table.columns)
+            assert len({len(column) for column in table.columns}) == 1
+            assert all(type(term) is Term for column in table.columns for term in column)
+            assert table.rows == tuple(zip(*table.columns))
+        assert table.rows
 
     def test_join_on_shared_variable(self):
         from fireweather.rdf import Triple
@@ -394,7 +406,7 @@ def test_column_sort_keys_order_as_sort_key_does(kind):
     rng = random.Random(11)
     for _ in range(50):
         column = [rng.choice(ORDER_POOLS[kind]) for _ in range(rng.randrange(0, 30))]
-        keys = list(column_sort_keys(column))
+        keys = list(zip(*column_sort_keys(column)))
         want = sorted(range(len(column)), key=lambda i: column[i].sort_key())
         assert sorted(range(len(column)), key=keys.__getitem__) == want
 
@@ -411,7 +423,7 @@ def test_rows_are_a_stable_sort_key_order_of_the_join(kinds, select):
             s = iri(f"urn:s{i}")
             g.insert(Triple(s, iri("urn:a"), rng.choice(ORDER_POOLS[kinds[0]])))
             g.insert(Triple(s, iri("urn:b"), rng.choice(ORDER_POOLS[kinds[1]])))
-        joined = list(join(patterns, g, select))
+        joined = [tuple(map(g._terms.__getitem__, row)) for row in join(patterns, g, select)]
         # terms compare with their datatype, so a tie of integer 7 and decimal 7 must keep join order
         assert evaluate(q, g).rows == tuple(sort_key_order(joined))
 
@@ -481,7 +493,7 @@ RENDER_VALUES = [",", '"', "\r", "\n", "a\r\nb", "\u2028", "", "caf\u00e9", "\u7
     ids=["two-columns", "iris-and-numbers", "one-column", "no-rows", "one-column-no-rows", "one-empty-cell"],
 )
 def test_renderers_match_the_per_row_reference(header, rows):
-    table = ResultTable(header, tuple(rows))
+    table = ResultTable(header, tuple(zip(*rows)))
     assert table.to_csv() == reference_to_csv(table)
     assert table.to_text() == reference_to_text(table)
 
@@ -490,7 +502,8 @@ def test_renderers_match_the_per_row_reference(header, rows):
 @given(st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(st.text(), min_size=n, max_size=n), max_size=6)))
 def test_renderers_match_the_per_row_reference_on_any_text(values):
     width = len(values[0]) if values else 2
-    table = ResultTable(tuple(f"?v{i}" for i in range(width)), tuple(tuple(map(string, row)) for row in values))
+    rows = [tuple(map(string, row)) for row in values]
+    table = ResultTable(tuple(f"?v{i}" for i in range(width)), tuple(zip(*rows)))
     assert table.to_csv() == reference_to_csv(table)
     assert table.to_text() == reference_to_text(table)
 
@@ -500,7 +513,8 @@ PINNED_SPECIAL_CELLS = ["a\rb", ",", '"', '""', " "]
 
 
 def test_csv_of_special_cells_is_pinned():
-    table = ResultTable(("?s", "?v"), tuple((iri(f"urn:s{i}"), string(v)) for i, v in enumerate(PINNED_SPECIAL_CELLS)))
+    rows = [(iri(f"urn:s{i}"), string(v)) for i, v in enumerate(PINNED_SPECIAL_CELLS)]
+    table = ResultTable(("?s", "?v"), tuple(zip(*rows)))
     out = table.to_csv()
     assert out == reference_to_csv(table)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "b1fdfcbff3e262782fc6075ef5d95615c89ce346f6a427870ab39a754b7df170"
@@ -514,6 +528,7 @@ READABLE_TEXT = st.text().map(lambda v: v.replace("\0", ""))
 @given(st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(READABLE_TEXT, min_size=n, max_size=n), max_size=6)))
 def test_csv_reads_back_as_the_header_and_cells(values):
     width = len(values[0]) if values else 2
-    table = ResultTable(tuple(f"?v{i}" for i in range(width)), tuple(tuple(map(string, row)) for row in values))
+    rows = [tuple(map(string, row)) for row in values]
+    table = ResultTable(tuple(f"?v{i}" for i in range(width)), tuple(zip(*rows)))
     read = list(csv.reader(io.StringIO(table.to_csv(), newline="")))
     assert read == [[f"v{i}" for i in range(width)], *values]
