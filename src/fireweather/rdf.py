@@ -5,7 +5,7 @@ are deliberately unsupported; ingestion mints deterministic IRIs instead.
 
 ``join`` is the one pattern matcher: rule bodies, the seeds of each
 semi-naive chaining round and SPARQL queries all evaluate through it, each
-plan run as one generator expression, compiled once per plan shape.
+plan written as one generator expression, compiled once per source text.
 ``comparison`` is the one comparison, which a SPARQL ``FILTER`` and a
 rule's ``greaterThan`` share.
 """
@@ -472,26 +472,26 @@ def join(
     next level takes the smallest of the patterns that share a variable with
     those placed, or of all left if none does, which ``_order`` finds from a
     map of each variable to the patterns that hold it.  The plan runs as one
-    generator expression, made from its shape, with one ``for`` clause per
-    level and no cap on their number.  Each level reads the keys that agree
-    with its constant tokens and the tokens its bound variables hold,
-    straight from the graph's indexes, one lookup per binding; a level with
-    neither reads the set of keys, and a plan of only such levels builds no
-    index.  The first level's lookup runs when ``join`` returns.  Each check
-    is a ``comparison``: on the term of ``binding`` first, then, at the
-    level that binds its variable, as an ``if`` clause on the candidate's
-    token, before any row is built.  A check whose variable nothing binds
-    fails every row.  A fresh variable that fills two or three slots of a
-    pattern adds, after its level's checks, one clause that those slots hold
-    one token.  A variable is read as the token in the slot of the level
-    that bound it, and no ``Term`` is built for a row.
+    generator expression, written as each level is placed, with one ``for``
+    clause per level and no cap on their number.  Each level reads the keys
+    that agree with its constant tokens and the tokens its bound variables
+    hold, straight from the graph's indexes, one lookup per binding; a level
+    with neither reads the set of keys, and a plan of only such levels
+    builds no index.  The first level's lookup runs when ``join`` returns.
+    Each check is a ``comparison``: on the term of ``binding`` first, then,
+    at the level that binds its variable, as an ``if`` clause on the
+    candidate's token, before any row is built.  A check whose variable
+    nothing binds fails every row.  A fresh variable that fills two or three
+    slots of a pattern adds, after its level's checks, one clause that those
+    slots hold one token.  A variable is read as the token in the slot of
+    the level that bound it, and no ``Term`` is built for a row.
 
     The generated source is built only from fixed fragments, local names
     made from integers, and slot indices.  Every token, operand and term of
-    ``binding`` reaches the function as an argument, so no query text, rule
-    text, term value or variable name is ever part of the source.  Functions
-    are cached by the plan's shape: each slot's kind, each check's slot and
-    comparison, and where each select variable is read.
+    ``binding`` reaches the function as an argument ``a<i>``, so no query
+    text, rule text, term value or variable name is ever part of the source,
+    and the source is the key of the cache of compiled functions: plans that
+    differ only in terms and names share one.
     """
     binding = {} if binding is None else binding
     if checks:
@@ -506,49 +506,60 @@ def join(
         if not size:
             return iter(())
         sized.append((size, bound, tokens))
-    # the plan's shape, from which alone the source is made, and what the
-    # function reads: each level's constant tokens and the comparisons' operands
-    levels, constants, operands = [], [], []
-    # each variable that a level binds, by that level's depth and its slot there
-    local: dict[str, tuple[int, int]] = {}
-    for chosen in _order([size for size, _, _ in sized], [bound.variables() for _, bound, _ in sized]):
+    # the plan's clauses, and the arguments a0, a1, ... that they name: each
+    # constant token and operand as its level is placed, then seeded terms' tokens
+    clauses, arguments, probed = [], [], False
+    # the source text of the slot that binds each variable
+    local: dict[str, str] = {}
+    for depth, chosen in enumerate(_order([size for size, _, _ in sized], [b.variables() for _, b, _ in sized]), 1):
         _, bound, tokens = sized[chosen]
-        slots, fresh = [], {}
+        t = f"t{depth}"
+        # each slot's token, as the source reads it, or None for a fresh variable
+        concrete, fresh, repeats = [], {}, []
         for k, slot in enumerate(bound):
             if not isinstance(slot, str):
-                slots.append(("c",))
-                constants.append(tokens[k])
+                concrete.append(f"a{len(arguments)}")
+                arguments.append(tokens[k])
             elif slot in local:
-                slots.append(("b", *local[slot]))
-            elif slot in fresh:
-                slots.append(("r", fresh[slot]))
+                concrete.append(local[slot])
             else:
-                fresh[slot] = k
-                slots.append(("f",))
+                concrete.append(None)
+                if slot in fresh:
+                    repeats.append(f"if {t}[{k}] == {fresh[slot]}")
+                else:
+                    fresh[slot] = f"{t}[{k}]"
+        probed = probed or any(concrete)
+        s, p, o = concrete
+        clauses.append(f"for {t} in {_read(s, p, o)}")
+        if s is not None and o is not None:
+            clauses.append(f"if {t}[2] == {o}")
         # each check that this level's variables make runnable, on the first slot that holds its term
-        now = [(fresh[variable], test) for variable, test in checks if variable in fresh]
-        operands += [test.operand for _, test in now]
-        levels.append((tuple(slots), tuple((k, test.comparator, test.field) for k, test in now)))
+        for variable, test in checks:
+            if variable in fresh:
+                comparator = _COMPARATORS[test.comparator][1]
+                clauses.append("if " + _INLINE[test.field].format(fresh[variable], comparator, f"a{len(arguments)}"))
+                arguments.append(test.operand)
+        clauses += repeats
         checks = [c for c in checks if c[0] not in fresh]
-        depth = len(levels)
-        local.update((variable, (depth, k)) for variable, k in fresh.items())
-    output, seeded = [], []
+        local.update(fresh)
+    row = []
     for variable in select:
         if variable in local:
-            output.append(("v", *local[variable]))
+            row.append(local[variable])
         elif variable in binding:
-            output.append(("z", len(seeded)))
+            row.append(f"a{len(arguments)}")
             # filed, so that the table gives back this term for its token
-            seeded.append(graph._token(binding[variable]))
+            arguments.append(graph._token(binding[variable]))
         else:
             raise ValueError(f"select variable {variable} is not bound by any pattern")
     if checks:
         return iter(())
     # only a level with a token or a bound slot reads the indexes
-    probed = any(slot[0] in ("c", "b") for slots, _ in levels for slot in slots)
     spo, pos = graph._indexed() if probed else (None, None)
-    plan, terms = _compile((tuple(levels), tuple(output))), graph._terms
-    return plan(*constants, *operands, *seeded, graph._triples, spo, pos, terms, terms.numbers)
+    names = ", ".join([f"a{i}" for i in range(len(arguments))] + ["X", "spo", "pos", "T", "U"])
+    plan = _compile(f"lambda {names}: (({''.join(r + ', ' for r in row)}) {' '.join(clauses or ['for _ in (0,)'])})")
+    terms = graph._terms
+    return plan(*arguments, graph._triples, spo, pos, terms, terms.numbers)
 
 
 def _order(sizes: list[int], variables: list[list[str]]) -> list[int]:
@@ -584,63 +595,22 @@ def _order(sizes: list[int], variables: list[list[str]]) -> list[int]:
 _INLINE = {"_num": "{0} in U and U[{0}] {1} {2}", "value": "(x := T[{0}]).datatype is S and x.value {1} {2}"}
 
 
+def _read(s: Optional[str], p: Optional[str], o: Optional[str]) -> str:
+    """The source that reads the keys agreeing with a level's slot tokens, each text or None: ``X`` if all are None."""
+    if s is None and p is None and o is None:
+        return "X"
+    if s is not None:
+        return f"spo.get({s}, E).get({p}, ())" if p is not None else f"flat(spo.get({s}, E).values())"
+    if p is not None:
+        return f"pos.get({p}, E).get({o}, ())" if o is not None else f"flat(pos.get({p}, E).values())"
+    return f"flat(by_o.get({o}, ()) for by_o in pos.values())"
+
+
 @lru_cache(maxsize=256)
-def _compile(shape: tuple) -> Callable[..., Iterator]:
-    """The function that returns the rows of a plan of this shape, compiled with no builtins in reach."""
+def _compile(source: str) -> Callable[..., Iterator]:
+    """The function that a plan's source defines, compiled with no builtins in reach."""
     namespace = {"__builtins__": {}, "flat": chain.from_iterable, "E": _NO_KEY, "S": Datatype.STRING}
-    return eval(compile(_source(shape), "<join plan>", "eval"), namespace)
-
-
-def _source(shape: tuple) -> str:
-    """A lambda that returns a plan's rows as one generator expression, as ``join`` describes it.
-
-    The lambda takes the constant tokens ``ci``, operands ``ki`` and terms
-    of ``binding`` ``zi`` in the order that the plan reads them, then the
-    set of keys ``X``, the indexes, the token table and its numbers.
-    ``shape`` is the levels, each as its three slots and its checks, and the
-    select variables.  Level ``d`` binds ``td`` to a candidate, a triple's
-    three tokens.  A check is ``(k, comparator, field)``, a comparison of
-    slot ``k``'s term.  A slot is ``("c",)`` for a constant, ``("b", d, k)``
-    for a variable bound in slot ``k`` of level ``d``, ``("f",)`` for a
-    fresh variable, and ``("r", k)`` for a repeat of the fresh variable in
-    slot ``k``.  A select variable is ``("v", d, k)``, read as a bound slot
-    is, or ``("z", i)``.  A level reads the keys that agree with its slots'
-    tokens from the indexes, or ``X`` if no slot holds a token.  A plan with
-    no level yields its one row from a one-item ``for``.
-    """
-    levels, output = shape
-    clauses, constant, operand = [], 0, 0
-    for depth, (slots, checks) in enumerate(levels, start=1):
-        t = f"t{depth}"
-        # each slot's token: a constant's argument, a bound variable's slot, or None
-        concrete = []
-        for tag, *at in slots:
-            if tag == "c":
-                concrete.append(f"c{constant}")
-                constant += 1
-            else:
-                concrete.append("t{}[{}]".format(*at) if tag == "b" else None)
-        s, p, o = concrete
-        if s is None and p is None and o is None:
-            source = "X"
-        elif s is not None:
-            source = f"spo.get({s}, E).get({p}, ())" if p is not None else f"flat(spo.get({s}, E).values())"
-        elif p is not None:
-            source = f"pos.get({p}, E).get({o}, ())" if o is not None else f"flat(pos.get({p}, E).values())"
-        else:
-            source = f"flat(by_o.get({o}, ()) for by_o in pos.values())"
-        clauses.append(f"for {t} in {source}")
-        if s is not None and o is not None:
-            clauses.append(f"if {t}[2] == {o}")
-        for k, comparator, field in checks:
-            clauses.append("if " + _INLINE[field].format(f"{t}[{k}]", _COMPARATORS[comparator][1], f"k{operand}"))
-            operand += 1
-        clauses += [f"if {t}[{k}] == {t}[{slot[1]}]" for k, slot in enumerate(slots) if slot[0] == "r"]
-    row = "".join(f"t{slot[1]}[{slot[2]}], " if slot[0] == "v" else f"z{slot[1]}, " for slot in output)
-    seeded = sum(slot[0] == "z" for slot in output)
-    names = [f"{letter}{i}" for letter, count in (("c", constant), ("k", operand), ("z", seeded))
-             for i in range(count)]
-    return f"lambda {', '.join(names + ['X', 'spo', 'pos', 'T', 'U'])}: (({row}) {' '.join(clauses or ['for _ in (0,)'])})"
+    return eval(compile(source, "<join plan>", "eval"), namespace)
 
 
 # --- N-Triples-style flat-file serialization -------------------------------

@@ -661,9 +661,9 @@ class TestPlot:
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == PINNED_SVG
 
 
-#: what a mutation inserts: a metacharacter of the rule or query grammar, NUL,
-#: a byte that is not UTF-8, or a line separator that ``str.splitlines`` breaks at
-INSERTS = [c.encode() for c in '{}().?"\\^<>#'] + [b"\x00", b"\xff", "\u2028".encode()]
+#: what a mutation inserts: a metacharacter of the rule, query or CSV grammar,
+#: NUL, a byte that is not UTF-8, or a line separator that ``str.splitlines`` breaks at
+INSERTS = [c.encode() for c in '{}().?"\\^<>#,'] + [b"\x00", b"\xff", "\u2028".encode()]
 
 
 @st.composite
@@ -685,7 +685,10 @@ def mutated(draw, text: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def boundary_store(tmp_path_factory, rule_input_store):
-    """A store of five ingested CSV rows and the rule-input sensors, so that queries and rules both find rows."""
+    """A store of five ingested CSV rows and the rule-input sensors, so that queries and rules both find rows.
+
+    The five rows stay beside it as ``rows.csv``.
+    """
     directory = tmp_path_factory.mktemp("boundary")
     csv, store = directory / "rows.csv", directory / "store.nt"
     csv.write_text("".join(DATA_CSV.read_text(encoding="utf-8").splitlines(keepends=True)[:6]), encoding="utf-8")
@@ -698,18 +701,22 @@ def boundary_store(tmp_path_factory, rule_input_store):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mutated_queries_and_rules_fail_with_one_error_line(boundary_store, data):
-    # one input file is mutated: the query, the rules, or the store that both read
-    mutant = data.draw(st.sampled_from(["query", "rules", "store"]))
-    files = {"query": boundary_store.with_name("survey.rq"), "rules": RULES_FILE, "store": boundary_store}
+    # one input file is mutated: the query, the rules, the store that both
+    # read, or the CSV file that ingest, assess and plot read
+    mutant = data.draw(st.sampled_from(["query", "rules", "store", "csv"]))
+    files = {"query": boundary_store.with_name("survey.rq"), "rules": RULES_FILE, "store": boundary_store,
+             "csv": boundary_store.with_name("rows.csv")}
     files["query"].write_text(WIND_SURVEY_QUERY, encoding="utf-8")
     original = files[mutant].read_bytes()
     files[mutant] = boundary_store.with_name(f"mutated.{mutant}")
     files[mutant].write_bytes(data.draw(mutated(original)))
     runs = {
-        "query": ["query", str(files["store"]), str(files["query"])],
-        "rules": ["infer", str(files["store"]), "--rules", str(files["rules"])],
+        "query": [["query", str(files["store"]), str(files["query"])]],
+        "rules": [["infer", str(files["store"]), "--rules", str(files["rules"])]],
+        "csv": [["ingest", str(files["csv"])], ["assess", str(files["csv"])],
+                ["plot", str(files["csv"]), "--days", "3"]],
     }
-    for argv in runs.values() if mutant == "store" else [runs[mutant]]:
+    for argv in runs["query"] + runs["rules"] if mutant == "store" else runs[mutant]:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 
 import pytest
 
@@ -236,15 +237,14 @@ class TestJoin:
         assert sorted(term.value for term in built) == ["4", "5", "urn:s"]
 
     def test_a_repeated_variable_is_tested_before_its_slots_are_compared(self, monkeypatch):
-        shapes = record_shapes(monkeypatch)
+        sources = record_sources(monkeypatch)
         g = Graph(t(s, "urn:p", iri(o)) for s, o in [("urn:a", "urn:a"), ("urn:a", "urn:b"), ("urn:c", "urn:c")])
         assert terms(g, join([TriplePattern("?x", iri("urn:p"), "?x")], g, ["?x"])) == [(iri("urn:a"),), (iri("urn:c"),)]
         # an IRI never passes a comparison
         check = ("?x", comparison("!=", string("urn:c")))
         assert list(join([TriplePattern("?x", iri("urn:p"), "?x")], g, ["?x"], [check])) == []
         # the plan compares the slots' tokens only after the check's clause
-        source = rdf._source(shapes[1])
-        assert "if (x := T[t1[0]]).datatype is S and x.value != k0 if t1[2] == t1[0]" in source
+        assert "if (x := T[t1[0]]).datatype is S and x.value != a1 if t1[2] == t1[0]" in sources[1]
 
     def test_a_pattern_with_no_candidates_ends_the_level(self, monkeypatch):
         g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:a", "urn:q", integer(2))])
@@ -436,7 +436,7 @@ class TestJoinPlan:
             return found
 
         monkeypatch.setattr(Graph, "count", recording)
-        shapes = record_shapes(monkeypatch)
+        sources = record_sources(monkeypatch)
         table = evaluate(parse_query(LOOKUP_QUERY), g)
         assert len(table.rows) == 9
         # ``?obs p:hasvalue ?value`` is sized once, by a number, not a list
@@ -446,7 +446,7 @@ class TestJoinPlan:
         # the other, and no list of them is made
         pattern = TriplePattern("?obs", has_value, "?value")
         assert sum(1 for _ in join([pattern], g, ["?obs", "?value"])) == 517 * 9
-        assert "for t1 in flat(pos.get(c0, E).values())" in rdf._source(shapes[-1])
+        assert "for t1 in flat(pos.get(a0, E).values())" in sources[-1]
 
     def test_the_order_is_the_scanning_planners(self):
         rng = random.Random(3030)
@@ -500,26 +500,17 @@ def scanning_order(sizes: list[int], variables: list[list[str]]) -> list[int]:
     return order
 
 
-def record_shapes(monkeypatch) -> list:
-    """Make ``join`` record, in the returned list, the shape of every plan it runs."""
-    shapes = []
+def record_sources(monkeypatch) -> list[str]:
+    """Make ``join`` record, in the returned list, the source of every plan it runs."""
+    sources = []
     compile_plan = rdf._compile
 
-    def recording(shape):
-        shapes.append(shape)
-        return compile_plan(shape)
+    def recording(source):
+        sources.append(source)
+        return compile_plan(source)
 
     monkeypatch.setattr(rdf, "_compile", recording)
-    return shapes
-
-
-def leaves(value):
-    """Every item of nested tuples that is not itself a tuple."""
-    if isinstance(value, tuple):
-        for item in value:
-            yield from leaves(item)
-    else:
-        yield value
+    return sources
 
 
 def join_both_ways(patterns, g, filters=(), seed=None, select=()) -> int:
@@ -536,16 +527,20 @@ def join_both_ways(patterns, g, filters=(), seed=None, select=()) -> int:
     return len(want)
 
 
-#: the tags that a plan's shape holds, besides integers: slot kinds, where a
-#: select variable is read, and an inline comparison's comparator and field
-SHAPE_TAGS = {"c", "b", "f", "r", "v", "z", ">", "<", ">=", "<=", "=", "!=", "_num", "value"}
+#: what a plan's source may hold: spaces, brackets, punctuation, the operators of
+#: the inline comparisons, and words that are a fixed name, a level's candidate
+#: ``t<d>``, an argument ``a<i>`` or a slot index
+PLAN_SOURCE = re.compile(
+    r"(?: |[()\[\],.:]|:=|[=!<>]=|[<>]|\b(?:t\d+|a\d+|\d+|lambda|for|in|if|and|is|X|spo|pos|T|U|E|S"
+    r"|flat|get|values|by_o|datatype|value|x|_)\b)*"
+)
 #: text that would break or inject code if a name or a term reached a generated source
 HOSTILE = ['"', "'", "\n", "}", "__import__('os')"]
 
 
 class TestGeneratedSource:
     def test_hostile_names_and_terms_stay_out_of_the_source(self, monkeypatch):
-        shapes = record_shapes(monkeypatch)
+        sources = record_sources(monkeypatch)
         # IRIs hold no whitespace; literals hold anything
         iris = [iri("urn:" + h.replace("\n", "n")) for h in HOSTILE] + [iri("urn:x\"'}__import__('os')")]
         literals = [string(h) for h in HOSTILE] + [string("\"'\n}__import__('os')")]
@@ -589,26 +584,36 @@ class TestGeneratedSource:
         assert rule.checks() == compiled(threshold)
         assert join_both_ways(rule.patterns(), g, threshold, select=["?n"]) == 1
 
-        # the cache keys hold only ints and fixed tags; the FILTERs and the
-        # threshold are written inline, and no operand reaches the source
-        assert shapes
-        assert {"!=", ">=", ">"} <= {leaf for shape in shapes for leaf in leaves(shape)}
-        for shape in shapes:
-            assert all(type(leaf) is int or leaf in SHAPE_TAGS for leaf in leaves(shape))
-            source = rdf._source(shape)
+        # the sources, which are the cache keys, hold only fixed names, integers
+        # and operators; the FILTERs and the threshold are written inline, and
+        # no operand reaches the source
+        assert sources
+        assert all(any(f" {op} a" in source for source in sources) for op in ("!=", ">=", ">"))
+        for source in sources:
+            assert PLAN_SOURCE.fullmatch(source), source
             assert not any(text in source for text in ("'", '"', "?", "urn", "import", "7319", "5813", "4271"))
 
     def test_plans_that_differ_only_in_terms_and_names_share_one_function(self, monkeypatch):
-        shapes = record_shapes(monkeypatch)
+        sources = record_sources(monkeypatch)
         g = Graph(t(f"urn:s{i}", p, integer(i)) for i in range(4) for p in ("urn:p", "urn:q"))
         for p, q, a, b, least in [("urn:p", "urn:q", "?a", "?b", 0), ("urn:q", "urn:p", "?x", "?'y", -3)]:
             patterns = [TriplePattern(a, iri(p), "?v"), TriplePattern(a, iri(q), b)]
             assert len(list(join(patterns, g, [b, a], [(b, comparison(">=", integer(least)))]))) == 4
-        assert len(shapes) == 2 and shapes[0] == shapes[1]
-        assert rdf._compile(shapes[0]) is rdf._compile(shapes[1])
+        assert len(sources) == 2 and sources[0] == sources[1]
+        assert rdf._compile(sources[0]) is rdf._compile(sources[1])
 
 
 U = [iri(f"urn:u{i}") for i in range(3)]
+#: what the second level reads, by which of its subject, predicate and object hold a token
+LEVEL_READS = {
+    (True, False, False): "flat(spo.get({s}, E).values())",
+    (True, True, False): "spo.get({s}, E).get({p}, ())",
+    (True, False, True): "flat(spo.get({s}, E).values()) if t2[2] == {o}",
+    (True, True, True): "spo.get({s}, E).get({p}, ()) if t2[2] == {o}",
+    (False, True, False): "flat(pos.get({p}, E).values())",
+    (False, True, True): "pos.get({p}, E).get({o}, ())",
+    (False, False, True): "flat(by_o.get({o}, ()) for by_o in pos.values())",
+}
 FIRST, RANK = iri("urn:first"), iri("urn:rank")
 
 
@@ -630,7 +635,7 @@ class TestProbeKinds:
 
     @pytest.mark.parametrize("kinds", ["".join(k) for k in itertools.product("cbf", repeat=3)])
     def test_each_constant_bound_or_fresh_slot(self, kinds, monkeypatch):
-        shapes = record_shapes(monkeypatch)
+        sources = record_sources(monkeypatch)
         slots = [
             {"c": U[(k + 1) % 3], "b": ("?x", "?y", "?x")[k], "f": ("?fs", "?fp", "?fo")[k]}[kind]
             for k, kind in enumerate(kinds)
@@ -639,10 +644,14 @@ class TestProbeKinds:
         select = sorted({v for p in patterns for v in p.variables()}, reverse=True)
         join_both_ways(patterns, cube_graph(), select=select)
         if "b" in kinds:
-            # the second level is the pattern, fed by the first
-            for shape in shapes:
-                levels, _ = shape
-                assert len(levels) == 2 and "".join(slot[0] for slot in levels[1][0]) == kinds
+            # the second level is the pattern, fed by the first, which reads
+            # FIRST as argument a0 and binds ?x and ?y in its slots 0 and 2
+            bound, constants = {"?x": "t1[0]", "?y": "t1[2]"}, iter(range(1, 4))
+            s, p, o = [f"a{next(constants)}" if kind == "c" else bound.get(slot) for kind, slot in zip(kinds, slots)]
+            read = LEVEL_READS[s is not None, p is not None, o is not None].format(s=s, p=p, o=o)
+            assert len(sources) == 2
+            levels = f" for t1 in flat(pos.get(a0, E).values()) for t2 in {read})"
+            assert all(source.endswith(levels) for source in sources)
 
     @pytest.mark.parametrize("second", [("?r", "?y", "?r"), ("?y", "?r", "?r"), ("?r", "?r", "?y"), ("?r", "?r", "?r")])
     def test_a_fresh_variable_in_two_or_three_slots(self, second):
@@ -652,7 +661,7 @@ class TestProbeKinds:
         assert join_both_ways([TriplePattern(second[0], FIRST, second[0])], g, select=[second[0]]) == 1
 
     def test_a_check_at_each_level_and_a_select_variable_bound_by_the_seed(self, monkeypatch):
-        shapes = record_shapes(monkeypatch)
+        sources = record_sources(monkeypatch)
         g = cube_graph()
         for i, u in enumerate(U):
             g.insert(Triple(u, RANK, integer(i)))
@@ -667,8 +676,8 @@ class TestProbeKinds:
         counts = [join_both_ways(patterns, g, filters[:i], seed, ["?q", "?z", "?x", "?w", "?o"]) for i in range(5)]
         assert counts[0] == counts[1] > counts[2] > counts[3] > counts[4] > 0
         assert join_both_ways(patterns, g, filters, seed, ["?w", "?z"]) == counts[4]
-        # the three rank checks sit at three different levels
-        checked = [depth for depth, (_, checks) in enumerate(shapes[-1][0]) if checks]
+        # the three rank checks sit after three different ``for`` clauses
+        checked = [depth for depth, level in enumerate(sources[-1].split(" for t")) if " in U and U[" in level]
         assert len(checked) == 3
         # a check that fails the seed's term ends the join
         assert join_both_ways(patterns, g, [("?z", "<", integer(7))], seed, ["?z"]) == 0
@@ -678,16 +687,15 @@ class TestProbeKinds:
             join([TriplePattern("?x", FIRST, "?y")], cube_graph(), select=["?x", "?w"])
 
     def test_a_plan_of_any_depth_runs_as_one_generator_expression(self, monkeypatch):
-        shapes = record_shapes(monkeypatch)
+        sources = record_sources(monkeypatch)
         path = Graph(t(f"urn:n{i}", "urn:next", iri(f"urn:n{i + 1}")) for i in range(25))
         # Python nests at most 20 blocks, so 20 ``for`` statements would not compile
         depth = 20
         patterns = [TriplePattern(f"?v{i}", iri("urn:next"), f"?v{i + 1}") for i in range(depth)]
         assert join_both_ways(patterns, path, select=["?v0", f"?v{depth}"]) == 25 - depth + 1
         # the join of every variable and the join of the two selected: each
-        # one shape that holds all 20 levels
-        assert [len(levels) for levels, _ in shapes] == [depth, depth]
-        assert all(rdf._source(shape).count(" for t") == depth for shape in shapes)
+        # one source that holds all 20 levels
+        assert [source.count(" for t") for source in sources] == [depth, depth]
 
 
 class TestIndexCoherence:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fireweather import rdf
 from fireweather import rules as rules_module
 from fireweather import vocab
 from fireweather.rdf import Graph, RdfError, Term, Triple, decimal, integer, iri, join, string
@@ -670,6 +671,18 @@ def test_chaining_with_no_head_read_runs_one_round_over_the_store(rules_text, mo
     # a second round, over a copy of the store, made 81 joins and 1,714 inserts
     assert inserts == 0 and joins[0] == len(ruleset)
     assert set(g) == before and check_index_coherence(g)
+
+
+def test_fwi_rules_share_one_compiled_plan(rules_text, monkeypatch):
+    # every body is a class atom, one property atom and one greaterThan, so
+    # the 27 joins differ only in terms and names, and one source serves them
+    ruleset = parse_rules(rules_text)
+    joins, sources = count_joins(monkeypatch), []
+    compile_plan = rdf._compile
+    monkeypatch.setattr(rdf, "_compile", lambda source: sources.append(source) or compile_plan(source))
+    assert forward_chain(rule_input_store(50), ruleset)
+    assert joins[0] == len(sources) == len(ruleset) == 27
+    assert len(set(sources)) == 1
 
 
 REACH = "a(?s, ?t) ^ reach(?t, yes) -> reach(?s, yes)\n"
