@@ -154,24 +154,24 @@ def cmd_infer(args) -> int:
     graph = _load(args.store_path, import_ntriples)
     with _reading(args.rules):
         ruleset = rules.load_rules(args.rules)
-    facts = rules.forward_chain(graph, ruleset)
+    # rendered from each fact's tokens, with no ``Term`` or ``InferredFact``:
+    # a key's tokens are canonical, so its line is ``str`` of the fact's triple
+    derived, _ = rules._derive(graph, ruleset)
     if args.format == "jsonl":
-        # sorted keys put "bindings" first and "subject" last, and the keys
-        # between them hold the rule's constants: each rule's are encoded once
-        middles = {rule: _JSON.encode({
-            "label": rule.head.value.value,
-            "property": vocab.prop_iri(rule.head.property_name),
-            "rule": rule.render(),
-        })[1:-1] for rule in ruleset}
-        encode = _JSON.encode
-        lines = [
-            '{"bindings": {' + ", ".join(f"{encode(k)}: {encode(str(v))}" for k, v in f.bindings) + "}, "
-            + middles[f.rule] + ', "subject": ' + encode(f.subject.value) + "}"
-            for f in facts
-        ]
-        _write("".join(line + "\n" for line in lines), args.output)
+        encode = json.encoder.encode_basestring_ascii  # as ``_JSON.encode`` encodes a string
+        # sorted keys put "bindings" first and "subject" last, and the rule's constants between them:
+        # each rule's line is a template whose slots are its only "%"s, as no name or constant holds one,
+        # built once and filed by its entry's identity, as a ``Rule`` hashes all its atoms
+        templates = {}
+        for i, (rule, names, _) in {id(entry): entry for _, entry, _ in derived}.items():
+            head = rule.head
+            constants = {"label": head.value.value, "property": vocab.prop_iri(head.property_name), "rule": rule.render()}
+            bindings = ", ".join(encode(name) + ": %s" for name in names)
+            templates[i] = '{"bindings": {' + bindings + "}, " + _JSON.encode(constants)[1:-1] + ', "subject": %s}\n'
+        lines = [templates[id(entry)] % (*map(encode, row), encode(key[0][1:-1])) for key, entry, row in derived]
     else:
-        _write("".join(str(f.triple()) + "\n" for f in facts), args.output)
+        lines = [f"{s} {p} {o} .\n" for (s, p, o), _, _ in derived]
+    _write("".join(lines), args.output)
     return 0
 
 

@@ -28,6 +28,8 @@ XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 _WHITESPACE = re.compile(r"\s")
+#: a lone surrogate: no UTF-8 text holds one, so no term's value may
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 #: Literal characters written as escapes: the N-Triples ECHAR set, then the
 #: other line breaks of ``str.splitlines`` as UCHAR, so every literal stays
@@ -69,6 +71,8 @@ class Term:
 
     def __init__(self, value: str, datatype: Optional[Datatype] = None):
         num = None
+        if not value.isascii() and _SURROGATE.search(value):
+            raise RdfError(f"term {value!r} holds a surrogate code point")
         if datatype is None:
             if not value or _WHITESPACE.search(value):
                 raise RdfError(f"invalid IRI: {value!r}")
@@ -290,7 +294,7 @@ class Graph:
     numeric token's number filed in ``_terms.numbers``: the bulk reader of
     ``import_ntriples`` checks its tokens by kind, and every other token is
     the ``str`` of a ``Term``, which checked itself when built, filed by
-    ``_key`` or, for a rule head's constants, by ``rules.forward_chain``.
+    ``_key`` or, for a rule head's constants, by ``rules._derive``.
     So ``_terms`` rebuilds a token's ``Term`` on its first read without
     checking it again.  ``insert`` of a key is internal to the package, for
     keys of such tokens; a caller outside it inserts ``Triple``s.
@@ -712,7 +716,9 @@ def _read_bulk(text: str, terms: _Terms) -> Optional[dict[Key, None]]:
     that export writes another way is stored as export writes it.
     """
     lines = text.count("\n")
-    if "\r" in text or not text.endswith("\n") or text.count(" .\n") != lines:
+    # a text with a lone surrogate is left to the per-line reader, whose ``Term`` rejects it at its line
+    if ("\r" in text or not text.endswith("\n") or text.count(" .\n") != lines
+            or not text.isascii() and _SURROGATE.search(text)):
         return None
     flat = text.replace(" .\n", " \n ").split(" ")
     if len(flat) != 4 * lines + 1:

@@ -245,9 +245,9 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     of ``g``, to which each round adds the triples it derived.  Seeds and
     bodies are both evaluated by ``rdf.join``, with each builtin as a check
     on the body; a body's rows select the tokens of its variables in name
-    order, and mapped to terms through the table and zipped with those
-    names they are a fact's bindings.  Chaining stops after a round that
-    derives nothing new.
+    order, which mapped to terms and zipped with those names are a fact's
+    bindings.  Chaining stops after a round that derives nothing new.
+    ``_derive`` does all but the mapping, and ``infer`` renders from its tokens.
 
     A triple derived more than once in the round that first derives it keeps
     the derivation of the lowest-indexed rule, as rules run in index order;
@@ -256,28 +256,39 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     iteration order.  Facts come back sorted by subject, property and label.
     A head subject bound to a literal raises ``RdfError`` naming the rule.
     """
+    derived, terms = _derive(g, ruleset)
+    return [InferredFact(terms[s], p[1:-1], rule.head.value.value, rule, tuple(zip(names, map(terms.__getitem__, row))))
+            for (s, p, _), (rule, names, _), row in derived]
+
+
+def _derive(g: Graph, ruleset: Sequence[Rule]) -> tuple[list[tuple[Key, tuple, tuple[str, ...]]], dict[str, Term]]:
+    """``forward_chain``'s facts, in order, as each key, its rule's entry and the row of tokens that derived it.
+
+    The entry is the rule, its variables in name order and the head subject's place among them.  The
+    table that maps each token of a row to its term comes back too.
+    """
     heads = {rule.head.pattern().predicate for rule in ruleset}
     bodies = [rule.patterns() for rule in ruleset]
     # the indices of each rule's body patterns that read a head property, with their variables
     reads = [[(i, p.variables()) for i, p in enumerate(patterns) if p.predicate in heads] for patterns in bodies]
     full = Graph(g) if any(reads) else g
-    # each rule's body, its variables in name order and the head subject's
-    # place among them, its head, the tokens of the head's two constants,
+    # each rule's entry, body and checks, the tokens of the head's two constants,
     # filed in the table that every join reads, and its reads, built once
     compiled = []
     for rule, patterns, reading in zip(ruleset, bodies, reads):
         head = rule.head.pattern()
         tokens = (full._token(head.predicate), full._token(head.object))
         names = sorted({head.subject, *(v for p in patterns for v in p.variables())})
-        compiled.append((rule, patterns, names, names.index(head.subject), rule.checks(), head, tokens, reading))
-    facts: list[InferredFact] = []
+        compiled.append(((rule, names, names.index(head.subject)), patterns, rule.checks(), tokens, reading))
+    facts = []
     # the triples the last round derived; None before round 1
     last: Optional[Graph] = None
-    # a join's rows are tokens: this builds a term only for a fact or a seed
+    # a join's rows are tokens: this builds a term only for a seed or a tie
     term = full._terms.__getitem__
     while True:
-        found: dict[Key, InferredFact] = {}
-        for rule, patterns, names, at, checks, (subject, predicate, obj), tokens, reads in compiled:
+        found: dict[Key, tuple] = {}
+        for entry, patterns, checks, tokens, reads in compiled:
+            rule, names, at = entry
             if last is None:
                 seeds = [(patterns, None)]
             else:
@@ -291,23 +302,23 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
                     s = row[at]
                     # a rule file may bind its head subject to a literal, whose token starts with a quote
                     if s[0] != "<":
-                        raise RdfError(f"rule {rule.render()}: head subject {subject} is bound to {s}, not an IRI")
+                        raise RdfError(f"rule {rule.render()}: head subject {rule.head.subject} is bound to {s}, not an IRI")
                     t = (s, *tokens)
-                    fact = found.get(t)
-                    if t in full or fact is not None and fact.rule is not rule:
+                    kept = found.get(t)
+                    if t in full or kept is not None and kept[1] is not entry:
                         continue
-                    bindings = tuple(zip(names, map(term, row)))
-                    # the same rule's bindings bind the same names, in the same order
-                    if fact is None or [v.sort_key() for _, v in bindings] < [v.sort_key() for _, v in fact.bindings]:
-                        found[t] = InferredFact(bindings[at][1], predicate.value, obj.value, rule, bindings)
+                    # the same rule's rows bind the same names, in the same order
+                    if kept is None or [term(v).sort_key() for v in row] < [term(v).sort_key() for v in kept[2]]:
+                        found[t] = (t, entry, row)
         facts += found.values()
         if not found or full is g:
             break
         last = Graph._of(dict.fromkeys(found), full._terms)
         for t in found:
             full.insert(t)
-    # every subject is an IRI, whose ``sort_key`` orders as its value does
-    return sorted(facts, key=lambda f: (f.subject.value, f.property_iri, f.label))
+    # by the IRIs' values, not their tokens, whose ``>`` sorts after ``-``, ``.``, ``/`` and digits; then the label
+    facts.sort(key=lambda f: (f[0][0][1:-1], f[0][1][1:-1], f[1][0].head.value.value))
+    return facts, full._terms
 
 
 def verify_provenance(g: Graph, ruleset: Sequence[Rule], facts: Iterable[InferredFact]) -> bool:

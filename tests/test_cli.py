@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fireweather import rules as rules_module
 from fireweather import vocab
 from fireweather.cli import _JSON, main
 from fireweather.ingest import TRIPLES_PER_ROW, parse_csv
@@ -343,6 +344,42 @@ def test_infer_stdout_is_pinned(capsys, rule_input_store, fmt):
     code, out, _ = run(capsys, "infer", str(store), "--rules", str(rules), "--format", fmt)
     assert code == 0 and "FireStop" in out and "evacuate" in out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_INFER[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_INFER))
+def test_infer_renders_from_tokens_without_a_fact(capsys, rule_input_store, monkeypatch, fmt):
+    store, rules = rule_input_store
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("infer built an InferredFact")
+
+    monkeypatch.setattr(rules_module, "InferredFact", refuse)
+    code, out, _ = run(capsys, "infer", str(store), "--rules", str(rules), "--format", fmt)
+    assert code == 0 and hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_INFER[fmt]
+
+
+def test_infer_ntriples_are_the_facts_triples(capsys, rule_input_store):
+    store, rules = rule_input_store
+    code, out, _ = run(capsys, "infer", str(store), "--rules", str(rules))
+    facts = forward_chain(import_ntriples(store.read_text(encoding="utf-8")), load_rules(str(rules)))
+    assert code == 0 and len(facts) > 0
+    assert out == "".join(str(f.triple()) + "\n" for f in facts)
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_INFER))
+def test_infer_orders_subjects_by_iri_value(capsys, tmp_path, fmt):
+    # as tokens, "<urn:ssn:sensor:a1>" sorts before "<urn:ssn:sensor:a>", as "1" < ">"
+    store = tmp_path / "store.nt"
+    store.write_text("".join(
+        f"<urn:ssn:sensor:{name}> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:ssn:class:sensor_id> .\n"
+        f'<urn:ssn:sensor:{name}> <urn:ssn:prop:notdifficult> "17"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n'
+        for name in ("a1", "a")
+    ), encoding="utf-8")
+    code, out, _ = run(capsys, "infer", str(store), "--rules", str(RULES_FILE), "--format", fmt)
+    subjects = [
+        json.loads(line)["subject"] if fmt == "jsonl" else line.split()[0][1:-1] for line in out.splitlines()
+    ]
+    assert code == 0 and subjects == ["urn:ssn:sensor:a", "urn:ssn:sensor:a1"]
 
 
 class TestClassify:

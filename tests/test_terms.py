@@ -175,6 +175,15 @@ class TestEscaping:
         with pytest.raises(RdfError, match=rf"^line 2: invalid escape '\\\\{escape[1:]}'$"):
             import_ntriples(text)
 
+    @pytest.mark.parametrize("term, value", [
+        (f'"x\ud800y"^^<{Datatype.STRING.value}>', "x\ud800y"), ("<urn:\udfff>", "urn:\udfff"),
+    ], ids=["literal", "iri"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["bulk", "per-line"])
+    def test_raw_surrogate_reports_the_line(self, term, value, newline):
+        text = newline.join([f'<urn:s> <urn:p> "a"^^<{Datatype.STRING.value}> .', f"<urn:s> <urn:p> {term} .", ""])
+        with pytest.raises(RdfError, match=f"^line 2: term {re.escape(repr(value))} holds a surrogate code point$"):
+            import_ntriples(text)
+
     def test_unknown_escape_is_kept(self):
         (t,) = import_ntriples(f'<urn:s> <urn:p> "a\\qb"^^<{Datatype.STRING.value}> .\n')
         assert t.object.value == "a\\qb"
@@ -210,6 +219,31 @@ def test_ntriples_round_trip(items):
     again = import_ntriples(text)
     assert set(again) == set(g)
     assert export_ntriples(again) == text
+
+
+@pytest.mark.parametrize(
+    "value, datatype", [("\ud800", Datatype.STRING), ("a\udfffb", None), ("\udbff\udc00", None)],
+    ids=["string", "iri", "pair"],
+)
+def test_term_rejects_a_lone_surrogate(value, datatype):
+    with pytest.raises(RdfError, match=f"^term {re.escape(repr(value))} holds a surrogate code point$"):
+        Term(value, datatype)
+
+
+#: any text, with lone surrogates, which no UTF-8 text can hold, and numerals
+any_text = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]), awkward, st.sampled_from("0123456789+-.eE")))
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_text, st.sampled_from([None, *Datatype]))
+def test_a_term_is_refused_or_round_trips_through_utf_8(value, datatype):
+    try:
+        term = Term(value, datatype)
+    except RdfError:
+        return
+    text = export_ntriples(Graph([Triple(iri("urn:s"), iri("urn:p"), term)]))
+    (back,) = import_ntriples(text.encode("utf-8").decode("utf-8"))
+    assert back.object == term and back.object.datatype is datatype
 
 
 def test_bulk_loads_never_call_insert(dataset_text, monkeypatch):
