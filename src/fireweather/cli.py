@@ -230,11 +230,7 @@ def cmd_plot(args) -> int:
         lines.append(f"{i},{obs.ffmc:g},{obs.dmc:g},{obs.dc:g}")
     _write("".join(line + "\n" for line in lines), args.output)
     if args.svg:
-        series = {
-            "ffmc": [observations[i].ffmc for i in selected],
-            "dmc": [observations[i].dmc for i in selected],
-            "dc": [observations[i].dc for i in selected],
-        }
+        series = {q: [getattr(observations[i], q) for i in selected] for q in ("ffmc", "dmc", "dc")}
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(series))
     return 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import wraps
 
 from .ingest import MONTHS
 
@@ -177,12 +178,29 @@ def _month_index(month: int | str) -> int:
     return month - 1
 
 
+def _finite(update):
+    """``update``, raising a ``DomainError`` that names its inputs where its arithmetic leaves the finite floats."""
+    @wraps(update)
+    def checked(*args, **kwargs):
+        try:
+            code = update(*args, **kwargs)
+        except ArithmeticError:
+            code = math.nan
+        if not math.isfinite(code):
+            raise DomainError(f"{update.__name__} overflows on {(*args, *kwargs.values())}")
+        return code
+    return checked
+
+
+@_finite
 def ffmc_daily(ffmc_prev: float, w: WeatherInputs) -> float:
     """Next-day FFMC from yesterday's value and today's noon weather."""
     m = fmc_from_ffmc(ffmc_prev)
     if w.rain_24h > 0.5:
         rf = w.rain_24h - 0.5
         delta = 42.5 * rf * math.exp(-100.0 / (251.0 - m)) * (1.0 - math.exp(-6.93 / rf))
+        if math.isnan(delta):
+            raise DomainError(f"rain {w.rain_24h} is too large: the FFMC update overflows")
         if m > 150.0:
             delta += 0.0015 * (m - 150.0) ** 2 * math.sqrt(rf)
         m = min(m + delta, 250.0)
@@ -212,6 +230,7 @@ def ffmc_daily(ffmc_prev: float, w: WeatherInputs) -> float:
     return min(max(ffmc_from_fmc(min(max(m, 0.0), FMC_MAX)), 0.0), FFMC_MAX)
 
 
+@_finite
 def dmc_daily(dmc_prev: float, w: WeatherInputs, month: int | str) -> float:
     """Next-day DMC."""
     if not nonnegative(dmc_prev):
@@ -234,6 +253,7 @@ def dmc_daily(dmc_prev: float, w: WeatherInputs, month: int | str) -> float:
     return max(dmc, 0.0)
 
 
+@_finite
 def dc_daily(dc_prev: float, w: WeatherInputs, month: int | str) -> float:
     """Next-day DC."""
     if not nonnegative(dc_prev):

@@ -194,8 +194,8 @@ Slot = Union[Term, str]
 class TriplePattern(namedtuple("TriplePattern", "subject predicate object")):
     """Three slots, each a concrete term or a "?name" variable.
 
-    A tuple, so that ``substitute`` can build one without checking its
-    variable names again.
+    A tuple, which compares and hashes by its slots; its variable names are
+    checked once, when it is built, and a join binds them to tokens.
     """
 
     __slots__ = ()
@@ -272,13 +272,6 @@ class _Terms(dict):
         self[token] = term
         return term
 
-    def file(self, token: str, term: Term) -> Term:
-        """The term under ``token``: ``term``, unless an equal one is there already."""
-        term = self.setdefault(token, term)
-        if term._num is not None:
-            self.numbers[token] = term._num
-        return term
-
 
 class Graph:
     """Insertion-ordered set of triples, stored by their ``Key``s, with nested indexes built when first read.
@@ -294,10 +287,12 @@ class Graph:
     numeric token's number filed in ``_terms.numbers``: the bulk reader of
     ``import_ntriples`` checks its tokens by kind, and every other token is
     the ``str`` of a ``Term``, which checked itself when built, filed by
-    ``_key`` or, for a rule head's constants, by ``rules._derive``.
-    So ``_terms`` rebuilds a token's ``Term`` on its first read without
-    checking it again.  ``insert`` of a key is internal to the package, for
-    keys of such tokens; a caller outside it inserts ``Triple``s.
+    ``_token``: for ``_key``, for a rule head's constants in
+    ``rules._derive``, or for a fact's bindings in ``verify_provenance``'s
+    copy of the graph.  A join files nothing.  So ``_terms`` rebuilds a
+    token's ``Term`` on its first read without checking it again.
+    ``insert`` of a key is internal to the package, for keys of such
+    tokens; a caller outside it inserts ``Triple``s.
 
     ``_indexes`` is None until ``count`` first gets a pattern with one or
     two tokens, or a join first reads them.  That read builds both indexes
@@ -337,9 +332,11 @@ class Graph:
         return self._token(t.subject), self._token(t.predicate), self._token(t.object)
 
     def _token(self, term: Term) -> str:
-        """The token of ``term``, with ``term`` filed in the table under it."""
+        """The token of ``term``, with ``term`` filed in the table under it, unless an equal one is there already."""
         token = str(term)
-        self._terms.file(token, term)
+        term = self._terms.setdefault(token, term)
+        if term._num is not None:
+            self._terms.numbers[token] = term._num
         return token
 
     def __len__(self) -> int:
@@ -437,41 +434,28 @@ def comparison(comparator: str, operand: Term) -> _Comparison:
     raise ValueError(f"comparison operand {operand} is not a literal")
 
 
-def substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
-    """The pattern with every variable that ``binding`` binds replaced by its term."""
-    s, p, o = pattern
-    # built as a bare tuple: the pattern's variable names were checked once
-    return tuple.__new__(
-        TriplePattern,
-        (
-            binding.get(s, s) if isinstance(s, str) else s,
-            binding.get(p, p) if isinstance(p, str) else p,
-            binding.get(o, o) if isinstance(o, str) else o,
-        ),
-    )
-
-
 def join(
     patterns: Sequence[TriplePattern],
     graph: Graph,
     select: Sequence[str],
     checks: Sequence[Check] = (),
-    binding: Optional[Binding] = None,
+    binding: Optional[dict[str, str]] = None,
 ) -> Iterator[tuple[str, ...]]:
     """A row for every extension of ``binding`` that matches all patterns and passes all checks.
 
-    A row is the tuple of the tokens of ``select``'s variables, in that
-    order, which ``graph._terms`` maps to their ``Term``s; a term of
-    ``binding`` that a row reads is filed there first, so it comes back as
-    the same term.  A row holds only strings, so the collector stops
+    ``binding`` maps variables to tokens that ``graph._terms`` holds, as a
+    row's are.  A row is the tuple of the tokens of ``select``'s variables,
+    in that order, which ``graph._terms`` maps to their ``Term``s; a bound
+    variable's is the token object of ``binding``.  A join writes nothing
+    to ``graph``.  A row holds only strings, so the collector stops
     tracking it at its first collection.  A select variable that neither
     ``binding`` nor a pattern binds is a ``ValueError`` once the join is
     planned, which a pattern that matches nothing forestalls.  With no
     patterns, the one row reads ``binding``.
 
     The patterns are matched against ``graph`` by an index nested loop,
-    planned once per call.  Every pattern is sized by its ``Graph.count``
-    under ``binding``, with its terms as tokens, and a pattern with none
+    planned once per call.  Every pattern is sized by its ``Graph.count``,
+    with its terms and bound variables as tokens, and a pattern with none
     ends the call.  The smallest goes first, ties to the lowest index; each
     next level takes the smallest of the patterns that share a variable with
     those placed, or of all left if none does, which ``_order`` finds from a
@@ -482,7 +466,7 @@ def join(
     hold, straight from the graph's indexes, one lookup per binding; a level
     with neither reads the set of keys, and a plan of only such levels
     builds no index.  The first level's lookup runs when ``join`` returns.
-    Each check is a ``comparison``: on the term of ``binding`` first, then,
+    Each check is a ``comparison``: on a bound token's term first, then,
     at the level that binds its variable, as an ``if`` clause on the
     candidate's token, before any row is built.  A check whose variable
     nothing binds fails every row.  A fresh variable that fills two or three
@@ -491,37 +475,37 @@ def join(
     the level that bound it, and no ``Term`` is built for a row.
 
     The generated source is built only from fixed fragments, local names
-    made from integers, and slot indices.  Every token, operand and term of
+    made from integers, and slot indices.  Every token, operand and token of
     ``binding`` reaches the function as an argument ``a<i>``, so no query
     text, rule text, term value or variable name is ever part of the source,
     and the source is the key of the cache of compiled functions: plans that
     differ only in terms and names share one.
     """
     binding = {} if binding is None else binding
-    if checks:
-        if not all(test(binding[variable]) for variable, test in checks if variable in binding):
-            return iter(())
-        checks = [c for c in checks if c[0] not in binding]
+    if not all(test(graph._terms[binding[variable]]) for variable, test in checks if variable in binding):
+        return iter(())
+    checks = [c for c in checks if c[0] not in binding]
     sized = []
     for pattern in patterns:
-        bound = substitute(pattern, binding)
-        tokens = tuple([None if isinstance(slot, str) else str(slot) for slot in bound])
+        tokens = tuple([binding.get(slot) if isinstance(slot, str) else str(slot) for slot in pattern])
         size = graph.count(tokens)
         if not size:
             return iter(())
-        sized.append((size, bound, tokens))
+        sized.append((size, pattern, tokens))
     # the plan's clauses, and the arguments a0, a1, ... that they name: each
-    # constant token and operand as its level is placed, then seeded terms' tokens
+    # constant or bound token and operand as its level is placed, then bound select tokens
     clauses, arguments, probed = [], [], False
     # the source text of the slot that binds each variable
     local: dict[str, str] = {}
-    for depth, chosen in enumerate(_order([size for size, _, _ in sized], [b.variables() for _, b, _ in sized]), 1):
-        _, bound, tokens = sized[chosen]
+    # each pattern's variables that ``binding`` leaves to the plan
+    unbound = [[v for v in pattern.variables() if v not in binding] for _, pattern, _ in sized]
+    for depth, chosen in enumerate(_order([size for size, _, _ in sized], unbound), 1):
+        _, pattern, tokens = sized[chosen]
         t = f"t{depth}"
         # each slot's token, as the source reads it, or None for a fresh variable
         concrete, fresh, repeats = [], {}, []
-        for k, slot in enumerate(bound):
-            if not isinstance(slot, str):
+        for k, slot in enumerate(pattern):
+            if tokens[k] is not None:
                 concrete.append(f"a{len(arguments)}")
                 arguments.append(tokens[k])
             elif slot in local:
@@ -552,8 +536,7 @@ def join(
             row.append(local[variable])
         elif variable in binding:
             row.append(f"a{len(arguments)}")
-            # filed, so that the table gives back this term for its token
-            arguments.append(graph._token(binding[variable]))
+            arguments.append(binding[variable])
         else:
             raise ValueError(f"select variable {variable} is not bound by any pattern")
     if checks:
@@ -562,8 +545,7 @@ def join(
     spo, pos = graph._indexed() if probed else (None, None)
     names = ", ".join([f"a{i}" for i in range(len(arguments))] + ["X", "spo", "pos", "T", "U"])
     plan = _compile(f"lambda {names}: (({''.join(r + ', ' for r in row)}) {' '.join(clauses or ['for _ in (0,)'])})")
-    terms = graph._terms
-    return plan(*arguments, graph._triples, spo, pos, terms, terms.numbers)
+    return plan(*arguments, graph._triples, spo, pos, graph._terms, graph._terms.numbers)
 
 
 def _order(sizes: list[int], variables: list[list[str]]) -> list[int]:

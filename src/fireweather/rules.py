@@ -244,9 +244,9 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
     the indexes and terms any read builds; otherwise every join reads one copy
     of ``g``, to which each round adds the triples it derived.  Seeds and
     bodies are both evaluated by ``rdf.join``, with each builtin as a check
-    on the body; a body's rows select the tokens of its variables in name
-    order, which mapped to terms and zipped with those names are a fact's
-    bindings.  Chaining stops after a round that derives nothing new.
+    on the body; a seed binds the tokens of its row, and a body's rows
+    select the tokens of its variables in name order, which mapped to terms
+    and zipped with those names are a fact's bindings.  Chaining stops after a round that derives nothing new.
     ``_derive`` does all but the mapping, and ``infer`` renders from its tokens.
 
     A triple derived more than once in the round that first derives it keeps
@@ -283,7 +283,7 @@ def _derive(g: Graph, ruleset: Sequence[Rule]) -> tuple[list[tuple[Key, tuple, t
     facts = []
     # the triples the last round derived; None before round 1
     last: Optional[Graph] = None
-    # a join's rows are tokens: this builds a term only for a seed or a tie
+    # a join's rows and seeds are tokens: this builds a term only for a tie
     term = full._terms.__getitem__
     while True:
         found: dict[Key, tuple] = {}
@@ -293,7 +293,7 @@ def _derive(g: Graph, ruleset: Sequence[Rule]) -> tuple[list[tuple[Key, tuple, t
                 seeds = [(patterns, None)]
             else:
                 seeds = (
-                    (patterns[:i] + patterns[i + 1 :], dict(zip(variables, map(term, row))))
+                    (patterns[:i] + patterns[i + 1 :], dict(zip(variables, row)))
                     for i, variables in reads
                     for row in join([patterns[i]], last, variables)
                 )
@@ -324,9 +324,9 @@ def _derive(g: Graph, ruleset: Sequence[Rule]) -> tuple[list[tuple[Key, tuple, t
 def verify_provenance(g: Graph, ruleset: Sequence[Rule], facts: Iterable[InferredFact]) -> bool:
     """Re-check every fact against its rule, which must be one of ``ruleset``'s.
 
-    The body must hold under the fact's bindings, over the graph plus all
-    derived triples, and the head under those bindings must give the fact's
-    subject, property and label.
+    The body must hold under the fact's bindings, filed as tokens in a copy
+    of the graph plus all derived triples, and the head under those
+    bindings must give the fact's subject, property and label.
     """
     fact_list = list(facts)
     known = Graph(g)
@@ -335,12 +335,12 @@ def verify_provenance(g: Graph, ruleset: Sequence[Rule], facts: Iterable[Inferre
     for f in fact_list:
         if f.rule not in ruleset:
             return False
-        binding = dict(f.bindings)
+        binding = {name: known._token(term) for name, term in f.bindings}
         if next(join(f.rule.patterns(), known, (), f.rule.checks(), binding), None) is None:
             return False
         head = f.rule.head
         if (
-            binding.get(head.subject) != f.subject
+            dict(f.bindings).get(head.subject) != f.subject
             or f.property_iri != vocab.prop_iri(head.property_name)
             or f.label != head.value.value
         ):

@@ -1,8 +1,11 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fireweather.bands import FIRE_INTENSITY, rain_override, wind_risk
 from fireweather.indices import (
@@ -269,3 +272,44 @@ def test_huge_wind_is_out_of_domain(wind):
     # little below that: either way the error names the wind
     with pytest.raises(DomainError, match=f"^wind {wind} is too large"):
         compute_chain(90.0, 10.0, 100.0, wind)
+
+
+@pytest.mark.parametrize("update, args, named", [
+    (ffmc_daily, (85.0, WeatherInputs(19500.0, 50.0, 10.0, 0.0)), "temp=19500.0"),
+    (ffmc_daily, (85.0, WeatherInputs(20.0, 50.0, 10.0, 1e307)), "rain 1e+307"),
+    (dmc_daily, (6.0, WeatherInputs(1e306, 0.0, 10.0, 0.0), 8), "temp=1e+306"),
+    (dmc_daily, (6.0, WeatherInputs(1.7e308, 100.0, 10.0, 0.0), 8), "temp=1.7e+308"),
+    (dmc_daily, (6.0, WeatherInputs(20.0, 50.0, 10.0, 1.7e308), 8), "rain_24h=1.7e+308"),
+    (dmc_daily, (31000.0, WeatherInputs(20.0, 50.0, 10.0, 5.0), 8), "31000.0"),
+    (dc_daily, (1e6, WeatherInputs(20.0, 50.0, 10.0, 5.0), 8), "1000000.0"),
+    (dc_daily, (1.7e308, WeatherInputs(1e308, 50.0, 10.0, 0.0), 8), "temp=1e+308"),
+], ids=["ffmc-temp", "ffmc-rain", "dmc-temp", "dmc-temp-times-zero", "dmc-rain", "dmc-code", "dc-code", "dc-sum"])
+def test_an_update_that_overflows_names_its_input(update, args, named):
+    # each of these raised OverflowError or ZeroDivisionError, or returned
+    # an infinite or NaN code, though every input is in its domain
+    with pytest.raises(DomainError, match=re.escape(named)):
+        update(*args)
+
+
+def test_an_update_takes_its_month_by_keyword():
+    w = WeatherInputs(temp=20.0, rh=40.0, wind=5.0, rain_24h=0.0)
+    assert dmc_daily(10.0, w, month=8) == dmc_daily(10.0, w, "aug")
+    # the error lists the month among the inputs
+    with pytest.raises(DomainError, match=r", 8\)$"):
+        dc_daily(1e6, WeatherInputs(20.0, 50.0, 10.0, 5.0), month=8)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(temp=st.floats(), rh=st.floats(), wind=st.floats(), rain=st.floats(),
+       codes=st.tuples(st.floats(), st.floats(), st.floats()), month=st.integers(1, 12))
+@example(temp=19500.0, rh=50.0, wind=10.0, rain=0.0, codes=(85.0, 6.0, 15.0), month=8)
+@example(temp=1e306, rh=0.0, wind=10.0, rain=0.0, codes=(85.0, 6.0, 15.0), month=8)
+@example(temp=1.7e308, rh=100.0, wind=10.0, rain=0.0, codes=(85.0, 6.0, 15.0), month=8)
+def test_weather_is_refused_or_updates_the_codes_within_their_ranges(temp, rh, wind, rain, codes, month):
+    try:
+        ffmc, dmc, dc = daily_update(*codes, WeatherInputs(temp, rh, wind, rain), month)
+    except DomainError:
+        return
+    assert 0.0 <= ffmc <= FFMC_MAX
+    assert math.isfinite(dmc) and dmc >= 0.0
+    assert math.isfinite(dc) and dc >= 0.0

@@ -104,10 +104,15 @@ def terms(g: Graph, rows) -> list[tuple]:
     return [tuple(map(g._terms.__getitem__, row)) for row in rows]
 
 
+def filed(g: Graph, seed) -> dict:
+    """The binding of ``seed``'s terms as ``join`` takes it: each term filed in ``g`` and bound by its token."""
+    return {name: g._token(term) for name, term in (seed or {}).items()}
+
+
 def bindings(patterns, g: Graph, checks=(), seed=None) -> list[dict]:
     """``join``'s rows as bindings: every variable of the patterns and of ``seed`` selected, in name order."""
     names = sorted({v for p in patterns for v in p.variables()} | set(seed or {}))
-    return [dict(zip(names, row)) for row in terms(g, join(patterns, g, names, checks, dict(seed or {})))]
+    return [dict(zip(names, row)) for row in terms(g, join(patterns, g, names, checks, filed(g, seed)))]
 
 
 def match(g: Graph, pattern: TriplePattern) -> list:
@@ -207,10 +212,11 @@ class TestJoin:
                     repeats[max(uses), v in checked] += v in checked or bool(want)
 
     def test_no_atoms_yields_the_binding_if_every_check_passes(self):
-        binding, g = {"?a": integer(1)}, Graph()
+        g = Graph()
+        binding = filed(g, {"?a": integer(1)})
         assert terms(g, join([], g, ["?a"], [("?a", comparison(">", integer(0)))], binding)) == [(integer(1),)]
-        assert list(join([], Graph(), ["?a"], [("?a", comparison("<", integer(0)))], binding)) == []
-        assert list(join([], Graph(), ["?a"], [("?b", comparison(">", integer(0)))], binding)) == []
+        assert list(join([], g, ["?a"], [("?a", comparison("<", integer(0)))], binding)) == []
+        assert list(join([], g, ["?a"], [("?b", comparison(">", integer(0)))], binding)) == []
         # and with no seed and nothing selected, the one empty row
         assert list(join([], Graph(), [])) == [()]
 
@@ -219,7 +225,7 @@ class TestJoin:
         patterns = [TriplePattern("?s", iri("urn:p"), "?o"), TriplePattern("?s", "?p", "?x")]
         select = ["?x", "?s", "?p", "?o"]
         row = (integer(2), iri("urn:b"), iri("urn:q"), string("x"))
-        seed = {"?x": integer(2)}
+        seed = filed(g, {"?x": integer(2)})
         # a check on the seed's term, and one on a term that a level binds
         for x, o in [(2, "x"), (2, "y"), (1, "x")]:
             checks = [("?x", comparison("=", integer(x))), ("?o", comparison("=", string(o)))]
@@ -285,25 +291,28 @@ class TestJoin:
         gc.collect()
         assert not any(map(gc.is_tracked, rows))
 
-    def test_a_seeded_term_comes_back_as_the_same_term(self):
-        g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:b", "urn:p", string("x"))])
-        seeded = decimal(7.5)
-        rows = list(join([TriplePattern("?s", iri("urn:p"), "?o")], g, ["?s", "?v"], binding={"?v": seeded}))
+    def test_a_seeded_token_comes_back_as_the_same_token_and_nothing_is_filed(self):
+        g = Graph([t("urn:a", "urn:p", integer(1)), t("urn:b", "urn:p", string("x")), t("urn:b", "urn:q", decimal(7.5))])
+        # a token of the graph, not an equal string that the test builds
+        seeded = next(o for _, p, o in g._triples if p == "<urn:q>")
+        table_size, numbers = len(g._terms), dict(g._terms.numbers)
+        patterns = [TriplePattern("?s", iri("urn:p"), "?o")]
+        rows = list(join(patterns, g, ["?s", "?v"], [("?v", comparison(">", integer(7)))], {"?v": seeded}))
         assert [s for s, _ in rows] == ["<urn:a>", "<urn:b>"]
-        # the token is filed with the term, so the table does not rebuild it without its number
-        for _, token in rows:
-            assert g._terms[token] is seeded and g._terms[token]._num == 7.5
-        assert terms(g, rows) == [(iri("urn:a"), seeded), (iri("urn:b"), seeded)]
-        # an equal term already in the table is the one that comes back
-        stored = integer(1)
-        ((token,),) = join([], g, ["?n"], binding={"?n": stored})
-        assert g._terms[token] == stored and g._terms[token]._num == 1.0
+        assert all(token is seeded for _, token in rows)
+        # seeding a slot, and a join of no pattern, read the token as it is
+        rows += join([TriplePattern("?s", "?p", "?v")], g, ["?v", "?s"], binding={"?v": seeded})
+        rows += join([], g, ["?n"], binding={"?n": seeded})
+        assert rows[2:] == [(seeded, "<urn:b>"), (seeded,)] and rows[2][0] is rows[3][0] is seeded
+        assert len(g._terms) == table_size and g._terms.numbers == numbers
 
 
 def joined_keys(g: Graph, pattern: TriplePattern) -> list[tuple[str, str, str]]:
     """The key of each match of a one-pattern ``join`` that selects the pattern's variables, in join order."""
     select = list(dict.fromkeys(pattern.variables()))
-    return [key(Triple(*rdf.substitute(pattern, dict(zip(select, row))))) for row in terms(g, join([pattern], g, select))]
+    constants = tokens(pattern)
+    return [tuple(dict(zip(select, row)).get(slot, token) for slot, token in zip(pattern, constants))
+            for row in join([pattern], g, select)]
 
 
 def count_probes(g: Graph) -> list[int]:
@@ -399,27 +408,21 @@ class TestJoinPlan:
                 codes.setdefault(u.subject, []).append(u.object)
         rows = sorted((sensor.value, float(code.value)) for sensor, o in fuel for code in codes[o]
                       if float(code.value) > 90.0)
-        calls = {"count": 0, "substitute": 0}
-        count, substitute = Graph.count, rdf.substitute
+        calls = {"count": 0}
+        count = Graph.count
 
         def counting_count(self, pattern):
             calls["count"] += 1
             return count(self, pattern)
 
-        def counting_substitute(pattern, binding):
-            calls["substitute"] += 1
-            return substitute(pattern, binding)
-
         monkeypatch.setattr(Graph, "count", counting_count)
-        monkeypatch.setattr(rdf, "substitute", counting_substitute)
         probes = count_probes(g)
         table = evaluate(parse_query(DRY_AUGUST_QUERY), g)
         assert rows and sorted((sensor.value, float(code.value)) for sensor, code in table.rows) == rows
-        # one lookup sizes each of the 4 patterns, and no pattern is
-        # substituted again; after that, one lookup reads the first level, and
-        # one index probe per binding at each later level
+        # one lookup sizes each of the 4 patterns; after that, one lookup
+        # reads the first level, and one index probe per binding at each
+        # later level
         assert calls["count"] == 4
-        assert calls["substitute"] == 4
         assert probes == [4 + 1 + len(august) + len(observations) + len(fuel)]
 
     def test_lookup_sizes_the_value_pattern_without_gathering_it(self, dataset_text, monkeypatch):
@@ -521,7 +524,7 @@ def join_both_ways(patterns, g, filters=(), seed=None, select=()) -> int:
     want = [b for b in brute_force_join(g, patterns, seed) if passes(b, filters)]
     got = bindings(patterns, g, compiled(filters), seed)
     assert canonical(got) == canonical(want)
-    rows = terms(g, join(patterns, g, select, compiled(filters), dict(seed or {})))
+    rows = terms(g, join(patterns, g, select, compiled(filters), filed(g, seed)))
     # the same rows, in the same order
     assert rows == [tuple(b[v] for v in select) for b in got]
     return len(want)

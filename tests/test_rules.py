@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from fireweather import rdf
 from fireweather import rules as rules_module
 from fireweather import vocab
+from fireweather.assess import assess
+from fireweather.indices import WeatherInputs, compute_chain
+from fireweather.ingest import parse_csv
 from fireweather.rdf import Graph, RdfError, Term, Triple, decimal, integer, iri, join, string
 from fireweather.rules import (
     BuiltinGreaterThan,
@@ -740,3 +743,117 @@ def test_chaining_inserts_each_fact_once(text, monkeypatch):
     monkeypatch.setattr(Graph, "insert", counting)
     facts = forward_chain(g, ruleset)
     assert facts and inserts == len(facts)
+
+
+#: each scale's band labels whose ``fwi.rules`` body property is spelled differently; every other label is its own
+BODY_PROPERTY = {
+    ("ffmc", "difficult"): "Difficult", ("ffmc", "moderatelyeasy"): "Moderatelyeasy",
+    ("dmc", "difficult"): "Difficult", ("dmc", "difficultandExtended"): "difficultandextended",
+    ("dmc", "difficultandextensive"): "Difficultandextensive",
+    ("bui", "notDifficult"): "notdifficult", ("bui", "veryDifficult"): "verydifficult",
+    ("bui", "extremelyDifficult"): "extremelydifficult",
+    ("isi", "moderatelyFast"): "moderatelyfast", ("isi", "very_fast"): "veryfast",
+    ("isi", "extremelyDifficult"): "extremelydifficult",
+}
+#: each scale's head property in ``fwi.rules``, and the ``Assessment`` field with the same label
+SCALE_HEADS = {"ffmc": ("IgnitionPotential", "ignition_potential"), "dmc": ("MopupNeeds", "mopup_needs"),
+               "bui": ("DifficultyofControle", "difficulty_of_control"), "isi": ("RateofSpread", "rate_of_spread"),
+               "fwi": ("FireIntensity", "fire_intensity")}
+#: the bundled rows, by sensor ordinal, of each (scale, outcome) but "agree": runs ``a-b`` and single ordinals
+DISAGREEING = {
+    ("ffmc", "no fact"): (
+        "7 11 20 35 42-45 67 69 85 87 90 96 101 122 148 155 159 173-174 177 181 194 206 208 211 216 225 228 "
+        "255-256 260 263 269 286 302 310 326 328-329 356 369 377-378 396 403 405 434 477 483 485 497 502 504 "
+        "508 513 515"),
+    ("ffmc", "several labels"): "120 214 297 299 316 354 453 463",
+    ("ffmc", "one wrong label"): "314",
+    ("dmc", "no fact"): "59 378 431 453",
+    ("dmc", "several labels"): (
+        "8 58 62-63 74-75 82 95 97 100 111 138 147 162 164 190 196 198 204 208 221 223 231 234 248-249 258 265 "
+        "271 301 321 344 360 364 366 376 381 392 411 413 425 429 432 443 446 452 458 466 480 488 507"),
+    ("dmc", "one wrong label"): "312 338 383 462 502",
+    ("bui", "no fact"): "62 78 109 316 381 412 507",
+    ("bui", "several labels"): (
+        "1 3 5-6 10-11 14 20-22 33 35-36 44-46 53 80 82 88 91 94-96 100 102-104 106-107 115-117 123 126 131-132 "
+        "134 137 139-140 148 153 155 159 173 179 181 184 186 199 201 207-208 211-212 216 222-223 225 233 242 "
+        "250 252-253 257 260-261 263-264 270 274 276 282 286 295-296 302 309 311 315 318 322-323 326 328-330 "
+        "334-337 340 345 349 354 359 363 369 372-373 375-376 380 393 399 401-402 405 414-415 430 434 436 450 "
+        "459 461 464 466 468 475 477 480 487 489 493 496-498 501 503 506 509 514 517"),
+    ("isi", "no fact"): (
+        "30 62-63 74 90-91 97 109 111 123 138 151 182 190 198 249 297 312 314 316 338 344 365 381 383 408 411 "
+        "413 429 446 452 462 471 490 495 507"),
+    ("isi", "several labels"): (
+        "2 4-7 9-12 15-28 31-32 34 37-45 47-49 51-52 56-58 60-61 64 67-70 72 75-77 79 81-82 84-87 89 92-94 96 "
+        "99 101 104-107 110 112 116 118-119 121 125-126 128-130 133 136 139 142-150 154-155 158-159 161-170 "
+        "172-176 178-179 183 185-187 189 192-193 197 199-200 203 205-207 210-212 215-221 224 226-228 230 232 "
+        "236 238-241 243-247 251-252 254-256 258-260 262-264 267-268 271 273 275 277-279 283-288 291-294 300 "
+        "302-308 315 317 319-320 324 326 329 331-332 334 337 340-342 345-348 350 355-359 362-363 366-367 "
+        "369-371 374 376-377 379-380 382 385-387 389-391 394-395 397 400 403-407 409 416-419 421 423-424 "
+        "426-428 430 432-433 435 437-438 440-442 444-445 448 451 455 457-458 461 464-467 470 472-473 476-478 "
+        "481 484 486-487 489 491-492 494 496 499-501 503-504 506 508-509 511-515"),
+    ("isi", "one wrong label"): (
+        "1 3 8 13-14 33 36 46 50 53 55 65 71 73 80 83 88 95 98 100 102-103 113-115 117 127 131-132 134-135 137 "
+        "140 152-153 160 171 177 180-181 184 188 195-196 201 204 208 222-223 225 229 231 233-235 237 242 248 "
+        "250 253 257 261 266 269-270 272 274 276 281-282 289-290 295-296 298 301 309-311 313 318 321-323 328 "
+        "330 335-336 343 349 351-352 360-361 364 368 372-373 375 384 392-393 396 398-399 401-402 414-415 420 "
+        "422 425 434 436 439 443 447 449-450 454 459-460 468 474-475 479-480 482-483 485 488 493 497 516-517"),
+    ("fwi", "no fact"): (
+        "3-4 20 24 40 49 52 54 63-64 70-71 76 81 86 90 97 103 106 108 138 155-156 161 173 181 187 190 198 203 "
+        "205 209 213-214 219-220 222 228 243-244 257 261 263 307 311-312 333 336 338 342 371 381-382 406-407 "
+        "411 429 433 442 446 461 471 477 483-484 487 510"),
+    ("fwi", "several labels"): "29 157 265 365 410 412",
+    ("fwi", "one wrong label"): "344 431 452 462",
+}
+
+
+def ordinals(runs: str) -> list[int]:
+    return [n for run in runs.split() for n in range(int(run.split("-")[0]), int(run.split("-")[-1]) + 1)]
+
+
+def test_rules_differ_from_assess_on_the_bundled_rows_as_pinned(dataset_text, rules_text):
+    """``fwi.rules`` over each row's band properties, against ``assess``'s five labels, pair by pair.
+
+    Each row's store holds its sensor's ``rdf:type``, the body property of
+    each scale's band set to the index value, ``Rain`` and ``windspeed``.
+    A (sensor, scale) pair agrees when its head property holds the one label
+    that ``assess`` gives; otherwise no fact, several labels or one wrong
+    label.  The rule thresholds sit one above the tables' lower bounds, and
+    some body properties serve two scales, so many pairs disagree.
+    """
+    triples, labels = [], {}
+    for n, obs in enumerate(parse_csv(dataset_text), start=1):
+        sensor = iri(vocab.sensor_iri(n))
+        rec = compute_chain(obs.ffmc, obs.dmc, obs.dc, obs.wind)
+        assessment = assess(rec, WeatherInputs(obs.temp, obs.rh, obs.wind, obs.rain), sensor.value)
+        triples.append(Triple(sensor, iri(vocab.RDF_TYPE), iri(vocab.SENSOR_CLASS)))
+        for scale, (_, field) in SCALE_HEADS.items():
+            labels[n, scale] = label = getattr(assessment, field)
+            prop = BODY_PROPERTY.get((scale, label), label)
+            triples.append(Triple(sensor, iri(vocab.prop_iri(prop)), decimal(getattr(rec, scale))))
+        triples += [Triple(sensor, iri(vocab.prop_iri("Rain")), decimal(obs.rain)),
+                    Triple(sensor, iri(vocab.prop_iri("windspeed")), decimal(obs.wind))]
+    g, ruleset = Graph(triples), parse_rules(rules_text)
+    facts = forward_chain(g, ruleset)
+    derived = {}
+    for f in facts:
+        derived.setdefault((f.subject.value, f.property_iri), set()).add(f.label)
+    outcomes = {}
+    for (n, scale), label in labels.items():
+        got = derived.get((vocab.sensor_iri(n), vocab.prop_iri(SCALE_HEADS[scale][0])), set())
+        outcomes[n, scale] = ("agree" if got == {label} else "no fact" if not got
+                              else "several labels" if len(got) > 1 else "one wrong label")
+    pinned = dict.fromkeys(labels, "agree")
+    pinned.update(((n, scale), outcome) for (scale, outcome), runs in DISAGREEING.items() for n in ordinals(runs))
+    moved = [f"sensor {n} {scale}: {pinned[n, scale]} -> {outcomes[n, scale]} (assess {labels[n, scale]}, rules "
+             f"{sorted(derived.get((vocab.sensor_iri(n), vocab.prop_iri(SCALE_HEADS[scale][0])), ()))})"
+             for n, scale in labels if outcomes[n, scale] != pinned[n, scale]]
+    assert not moved, "pairs that moved:\n" + "\n".join(moved)
+    assert (len(g), len(facts)) == (4136, 2920) and verify_provenance(g, ruleset, facts)
+    kinds = ("agree", "no fact", "several labels", "one wrong label")
+    counts = {scale: [sum(outcomes[n, s] == kind for n, s in outcomes if s == scale) for kind in kinds]
+              for scale in SCALE_HEADS}
+    assert counts == {"ffmc": [450, 58, 8, 1], "dmc": [457, 4, 51, 5], "bui": [375, 7, 135, 0],
+                      "isi": [41, 36, 305, 135], "fwi": [440, 67, 6, 4]}
+    assert sum(counts[scale][0] for scale in counts) == 1763 and len(outcomes) == 2585
+    heads = [f.property_iri for f in facts]
+    assert (heads.count(vocab.prop_iri("startRaining")), heads.count(vocab.prop_iri("WindSpeed"))) == (2, 0)
