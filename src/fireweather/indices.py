@@ -198,8 +198,9 @@ def ffmc_daily(ffmc_prev: float, w: WeatherInputs) -> float:
     m = fmc_from_ffmc(ffmc_prev)
     if w.rain_24h > 0.5:
         rf = w.rain_24h - 0.5
-        delta = 42.5 * rf * math.exp(-100.0 / (251.0 - m)) * (1.0 - math.exp(-6.93 / rf))
-        if math.isnan(delta):
+        # ``1 - exp(x)`` loses digits as rain grows, and is 0 past about 6e16 mm, where more rain would wet less
+        delta = 42.5 * rf * math.exp(-100.0 / (251.0 - m)) * -math.expm1(-6.93 / rf)
+        if not math.isfinite(delta):
             raise DomainError(f"rain {w.rain_24h} is too large: the FFMC update overflows")
         if m > 150.0:
             delta += 0.0015 * (m - 150.0) ** 2 * math.sqrt(rf)

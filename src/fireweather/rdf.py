@@ -7,7 +7,7 @@ are deliberately unsupported; ingestion mints deterministic IRIs instead.
 semi-naive chaining round and SPARQL queries all evaluate through it, each
 plan written as one generator expression, compiled once per source text.
 ``comparison`` is the one comparison, which a SPARQL ``FILTER`` and a
-rule's ``greaterThan`` share.
+rule's ``greaterThan`` share, and ``Cursor`` the one token cursor of both parsers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain, starmap
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -71,6 +71,10 @@ class Term:
 
     def __init__(self, value: str, datatype: Optional[Datatype] = None):
         num = None
+        if not isinstance(value, str):
+            raise RdfError(f"term value must be a str, got {type(value).__name__}")
+        if datatype is not None and not isinstance(datatype, Datatype):
+            raise RdfError(f"term datatype must be None or a Datatype, got {datatype!r}")
         if not value.isascii() and _SURROGATE.search(value):
             raise RdfError(f"term {value!r} holds a surrogate code point")
         if datatype is None:
@@ -202,8 +206,11 @@ class TriplePattern(namedtuple("TriplePattern", "subject predicate object")):
 
     def __new__(cls, subject: Slot, predicate: Slot, object: Slot):
         for slot in (subject, predicate, object):
-            if isinstance(slot, str) and (len(slot) < 2 or not slot.startswith("?")):
-                raise RdfError(f"invalid variable name: {slot!r}")
+            if isinstance(slot, str):
+                if len(slot) < 2 or not slot.startswith("?"):
+                    raise RdfError(f"invalid variable name: {slot!r}")
+            elif not isinstance(slot, Term):
+                raise RdfError(f"pattern slot {slot!r} is neither a Term nor a ?name variable")
         return tuple.__new__(cls, (subject, predicate, object))
 
     def variables(self) -> list[str]:
@@ -656,6 +663,54 @@ def split_lines(text: str) -> list[str]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.split("\n")
+
+
+#: a cursor's token: its group's name, its text and where it starts in the text
+Token = tuple[str, str, int]
+
+
+class Cursor:
+    """The tokens of ``text``, read in order, that the rule and query parsers share.
+
+    Each match of ``pattern`` is a token named by its group; ``WS`` tokens
+    are dropped and an ``EOF`` token ends the list.  ``fail`` raises
+    ``error(message, line, column)`` at a token, its line counted by
+    ``split_lines`` from ``first_line`` and its column from 1.
+    """
+
+    def __init__(self, pattern: re.Pattern, text: str, error: type[Exception], first_line: int = 1):
+        self.text, self.error, self.first_line = text, error, first_line
+        self.tokens = [(m.lastgroup, m.group(), m.start()) for m in pattern.finditer(text) if m.lastgroup != "WS"]
+        self.tokens.append(("EOF", "", len(text)))
+        self.index = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.index]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
+        """The next token, taken, if a ``kind`` that, given ``text``, reads ``text`` upper-cased, as a keyword may."""
+        tok = self.tokens[self.index]
+        if tok[0] != kind or text is not None and tok[1].upper() != text:
+            return None
+        self.index += 1
+        return tok
+
+    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+        """``accept``'s token, or an error naming ``text``, if given, or else ``kind``."""
+        tok = self.accept(kind, text)
+        if tok is None:
+            self.fail(f"expected {kind if text is None else repr(text)}, got {self.peek()[1]!r}")
+        return tok
+
+    def fail(self, message: str, tok: Optional[Token] = None) -> NoReturn:
+        """Raises ``message`` at ``tok``, or at the next token."""
+        lines = split_lines(self.text[: (tok or self.peek())[2]])
+        raise self.error(message, self.first_line + len(lines) - 1, len(lines[-1]) + 1)
 
 
 def _tokens(line: str) -> Optional[list[str]]:

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import vocab
 from .rdf import (
-    Check, Graph, Key, RdfError, Term, Triple, TriplePattern, comparison, decimal, iri, join, split_lines, string
+    Check, Cursor, Graph, Key, RdfError, Term, Triple, TriplePattern, comparison, decimal, iri, join, split_lines, string
 )
 
 
@@ -120,88 +120,64 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Lexer:
-    def __init__(self, text: str, line: int):
-        self.line = line
-        self.tokens: list[tuple[str, str, int]] = []
-        self.index = 0
-        for m in _TOKEN_RE.finditer(text):
-            kind, token, column = m.lastgroup, m.group(), m.start() + 1
-            # ``\w`` also takes digits and numerals, which cannot start a name
-            if kind == "BAD" or kind == "NAME" and not (token[0].isalpha() or token[0] == "_"):
-                raise RuleParseError(f"unexpected character {token[0]!r}", line, column)
-            if token == "?":
-                raise RuleParseError("empty variable name", line, column)
-            if kind != "WS":
-                self.tokens.append((kind, token, column))
-        self.tokens.append(("EOF", "", len(text) + 1))
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        if tok[0] != kind:
-            raise RuleParseError(f"expected {kind}, got {tok[1]!r}", self.line, tok[2])
-        self.index += 1
-        return tok
-
-
-def _parse_atom(lx: _Lexer, head: bool) -> BodyAtom:
-    _, name, col = lx.take("NAME")
-    lx.take("LPAREN")
-    kind, first, fcol = lx.peek()
-    if kind != "VAR":
-        raise RuleParseError(f"atom argument must be a variable, got {first!r}", lx.line, fcol)
-    lx.take("VAR")
-    if lx.peek()[0] == "RPAREN":
-        lx.take("RPAREN")
+def _parse_atom(lx: Cursor, head: bool) -> BodyAtom:
+    at = lx.expect("NAME")
+    name = at[1]
+    lx.expect("LPAREN")
+    if lx.peek()[0] != "VAR":
+        lx.fail(f"atom argument must be a variable, got {lx.peek()[1]!r}")
+    first = lx.next()[1]
+    if lx.accept("RPAREN"):
         if head:
-            raise RuleParseError("head atom needs a constant second argument", lx.line, col)
+            lx.fail("head atom needs a constant second argument", at)
         if name == "greaterThan":
-            raise RuleParseError("greaterThan takes two arguments", lx.line, col)
+            lx.fail("greaterThan takes two arguments", at)
         return ClassAtom(name, first)
-    lx.take("COMMA")
-    kind, second, scol = lx.peek()
+    lx.expect("COMMA")
+    arg = lx.next()
+    kind, second, _ = arg
     if name == "greaterThan":
         if kind != "NUMBER":
-            raise RuleParseError("greaterThan threshold must be numeric", lx.line, scol)
+            lx.fail("greaterThan threshold must be numeric", arg)
         # the numeral must spell a decimal ``Term``, as a FILTER operand must:
         # ``float`` alone also reads numerals that are not ASCII
         try:
             decimal(second)
         except RdfError as exc:
-            raise RuleParseError(f"greaterThan threshold: {exc}", lx.line, scol) from None
-        lx.take("NUMBER")
-        lx.take("RPAREN")
+            lx.fail(f"greaterThan threshold: {exc}", arg)
+        lx.expect("RPAREN")
         return BuiltinGreaterThan(first, float(second))
     if name in ("lessThan", "equal", "notEqual", "greaterThanOrEqual", "lessThanOrEqual"):
-        raise RuleParseError(f"unsupported builtin {name!r}: only greaterThan is available", lx.line, col)
+        lx.fail(f"unsupported builtin {name!r}: only greaterThan is available", at)
     if kind == "VAR":
-        lx.take("VAR")
         value: Union[str, Term] = second
     elif kind in ("NAME", "NUMBER"):
-        lx.take(kind)
         value = string(second)
     else:
-        raise RuleParseError(f"unexpected atom argument {second!r}", lx.line, scol)
-    lx.take("RPAREN")
+        lx.fail(f"unexpected atom argument {second!r}", arg)
+    lx.expect("RPAREN")
     if head and not isinstance(value, Term):
-        raise RuleParseError("head atom object must be a constant", lx.line, scol)
+        lx.fail("head atom object must be a constant", arg)
     return DataPropertyAtom(name, first, value)
 
 
 def parse_rule(text: str, line: int = 1) -> Rule:
-    lx = _Lexer(text, line)
+    lx = Cursor(_TOKEN_RE, text, RuleParseError, line)
+    for tok in lx.tokens:
+        kind, token, _ = tok
+        # ``\w`` also takes digits and numerals, which cannot start a name
+        if kind == "BAD" or kind == "NAME" and not (token[0].isalpha() or token[0] == "_"):
+            lx.fail(f"unexpected character {token[0]!r}", tok)
+        if token == "?":
+            lx.fail("empty variable name", tok)
     body: list[BodyAtom] = [_parse_atom(lx, head=False)]
-    while lx.peek()[0] == "AND":
-        lx.take("AND")
+    while lx.accept("AND"):
         body.append(_parse_atom(lx, head=False))
-    lx.take("ARROW")
+    lx.expect("ARROW")
     head = _parse_atom(lx, head=True)
     if not isinstance(head, DataPropertyAtom):
         raise RuleParseError("head must be a data-property atom", line)
-    lx.take("EOF")
+    lx.expect("EOF")
 
     rule = Rule(tuple(body), head)
     bound = {v for p in rule.patterns() for v in p.variables()}

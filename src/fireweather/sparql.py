@@ -12,9 +12,9 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .rdf import Datatype, Graph, RdfError, Term, TriplePattern, comparison, join, split_lines, unescape_literal
+from .rdf import Cursor, Datatype, Graph, RdfError, Term, Token, TriplePattern, comparison, join, unescape_literal
 
 
 class QueryParseError(Exception):
@@ -112,129 +112,79 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    #: where the token starts in the query text
-    offset: int
-
-
 # --- parser ----------------------------------------------------------------
 
 
-class _Parser:
+class _Parser(Cursor):
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = [_Token(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup != "WS"]
-        self.tokens.append(_Token("EOF", "", len(text)))
-        self.index = 0
+        super().__init__(_TOKEN_RE, text, QueryParseError)
         self.prefixes: dict[str, str] = {}
         for tok in self.tokens:
-            if tok.kind == "BAD":
-                self.fail(f"unexpected character {tok.text!r}", tok)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def fail(self, message: str, tok: Optional[_Token] = None):
-        """Raises ``message`` at ``tok``, or at the next token, on the line that ``split_lines`` counts."""
-        lines = split_lines(self.text[: (tok or self.peek()).offset])
-        raise QueryParseError(message, len(lines), len(lines[-1]) + 1)
-
-    def keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.text.upper() == word:
-            self.next()
-            return True
-        return False
-
-    def expect_keyword(self, word: str):
-        if not self.keyword(word):
-            self.fail(f"expected {word}")
-
-    def expect_punct(self, ch: str):
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == ch:
-            self.next()
-            return
-        self.fail(f"expected {ch!r}, got {tok.text!r}")
+            if tok[0] == "BAD":
+                self.fail(f"unexpected character {tok[1]!r}", tok)
 
     def parse(self) -> Query:
-        while self.keyword("PREFIX"):
+        while self.accept("NAME", "PREFIX"):
             tok = self.next()
-            if tok.kind != "PNAME" or not tok.text.endswith(":"):
+            if tok[0] != "PNAME" or not tok[1].endswith(":"):
                 self.fail("expected prefix name ending in ':'", tok)
-            prefix = tok.text[:-1]
             iri_tok = self.next()
-            if iri_tok.kind != "IRIREF":
+            if iri_tok[0] != "IRIREF":
                 self.fail("expected <iri> after prefix name", iri_tok)
-            self.prefixes[prefix] = iri_tok.text[1:-1]
+            self.prefixes[tok[1][:-1]] = iri_tok[1][1:-1]
 
         select_tok = self.peek()
-        self.expect_keyword("SELECT")
+        if not self.accept("NAME", "SELECT"):
+            self.fail("expected SELECT")
         select_vars = []
-        while self.peek().kind == "VAR":
-            select_vars.append(self.next().text)
+        while self.peek()[0] == "VAR":
+            select_vars.append(self.next()[1])
 
-        self.expect_keyword("WHERE")
-        self.expect_punct("{")
+        if not self.accept("NAME", "WHERE"):
+            self.fail("expected WHERE")
+        self.expect("PUNCT", "{")
         patterns: list[TriplePattern] = []
         filters: list[FilterExpr] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text == "}":
-                self.next()
-                break
-            if self.keyword("FILTER"):
+        while not self.accept("PUNCT", "}"):
+            if self.accept("NAME", "FILTER"):
                 filters.append(self.parse_filter())
                 continue
-            if tok.kind == "EOF":
+            if self.peek()[0] == "EOF":
                 self.fail("unterminated group pattern: missing '}'")
-            patterns.append(self.parse_pattern())
-            if self.peek().kind == "PUNCT" and self.peek().text == ".":
-                self.next()
+            patterns.append(TriplePattern(*[self.parse_term_or_var() for _ in range(3)]))
+            self.accept("PUNCT", ".")
         tok = self.peek()
-        if tok.kind != "EOF":
-            self.fail(f"trailing input {tok.text!r}")
+        if tok[0] != "EOF":
+            self.fail(f"trailing input {tok[1]!r}")
 
         try:
             return Query(dict(self.prefixes), tuple(select_vars), tuple(patterns), tuple(filters))
         except ValueError as exc:
             self.fail(str(exc), select_tok)
 
-    def parse_pattern(self) -> TriplePattern:
-        slots = [self.parse_term_or_var() for _ in range(3)]
-        return TriplePattern(*slots)
-
     def parse_term_or_var(self):
         tok = self.next()
-        if tok.kind == "VAR":
-            return tok.text
-        if tok.kind == "IRIREF":
-            return self.term_at(tok, tok.text[1:-1])
-        if tok.kind == "PNAME":
+        kind, text, _ = tok
+        if kind == "VAR":
+            return text
+        if kind == "IRIREF":
+            return self.term_at(tok, text[1:-1])
+        if kind == "PNAME":
             return self.term_at(tok, self.expand_pname(tok))
-        if tok.kind == "NUMBER":
+        if kind == "NUMBER":
             return self.number_at(tok)
-        if tok.kind == "STRING":
+        if kind == "STRING":
             return self.parse_literal(tok)
-        self.fail(f"expected term or variable, got {tok.text!r}", tok)
+        self.fail(f"expected term or variable, got {text!r}", tok)
 
-    def parse_literal(self, tok: _Token) -> Term:
+    def parse_literal(self, tok: Token) -> Term:
         dt = Datatype.STRING
-        nxt = self.peek()
-        if nxt.kind == "PUNCT" and nxt.text == "^":
-            self.next()
-            self.expect_punct("^")
+        if self.accept("PUNCT", "^"):
+            self.expect("PUNCT", "^")
             dt_tok = self.next()
-            if dt_tok.kind == "IRIREF":
-                dt_iri = dt_tok.text[1:-1]
-            elif dt_tok.kind == "PNAME":
+            if dt_tok[0] == "IRIREF":
+                dt_iri = dt_tok[1][1:-1]
+            elif dt_tok[0] == "PNAME":
                 dt_iri = self.expand_pname(dt_tok)
             else:
                 self.fail("expected datatype after ^^", dt_tok)
@@ -243,43 +193,43 @@ class _Parser:
             except ValueError:
                 self.fail(f"unsupported datatype <{dt_iri}>", dt_tok)
         try:
-            return Term(unescape_literal(tok.text[1:-1]), dt)
+            return Term(unescape_literal(tok[1][1:-1]), dt)
         except RdfError as exc:
             self.fail(str(exc), tok)
 
-    def term_at(self, tok: _Token, value: str, datatype: Optional[Datatype] = None) -> Term:
+    def term_at(self, tok: Token, value: str, datatype: Optional[Datatype] = None) -> Term:
         """The term, or a parse error located at ``tok`` if it is invalid."""
         try:
             return Term(value, datatype)
         except RdfError as exc:
             self.fail(str(exc), tok)
 
-    def number_at(self, tok: _Token) -> Term:
-        return self.term_at(tok, tok.text, Datatype.DECIMAL if "." in tok.text else Datatype.INTEGER)
+    def number_at(self, tok: Token) -> Term:
+        return self.term_at(tok, tok[1], Datatype.DECIMAL if "." in tok[1] else Datatype.INTEGER)
 
-    def expand_pname(self, tok: _Token) -> str:
-        prefix, _, local = tok.text.partition(":")
+    def expand_pname(self, tok: Token) -> str:
+        prefix, _, local = tok[1].partition(":")
         if prefix not in self.prefixes:
             self.fail(f"unknown prefix {prefix!r}", tok)
         return self.prefixes[prefix] + local
 
     def parse_filter(self) -> FilterExpr:
-        self.expect_punct("(")
+        self.expect("PUNCT", "(")
         var_tok = self.next()
-        if var_tok.kind != "VAR":
+        if var_tok[0] != "VAR":
             self.fail("FILTER expects a variable", var_tok)
         op_tok = self.next()
-        if op_tok.kind != "OP":
-            self.fail(f"expected comparator, got {op_tok.text!r}", op_tok)
+        if op_tok[0] != "OP":
+            self.fail(f"expected comparator, got {op_tok[1]!r}", op_tok)
         operand_tok = self.next()
-        if operand_tok.kind == "NUMBER":
+        if operand_tok[0] == "NUMBER":
             operand = self.number_at(operand_tok)
-        elif operand_tok.kind == "STRING":
+        elif operand_tok[0] == "STRING":
             operand = self.parse_literal(operand_tok)
         else:
-            self.fail(f"expected literal operand, got {operand_tok.text!r}", operand_tok)
-        self.expect_punct(")")
-        return FilterExpr(var_tok.text, op_tok.text, operand)
+            self.fail(f"expected literal operand, got {operand_tok[1]!r}", operand_tok)
+        self.expect("PUNCT", ")")
+        return FilterExpr(var_tok[1], op_tok[1], operand)
 
 
 def parse_query(text: str) -> Query:

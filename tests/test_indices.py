@@ -291,6 +291,14 @@ def test_an_update_that_overflows_names_its_input(update, args, named):
         update(*args)
 
 
+@pytest.mark.parametrize("ffmc_prev", [0.0, 60.0, 85.0, 101.0])
+def test_more_rain_never_raises_next_day_ffmc(ffmc_prev):
+    # ``1 - exp(-6.93 / rf)`` rounds to 0 as rain grows huge, and must not stop the wetting
+    rains = [0.0, 0.5, 0.6, 5.0, 100.0, 1e16, 1e300]
+    ffmc = [ffmc_daily(ffmc_prev, WeatherInputs(20.0, 50.0, 10.0, rain)) for rain in rains]
+    assert ffmc == sorted(ffmc, reverse=True)
+
+
 def test_an_update_takes_its_month_by_keyword():
     w = WeatherInputs(temp=20.0, rh=40.0, wind=5.0, rain_24h=0.0)
     assert dmc_daily(10.0, w, month=8) == dmc_daily(10.0, w, "aug")

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fireweather import rdf, vocab
 from fireweather import rules as rules_module
@@ -78,6 +80,23 @@ class TestTriple:
     def test_predicate_must_be_iri(self):
         with pytest.raises(RdfError):
             Triple(iri("urn:s"), integer(3), string("o"))
+
+
+#: pattern slots of every kind: terms, variables, strings that name no variable, and objects that are neither
+SLOTS = st.one_of(
+    st.sampled_from([iri("urn:s"), string("x"), integer(3)]), st.text(max_size=3).map("?".__add__), st.text(max_size=3),
+    st.none(), st.integers(), st.floats(), st.binary(max_size=3), st.tuples(st.text(max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SLOTS, SLOTS, SLOTS)
+def test_a_pattern_takes_only_terms_and_variables(s, p, o):
+    if all(isinstance(x, Term) or isinstance(x, str) and len(x) > 1 and x.startswith("?") for x in (s, p, o)):
+        assert TriplePattern(s, p, o) == (s, p, o)
+    else:
+        with pytest.raises(RdfError):
+            TriplePattern(s, p, o)
 
 
 class TestInsert:

@@ -335,6 +335,15 @@ class TestVerifyProvenance:
         g, ruleset, fact = derived
         assert not verify_provenance(g, ruleset, [dataclasses.replace(fact, **changes)])
 
+    @pytest.mark.parametrize("stored", [True, False], ids=["fails-builtin", "fails-pattern"])
+    def test_rejects_a_fact_whose_bindings_fail_its_body(self, derived, stored):
+        # ?rh bound to 15, below the rule's greaterThan(?rh, 16), whether or not the store holds that value
+        g, ruleset, fact = derived
+        if stored:
+            g = Graph([*g, prop("Sensor_2", "notdifficult", decimal(15.0))])
+        bindings = tuple((name, decimal(15.0) if name == "?rh" else term) for name, term in fact.bindings)
+        assert not verify_provenance(g, ruleset, [dataclasses.replace(fact, bindings=bindings)])
+
     def test_accepts_a_fact_whose_rule_equals_one_of_the_set(self, derived):
         g, ruleset, fact = derived
         twin = dataclasses.replace(fact, rule=parse_rule(fact.rule.render()))

@@ -9,7 +9,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fireweather import rdf
@@ -235,7 +235,14 @@ any_text = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]), 
 
 
 @settings(max_examples=500, deadline=None)
-@given(any_text, st.sampled_from([None, *Datatype]))
+# arguments of the wrong type too: a value that is no str, a datatype that is neither None nor a Datatype
+@given(st.one_of(any_text, st.binary(), st.integers(), st.floats(), st.none()),
+       st.one_of(st.sampled_from([None, *Datatype]), st.sampled_from(["foo", Datatype.STRING.value, 3])))
+@example(b"x", Datatype.STRING)
+@example(5, Datatype.INTEGER)
+@example(None, None)
+@example("x", "foo")
+@example("7", 3)
 def test_a_term_is_refused_or_round_trips_through_utf_8(value, datatype):
     try:
         term = Term(value, datatype)
