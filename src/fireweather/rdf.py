@@ -294,9 +294,8 @@ class Graph:
     numeric token's number filed in ``_terms.numbers``: the bulk reader of
     ``import_ntriples`` checks its tokens by kind, and every other token is
     the ``str`` of a ``Term``, which checked itself when built, filed by
-    ``_token``: for ``_key``, for a rule head's constants in
-    ``rules._derive``, or for a fact's bindings in ``verify_provenance``'s
-    copy of the graph.  A join files nothing.  So ``_terms`` rebuilds a
+    ``_token``: for ``_key``, or for a rule head's constants in
+    ``rules._derive``.  A join files nothing.  So ``_terms`` rebuilds a
     token's ``Term`` on its first read without checking it again.
     ``insert`` of a key is internal to the package, for keys of such
     tokens; a caller outside it inserts ``Triple``s.

@@ -237,6 +237,11 @@ def forward_chain(g: Graph, ruleset: Sequence[Rule]) -> list[InferredFact]:
             for (s, p, _), (rule, names, _), row in derived]
 
 
+def _variables(rule: Rule, patterns: list[TriplePattern]) -> list[str]:
+    """``rule``'s variables in name order, given its body ``patterns``: the order of a fact's bindings and a row's tokens."""
+    return sorted({rule.head.subject, *(v for p in patterns for v in p.variables())})
+
+
 def _derive(g: Graph, ruleset: Sequence[Rule]) -> tuple[list[tuple[Key, tuple, tuple[str, ...]]], dict[str, Term]]:
     """``forward_chain``'s facts, in order, as each key, its rule's entry and the row of tokens that derived it.
 
@@ -254,7 +259,7 @@ def _derive(g: Graph, ruleset: Sequence[Rule]) -> tuple[list[tuple[Key, tuple, t
     for rule, patterns, reading in zip(ruleset, bodies, reads):
         head = rule.head.pattern()
         tokens = (full._token(head.predicate), full._token(head.object))
-        names = sorted({head.subject, *(v for p in patterns for v in p.variables())})
+        names = _variables(rule, patterns)
         compiled.append(((rule, names, names.index(head.subject)), patterns, rule.checks(), tokens, reading))
     facts = []
     # the triples the last round derived; None before round 1
@@ -300,23 +305,35 @@ def _derive(g: Graph, ruleset: Sequence[Rule]) -> tuple[list[tuple[Key, tuple, t
 def verify_provenance(g: Graph, ruleset: Sequence[Rule], facts: Iterable[InferredFact]) -> bool:
     """Re-check every fact against its rule, which must be one of ``ruleset``'s.
 
-    The body must hold under the fact's bindings, filed as tokens in a copy
-    of the graph plus all derived triples, and the head under those
-    bindings must give the fact's subject, property and label.
+    Each rule that some fact names joins its body once, over a copy of the
+    graph plus all derived triples, selecting its variables in name order,
+    as ``_derive`` does.  A fact holds when it binds exactly those
+    variables, in that order, their terms' tokens are one of that join's
+    rows, and the head under those bindings gives the fact's subject,
+    property and label.  So a fact that lacks a binding of its rule, or
+    binds a variable its rule does not hold, fails, although its body might
+    hold; every fact that ``forward_chain`` derives binds exactly its rule's.
     """
     fact_list = list(facts)
     known = Graph(g)
     for f in fact_list:
         known.insert(f.triple())
+    # each rule's variables and the set of its body's rows, by rule
+    joined: dict[Rule, tuple[list[str], set[tuple[str, ...]]]] = {}
     for f in fact_list:
-        if f.rule not in ruleset:
-            return False
-        binding = {name: known._token(term) for name, term in f.bindings}
-        if next(join(f.rule.patterns(), known, (), f.rule.checks(), binding), None) is None:
-            return False
-        head = f.rule.head
+        rule = f.rule
+        if rule not in joined:
+            if rule not in ruleset:
+                return False
+            patterns = rule.patterns()
+            names = _variables(rule, patterns)
+            joined[rule] = (names, set(join(patterns, known, names, rule.checks())))
+        names, rows = joined[rule]
+        head = rule.head
         if (
-            dict(f.bindings).get(head.subject) != f.subject
+            [name for name, _ in f.bindings] != names
+            or tuple(str(term) for _, term in f.bindings) not in rows
+            or dict(f.bindings)[head.subject] != f.subject
             or f.property_iri != vocab.prop_iri(head.property_name)
             or f.label != head.value.value
         ):

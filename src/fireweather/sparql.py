@@ -12,9 +12,9 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .rdf import Cursor, Datatype, Graph, RdfError, Term, Token, TriplePattern, comparison, join, unescape_literal
+from .rdf import Cursor, Datatype, Graph, RdfError, Slot, Term, Token, TriplePattern, comparison, join, unescape_literal
 
 
 class QueryParseError(Exception):
@@ -32,6 +32,10 @@ class FilterExpr:
     comparator: str  # one of > < >= <= = !=
     operand: Term
 
+    def __post_init__(self):
+        if not (isinstance(self.variable, str) and isinstance(self.comparator, str) and isinstance(self.operand, Term)):
+            raise ValueError(f"a FILTER needs a variable name, a comparator and a Term operand, got {self!r}")
+
 
 @dataclass(frozen=True)
 class Query:
@@ -41,6 +45,12 @@ class Query:
     filters: tuple[FilterExpr, ...]
 
     def __post_init__(self):
+        if not isinstance(self.prefixes, dict) or not all(isinstance(x, str) for kv in self.prefixes.items() for x in kv):
+            raise ValueError(f"prefixes must map str to str, got {self.prefixes!r}")
+        for name, kind in (("select_vars", str), ("patterns", TriplePattern), ("filters", FilterExpr)):
+            value = getattr(self, name)
+            if not isinstance(value, tuple) or not all(isinstance(v, kind) for v in value):
+                raise ValueError(f"{name} must be a tuple of {kind.__name__}, got {value!r}")
         if not self.select_vars:
             raise ValueError("SELECT needs at least one variable")
         bound = {v for p in self.patterns for v in p.variables()}
@@ -80,16 +90,16 @@ class ResultTable:
         return "".join(line + "\n" for line in lines)
 
 
-#: a character that makes a CSV cell quoted (W3C SPARQL 1.1 CSV results §2, RFC 4180 §2.6)
-_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+#: the characters that make a CSV cell quoted (W3C SPARQL 1.1 CSV results §2, RFC 4180 §2.6)
+_CSV_SPECIAL = ',"\r\n'
 
 
 def _csv_quoted(column: list[str]) -> list[str]:
     """``column`` with each cell that holds a special character quoted; the column itself when none does."""
     joined = "".join(column)
-    if not any(c in joined for c in ',"\r\n'):
+    if not any(c in joined for c in _CSV_SPECIAL):
         return column
-    return ['"' + v.replace('"', '""') + '"' if _CSV_SPECIAL.search(v) else v for v in column]
+    return ['"' + v.replace('"', '""') + '"' if any(c in v for c in _CSV_SPECIAL) else v for v in column]
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -131,7 +141,7 @@ class _Parser(Cursor):
             iri_tok = self.next()
             if iri_tok[0] != "IRIREF":
                 self.fail("expected <iri> after prefix name", iri_tok)
-            self.prefixes[tok[1][:-1]] = iri_tok[1][1:-1]
+            self.prefixes[tok[1][:-1]] = self.iri(iri_tok)
 
         select_tok = self.peek()
         if not self.accept("NAME", "SELECT"):
@@ -151,7 +161,7 @@ class _Parser(Cursor):
                 continue
             if self.peek()[0] == "EOF":
                 self.fail("unterminated group pattern: missing '}'")
-            patterns.append(TriplePattern(*[self.parse_term_or_var() for _ in range(3)]))
+            patterns.append(TriplePattern(*[self.term("term or variable") for _ in range(3)]))
             self.accept("PUNCT", ".")
         tok = self.peek()
         if tok[0] != "EOF":
@@ -162,56 +172,46 @@ class _Parser(Cursor):
         except ValueError as exc:
             self.fail(str(exc), select_tok)
 
-    def parse_term_or_var(self):
+    def term(self, what: str, kinds: tuple[str, ...] = ("VAR", "IRIREF", "PNAME", "NUMBER", "STRING")) -> Slot:
+        """The next token as a ``?name`` or a ``Term``; ``expected {what}`` unless its kind is in ``kinds``, by default a slot's."""
         tok = self.next()
         kind, text, _ = tok
+        if kind not in kinds:
+            self.fail(f"expected {what}, got {text!r}", tok)
         if kind == "VAR":
             return text
-        if kind == "IRIREF":
-            return self.term_at(tok, text[1:-1])
-        if kind == "PNAME":
-            return self.term_at(tok, self.expand_pname(tok))
-        if kind == "NUMBER":
-            return self.number_at(tok)
-        if kind == "STRING":
-            return self.parse_literal(tok)
-        self.fail(f"expected term or variable, got {text!r}", tok)
-
-    def parse_literal(self, tok: Token) -> Term:
-        dt = Datatype.STRING
-        if self.accept("PUNCT", "^"):
-            self.expect("PUNCT", "^")
-            dt_tok = self.next()
-            if dt_tok[0] == "IRIREF":
-                dt_iri = dt_tok[1][1:-1]
-            elif dt_tok[0] == "PNAME":
-                dt_iri = self.expand_pname(dt_tok)
-            else:
-                self.fail("expected datatype after ^^", dt_tok)
-            try:
-                dt = Datatype(dt_iri)
-            except ValueError:
-                self.fail(f"unsupported datatype <{dt_iri}>", dt_tok)
+        datatype = self.datatype() if kind == "STRING" else None
         try:
-            return Term(unescape_literal(tok[1][1:-1]), dt)
+            if kind == "STRING":
+                return Term(unescape_literal(text[1:-1]), datatype)
+            if kind == "NUMBER":
+                return Term(text, Datatype.DECIMAL if "." in text else Datatype.INTEGER)
+            return Term(self.iri(tok))
         except RdfError as exc:
             self.fail(str(exc), tok)
 
-    def term_at(self, tok: Token, value: str, datatype: Optional[Datatype] = None) -> Term:
-        """The term, or a parse error located at ``tok`` if it is invalid."""
-        try:
-            return Term(value, datatype)
-        except RdfError as exc:
-            self.fail(str(exc), tok)
-
-    def number_at(self, tok: Token) -> Term:
-        return self.term_at(tok, tok[1], Datatype.DECIMAL if "." in tok[1] else Datatype.INTEGER)
-
-    def expand_pname(self, tok: Token) -> str:
+    def iri(self, tok: Token) -> str:
+        """The IRI that an IRIREF or PNAME token spells."""
+        if tok[0] == "IRIREF":
+            return tok[1][1:-1]
         prefix, _, local = tok[1].partition(":")
         if prefix not in self.prefixes:
             self.fail(f"unknown prefix {prefix!r}", tok)
         return self.prefixes[prefix] + local
+
+    def datatype(self) -> Datatype:
+        """The datatype that follows a string literal: ``xsd:string`` without ``^^``."""
+        if not self.accept("PUNCT", "^"):
+            return Datatype.STRING
+        self.expect("PUNCT", "^")
+        tok = self.next()
+        if tok[0] not in ("IRIREF", "PNAME"):
+            self.fail("expected datatype after ^^", tok)
+        iri = self.iri(tok)
+        try:
+            return Datatype(iri)
+        except ValueError:
+            self.fail(f"unsupported datatype <{iri}>", tok)
 
     def parse_filter(self) -> FilterExpr:
         self.expect("PUNCT", "(")
@@ -221,13 +221,7 @@ class _Parser(Cursor):
         op_tok = self.next()
         if op_tok[0] != "OP":
             self.fail(f"expected comparator, got {op_tok[1]!r}", op_tok)
-        operand_tok = self.next()
-        if operand_tok[0] == "NUMBER":
-            operand = self.number_at(operand_tok)
-        elif operand_tok[0] == "STRING":
-            operand = self.parse_literal(operand_tok)
-        else:
-            self.fail(f"expected literal operand, got {operand_tok[1]!r}", operand_tok)
+        operand = self.term("literal operand", ("NUMBER", "STRING"))
         self.expect("PUNCT", ")")
         return FilterExpr(var_tok[1], op_tok[1], operand)
 

@@ -1,9 +1,18 @@
+import math
+import pathlib
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fireweather.assess import Verdict, alerts_for, assess, synthetic_timestamp
 from fireweather.indices import WeatherInputs, compute_chain
+
+# the benchmark's independent Van Wagner chain, band tables and decision flow
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+import oracle  # noqa: E402
 
 CALM = WeatherInputs(temp=20.0, rh=40.0, wind=10.0, rain_24h=0.0)
 
@@ -145,3 +154,26 @@ def test_timestamp_is_kept_and_defaults_to_empty():
     assert a.timestamp == ""
     assert a == assess(record(), CALM, "s")
     assert assess(record(), CALM, "s", "2000-08-15").timestamp == "2000-08-15"
+
+
+#: each band table's thresholds, FFMC, DMC, BUI, ISI and FWI, which an input may sit on
+EDGES = [74.0, 84.0, 88.0, 92.0, 9.0, 19.0, 29.0, 39.0, 15.0, 30.0, 45.0, 59.0, 3.0, 7.0, 12.0, 5.0, 20.0]
+
+
+def near_edges(high: float, *extra: float):
+    """Floats in ``[0, high]``, or a threshold of any table, or ``extra``, that lies in it."""
+    return st.one_of(st.floats(0.0, high), st.sampled_from([v for v in (*EDGES, *extra) if v <= high]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ffmc=near_edges(101.0), dmc=near_edges(400.0), dc=near_edges(1000.0), wind=near_edges(120.0, 50.0),
+       rain=near_edges(20.0, 1.0))
+@example(ffmc=92.0, dmc=39.0, dc=59.0, wind=50.0, rain=1.0)
+@example(ffmc=101.0, dmc=0.0, dc=0.0, wind=0.0, rain=0.0)
+def test_assess_matches_the_benchmark_oracle(ffmc, dmc, dc, wind, rain):
+    a = assess(compute_chain(ffmc, dmc, dc, wind), WeatherInputs(20.0, 40.0, wind, rain), "s")
+    want = oracle.expected_assessment({"FFMC": ffmc, "DMC": dmc, "DC": dc, "wind": wind, "rain": rain})
+    assert {name: getattr(a, name) for name in want.labels} == want.labels
+    assert (str(a.verdict), a.wind_risk) == (want.verdict, want.windy)
+    for name in ("isi", "bui", "fwi"):
+        assert math.isclose(getattr(a.record, name), getattr(want, name), rel_tol=1e-9, abs_tol=1e-9), name

@@ -344,6 +344,19 @@ class TestVerifyProvenance:
         bindings = tuple((name, decimal(15.0) if name == "?rh" else term) for name, term in fact.bindings)
         assert not verify_provenance(g, ruleset, [dataclasses.replace(fact, bindings=bindings)])
 
+    @pytest.mark.parametrize("name", ["?rh", "?s"])
+    def test_rejects_a_fact_missing_one_binding(self, derived, name):
+        # without ?rh the body still holds for some value, but a fact binds exactly its rule's variables
+        g, ruleset, fact = derived
+        bindings = tuple(b for b in fact.bindings if b[0] != name)
+        assert len(bindings) == len(fact.bindings) - 1
+        assert not verify_provenance(g, ruleset, [dataclasses.replace(fact, bindings=bindings)])
+
+    def test_rejects_a_fact_binding_a_variable_its_rule_lacks(self, derived):
+        g, ruleset, fact = derived
+        bindings = (*fact.bindings, ("?x", decimal(17.0)))
+        assert not verify_provenance(g, ruleset, [dataclasses.replace(fact, bindings=bindings)])
+
     def test_accepts_a_fact_whose_rule_equals_one_of_the_set(self, derived):
         g, ruleset, fact = derived
         twin = dataclasses.replace(fact, rule=parse_rule(fact.rule.render()))

@@ -384,6 +384,54 @@ def test_built_query_with_no_select_variable_is_rejected():
         Query({}, (), (TriplePattern("?s", iri("urn:p"), "?v"),), ())
 
 
+PATTERN = TriplePattern("?s", iri("urn:p"), "?v")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Query({}, ("?s",), "abc", ()), "patterns must be a tuple of TriplePattern"),
+    (lambda: Query({}, ("?s",), (("?s", "?p", "?o"),), ()), "patterns must be a tuple of TriplePattern"),
+    (lambda: Query({}, ("?s",), (PATTERN,), (("?v", ">", integer(1)),)), "filters must be a tuple of FilterExpr"),
+    (lambda: FilterExpr("?v", ">", 1.0), "a FILTER needs a variable name, a comparator and a Term operand"),
+    (lambda: Query({}, "?s", (PATTERN,), ()), "select_vars must be a tuple of str"),
+    (lambda: Query(None, ("?s",), (PATTERN,), ()), "prefixes must map str to str"),
+], ids=["patterns-str", "pattern-tuple", "filter-tuple", "operand-float", "select-str", "prefixes-none"])
+def test_built_query_with_a_field_of_the_wrong_type_is_rejected(build, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        build()
+
+
+#: objects that a ``Query`` or ``FilterExpr`` field may be given by mistake
+JUNK = st.one_of(
+    st.none(), st.integers(), st.floats(), st.text(max_size=3), st.binary(max_size=3), st.just(["?s"]),
+    st.just(("?s", "?p", "?o")), st.just({"e": 1}), st.sampled_from([iri("urn:o"), integer(3), PATTERN]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_built_query_is_refused_with_a_value_error_or_evaluates(data):
+    # each field takes a well-formed value, or one time in four a junk object
+    junk = []
+
+    def field(good):
+        bad = data.draw(st.integers(0, 3)) == 0
+        junk.append(bad)
+        return data.draw(JUNK if bad else good)
+
+    g = Graph([Triple(iri("urn:s"), iri("urn:p"), integer(3)), Triple(iri("urn:t"), iri("urn:p"), string("x"))])
+    try:
+        filters = tuple(
+            FilterExpr(field(st.sampled_from(["?v", "?s"])), field(st.sampled_from(COMPARATORS)),
+                       field(st.one_of(numeric_terms, string_terms)))
+            for _ in range(data.draw(st.integers(0, 2)))
+        )
+        q = Query(field(st.sampled_from([{}, {"e": "urn:e:"}])), field(st.sampled_from([("?s",), ("?v", "?s")])),
+                  field(st.just((PATTERN,))), field(st.just(filters)))
+        evaluate(q, g)
+    except ValueError:
+        assert any(junk)
+
+
 # --- row order -------------------------------------------------------------
 
 #: terms of each kind; under ``Term.sort_key`` integer 7 and decimal 7 tie,
