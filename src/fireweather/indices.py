@@ -2,7 +2,9 @@
 
 Fuel moisture content, the FFMC/DMC/DC daily updates, and the derived
 behaviour indexes (ISI, BUI, FWI).  All functions are pure and operate in
-double precision.
+double precision.  A month is a name from ``ingest.MONTHS``, in any case,
+or an ``int`` from 1 to 12 that is not a ``bool``; any other month is a
+``DomainError`` that names it.
 """
 
 from __future__ import annotations
@@ -173,6 +175,8 @@ def _month_index(month: int | str) -> int:
             return MONTHS.index(month.lower())
         except ValueError:
             raise DomainError(f"unknown month {month!r}") from None
+    if isinstance(month, bool) or not isinstance(month, int):
+        raise DomainError(f"month must be a month name or an int from 1 to 12, got {month!r}")
     if not 1 <= month <= 12:
         raise DomainError(f"month out of range [1, 12]: {month}")
     return month - 1

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import vocab
-from .rdf import Datatype, Graph, Term, import_ntriples, string
+from .rdf import Datatype, Graph, import_ntriples, string
 
 EXPECTED_HEADER = ["X", "Y", "month", "day", "FFMC", "DMC", "DC", "ISI",
                    "temp", "RH", "wind", "rain", "area"]
@@ -41,7 +41,7 @@ class IngestError(Exception):
 
 @dataclass(frozen=True)
 class WeatherObservation:
-    """One dataset row: park-grid coordinates, date, weather, fuel codes."""
+    """One dataset row: park-grid coordinates, each a plain ``int`` that a float holds, date, weather, fuel codes."""
 
     x_coord: int
     y_coord: int
@@ -58,6 +58,15 @@ class WeatherObservation:
     area: float
 
     def __post_init__(self):
+        for name in ("x_coord", "y_coord"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise IngestError(f"{name} must be an int, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                # an integer literal's value must read as a finite float
+                raise IngestError(f"{name} is too large for a float: {value}") from None
         if self.month not in MONTHS:
             raise IngestError(f"invalid month {self.month!r}")
         if self.day not in DAYS:
@@ -131,36 +140,24 @@ _RDF_TYPE, _SENSOR_CLASS, _HAS_DEPLOYMENT_X, _HAS_DEPLOYMENT_Y, _HAS_MONTH, _HAS
 _STRINGS = {value: str(string(value)) for value in (*MONTHS, *DAYS, *QUANTITY_UNITS.values())}
 #: the end of an integer and of a decimal literal as ``rdf`` writes them: the closing quote and datatype
 _INTEGER_END, _DECIMAL_END = (f'"^^<{dt.value}>' for dt in (Datatype.INTEGER, Datatype.DECIMAL))
-#: an ``int`` below this in magnitude reads as a finite float, as ``Term`` requires of an integer
-_FINITE = 10**308
-
-
-def _integer(value: int) -> str:
-    """``value``'s integer literal as ``rdf`` writes it; anything but a plain, finite ``int`` goes through ``Term``.
-
-    So a float, a bool or an ``int`` too large for a float raises
-    ``RdfError``, and an ``int`` subclass is written as ``str`` spells it.
-    """
-    if value.__class__ is int and -_FINITE < value < _FINITE:
-        return f'"{value}{_INTEGER_END}'
-    return str(Term(str(value), Datatype.INTEGER))
 
 
 def ntriples_lines(observations: Iterable[WeatherObservation]) -> list[str]:
     """The CSV->RDF mapping: each row's N-Triples lines, in row order, minting sensor ordinals from 1.
 
     Each literal is formatted as ``rdf`` writes its ``Term``, with no
-    ``Term`` made: a quantity as its float's ``repr``, as ``format_decimal``
-    writes it, which ``WeatherObservation`` has checked is finite, so
-    ``-0.0`` and ``0.0`` stay two literals.
+    ``Term`` made: a coordinate as its ``int``'s digits, and a quantity as
+    its float's ``repr``, as ``format_decimal`` writes it, which
+    ``WeatherObservation`` has checked is finite, so ``-0.0`` and ``0.0``
+    stay two literals.
     """
     lines = []
     for ordinal, obs in enumerate(observations, start=1):
         s = f"<{vocab.sensor_iri(ordinal)}>"
         lines += (
             f"{s} {_RDF_TYPE} {_SENSOR_CLASS} .",
-            f"{s} {_HAS_DEPLOYMENT_X} {_integer(obs.x_coord)} .",
-            f"{s} {_HAS_DEPLOYMENT_Y} {_integer(obs.y_coord)} .",
+            f'{s} {_HAS_DEPLOYMENT_X} "{obs.x_coord}{_INTEGER_END} .',
+            f'{s} {_HAS_DEPLOYMENT_Y} "{obs.y_coord}{_INTEGER_END} .',
             f"{s} {_HAS_MONTH} {_STRINGS[obs.month]} .",
             f"{s} {_HAS_DAY} {_STRINGS[obs.day]} .",
         )

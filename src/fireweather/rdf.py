@@ -7,13 +7,13 @@ are deliberately unsupported; ingestion mints deterministic IRIs instead.
 semi-naive chaining round and SPARQL queries all evaluate through it, each
 plan written as one generator expression, compiled once per source text.
 ``comparison`` is the one comparison, which a SPARQL ``FILTER`` and a
-rule's ``greaterThan`` share, and ``Cursor`` the one token cursor of both parsers.
+rule's ``greaterThan`` share, written into a plan as one inline fragment,
+and ``Cursor`` the one token cursor of both parsers.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -404,18 +404,12 @@ class Graph:
         return sum(len(by_o.get(o, ())) for by_o in pos.values())
 
 
-#: each comparator's function, on two numbers or two strings, and its spelling in a generated plan
-_COMPARATORS = {">": (operator.gt, ">"), "<": (operator.lt, "<"), ">=": (operator.ge, ">="),
-                "<=": (operator.le, "<="), "=": (operator.eq, "=="), "!=": (operator.ne, "!=")}
+#: each comparator's spelling in a generated plan
+_COMPARATORS = {">": ">", "<": "<", ">=": ">=", "<=": "<=", "=": "==", "!=": "!="}
 
 
 class _Comparison(namedtuple("_Comparison", "comparator field operand")):
     """``?v <comparator> operand`` on a number's ``_num`` or a string's ``value``, which ``join`` writes inline."""
-
-    def __call__(self, term: Term) -> bool:
-        value = getattr(term, self.field)
-        comparable = value is not None and (self.field == "_num" or term.datatype is Datatype.STRING)
-        return comparable and _COMPARATORS[self.comparator][0](value, self.operand)
 
 
 #: A variable and the comparison that the term bound to it must pass.
@@ -455,9 +449,8 @@ def join(
     variable's is the token object of ``binding``.  A join writes nothing
     to ``graph``.  A row holds only strings, so the collector stops
     tracking it at its first collection.  A select variable that neither
-    ``binding`` nor a pattern binds is a ``ValueError`` once the join is
-    planned, which a pattern that matches nothing forestalls.  With no
-    patterns, the one row reads ``binding``.
+    ``binding`` nor a pattern binds is a ``ValueError``, whatever the data.
+    With no patterns, the one row reads ``binding``.
 
     The patterns are matched against ``graph`` by an index nested loop,
     planned once per call.  Every pattern is sized by its ``Graph.count``,
@@ -471,14 +464,16 @@ def join(
     that agree with its constant tokens and the tokens its bound variables
     hold, straight from the graph's indexes, one lookup per binding; a level
     with neither reads the set of keys, and a plan of only such levels
-    builds no index.  The first level's lookup runs when ``join`` returns.
-    Each check is a ``comparison``: on a bound token's term first, then,
-    at the level that binds its variable, as an ``if`` clause on the
-    candidate's token, before any row is built.  A check whose variable
-    nothing binds fails every row.  A fresh variable that fills two or three
-    slots of a pattern adds, after its level's checks, one clause that those
-    slots hold one token.  A variable is read as the token in the slot of
-    the level that bound it, and no ``Term`` is built for a row.
+    builds no index.  A variable of ``binding`` is read as the argument
+    that holds its token, and any other as the slot of the level that binds
+    it, alike by a slot, a check and a row; no ``Term`` is built for a row.
+    Each check is a ``comparison``, an ``if`` clause on its variable's token
+    before any row is built: after the level that binds its variable, or,
+    on a variable of ``binding``, leading the plan after ``for _ in (0,)``,
+    whose first lookup then runs when it is iterated, not when ``join``
+    returns.  A check whose variable nothing binds fails every row.  A
+    fresh variable that fills two or three slots of a pattern adds, after
+    its level's checks, one clause that those slots hold one token.
 
     The generated source is built only from fixed fragments, local names
     made from integers, and slot indices.  Every token, operand and token of
@@ -488,9 +483,14 @@ def join(
     differ only in terms and names share one.
     """
     binding = {} if binding is None else binding
-    if not all(test(graph._terms[binding[variable]]) for variable, test in checks if variable in binding):
+    # each pattern's variables that ``binding`` leaves to the plan
+    unbound = [[v for v in pattern.variables() if v not in binding] for pattern in patterns]
+    bound = set(binding).union(*unbound)
+    for variable in select:
+        if variable not in bound:
+            raise ValueError(f"select variable {variable} is not bound by any pattern")
+    if not all(variable in bound for variable, _ in checks):
         return iter(())
-    checks = [c for c in checks if c[0] not in binding]
     sized = []
     for pattern in patterns:
         tokens = tuple([binding.get(slot) if isinstance(slot, str) else str(slot) for slot in pattern])
@@ -498,20 +498,22 @@ def join(
         if not size:
             return iter(())
         sized.append((size, pattern, tokens))
-    # the plan's clauses, and the arguments a0, a1, ... that they name: each
-    # constant or bound token and operand as its level is placed, then bound select tokens
-    clauses, arguments, probed = [], [], False
-    # the source text of the slot that binds each variable
-    local: dict[str, str] = {}
-    # each pattern's variables that ``binding`` leaves to the plan
-    unbound = [[v for v in pattern.variables() if v not in binding] for _, pattern, _ in sized]
+    # the plan's arguments a0, a1, ...: the tokens of ``binding``, then each
+    # constant token and operand as its level is placed
+    arguments = list(binding.values())
+    # the source text of the argument or slot that binds each variable
+    local = {variable: f"a{i}" for i, variable in enumerate(binding)}
+    clauses = _inline(checks, local, arguments)
+    if clauses:
+        clauses.insert(0, "for _ in (0,)")
+    probed = False
     for depth, chosen in enumerate(_order([size for size, _, _ in sized], unbound), 1):
         _, pattern, tokens = sized[chosen]
         t = f"t{depth}"
         # each slot's token, as the source reads it, or None for a fresh variable
         concrete, fresh, repeats = [], {}, []
         for k, slot in enumerate(pattern):
-            if tokens[k] is not None:
+            if not isinstance(slot, str):
                 concrete.append(f"a{len(arguments)}")
                 arguments.append(tokens[k])
             elif slot in local:
@@ -527,31 +529,26 @@ def join(
         clauses.append(f"for {t} in {_read(s, p, o)}")
         if s is not None and o is not None:
             clauses.append(f"if {t}[2] == {o}")
-        # each check that this level's variables make runnable, on the first slot that holds its term
-        for variable, test in checks:
-            if variable in fresh:
-                comparator = _COMPARATORS[test.comparator][1]
-                clauses.append("if " + _INLINE[test.field].format(fresh[variable], comparator, f"a{len(arguments)}"))
-                arguments.append(test.operand)
+        clauses += _inline(checks, fresh, arguments)
         clauses += repeats
-        checks = [c for c in checks if c[0] not in fresh]
         local.update(fresh)
-    row = []
-    for variable in select:
-        if variable in local:
-            row.append(local[variable])
-        elif variable in binding:
-            row.append(f"a{len(arguments)}")
-            arguments.append(binding[variable])
-        else:
-            raise ValueError(f"select variable {variable} is not bound by any pattern")
-    if checks:
-        return iter(())
+    row = [local[variable] for variable in select]
     # only a level with a token or a bound slot reads the indexes
     spo, pos = graph._indexed() if probed else (None, None)
     names = ", ".join([f"a{i}" for i in range(len(arguments))] + ["X", "spo", "pos", "T", "U"])
     plan = _compile(f"lambda {names}: (({''.join(r + ', ' for r in row)}) {' '.join(clauses or ['for _ in (0,)'])})")
     return plan(*arguments, graph._triples, spo, pos, graph._terms, graph._terms.numbers)
+
+
+def _inline(checks: Sequence[Check], names: dict[str, str], arguments: list) -> list[str]:
+    """The ``if`` clause of each check on a variable that ``names`` maps to its token's source; operands join ``arguments``."""
+    clauses = []
+    for variable, test in checks:
+        if variable in names:
+            inline = _INLINE[test.field].format(names[variable], _COMPARATORS[test.comparator], f"a{len(arguments)}")
+            clauses.append("if " + inline)
+            arguments.append(test.operand)
+    return clauses
 
 
 def _order(sizes: list[int], variables: list[list[str]]) -> list[int]:

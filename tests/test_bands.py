@@ -145,3 +145,13 @@ def test_band_table_validation():
         BandTable("bad", "a", ((5.0, "b"), (5.0, "c")))
     with pytest.raises(ValueError):
         BandTable("bad", "a", ((5.0, "a"),))
+
+
+@pytest.mark.parametrize("index", sorted(DIRECT_TABLES))
+def test_lower_bound_of_each_label(index):
+    bounds, labels = DIRECT_TABLES[index]
+    table = SCALES[index]
+    # the base label's band starts at 0, and each other at its threshold
+    assert [table.lower_bound(label) for label in labels] == [0.0, *bounds]
+    with pytest.raises(KeyError, match="unknown"):
+        table.lower_bound("unknown")

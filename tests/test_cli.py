@@ -83,6 +83,14 @@ class TestIngest:
         assert code == 1 and out == ""
         assert err == f"error: {bad}: row 3: dmc must be a finite number: nan\n"
 
+    def test_coordinate_too_large_for_a_float_exit_1_with_row(self, capsys, tmp_path):
+        huge = "1" + "0" * 399
+        bad = tmp_path / "huge.csv"
+        row = "7,5,mar,fri,86.2,26.2,94.3,5.1,8.2,51,6.7,0,0\n"
+        bad.write_text(HEADER + row + huge + row[1:])
+        code, out, err = run(capsys, "ingest", str(bad))
+        assert (code, out, err) == (1, "", f"error: {bad}: row 3: x_coord is too large for a float: {huge}\n")
+
     def test_empty_csv_header_only(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text(HEADER)
@@ -668,6 +676,10 @@ class TestPlot:
     def test_days_zero(self, capsys):
         code, out, _ = run(capsys, "plot", str(DATA_CSV), "--days", "0")
         assert code == 0 and out == "index,ffmc,dmc,dc\n"
+
+    def test_negative_days_exit_1(self, capsys):
+        code, out, err = run(capsys, "plot", str(DATA_CSV), "--days", "-1")
+        assert (code, out, err) == (1, "", "error: --days must be >= 0\n")
 
     def test_days_beyond_rows_exit_1(self, capsys):
         code, _, err = run(capsys, "plot", str(DATA_CSV), "--days", "100000")

@@ -223,6 +223,24 @@ class TestDailyUpdate:
         w = WeatherInputs(temp=20.0, rh=40.0, wind=5.0, rain_24h=0.0)
         assert dmc_daily(10.0, w, "aug") == dmc_daily(10.0, w, 8)
 
+    @pytest.mark.parametrize("month", [3.5, 3.0, True, False, None, b"mar", [3]])
+    @pytest.mark.parametrize("update", ["dmc", "dc", "both"])
+    def test_a_month_of_another_type_is_a_domain_error_naming_it(self, update, month):
+        w = WeatherInputs(temp=20.0, rh=40.0, wind=5.0, rain_24h=0.0)
+        call = {"dmc": lambda: dmc_daily(10.0, w, month), "dc": lambda: dc_daily(10.0, w, month),
+                "both": lambda: daily_update(85.0, 10.0, 10.0, w, month)}[update]
+        want = f"month must be a month name or an int from 1 to 12, got {month!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            call()
+
+    @pytest.mark.parametrize("month, message", [(0, "month out of range [1, 12]: 0"),
+                                                (13, "month out of range [1, 12]: 13"),
+                                                ("march", "unknown month 'march'")], ids=["0", "13", "march"])
+    def test_a_month_outside_the_calendar_is_a_domain_error(self, month, message):
+        w = WeatherInputs(temp=20.0, rh=40.0, wind=5.0, rain_24h=0.0)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            daily_update(85.0, 10.0, 10.0, w, month)
+
 
 VALID = [
     FuelSample(1.5, 1.0),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,9 @@ class TestParseCsv:
         with pytest.raises(IngestError, match="month"):
             parse_csv(HEADER + ROW.replace("mar", "xxx"))
 
+    def test_blank_lines_between_rows_are_skipped(self):
+        assert parse_csv(HEADER + ROW + "\n  \n" + ROW) == parse_csv(HEADER + ROW + ROW)
+
 
 class TestValidation:
     def test_ffmc_range(self):
@@ -85,6 +89,31 @@ class TestValidation:
     def test_non_finite(self, field, value):
         with pytest.raises(IngestError, match=f"{field} must be a finite number"):
             obs(**{field: value})
+
+    @pytest.mark.parametrize("coordinate, message", [
+        (7.0, "must be an int, got 7.0"),
+        (True, "must be an int, got True"),
+        (10**400, f"is too large for a float: {10**400}"),
+        (-(10**400), f"is too large for a float: {-(10**400)}"),
+    ], ids=["float", "bool", "huge", "huge-negative"])
+    @pytest.mark.parametrize("field", ["x_coord", "y_coord"])
+    def test_coordinate_outside_the_integer_domain(self, field, coordinate, message):
+        with pytest.raises(IngestError, match=f"^{re.escape(field + ' ' + message)}$"):
+            obs(**{field: coordinate})
+
+    def test_coordinate_domain_is_the_integer_literals(self):
+        # the largest ``int`` that a float holds, and the least that it does not
+        largest = 2**1024 - 2**970 - 1
+        assert ntriples_lines([obs(x_coord=largest)])[1].endswith(f" {integer(largest)} .")
+        with pytest.raises(IngestError, match="too large"):
+            obs(x_coord=largest + 1)
+        with pytest.raises(RdfError, match="not a finite integer"):
+            integer(largest + 1)
+
+    def test_csv_coordinate_too_large_reports_the_row(self):
+        huge = "1" + "0" * 399
+        with pytest.raises(IngestError, match=f"^row 3: x_coord is too large for a float: {huge}$"):
+            parse_csv(HEADER + ROW + huge + ROW[ROW.index(","):])
 
     @pytest.mark.parametrize("column", range(4, 13))
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
@@ -279,15 +308,6 @@ class TestNtriplesLinesWriteTheTermsTokens:
     def test_observations(self, rows):
         assert ntriples_lines(rows) == list(map(str, reference_triples(rows)))
 
-    @pytest.mark.parametrize("coordinate, message", [
-        (7.0, "literal '7.0' is not a valid integer"),
-        (True, "literal 'True' is not a valid integer"),
-        (10**400, f"literal '{10**400}' is not a finite integer"),
-    ])
-    @pytest.mark.parametrize("field", ["x_coord", "y_coord"])
-    def test_coordinate_that_no_integer_term_takes(self, field, coordinate, message):
-        with pytest.raises(RdfError, match=f"^{message}$"):
-            ntriples_lines([obs(), obs(**{field: coordinate})])
 
     def test_builds_no_term(self, dataset_text, monkeypatch):
         rows = parse_csv(dataset_text)

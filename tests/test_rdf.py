@@ -325,6 +325,18 @@ class TestJoin:
         assert rows[2:] == [(seeded, "<urn:b>"), (seeded,)] and rows[2][0] is rows[3][0] is seeded
         assert len(g._terms) == table_size and g._terms.numbers == numbers
 
+    def test_a_numeric_check_on_a_seeded_token_builds_no_term(self, monkeypatch):
+        g = import_ntriples(export_ntriples(Graph([t("urn:a", "urn:p", decimal(7.5)), t("urn:b", "urn:p", integer(3))])))
+        seeded = next(o for _, _, o in g._triples)
+        above_7, below_7 = ("?v", comparison(">", integer(7))), ("?v", comparison("<", integer(7)))
+        pattern = TriplePattern("?s", iri("urn:p"), "?v")
+        built = count_built_terms(monkeypatch)
+        assert list(join([], g, ["?v"], [above_7], {"?v": seeded})) == [(seeded,)]
+        assert list(join([], g, ["?v"], [below_7], {"?v": seeded})) == []
+        assert list(join([pattern], g, ["?s"], [above_7], {"?v": seeded})) == [("<urn:a>",)]
+        assert list(join([pattern], g, ["?s"], [below_7], {"?v": seeded})) == []
+        assert built == []
+
 
 def joined_keys(g: Graph, pattern: TriplePattern) -> list[tuple[str, str, str]]:
     """The key of each match of a one-pattern ``join`` that selects the pattern's variables, in join order."""
@@ -698,15 +710,27 @@ class TestProbeKinds:
         counts = [join_both_ways(patterns, g, filters[:i], seed, ["?q", "?z", "?x", "?w", "?o"]) for i in range(5)]
         assert counts[0] == counts[1] > counts[2] > counts[3] > counts[4] > 0
         assert join_both_ways(patterns, g, filters, seed, ["?w", "?z"]) == counts[4]
-        # the three rank checks sit after three different ``for`` clauses
-        checked = [depth for depth, level in enumerate(sources[-1].split(" for t")) if " in U and U[" in level]
-        assert len(checked) == 3
+        # the seed's check comes before the first level's ``for t`` clause,
+        # and the three rank checks sit after three different ``for`` clauses
+        levels = sources[-1].split(" for t")
+        checked = [depth for depth, level in enumerate(levels) if " in U and U[" in level]
+        assert checked[0] == 0 and " for _ in (0,) if " in levels[0]
+        assert len(checked[1:]) == 3
         # a check that fails the seed's term ends the join
         assert join_both_ways(patterns, g, [("?z", "<", integer(7))], seed, ["?z"]) == 0
 
     def test_a_select_variable_nothing_binds_is_an_error(self):
         with pytest.raises(ValueError, match=r"\?w"):
             join([TriplePattern("?x", FIRST, "?y")], cube_graph(), select=["?x", "?w"])
+
+    def test_a_select_variable_nothing_binds_is_an_error_whatever_the_data(self):
+        # a pattern that matches nothing, in an empty graph and in one that
+        # lacks its predicate, and a seed that binds another variable
+        for g in (Graph(), cube_graph()):
+            with pytest.raises(ValueError, match=r"\?w"):
+                join([TriplePattern("?x", iri("urn:absent"), "?y")], g, select=["?x", "?w"])
+            with pytest.raises(ValueError, match=r"\?w"):
+                join([TriplePattern("?x", iri("urn:absent"), "?y")], g, ["?w"], binding={"?z": "<urn:z>"})
 
     def test_a_plan_of_any_depth_runs_as_one_generator_expression(self, monkeypatch):
         sources = record_sources(monkeypatch)

@@ -331,7 +331,16 @@ COMPARATORS = [">", "<", ">=", "<=", "=", "!="]
 @given(term=terms, comparator=st.sampled_from(COMPARATORS), operand=st.one_of(numeric_terms, string_terms))
 def test_compiled_filter_matches_the_reference_comparison(term, comparator, operand):
     want = reference_filter(term, comparator, operand)
-    assert comparison(comparator, operand)(term) is want
+    assert rows_both_ways(term, comparison(comparator, operand)) == ([(str(term),)] * want,) * 2
+
+
+def rows_both_ways(term: Term, test) -> tuple[list, list]:
+    """``join``'s rows of ``?v`` under the check ``test``, with ``?v`` bound to ``term``: by the seed, then by a level."""
+    g = Graph([Triple(iri("urn:s"), iri("urn:p"), term)])
+    checks = [("?v", test)]
+    seeded = join([], g, ["?v"], checks, {"?v": g._token(term)})
+    bound = join([TriplePattern(iri("urn:s"), iri("urn:p"), "?v")], g, ["?v"], checks)
+    return list(seeded), list(bound)
 
 
 @settings(max_examples=300, deadline=None)
