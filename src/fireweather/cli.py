@@ -60,12 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
 _JSON = json.JSONEncoder(sort_keys=True)
 
 
-def _write(text: str, output: str | None):
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+#: how many lines ``_write`` joins into one write
+_WRITE_LINES = 2048
+
+
+def _write(lines: list[str], output: str | None):
+    """Writes each of ``lines`` and a ``\\n`` after it to ``output``, or to stdout, ``_WRITE_LINES`` lines at a time.
+
+    No text of all the lines is built, and none is encoded in one piece, so
+    the output's size adds at most one block to a command's peak memory.
+    """
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as fh:
+        for start in range(0, len(lines), _WRITE_LINES):
+            # the empty last item ends the block with a line end, without a second copy of it
+            fh.write("\n".join([*lines[start : start + _WRITE_LINES], ""]))
 
 
 class InputError(Exception):
@@ -101,9 +109,7 @@ def _load(path: str, parse):
 
 
 def cmd_ingest(args) -> int:
-    lines = sorted(ntriples_lines(_load(args.csv_path, parse_csv)))
-    # the empty last line ends the text with a newline, as ``export_ntriples`` writes it
-    _write("\n".join([*lines, ""]), args.output)
+    _write(sorted(ntriples_lines(_load(args.csv_path, parse_csv))), args.output)
     return 0
 
 
@@ -141,7 +147,7 @@ def cmd_assess(args) -> int:
     for alert in alerts_for(assessments):
         # an alert's fields are strings and floats, so its ``vars`` need no deep copy
         lines.append(_JSON.encode(dict(vars(alert), type="alert")))
-    _write("".join(line + "\n" for line in lines), args.output)
+    _write(lines, args.output)
     return 0
 
 
@@ -167,11 +173,11 @@ def cmd_infer(args) -> int:
             head = rule.head
             constants = {"label": head.value.value, "property": vocab.prop_iri(head.property_name), "rule": rule.render()}
             bindings = ", ".join(encode(name) + ": %s" for name in names)
-            templates[i] = '{"bindings": {' + bindings + "}, " + _JSON.encode(constants)[1:-1] + ', "subject": %s}\n'
+            templates[i] = '{"bindings": {' + bindings + "}, " + _JSON.encode(constants)[1:-1] + ', "subject": %s}'
         lines = [templates[id(entry)] % (*map(encode, row), encode(key[0][1:-1])) for key, entry, row in derived]
     else:
-        lines = [f"{s} {p} {o} .\n" for (s, p, o), _, _ in derived]
-    _write("".join(lines), args.output)
+        lines = [f"{s} {p} {o} ." for (s, p, o), _, _ in derived]
+    _write(lines, args.output)
     return 0
 
 
@@ -183,7 +189,9 @@ def _run_query(graph, query: sparql.Query, fmt: str) -> str:
 def cmd_query(args) -> int:
     graph = _load(args.store_path, import_ntriples)
     if args.query_path:
-        _write(_run_query(graph, _load(args.query_path, sparql.parse_query), args.format), args.output)
+        text = _run_query(graph, _load(args.query_path, sparql.parse_query), args.format)
+        # a table's text ends with a line end, so its lines are the items before the last
+        _write(text.split("\n")[:-1], args.output)
         return 0
     # REPL: one query per blank-line-terminated block
     block: list[str] = []
@@ -228,7 +236,7 @@ def cmd_plot(args) -> int:
     for i in selected:
         obs = observations[i]
         lines.append(f"{i},{obs.ffmc:g},{obs.dmc:g},{obs.dc:g}")
-    _write("".join(line + "\n" for line in lines), args.output)
+    _write(lines, args.output)
     if args.svg:
         series = {q: [getattr(observations[i], q) for i in selected] for q in ("ffmc", "dmc", "dc")}
         with open(args.svg, "w", encoding="utf-8") as fh:

@@ -468,12 +468,13 @@ def join(
     that holds its token, and any other as the slot of the level that binds
     it, alike by a slot, a check and a row; no ``Term`` is built for a row.
     Each check is a ``comparison``, an ``if`` clause on its variable's token
-    before any row is built: after the level that binds its variable, or,
-    on a variable of ``binding``, leading the plan after ``for _ in (0,)``,
-    whose first lookup then runs when it is iterated, not when ``join``
-    returns.  A check whose variable nothing binds fails every row.  A
-    fresh variable that fills two or three slots of a pattern adds, after
-    its level's checks, one clause that those slots hold one token.
+    after the level that binds its variable, before any row is built.  A
+    check on a variable of ``binding`` is the same fragment, compiled on its
+    own and tested once, before any pattern is sized, so one that fails ends
+    the call with no ``Graph.count``.  A check whose variable nothing binds
+    fails every row.  A fresh variable that fills two or three slots of a
+    pattern adds, after its level's checks, one clause that those slots
+    hold one token.
 
     The generated source is built only from fixed fragments, local names
     made from integers, and slot indices.  Every token, operand and token of
@@ -491,6 +492,18 @@ def join(
             raise ValueError(f"select variable {variable} is not bound by any pattern")
     if not all(variable in bound for variable, _ in checks):
         return iter(())
+    # the source text of the argument or slot that binds each variable
+    local = {variable: f"a{i}" for i, variable in enumerate(binding)}
+    # the plan's arguments a0, a1, ...: the tokens of ``binding``, then each
+    # constant token and operand as its level is placed
+    arguments = list(binding.values())
+    # the checks on variables of ``binding`` are tested once, here, before any pattern is sized
+    seeded = _inline(checks, local, arguments)
+    if seeded:
+        test = _compile(f"lambda {_parameters(len(arguments), 'T', 'U')}: {' and '.join(seeded)}")
+        if not test(*arguments, graph._terms, graph._terms.numbers):
+            return iter(())
+        del arguments[len(binding) :]
     sized = []
     for pattern in patterns:
         tokens = tuple([binding.get(slot) if isinstance(slot, str) else str(slot) for slot in pattern])
@@ -498,14 +511,7 @@ def join(
         if not size:
             return iter(())
         sized.append((size, pattern, tokens))
-    # the plan's arguments a0, a1, ...: the tokens of ``binding``, then each
-    # constant token and operand as its level is placed
-    arguments = list(binding.values())
-    # the source text of the argument or slot that binds each variable
-    local = {variable: f"a{i}" for i, variable in enumerate(binding)}
-    clauses = _inline(checks, local, arguments)
-    if clauses:
-        clauses.insert(0, "for _ in (0,)")
+    clauses = []
     probed = False
     for depth, chosen in enumerate(_order([size for size, _, _ in sized], unbound), 1):
         _, pattern, tokens = sized[chosen]
@@ -529,26 +535,32 @@ def join(
         clauses.append(f"for {t} in {_read(s, p, o)}")
         if s is not None and o is not None:
             clauses.append(f"if {t}[2] == {o}")
-        clauses += _inline(checks, fresh, arguments)
+        clauses += ["if " + test for test in _inline(checks, fresh, arguments)]
         clauses += repeats
         local.update(fresh)
     row = [local[variable] for variable in select]
     # only a level with a token or a bound slot reads the indexes
     spo, pos = graph._indexed() if probed else (None, None)
-    names = ", ".join([f"a{i}" for i in range(len(arguments))] + ["X", "spo", "pos", "T", "U"])
-    plan = _compile(f"lambda {names}: (({''.join(r + ', ' for r in row)}) {' '.join(clauses or ['for _ in (0,)'])})")
+    plan = _compile(
+        f"lambda {_parameters(len(arguments), 'X', 'spo', 'pos', 'T', 'U')}: "
+        f"(({''.join(r + ', ' for r in row)}) {' '.join(clauses or ['for _ in (0,)'])})"
+    )
     return plan(*arguments, graph._triples, spo, pos, graph._terms, graph._terms.numbers)
 
 
+def _parameters(count: int, *names: str) -> str:
+    """A generated function's parameters: ``a0, a1, ...``, ``count`` of them, then ``names``."""
+    return ", ".join([f"a{i}" for i in range(count)] + list(names))
+
+
 def _inline(checks: Sequence[Check], names: dict[str, str], arguments: list) -> list[str]:
-    """The ``if`` clause of each check on a variable that ``names`` maps to its token's source; operands join ``arguments``."""
-    clauses = []
+    """The test of each check on a variable that ``names`` maps to its token's source; operands join ``arguments``."""
+    tests = []
     for variable, test in checks:
         if variable in names:
-            inline = _INLINE[test.field].format(names[variable], _COMPARATORS[test.comparator], f"a{len(arguments)}")
-            clauses.append("if " + inline)
+            tests.append(_INLINE[test.field].format(names[variable], _COMPARATORS[test.comparator], f"a{len(arguments)}"))
             arguments.append(test.operand)
-    return clauses
+    return tests
 
 
 def _order(sizes: list[int], variables: list[list[str]]) -> list[int]:
@@ -738,42 +750,63 @@ def _read_lines(text: str) -> Iterator[Triple]:
         raise RdfError(f"line {lineno}: {exc}") from None
 
 
+#: about how many characters of whole lines the bulk reader splits at a time
+_BLOCK = 1 << 18
+
+
 def _read_bulk(text: str, terms: _Terms) -> Optional[dict[Key, None]]:
     """The keys of ``text`` if it is all in ``export_ntriples`` form, its numbers filed in ``terms``; else None.
 
-    Counts check that each line ends in `` .\\n`` and splits at spaces into
-    four items; a line end out of place stays among the tokens, which no
-    token form takes.  The distinct tokens are checked in bulk, by kind, and
-    no ``Term`` is made: every IRI, subject, predicate or object, by one
-    regex over them all, and the literals by ``_check_literals``.  A literal
-    that export writes another way is stored as export writes it.
+    The text is read in blocks of whole lines, about ``_BLOCK`` characters
+    each, so that only one block's split strings are alive at a time; as
+    N-Triples is a line format, each block is a document of its own.  In
+    each block, counts check that each line ends in `` .\\n`` and splits at
+    spaces into four items; a line end out of place stays among the tokens,
+    which no token form takes.  The tokens that no earlier block held are
+    copied into new strings, which the canonical map keys on, and checked in
+    bulk, by kind, with no ``Term`` made: one regex over the new IRIs and
+    every subject and predicate of the block, and ``_check_literals`` over
+    the new literals.  A literal that export writes another way is stored as
+    export writes it.  One bad block leaves the whole text to the per-line
+    reader.
     """
-    lines = text.count("\n")
     # a text with a lone surrogate is left to the per-line reader, whose ``Term`` rejects it at its line
-    if ("\r" in text or not text.endswith("\n") or text.count(" .\n") != lines
-            or not text.isascii() and _SURROGATE.search(text)):
+    if "\r" in text or not text.endswith("\n") or not text.isascii() and _SURROGATE.search(text):
         return None
-    flat = text.replace(" .\n", " \n ").split(" ")
-    if len(flat) != 4 * lines + 1:
-        return None
-    del flat[3::4]
-    flat.pop()
-    # the distinct tokens in the order they first appear, copied into new
-    # strings that lie together in memory, in that order
-    distinct = dict.fromkeys(flat)
-    canonical = dict(zip(distinct, " ".join(distinct).split(" ")))
-    # in that order too, so that the numbers are filed as a scan reads them
-    literals = [token for token in distinct if token[:1] == '"']
-    # every other token, and every subject and predicate, even one that looks like a literal
-    iris = distinct.keys() - literals
-    iris.update(flat[0::3], flat[1::3])
-    # no token holds a space, so the join matches only if each token does
-    if not _IRIS.fullmatch(" ".join(iris)):
-        return None
-    if not _check_literals(literals, canonical, terms.numbers):
-        return None
-    tokens = map(canonical.__getitem__, flat)
-    return dict.fromkeys(zip(tokens, tokens, tokens))
+    # each token held so far -> the token stored for it, both strings copied from a block
+    canonical: dict[str, str] = {}
+    keys: list[Key] = []
+    start = 0
+    while start < len(text):
+        # the block ends at the first line end from ``_BLOCK`` characters on, or with the text
+        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
+        lines = text.count("\n", start, end)
+        if text.count(" .\n", start, end) != lines:
+            return None
+        flat = text[start:end].replace(" .\n", " \n ").split(" ")
+        start = end
+        if len(flat) != 4 * lines + 1:
+            return None
+        del flat[3::4]
+        flat.pop()
+        # the new tokens in the order they first appear, copied into new
+        # strings that lie together in memory, in that order
+        new = [token for token in dict.fromkeys(flat) if token not in canonical]
+        copies = " ".join(new).split(" ") if new else []
+        canonical.update(zip(copies, copies))
+        # in that order too, so that the numbers are filed as a scan reads them
+        literals = [token for token in copies if token[:1] == '"']
+        # every other new token, and every subject and predicate, even one that looks like a literal
+        iris = set(copies).difference(literals)
+        iris.update(flat[0::3], flat[1::3])
+        # no token holds a space, so the join matches only if each token does
+        if not _IRIS.fullmatch(" ".join(iris)):
+            return None
+        if not _check_literals(literals, canonical, terms.numbers):
+            return None
+        tokens = map(canonical.__getitem__, flat)
+        keys += zip(tokens, tokens, tokens)
+    return dict.fromkeys(keys)
 
 
 def _check_literals(literals: list[str], canonical: dict[str, str], numbers: dict[str, float]) -> bool:
@@ -820,9 +853,10 @@ def _check_literals(literals: list[str], canonical: dict[str, str], numbers: dic
 def import_ntriples(text: str) -> Graph:
     """Parse the flat-file format back into a Graph, which stores each triple by its terms' canonical tokens.
 
-    A text all in ``export_ntriples`` form is read in one bulk pass, and
-    any other line by line, which defines the accepted syntax and its
-    errors: each carries the 1-based line number and a reason.
+    A text all in ``export_ntriples`` form is read in bulk, a block of
+    lines at a time, and any other line by line, which defines the accepted
+    syntax and its errors: each carries the 1-based line number and a
+    reason.
     """
     terms = _Terms()
     triples = _read_bulk(text, terms)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fireweather import rules as rules_module
 from fireweather import vocab
-from fireweather.cli import _JSON, main
+from fireweather.cli import _JSON, _WRITE_LINES, _write, main
 from fireweather.ingest import TRIPLES_PER_ROW, parse_csv
 from fireweather.rdf import Graph, Triple, export_ntriples, import_ntriples, iri, string
 from fireweather.rules import DataPropertyAtom, Rule, forward_chain, load_rules
@@ -415,6 +415,28 @@ class TestClassify:
     def test_out_of_domain_error_names_the_domain(self, capsys, index, value, why):
         code, out, err = run(capsys, "classify", index, value)
         assert (code, out, err) == (1, "", f"error: {index} {why}: {float(value)}\n")
+
+    def test_the_module_entry_prints_what_the_cli_module_prints(self):
+        # ``python -m fireweather`` runs the package's ``__main__``, on the standard library alone
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        outputs = [
+            subprocess.run([sys.executable, "-S", "-m", module, "classify", "fwi", "23"],
+                           env=env, capture_output=True, check=True, timeout=60).stdout
+            for module in ("fireweather", "fireweather.cli")
+        ]
+        assert outputs[0] == outputs[1] == b"veryhigh\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, _WRITE_LINES, _WRITE_LINES + 1], ids=["none", "one", "block", "block-and-one"])
+def test_the_writer_writes_each_line_and_a_line_end(capsys, tmp_path, count):
+    # empty lines too, and lines that end a block
+    lines = [str(i) * (i % 3) for i in range(count)]
+    want = "".join(line + "\n" for line in lines)
+    _write(lines, None)
+    assert capsys.readouterr().out == want
+    dest = tmp_path / "out.txt"
+    _write(lines, str(dest))
+    assert dest.read_bytes() == want.encode("utf-8")
 
 
 @pytest.fixture()

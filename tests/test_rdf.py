@@ -710,14 +710,33 @@ class TestProbeKinds:
         counts = [join_both_ways(patterns, g, filters[:i], seed, ["?q", "?z", "?x", "?w", "?o"]) for i in range(5)]
         assert counts[0] == counts[1] > counts[2] > counts[3] > counts[4] > 0
         assert join_both_ways(patterns, g, filters, seed, ["?w", "?z"]) == counts[4]
-        # the seed's check comes before the first level's ``for t`` clause,
-        # and the three rank checks sit after three different ``for`` clauses
+        # the seed's check is compiled on its own, before the plan, on the
+        # seed's first token, and the three rank checks sit after three
+        # different ``for`` clauses of the plan
+        assert sources[-2] == "lambda a0, a1, a2, T, U: a0 in U and U[a0] == a2"
         levels = sources[-1].split(" for t")
         checked = [depth for depth, level in enumerate(levels) if " in U and U[" in level]
-        assert checked[0] == 0 and " for _ in (0,) if " in levels[0]
-        assert len(checked[1:]) == 3
+        assert len(checked) == 3 and 0 not in checked
         # a check that fails the seed's term ends the join
         assert join_both_ways(patterns, g, [("?z", "<", integer(7))], seed, ["?z"]) == 0
+
+    def test_a_failing_seed_check_ends_the_join_before_any_count(self, monkeypatch):
+        g = cube_graph()
+        for i, u in enumerate(U):
+            g.insert(Triple(u, RANK, integer(i)))
+        patterns = [TriplePattern("?x", FIRST, "?y"), TriplePattern("?x", RANK, "?r")]
+        seed = filed(g, {"?v": decimal(5.0), "?s": string("b")})
+        counted = []
+        count = Graph.count
+        monkeypatch.setattr(Graph, "count", lambda graph, tokens: counted.append(tokens) or count(graph, tokens))
+        # a number and a string check, each failing alone and beside a passing one
+        for checks in ([("?v", ">", decimal(5.0))], [("?s", "<", string("a"))],
+                       [("?v", "=", integer(5)), ("?s", ">=", string("c"))]):
+            assert list(join(patterns, g, ["?x", "?v"], compiled(checks), seed)) == []
+        assert counted == []
+        # passing checks go on to size both patterns, and read the seed's tokens
+        rows = list(join(patterns, g, ["?x", "?v", "?s"], compiled([("?v", "=", integer(5)), ("?s", "<", string("c"))]), seed))
+        assert len(counted) == 2 and rows and all(row[1:] == (seed["?v"], seed["?s"]) for row in rows)
 
     def test_a_select_variable_nothing_binds_is_an_error(self):
         with pytest.raises(ValueError, match=r"\?w"):

@@ -1,11 +1,14 @@
 """The term representation: equality, hashing, immutability, escaping,
 non-finite numbers, numeric lexical forms, no ``Term`` built on import and
 one per distinct token read, the terms a graph rebuilds from its tokens, and
-the bulk reader agreeing with the line-by-line reader."""
+the bulk reader agreeing with the line-by-line reader, across its blocks of
+lines too, and its memory peak."""
 
 import dataclasses
 import enum
+import gc
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -366,6 +369,26 @@ def test_bulk_reader_matches_the_per_line_reader(items, edits):
     assert outcome(import_ntriples, text) == want
 
 
+#: block sizes in characters that put a block end inside the first few lines, or after each line
+SMALL_BLOCKS = st.sampled_from([1, 2, 7, 40, 120])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(triples, min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(EDITS)), max_size=3),
+       SMALL_BLOCKS)
+def test_bulk_reader_matches_the_per_line_reader_across_blocks(items, edits, block):
+    with mock.patch.object(rdf, "_BLOCK", block):
+        test_bulk_reader_matches_the_per_line_reader.hypothesis.inner_test(items, edits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(lines, min_size=1, max_size=6), SMALL_BLOCKS)
+def test_fast_path_never_changes_a_result_across_blocks(items, block):
+    with mock.patch.object(rdf, "_BLOCK", block):
+        test_fast_path_never_changes_a_result.hypothesis.inner_test(items)
+
+
 S = f"<{STRING_IRI}>"
 
 
@@ -397,6 +420,55 @@ def test_bulk_and_per_line_readers_agree(text, want, bulk):
     assert got == outcome(per_line, text)
     assert (got if isinstance(got, str) else len(got[0])) == want
     assert (rdf._read_bulk(text, rdf._Terms()) is not None) is bulk
+
+
+I = f"<{Datatype.INTEGER.value}>"
+
+
+@pytest.mark.parametrize("text, want", [
+    # a literal object in one block is no subject in a later one
+    (f'<a> <b> "x"^^{S} .\n<a> <b> <c> .\n"x"^^{S} <b> <c> .\n',
+     f"line 3: triple subject must be an IRI, got \"x\"^^{S}"),
+    # one literal spelled two ways in two blocks is one triple
+    (f'<a> <b> "\\u0041"^^{S} .\n<a> <b> <c> .\n<a> <b> "A"^^{S} .\n', 2),
+    # a bad line in the last block is named by its line in the whole text
+    (f'<a> <b> <c> .\n<a> <b> <d> .\n<a> <b> <e> .\n<a> <b> "1e999"^^<{DECIMAL_IRI}> .\n',
+     "line 4: literal '1e999' is not a finite decimal"),
+    # an empty object token after a block that holds no new token
+    ("<a> <b> <c> .\n<a> <b> <c> .\n<a> <b>  .\n", "line 3: expected 3 terms, got 2"),
+])
+def test_bulk_and_per_line_readers_agree_across_blocks(text, want):
+    with mock.patch.object(rdf, "_BLOCK", 1):
+        got = outcome(import_ntriples, text)
+        assert got == outcome(per_line, text)
+        assert (got if isinstance(got, str) else len(got[0])) == want
+        assert (rdf._read_bulk(text, rdf._Terms()) is not None) is not isinstance(want, str)
+
+
+def test_a_number_first_seen_in_a_later_block_is_filed():
+    text = f'<a> <b> <c> .\n<a> <b> "5"^^{I} .\n<a> <c> "5"^^{I} .\n<a> <d> "-2.5"^^<{DECIMAL_IRI}> .\n'
+    with mock.patch.object(rdf, "_BLOCK", 1):
+        g = import_ntriples(text)
+        assert rdf._read_bulk(text, rdf._Terms()) is not None
+    assert g._terms.numbers == {f'"5"^^{I}': 5.0, f'"-2.5"^^<{DECIMAL_IRI}>': -2.5}
+    assert [t.object._num for t in g if t.object.datatype is not None] == [5.0, 5.0, -2.5]
+
+
+def test_the_import_peak_stays_below_twice_the_kept_size(dataset_text):
+    # the bundled store spans several blocks, and only one block's split strings are alive at a time
+    text = export_ntriples(ingest_observations(parse_csv(dataset_text)))
+    assert len(text) > 3 * rdf._BLOCK
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = import_ntriples(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 16544
+    assert peak - before < 2 * (kept - before)
 
 
 def test_bulk_reader_stores_canonical_tokens():
