@@ -2,13 +2,14 @@
 
 Terms are IRIs or typed literals (string / integer / decimal).  Blank nodes
 are deliberately unsupported; ingestion mints deterministic IRIs instead.
+The N-Triples reader skips ``#`` comments, alone on a line or after a statement.
 
 ``join`` is the one pattern matcher: rule bodies, the seeds of each
 semi-naive chaining round and SPARQL queries all evaluate through it, each
 plan written as one generator expression, compiled once per source text.
 ``comparison`` is the one comparison, which a SPARQL ``FILTER`` and a
-rule's ``greaterThan`` share, written into a plan as one inline fragment,
-and ``Cursor`` the one token cursor of both parsers.
+rule's ``greaterThan`` share: it returns the inline fragment that a plan
+runs.  ``Cursor`` is the one token cursor of both parsers.
 """
 
 from __future__ import annotations
@@ -217,8 +218,6 @@ class TriplePattern(namedtuple("TriplePattern", "subject predicate object")):
         return [s for s in self if isinstance(s, str)]
 
 
-Binding = dict[str, Term]
-
 #: A stored triple: its terms' tokens, ``str(term)``, one string per distinct ``Term``.
 Key = tuple[str, str, str]
 
@@ -407,30 +406,29 @@ class Graph:
 #: each comparator's spelling in a generated plan
 _COMPARATORS = {">": ">", "<": "<", ">=": ">=", "<=": "<=", "=": "==", "!=": "!="}
 
-
-class _Comparison(namedtuple("_Comparison", "comparator field operand")):
-    """``?v <comparator> operand`` on a number's ``_num`` or a string's ``value``, which ``join`` writes inline."""
-
-
-#: A variable and the comparison that the term bound to it must pass.
-Check = tuple[str, _Comparison]
+#: A variable and the ``comparison`` that the term bound to it must pass: a test and its operand.
+Check = tuple[str, tuple[str, float | str]]
 
 
-def comparison(comparator: str, operand: Term) -> _Comparison:
-    """``?v <comparator> operand`` compiled to a test on the term bound to ``?v``.
+def comparison(comparator: str, operand: Term) -> tuple[str, float | str]:
+    """``?v <comparator> operand`` as the inline test that a plan runs on the token bound to ``?v``, and its operand.
 
-    As in SPARQL 1.1: a numeric operand compares by value with an integer
-    or decimal term, and a string operand compares lexically with a string
-    term.  Any other pair is incomparable and fails, so a string that
-    spells a number never compares with a number.  An unknown comparator,
-    or an IRI operand, is a ``ValueError``.
+    The test is a template: ``{0}`` is the source of the token, ``{1}`` of
+    the argument that holds the operand, ``U`` maps each numeric token to its
+    number, ``T`` each token to its term, and ``S`` is the string datatype.
+    As in SPARQL 1.1: a numeric operand compares by value with an integer or
+    decimal term, and a string operand compares lexically with a string
+    term.  Any other pair is incomparable and fails, so a string that spells
+    a number never compares with a number.  An unknown comparator, or an IRI
+    operand, is a ``ValueError``.
     """
     if comparator not in _COMPARATORS:
         raise ValueError(f"unknown comparator {comparator!r}")
+    spelled = _COMPARATORS[comparator]
     if operand._num is not None:
-        return _Comparison(comparator, "_num", operand._num)
+        return f"{{0}} in U and U[{{0}}] {spelled} {{1}}", operand._num
     if operand.datatype is Datatype.STRING:
-        return _Comparison(comparator, "value", operand.value)
+        return f"(x := T[{{0}}]).datatype is S and x.value {spelled} {{1}}", operand.value
     raise ValueError(f"comparison operand {operand} is not a literal")
 
 
@@ -554,12 +552,12 @@ def _parameters(count: int, *names: str) -> str:
 
 
 def _inline(checks: Sequence[Check], names: dict[str, str], arguments: list) -> list[str]:
-    """The test of each check on a variable that ``names`` maps to its token's source; operands join ``arguments``."""
+    """Each check's ``comparison`` test, on its variable's source in ``names`` if there; operands join ``arguments``."""
     tests = []
-    for variable, test in checks:
+    for variable, (test, operand) in checks:
         if variable in names:
-            tests.append(_INLINE[test.field].format(names[variable], _COMPARATORS[test.comparator], f"a{len(arguments)}"))
-            arguments.append(test.operand)
+            tests.append(test.format(names[variable], f"a{len(arguments)}"))
+            arguments.append(operand)
     return tests
 
 
@@ -590,10 +588,6 @@ def _order(sizes: list[int], variables: list[list[str]]) -> list[int]:
                     queued.add(i)
                     heappush(linked, (sizes[i], i))
     return order
-
-
-#: a comparison of the term of token ``{0}``, by the field it reads; ``U`` holds each numeric token's number
-_INLINE = {"_num": "{0} in U and U[{0}] {1} {2}", "value": "(x := T[{0}]).datatype is S and x.value {1} {2}"}
 
 
 def _read(s: Optional[str], p: Optional[str], o: Optional[str]) -> str:
@@ -634,6 +628,8 @@ def export_ntriples(g: Graph) -> str:
 #: up to the next whitespace, any other run of non-whitespace, or a lone
 #: quote that no closing quote ends.
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"\S*|[^\s"]\S*|"', re.S)
+#: a ``#`` after whitespace: only a line that holds one can hold a comment after its statement
+_COMMENT = re.compile(r"\s#")
 #: A literal token's body and datatype IRI.
 _LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"\^\^<(\S*)>', re.S)
 #: IRI tokens with no whitespace, which ``Term`` accepts, joined by single spaces.
@@ -726,6 +722,9 @@ def _tokens(line: str) -> Optional[list[str]]:
     line = line.strip()
     if not line or line.startswith("#"):
         return None
+    if _COMMENT.search(line):
+        # an item that starts with "#" starts a comment; one glued to the item before it, as ".#" is, does not
+        line = next((line[: m.start()].rstrip() for m in _TOKEN.finditer(line) if m.group()[0] == "#"), line)
     if not line.endswith("."):
         raise RdfError("missing terminating '.'")
     tokens = _TOKEN.findall(line, 0, len(line) - 1)

@@ -1,8 +1,9 @@
 """SPARQL-subset parser and evaluator.
 
 Supported: PREFIX declarations, SELECT with explicit variables, a basic
-graph pattern with variables in any position, and numeric/string FILTER
-comparisons, compiled by ``rdf.comparison`` as a rule's ``greaterThan`` is.
+graph pattern with variables in any position, numeric/string FILTER
+comparisons, each the inline test that ``rdf.comparison`` returns, as a
+rule's ``greaterThan`` is, and ``#`` comments to the end of a line.
 Rows that fail a filter, or whose filtered value cannot be compared (e.g. a
 string under a numeric comparison), are silently dropped.
 """
@@ -104,10 +105,11 @@ def _csv_quoted(column: list[str]) -> list[str]:
 
 # --- tokenizer -------------------------------------------------------------
 
-#: one token; ``BAD`` takes any character that starts no other
+#: one token; ``BAD`` takes any character that starts no other, and ``WS``
+#: also a comment: a ``#`` outside an IRI or a string, to the end of its line
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>\s+)
+      (?P<WS>\s+|\#[^\r\n]*)
     | (?P<IRIREF><[^<>\s]*>)
     | (?P<STRING>"(?:[^"\\]|\\.)*")
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)

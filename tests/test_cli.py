@@ -281,6 +281,18 @@ def dataset_store(tmp_path_factory):
     return path
 
 
+def test_comments_in_the_query_and_the_store_leave_the_pinned_table(capsys, tmp_path, dataset_store):
+    query = tmp_path / "query.rq"
+    query.write_text("# wind survey\n" + WIND_SURVEY_QUERY, encoding="utf-8")
+    # a comment after the first statement sends the store to the line reader
+    first, rest = dataset_store.read_text(encoding="utf-8").split("\n", 1)
+    store = tmp_path / "store.nt"
+    store.write_text(f"{first} # note\n{rest}", encoding="utf-8")
+    code, out, err = run(capsys, "query", str(store), str(query))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_QUERY_TABLE["wind survey"]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_QUERY_CSV))
 def test_dashboard_query_csv_is_pinned(capsys, tmp_path, dataset_store, name):
     query, digest = PINNED_QUERY_CSV[name]

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -27,7 +28,7 @@ from fireweather.rdf import (
     string,
 )
 from fireweather.sparql import evaluate, parse_query
-from test_sparql import COMPARATORS, DRY_AUGUST_QUERY, LOOKUP_QUERY, WIND_SURVEY_QUERY
+from test_sparql import COMPARATORS, DRY_AUGUST_QUERY, LOOKUP_QUERY, RAIN_SURVEY_QUERY, WIND_SURVEY_QUERY
 from util import (
     PREDICATES,
     SUBJECTS,
@@ -635,6 +636,36 @@ class TestGeneratedSource:
             assert len(list(join(patterns, g, [b, a], [(b, comparison(">=", integer(least)))]))) == 4
         assert len(sources) == 2 and sources[0] == sources[1]
         assert rdf._compile(sources[0]) is rdf._compile(sources[1])
+
+    def test_the_plans_of_the_shipped_queries_and_rules_are_pinned(self, dataset_text, rules_text, monkeypatch):
+        sources = []
+        # past the cache, so that a repeated source is compiled, and recorded, again
+        uncached = rdf._compile.__wrapped__
+
+        def recording(source):
+            sources.append(source)
+            return uncached(source)
+
+        monkeypatch.setattr(rdf, "_compile", recording)
+        g = ingest_observations(parse_csv(dataset_text))
+        for text in (WIND_SURVEY_QUERY, RAIN_SURVEY_QUERY, DRY_AUGUST_QUERY, LOOKUP_QUERY):
+            assert evaluate(parse_query(text), g).rows
+        # the three-sensor rule-input store of the CLI smoke run in CI
+        store = "".join(
+            f"<urn:ssn:sensor:{name}> <{vocab.RDF_TYPE}> <urn:ssn:class:sensor_id> .\n"
+            + "".join(f'<urn:ssn:sensor:{name}> <urn:ssn:prop:{p}> "{value}"^^<{rdf.XSD}decimal> .\n'
+                      for p in ("notdifficult", "moderate", "Rain", "windspeed"))
+            for name, value in [("a", 17), ("a1", 35), ("b", 99)]
+        )
+        assert rules_module.forward_chain(import_ntriples(store), rules_module.parse_rules(rules_text))
+        # a recursive rule: its second round seeds ?v with the string "2", which the seeded check fails
+        chain = Graph(t(f"urn:n{i}", "urn:ssn:prop:a", iri(f"urn:n{i + 1}")) for i in range(5))
+        chain.insert(t("urn:n5", "urn:ssn:prop:level", decimal(5.0)))
+        rule = rules_module.parse_rule("a(?s, ?t) ^ level(?t, ?v) ^ greaterThan(?v, 1) -> level(?s, 2)")
+        assert len(rules_module.forward_chain(chain, [rule])) == 1
+        assert (len(sources), len(set(sources))) == (12, 7)
+        digest = hashlib.sha256("\n".join(sources).encode("utf-8")).hexdigest()
+        assert digest == "da79f7d154addcf147625839d93aa9b9b470c47aa8220681d438f4deb36185b9"
 
 
 U = [iri(f"urn:u{i}") for i in range(3)]

@@ -324,6 +324,19 @@ def test_bad_literal_carries_position(literal):
         parse_query(text)
 
 
+def test_a_comment_runs_to_the_end_of_its_line():
+    commented = "# wind survey\n" + "".join(line + "  # note\n" for line in WIND_SURVEY_QUERY.splitlines())
+    assert parse_query(commented) == parse_query(WIND_SURVEY_QUERY)
+    # a # in an IRI or a string is part of it, and a comment may follow a dot, end a CRLF line or the text
+    q = parse_query('SELECT ?s WHERE { ?s <urn:p#x> "a # b" .#c\r\n?s <urn:q> ?o } #')
+    assert q.patterns == (TriplePattern("?s", iri("urn:p#x"), string("a # b")), TriplePattern("?s", iri("urn:q"), "?o"))
+
+
+def test_an_error_after_comment_lines_names_its_line():
+    with pytest.raises(QueryParseError, match=r"^line 3, column 3: unexpected character '@'$"):
+        parse_query("# a\r\n# b ?\nx @ SELECT")
+
+
 COMPARATORS = [">", "<", ">=", "<=", "=", "!="]
 
 

@@ -422,6 +422,24 @@ def test_bulk_and_per_line_readers_agree(text, want, bulk):
     assert (rdf._read_bulk(text, rdf._Terms()) is not None) is bulk
 
 
+@pytest.mark.parametrize("text, want", [
+    ("<urn:a> <urn:ssn:prop:b> <urn:c> . # note\n", ["<urn:a> <urn:ssn:prop:b> <urn:c> ."]),
+    # the comment may hold a dot, and follow a tab
+    ("<a> <b> <c> .\t#\tnote .\n", ["<a> <b> <c> ."]),
+    # a # in an IRI or a literal is part of it
+    (f'<a#x> <b> "x # y"^^{S} . # z\n', [f'<a#x> <b> "x # y"^^{S} .']),
+    ("<a> <b> <c> . # note\r\n<a> <b> <d> .  #\r\n", ["<a> <b> <c> .", "<a> <b> <d> ."]),
+    # a # glued to the dot, a comment before the dot, and a literal's " #" on a line with no dot
+    ("<a> <b> <c> .#c\n", "line 1: missing terminating '.'"),
+    ("<a> <b> <c> # x .\n", "line 1: missing terminating '.'"),
+    (f'<a> <b> "x #"^^{S}\n', "line 1: missing terminating '.'"),
+])
+def test_a_comment_may_follow_a_statement(text, want):
+    got = outcome(import_ntriples, text)
+    assert got == outcome(per_line, text)
+    assert (got if isinstance(got, str) else [" ".join(key) + " ." for key in got[0]]) == want
+
+
 I = f"<{Datatype.INTEGER.value}>"
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fireweather import rdf
 from fireweather.rdf import (
-    Binding,
     Datatype,
     Graph,
     Term,
@@ -19,6 +18,9 @@ from fireweather.rdf import (
     iri,
     string,
 )
+
+#: the oracles' binding: each variable's term
+Binding = dict[str, Term]
 
 SUBJECTS = [f"urn:test:s{i}" for i in range(6)]
 PREDICATES = [f"urn:test:p{i}" for i in range(4)]
