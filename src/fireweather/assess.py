@@ -1,9 +1,11 @@
 """Per-sensor precautionary assessment and threshold alerts.
 
-Decision flow: classify ignition potential first, apply the rain override,
-then escalate through rate-of-spread and fire intensity; at very high or
-extreme intensity the difficulty-of-control and mop-up bands decide whether
-the verdict is demoted from Extreme to Act.
+Decision flow (``decide``, over the five band labels): read ignition
+potential first, apply the rain override, then escalate through
+rate-of-spread and fire intensity; at very high or extreme intensity the
+difficulty-of-control and mop-up bands decide whether the verdict is demoted
+from Extreme to Act.  ``assess`` classifies a record's indices, decides, and
+writes each step with its index value into the trace.
 """
 
 from __future__ import annotations
@@ -67,7 +69,40 @@ def synthetic_timestamp(month: str) -> str:
     return datetime.date(SYNTHETIC_YEAR, m, SYNTHETIC_DAY_OF_MONTH).isoformat()
 
 
-_ESCALATE_FROM = "easy"  # ignition band at or above which spread/intensity are consulted
+#: each ``bands.SCALES`` index name -> its ``Assessment`` label field and its name in a trace step
+FIELDS = {
+    "ffmc": ("ignition_potential", "ignition-potential"),
+    "dmc": ("mopup_needs", "mopup-needs"),
+    "bui": ("difficulty_of_control", "difficulty-of-control"),
+    "isi": ("rate_of_spread", "rate-of-spread"),
+    "fwi": ("fire_intensity", "fire-intensity"),
+}
+
+#: the label sets that ``decide`` tests, built once: ignition below ``easy``,
+#: control up to ``notDifficult`` and mop-up up to ``moderate``
+_BELOW_EASY = frozenset(bands.IGNITION_POTENTIAL.labels()[: bands.IGNITION_POTENTIAL.rank("easy")])
+_MANAGEABLE_CONTROL = frozenset(bands.DIFFICULTY_OF_CONTROL.labels()[: bands.DIFFICULTY_OF_CONTROL.rank("notDifficult") + 1])
+_MANAGEABLE_MOPUP = frozenset(bands.MOPUP_NEEDS.labels()[: bands.MOPUP_NEEDS.rank("moderate") + 1])
+#: each fire-intensity label's verdict: its rank, capped at Extreme
+_INTENSITY = {label: Verdict(min(rank, Verdict.EXTREME)) for rank, label in enumerate(bands.FIRE_INTENSITY.labels())}
+
+
+def decide(labels: dict[str, str], rain_stop: bool) -> tuple[Verdict, tuple[str, ...]]:
+    """The verdict from each index name's band label, and the steps that reach it.
+
+    A step is an index name whose label the flow read, ``"rain"`` for the
+    rain override, or a note: no escalation below ``easy``, or the demotion.
+    """
+    if rain_stop:
+        return Verdict.NO_FIRE_RISK, ("ffmc", "rain")
+    if labels["ffmc"] in _BELOW_EASY:
+        return Verdict.NO_FIRE_RISK, ("ffmc", "rain", "ignition below easy: no escalation")
+    verdict = _INTENSITY[labels["fwi"]]
+    if verdict < Verdict.EXTREME:
+        return verdict, ("ffmc", "rain", "isi", "fwi")
+    if labels["bui"] in _MANAGEABLE_CONTROL and labels["dmc"] in _MANAGEABLE_MOPUP:
+        return Verdict.ACT, ("ffmc", "rain", "isi", "fwi", "bui", "dmc", "demoted: control and mop-up both manageable")
+    return verdict, ("ffmc", "rain", "isi", "fwi", "bui", "dmc")
 
 
 def assess(rec: FwiRecord, w: WeatherInputs, sensor: str, timestamp: str = "") -> Assessment:
@@ -76,55 +111,22 @@ def assess(rec: FwiRecord, w: WeatherInputs, sensor: str, timestamp: str = "") -
     ``timestamp`` is kept as given, empty by default: the result never
     depends on the day it is computed.
     """
-    ignition = bands.IGNITION_POTENTIAL.classify(rec.ffmc)
-    mopup = bands.MOPUP_NEEDS.classify(rec.dmc)
-    difficulty = bands.DIFFICULTY_OF_CONTROL.classify(rec.bui)
-    spread = bands.RATE_OF_SPREAD.classify(rec.isi)
-    intensity = bands.FIRE_INTENSITY.classify(rec.fwi)
-    rain_stop = bands.rain_override(w.rain_24h) is not None
-    windy = bands.wind_risk(w.wind) is not None
-
-    trace = [f"ignition-potential(ffmc={rec.ffmc:g})={ignition}"]
-    if rain_stop:
-        trace.append(f"rain-override(rain={w.rain_24h:g})=FireStop")
-        verdict = Verdict.NO_FIRE_RISK
-    else:
-        trace.append(f"rain-override(rain={w.rain_24h:g})=none")
-        ranks = bands.IGNITION_POTENTIAL
-        if ranks.rank(ignition) < ranks.rank(_ESCALATE_FROM):
-            trace.append("ignition below easy: no escalation")
-            verdict = Verdict.NO_FIRE_RISK
-        else:
-            trace.append(f"rate-of-spread(isi={rec.isi:g})={spread}")
-            trace.append(f"fire-intensity(fwi={rec.fwi:g})={intensity}")
-            verdict = Verdict(min(bands.FIRE_INTENSITY.rank(intensity), Verdict.EXTREME))
-            if verdict == Verdict.EXTREME:
-                trace.append(f"difficulty-of-control(bui={rec.bui:g})={difficulty}")
-                trace.append(f"mopup-needs(dmc={rec.dmc:g})={mopup}")
-                if (
-                    bands.DIFFICULTY_OF_CONTROL.rank(difficulty) <= bands.DIFFICULTY_OF_CONTROL.rank("notDifficult")
-                    and bands.MOPUP_NEEDS.rank(mopup) <= bands.MOPUP_NEEDS.rank("moderate")
-                ):
-                    trace.append("demoted: control and mop-up both manageable")
-                    verdict = Verdict.ACT
-    if windy:
-        trace.append(f"wind-risk(wind={w.wind:g})=veryhigh")
-
-    return Assessment(
-        sensor=sensor,
-        record=rec,
-        weather=w,
-        ignition_potential=ignition,
-        mopup_needs=mopup,
-        difficulty_of_control=difficulty,
-        rate_of_spread=spread,
-        fire_intensity=intensity,
-        rain_override=rain_stop,
-        wind_risk=windy,
-        verdict=verdict,
-        trace=tuple(trace),
-        timestamp=timestamp,
-    )
+    labels = {name: table.classify(getattr(rec, name)) for name, table in bands.SCALES.items()}
+    rain = bands.rain_override(w.rain_24h)
+    wind = bands.wind_risk(w.wind)
+    verdict, steps = decide(labels, rain is not None)
+    rain_step = f"rain-override(rain={w.rain_24h:g})={rain or 'none'}"
+    # an index name's step names its index value and label; a note is its own step
+    trace = [
+        f"{FIELDS[step][1]}({step}={getattr(rec, step):g})={labels[step]}" if step in FIELDS
+        else rain_step if step == "rain" else step
+        for step in steps
+    ]
+    if wind is not None:
+        trace.append(f"wind-risk(wind={w.wind:g})={wind}")
+    fields = {field: labels[name] for name, (field, _) in FIELDS.items()}
+    return Assessment(sensor, rec, w, **fields, rain_override=rain is not None, wind_risk=wind is not None,
+                      verdict=verdict, trace=tuple(trace), timestamp=timestamp)
 
 
 def alerts_for(assessments: Iterable[Assessment]) -> list[Alert]:

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import bands, rules, sparql, vocab
-from .assess import alerts_for, assess, synthetic_timestamp
+from .assess import FIELDS, alerts_for, assess, synthetic_timestamp
 from .indices import DomainError, WeatherInputs, compute_chain
 # no command calls ``ingest_observations`` or ``export_ntriples``: perfbench/tracing.py patches them by name here
 from .ingest import IngestError, ingest_observations, ntriples_lines, parse_csv
@@ -126,19 +126,12 @@ def cmd_assess(args) -> int:
             raise DomainError(f"{sensor}: {exc}") from None
     lines = []
     for a in assessments:
-        r = a.record
         lines.append(_JSON.encode({
             "type": "assessment",
             "sensor": a.sensor,
             "timestamp": a.timestamp,
-            "indices": {"ffmc": r.ffmc, "dmc": r.dmc, "dc": r.dc, "isi": r.isi, "bui": r.bui, "fwi": r.fwi},
-            "labels": {
-                "ignition_potential": a.ignition_potential,
-                "mopup_needs": a.mopup_needs,
-                "difficulty_of_control": a.difficulty_of_control,
-                "rate_of_spread": a.rate_of_spread,
-                "fire_intensity": a.fire_intensity,
-            },
+            "indices": vars(a.record),
+            "labels": {field: getattr(a, field) for field, _ in FIELDS.values()},
             "rain_override": a.rain_override,
             "wind_risk": a.wind_risk,
             "verdict": str(a.verdict),

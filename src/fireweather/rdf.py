@@ -628,8 +628,11 @@ def export_ntriples(g: Graph) -> str:
 #: up to the next whitespace, any other run of non-whitespace, or a lone
 #: quote that no closing quote ends.
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"\S*|[^\s"]\S*|"', re.S)
-#: a ``#`` after whitespace: only a line that holds one can hold a comment after its statement
-_COMMENT = re.compile(r"\s#")
+#: a ``#`` after whitespace or a dot: only a line that holds one can hold a comment after its statement
+_COMMENT = re.compile(r"[\s.]#")
+#: where an item starts a comment: at its start, or at a ``#`` glued to the
+#: dot after the term it starts with, if any, as in ``.#c`` or ``<c>.#c``
+_COMMENT_START = re.compile(r'#|(?:<[^>\s]*>|"(?:[^"\\]|\\.)*"(?:\^\^<[^>\s]*>)?)?\.#')
 #: A literal token's body and datatype IRI.
 _LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"\^\^<(\S*)>', re.S)
 #: IRI tokens with no whitespace, which ``Term`` accepts, joined by single spaces.
@@ -723,8 +726,9 @@ def _tokens(line: str) -> Optional[list[str]]:
     if not line or line.startswith("#"):
         return None
     if _COMMENT.search(line):
-        # an item that starts with "#" starts a comment; one glued to the item before it, as ".#" is, does not
-        line = next((line[: m.start()].rstrip() for m in _TOKEN.finditer(line) if m.group()[0] == "#"), line)
+        # the comment's "#" and what follows it are cut; the dot before a glued one is kept
+        starts = ((m, _COMMENT_START.match(m.group())) for m in _TOKEN.finditer(line))
+        line = next((line[: m.start() + c.end() - 1].rstrip() for m, c in starts if c), line)
     if not line.endswith("."):
         raise RdfError("missing terminating '.'")
     tokens = _TOKEN.findall(line, 0, len(line) - 1)

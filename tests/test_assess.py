@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 import random
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fireweather.assess import Verdict, alerts_for, assess, synthetic_timestamp
+from fireweather import bands
+from fireweather.assess import Verdict, alerts_for, assess, decide, synthetic_timestamp
 from fireweather.indices import WeatherInputs, compute_chain
 
 # the benchmark's independent Van Wagner chain, band tables and decision flow
@@ -177,3 +179,27 @@ def test_assess_matches_the_benchmark_oracle(ffmc, dmc, dc, wind, rain):
     assert (str(a.verdict), a.wind_risk) == (want.verdict, want.windy)
     for name in ("isi", "bui", "fwi"):
         assert math.isclose(getattr(a.record, name), getattr(want, name), rel_tol=1e-9, abs_tol=1e-9), name
+
+
+NOTES = {"ignition below easy: no escalation", "demoted: control and mop-up both manageable"}
+
+
+def test_decide_follows_the_rank_rule_on_every_label_combination():
+    # every combination of the five labels, which a store's facts may give
+    # though no index values reach it, under both rain flags
+    names = list(bands.SCALES)
+    for combination in itertools.product(*(table.labels() for table in bands.SCALES.values())):
+        labels = dict(zip(names, combination))
+        rank = {name: bands.SCALES[name].rank(label) for name, label in labels.items()}
+        for rain_stop in (False, True):
+            verdict, steps = decide(labels, rain_stop)
+            if rain_stop or rank["ffmc"] < 2:
+                want = 0
+            else:
+                want = min(rank["fwi"], 3)
+                if want == 3 and rank["bui"] <= 1 and rank["dmc"] <= 1:
+                    want = 2
+            assert verdict == want, (labels, rain_stop)
+            extreme = not rain_stop and rank["ffmc"] >= 2 and rank["fwi"] >= 3
+            assert ("bui" in steps, "dmc" in steps) == (extreme, extreme), (labels, rain_stop, steps)
+            assert set(steps) <= {*names, "rain", *NOTES}

@@ -806,3 +806,61 @@ def test_mutated_queries_and_rules_fail_with_one_error_line(boundary_store, data
         message = err.getvalue()
         one_line = message.startswith("error: ") and message.endswith("\n") and message.count("\n") == 1
         assert (code, message) == (0, "") or code == 1 and one_line, (argv[0], code, message)
+
+
+
+def stdout_of(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def invariance_outputs(tmp_path_factory, rule_input_store):
+    """A small store's lines, the rule file's text, and what prints the outputs of a store and a rule file.
+
+    The store holds the first two ingested CSV rows and every third
+    rule-input sensor, so that infer and each dashboard query print rows.
+    The outputs are infer's stdout in both formats, and the stdout of each
+    dashboard query as a table and as CSV.
+    """
+    directory = tmp_path_factory.mktemp("invariance")
+    csv, store, rules = directory / "rows.csv", directory / "store.nt", directory / "fwi.rules"
+    csv.write_text("".join(DATA_CSV.read_text(encoding="utf-8").splitlines(keepends=True)[:3]), encoding="utf-8")
+    lines = stdout_of("ingest", str(csv)).splitlines()
+    sensors = {f"<urn:ssn:sensor:Sensor_{i}>" for i in range(3, len(RULE_INPUT_VALUES) + 1, 3)}
+    lines += [line for line in rule_input_store[0].read_text(encoding="utf-8").splitlines() if line.split()[0] in sensors]
+    queries = [directory / f"dashboard-{i}.rq" for i in range(len(PINNED_QUERY_CSV))]
+    for path, (query, _) in zip(queries, PINNED_QUERY_CSV.values()):
+        path.write_text(query, encoding="utf-8")
+
+    def outputs(lines: list[str], rules_text: str) -> list[str]:
+        store.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        rules.write_text(rules_text, encoding="utf-8")
+        infer = [stdout_of("infer", str(store), "--rules", str(rules), "--format", fmt) for fmt in ("ntriples", "jsonl")]
+        return infer + [stdout_of("query", str(store), str(q), "--format", fmt) for q in queries for fmt in ("table", "csv")]
+
+    rules_text = RULES_FILE.read_text(encoding="utf-8")
+    want = outputs(lines, rules_text)
+    assert all(out.count("\n") > 2 for out in want)
+    return lines, rules_text, outputs, want
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_store_line_order_and_repeats_leave_infer_and_query_unchanged(invariance_outputs, data):
+    lines, rules_text, outputs, want = invariance_outputs
+    # some lines written twice or more, and every line in a drawn order
+    lines = data.draw(st.permutations(lines + data.draw(st.lists(st.sampled_from(lines), max_size=20))))
+    assert outputs(lines, rules_text) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rule_order_leaves_infer_unchanged(invariance_outputs, data):
+    lines, rules_text, outputs, want = invariance_outputs
+    # the rule lines in a drawn order; comment and blank lines are dropped
+    rules = [line for line in rules_text.splitlines() if line.strip() and not line.startswith("#")]
+    assert len(rules) == 27
+    assert outputs(lines, "".join(line + "\n" for line in data.draw(st.permutations(rules)))) == want

@@ -429,8 +429,12 @@ def test_bulk_and_per_line_readers_agree(text, want, bulk):
     # a # in an IRI or a literal is part of it
     (f'<a#x> <b> "x # y"^^{S} . # z\n', [f'<a#x> <b> "x # y"^^{S} .']),
     ("<a> <b> <c> . # note\r\n<a> <b> <d> .  #\r\n", ["<a> <b> <c> .", "<a> <b> <d> ."]),
-    # a # glued to the dot, a comment before the dot, and a literal's " #" on a line with no dot
-    ("<a> <b> <c> .#c\n", "line 1: missing terminating '.'"),
+    # a # glued to the dot, after a space or glued to the object too
+    ("<a> <b> <c> .#c\n", ["<a> <b> <c> ."]),
+    ("<a> <b> <c>.#c\n", ["<a> <b> <c> ."]),
+    # a .# in an IRI or a literal is part of it
+    (f'<a#.#b> <b> "x .#"^^{S}.#c\n', [f'<a#.#b> <b> "x .#"^^{S} .']),
+    # a comment before the dot, and a literal's " #" on a line with no dot
     ("<a> <b> <c> # x .\n", "line 1: missing terminating '.'"),
     (f'<a> <b> "x #"^^{S}\n', "line 1: missing terminating '.'"),
 ])
